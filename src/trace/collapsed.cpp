@@ -6,6 +6,7 @@
 #include "common/error.hpp"
 #include "common/hash.hpp"
 #include "common/string_util.hpp"
+#include "isa/work_estimate.hpp"
 #include "trace/canonical.hpp"
 
 namespace fibersim::trace {
@@ -49,6 +50,7 @@ CollapsedTrace CollapsedTrace::assemble(mp::RankSymmetry symmetry,
     for (int c = 0; c < classes; ++c) {
       ClassRecord& cls = phase.classes[static_cast<std::size_t>(c)];
       cls.record = representative_traces[static_cast<std::size_t>(c)][p];
+      cls.work_hash = isa::work_hash(cls.record.work);
       for (const auto& [dst, traffic] : cls.record.comm.sends) {
         if (!has_grid) {
           throw Error(strfmt("phase \"%s\": point-to-point sends without a "

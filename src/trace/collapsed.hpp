@@ -37,6 +37,7 @@ class CollapsedTrace {
   struct ClassRecord {
     PhaseRecord record;            ///< the representative's record, verbatim
     std::vector<ClassSend> sends;  ///< factorisation of record.comm.sends
+    std::uint64_t work_hash = 0;   ///< isa::work_hash(record.work)
   };
 
   struct Phase {

@@ -113,8 +113,8 @@ double rank_comm_seconds(const PhaseComm& phase_comm,
   return seconds;
 }
 
-/// Fold one evaluated phase into the job aggregates (identical for the naive
-/// and canonical paths).
+/// Fold one evaluated phase into the job aggregates (shared by the naive path
+/// and the class-replay engine).
 void accumulate_phase(JobPrediction& out, PhasePrediction&& phase) {
   if (phase.timed) {
     out.compute_s += phase.time.compute_s;
@@ -231,14 +231,54 @@ JobPrediction predict_job(const machine::ProcessorConfig& cfg,
   return out;
 }
 
-JobPrediction predict_job(const machine::ProcessorConfig& cfg,
-                          const cg::CompileOptions& opts,
-                          const topo::Binding& binding,
-                          const CanonicalTrace& trace,
-                          const PredictMemo& memo) {
-  FS_REQUIRE(trace.ranks() == binding.ranks(),
-             "trace rank count does not match the binding");
+namespace {
 
+// Trace-form adapters: the only facts the class-replay engine reads
+// differently from a canonical and a collapsed trace.
+
+/// Equivalence-class index of `rank` in phase `p`.
+int class_of(const CanonicalTrace& trace, std::size_t p, int rank) {
+  return trace.phases()[p].class_of[static_cast<std::size_t>(rank)];
+}
+int class_of(const CollapsedTrace& trace, std::size_t /*p*/, int rank) {
+  return trace.symmetry().class_of(rank);
+}
+
+/// fn(dst, messages, bytes) for every point-to-point send of `rank` in phase
+/// `p`, ascending by dst: the iteration order of a full run's per-rank send
+/// map, so floating-point folds over the sends match the naive path bitwise.
+template <typename Fn>
+void for_each_send(const CanonicalTrace& trace, std::size_t p, int rank,
+                   Fn&& fn) {
+  const CanonicalTrace::Phase& ph = trace.phases()[p];
+  const mp::CommLog& comm =
+      ph.classes[static_cast<std::size_t>(class_of(trace, p, rank))]
+          .record.comm;
+  for (const auto& [dst, traffic] : comm.sends) {
+    fn(dst, traffic.messages, traffic.bytes);
+  }
+}
+template <typename Fn>
+void for_each_send(const CollapsedTrace& trace, std::size_t p, int rank,
+                   Fn&& fn) {
+  // One scratch buffer per thread keeps the per-rank call allocation-free.
+  thread_local std::vector<CollapsedTrace::RankSend> sends;
+  trace.rank_sends(p, rank, &sends);
+  for (const CollapsedTrace::RankSend& s : sends) {
+    fn(s.dst, s.messages, s.bytes);
+  }
+}
+
+/// The class-replay engine behind both class-compressed predict_job
+/// overloads. Stage 1 costs each equivalence class once (codegen, thread
+/// share, exec-model work evaluation, collective terms); stage 2 replays
+/// placement and point-to-point costs rank-major in the naive path's order,
+/// so every output bit matches predict_job(JobTrace) on the expanded trace.
+template <typename Trace>
+JobPrediction replay_classes(const machine::ProcessorConfig& cfg,
+                             const cg::CompileOptions& opts,
+                             const topo::Binding& binding, const Trace& trace,
+                             const PredictMemo& memo) {
   const machine::ExecModel exec(cfg);
   const machine::CommCostModel comm_model(cfg, binding.topology().nodes());
   const int ranks = binding.ranks();
@@ -278,18 +318,21 @@ JobPrediction predict_job(const machine::ProcessorConfig& cfg,
   };
   std::vector<ClassEval> class_evals;
 
-  for (const CanonicalTrace::Phase& ph : trace.phases()) {
+  for (std::size_t p = 0; p < trace.phase_count(); ++p) {
     cancel::checkpoint();  // deadline shed between phases, not mid-phase
+    const auto& ph = trace.phases()[p];
     const bool fan_out = ph.parallel && threads > 1;
 
-    // Stage 1 — per equivalence class, not per rank: codegen transform,
-    // thread-share scaling, exec-model work evaluation, collective costs.
+    // Stage 1 — per equivalence class, not per rank. Work and collective
+    // logs are identical within a class, so the class record stands for
+    // every member bitwise.
     class_evals.clear();
     class_evals.reserve(ph.classes.size());
-    for (const CanonicalTrace::Class& cls : ph.classes) {
+    for (const auto& cls : ph.classes) {
       const isa::WorkEstimate generated =
-          memo.codegen ? memo.codegen->apply(opts, cls.record.work, cls.work_hash)
-                       : cg::apply(opts, cls.record.work);
+          memo.codegen
+              ? memo.codegen->apply(opts, cls.record.work, cls.work_hash)
+              : cg::apply(opts, cls.record.work);
       const isa::WorkEstimate per_thread =
           fan_out ? generated.scaled(1.0 / static_cast<double>(threads))
                   : generated;
@@ -308,9 +351,10 @@ JobPrediction predict_job(const machine::ProcessorConfig& cfg,
     // the order only matters for auditability).
     PhaseComm phase_comm(comm_model, binding);
     for (int rank = 0; rank < ranks; ++rank) {
-      const std::size_t ci =
-          static_cast<std::size_t>(ph.class_of[static_cast<std::size_t>(rank)]);
-      phase_comm.add_rank_flows(rank, ph.classes[ci].record.comm);
+      for_each_send(trace, p, rank,
+                    [&](int dst, std::uint64_t, std::uint64_t bytes) {
+                      phase_comm.add_flow(rank, dst, bytes);
+                    });
     }
     phase_comm.seal();
 
@@ -320,23 +364,25 @@ JobPrediction predict_job(const machine::ProcessorConfig& cfg,
     refs.clear();
     double worst_comm_s = 0.0;
     for (int rank = 0; rank < ranks; ++rank) {
-      const std::size_t ci =
-          static_cast<std::size_t>(ph.class_of[static_cast<std::size_t>(rank)]);
-      const ClassEval& ce = class_evals[ci];
+      const ClassEval& ce =
+          class_evals[static_cast<std::size_t>(class_of(trace, p, rank))];
+      const std::size_t r = static_cast<std::size_t>(rank);
       if (fan_out) {
         for (int t = 0; t < threads; ++t) {
-          refs.push_back(machine::ThreadRef{
-              &ce.eval, numa_of[static_cast<std::size_t>(rank) * threads + t],
-              home_of[static_cast<std::size_t>(rank)],
-              team_barrier[static_cast<std::size_t>(rank)]});
+          refs.push_back(machine::ThreadRef{&ce.eval,
+                                            numa_of[r * threads + t],
+                                            home_of[r], team_barrier[r]});
         }
       } else {
-        refs.push_back(machine::ThreadRef{
-            &ce.eval, numa_of[static_cast<std::size_t>(rank) * threads],
-            home_of[static_cast<std::size_t>(rank)], 0.0});
+        refs.push_back(machine::ThreadRef{&ce.eval, numa_of[r * threads],
+                                          home_of[r], 0.0});
       }
-      double comm_s =
-          phase_comm.rank_p2p_seconds(rank, ph.classes[ci].record.comm);
+      double comm_s = 0.0;
+      for_each_send(trace, p, rank,
+                    [&](int dst, std::uint64_t messages, std::uint64_t bytes) {
+                      comm_s += phase_comm.send_seconds(rank, dst, messages,
+                                                        bytes);
+                    });
       for (const double term : ce.coll_terms) comm_s += term;
       worst_comm_s = std::max(worst_comm_s, comm_s);
     }
@@ -345,12 +391,13 @@ JobPrediction predict_job(const machine::ProcessorConfig& cfg,
     phase.name = ph.name;
     phase.timed = ph.timed;
     phase.time = exec.evaluate_phase_refs(refs);
-    // Per-entry team barriers: one fork-join per phase entry.
-    if (ph.parallel && threads > 1 && ph.entries > 1) {
-      phase.time.barrier_s += static_cast<double>(ph.entries - 1) *
-                              exec.barrier_seconds(threads, widest);
-      phase.time.total_s += static_cast<double>(ph.entries - 1) *
-                            exec.barrier_seconds(threads, widest);
+    // Per-entry team barriers: evaluate_phase_refs charged one fork-join;
+    // charge the remaining entries.
+    if (fan_out && ph.entries > 1) {
+      const double extra = static_cast<double>(ph.entries - 1) *
+                           exec.barrier_seconds(threads, widest);
+      phase.time.barrier_s += extra;
+      phase.time.total_s += extra;
     }
     phase.comm_s = worst_comm_s;
     phase.total_s = phase.time.total_s + phase.comm_s;
@@ -360,6 +407,18 @@ JobPrediction predict_job(const machine::ProcessorConfig& cfg,
   return out;
 }
 
+}  // namespace
+
+JobPrediction predict_job(const machine::ProcessorConfig& cfg,
+                          const cg::CompileOptions& opts,
+                          const topo::Binding& binding,
+                          const CanonicalTrace& trace,
+                          const PredictMemo& memo) {
+  FS_REQUIRE(trace.ranks() == binding.ranks(),
+             "trace rank count does not match the binding");
+  return replay_classes(cfg, opts, binding, trace, memo);
+}
+
 JobPrediction predict_job(const machine::ProcessorConfig& cfg,
                           const cg::CompileOptions& opts,
                           const topo::Binding& binding,
@@ -367,131 +426,7 @@ JobPrediction predict_job(const machine::ProcessorConfig& cfg,
                           const PredictMemo& memo) {
   FS_REQUIRE(trace.ranks() == binding.ranks(),
              "collapsed trace rank count does not match the binding");
-
-  const machine::ExecModel exec(cfg);
-  const machine::CommCostModel comm_model(cfg, binding.topology().nodes());
-  const int ranks = binding.ranks();
-  const int threads = binding.threads_per_rank();
-  const std::uint64_t proc_token =
-      memo.exec ? memo.exec->processor_token(cfg) : 0;
-
-  const std::size_t nt = static_cast<std::size_t>(ranks) *
-                         static_cast<std::size_t>(threads);
-  std::vector<int> numa_of(nt);
-  std::vector<int> home_of(ranks);
-  std::vector<double> team_barrier(ranks);
-  topo::Distance widest = topo::Distance::kSameNuma;
-  for (int rank = 0; rank < ranks; ++rank) {
-    for (int t = 0; t < threads; ++t) {
-      numa_of[static_cast<std::size_t>(rank) * threads + t] =
-          binding.thread_numa(rank, t);
-    }
-    home_of[static_cast<std::size_t>(rank)] = binding.home_numa(rank);
-    const topo::Distance span = binding.team_span(rank);
-    team_barrier[static_cast<std::size_t>(rank)] =
-        exec.barrier_seconds(threads, span);
-    widest = std::max(widest, span);
-  }
-  const topo::Distance job_span = binding.job_span();
-
-  JobPrediction out;
-  out.phases.reserve(trace.phase_count());
-  std::vector<machine::ThreadRef> refs;
-  refs.reserve(nt);
-  std::vector<CollapsedTrace::RankSend> sends;  // per-rank scratch
-
-  struct ClassEval {
-    machine::WorkEval eval;
-    std::vector<double> coll_terms;
-  };
-  std::vector<ClassEval> class_evals;
-
-  const mp::RankSymmetry& symmetry = trace.symmetry();
-  for (std::size_t p = 0; p < trace.phase_count(); ++p) {
-    cancel::checkpoint();  // deadline shed between phases, not mid-phase
-    const CollapsedTrace::Phase& ph = trace.phases()[p];
-    const bool fan_out = ph.parallel && threads > 1;
-
-    // Stage 1 — per symmetry class: codegen transform, thread-share scaling,
-    // exec-model work evaluation, collective costs. Work and collective logs
-    // are structural, so the class record stands for every member bitwise.
-    class_evals.clear();
-    class_evals.reserve(ph.classes.size());
-    for (const CollapsedTrace::ClassRecord& cls : ph.classes) {
-      const isa::WorkEstimate generated =
-          memo.codegen ? memo.codegen->apply(opts, cls.record.work,
-                                             isa::work_hash(cls.record.work))
-                       : cg::apply(opts, cls.record.work);
-      const isa::WorkEstimate per_thread =
-          fan_out ? generated.scaled(1.0 / static_cast<double>(threads))
-                  : generated;
-      ClassEval ce;
-      ce.eval = memo.exec
-                    ? memo.exec->work_eval(exec, proc_token, per_thread,
-                                           isa::work_hash(per_thread))
-                    : exec.evaluate_work(per_thread);
-      ce.coll_terms =
-          collective_terms(comm_model, ranks, job_span, cls.record.comm);
-      class_evals.push_back(std::move(ce));
-    }
-
-    // Pass A: every virtual rank's remapped sends feed the contention map —
-    // integer accumulation, identical totals to a full run of the same job.
-    PhaseComm phase_comm(comm_model, binding);
-    for (int rank = 0; rank < ranks; ++rank) {
-      trace.rank_sends(p, rank, &sends);
-      for (const CollapsedTrace::RankSend& s : sends) {
-        phase_comm.add_flow(rank, s.dst, s.bytes);
-      }
-    }
-    phase_comm.seal();
-
-    // Stage 2 — rank-major placement replay. rank_sends() yields the same
-    // ascending-dst order a full run's per-rank send map iterates in, so the
-    // floating-point fold matches the full paths bit for bit.
-    refs.clear();
-    double worst_comm_s = 0.0;
-    for (int rank = 0; rank < ranks; ++rank) {
-      const std::size_t ci = static_cast<std::size_t>(symmetry.class_of(rank));
-      const ClassEval& ce = class_evals[ci];
-      if (fan_out) {
-        for (int t = 0; t < threads; ++t) {
-          refs.push_back(machine::ThreadRef{
-              &ce.eval, numa_of[static_cast<std::size_t>(rank) * threads + t],
-              home_of[static_cast<std::size_t>(rank)],
-              team_barrier[static_cast<std::size_t>(rank)]});
-        }
-      } else {
-        refs.push_back(machine::ThreadRef{
-            &ce.eval, numa_of[static_cast<std::size_t>(rank) * threads],
-            home_of[static_cast<std::size_t>(rank)], 0.0});
-      }
-      trace.rank_sends(p, rank, &sends);
-      double comm_s = 0.0;
-      for (const CollapsedTrace::RankSend& s : sends) {
-        comm_s += phase_comm.send_seconds(rank, s.dst, s.messages, s.bytes);
-      }
-      for (const double term : ce.coll_terms) comm_s += term;
-      worst_comm_s = std::max(worst_comm_s, comm_s);
-    }
-
-    PhasePrediction phase;
-    phase.name = ph.name;
-    phase.timed = ph.timed;
-    phase.time = exec.evaluate_phase_refs(refs);
-    // Per-entry team barriers: one fork-join per phase entry.
-    if (ph.parallel && threads > 1 && ph.entries > 1) {
-      phase.time.barrier_s += static_cast<double>(ph.entries - 1) *
-                              exec.barrier_seconds(threads, widest);
-      phase.time.total_s += static_cast<double>(ph.entries - 1) *
-                            exec.barrier_seconds(threads, widest);
-    }
-    phase.comm_s = worst_comm_s;
-    phase.total_s = phase.time.total_s + phase.comm_s;
-
-    accumulate_phase(out, std::move(phase));
-  }
-  return out;
+  return replay_classes(cfg, opts, binding, trace, memo);
 }
 
 }  // namespace fibersim::trace

@@ -79,7 +79,9 @@ struct PredictMemo {
 /// O(equivalence classes) codegen/exec-model evaluations (shared further
 /// across calls through `memo`) plus O(ranks x threads) cheap placement
 /// accumulation — the string-compare validation of the naive path happened
-/// once, at CanonicalTrace::build.
+/// once, at CanonicalTrace::build. Shares one class-replay engine with the
+/// CollapsedTrace overload below; only the rank -> class lookup and the
+/// per-rank send listing differ between the two.
 JobPrediction predict_job(const machine::ProcessorConfig& cfg,
                           const cg::CompileOptions& opts,
                           const topo::Binding& binding,
@@ -90,7 +92,9 @@ JobPrediction predict_job(const machine::ProcessorConfig& cfg,
 /// bit-identical to the full paths on the JobTrace that CollapsedTrace::
 /// expand() would yield, but native execution and stage-1 evaluation cost
 /// O(symmetry classes) while placement replay stays O(ranks x threads) —
-/// the path that makes 10^5-10^6-rank weak-scaling sweeps feasible.
+/// the path that makes 10^5-10^6-rank weak-scaling sweeps feasible. Runs the
+/// same class-replay engine as the CanonicalTrace overload, with each
+/// member's sends remapped by CollapsedTrace::rank_sends().
 JobPrediction predict_job(const machine::ProcessorConfig& cfg,
                           const cg::CompileOptions& opts,
                           const topo::Binding& binding,

@@ -4,6 +4,7 @@
 #include <sstream>
 
 #include "common/error.hpp"
+#include "common/report_emit.hpp"
 
 namespace fibersim::trace {
 
@@ -50,12 +51,7 @@ class JsonWriter {
   }
   void value(const std::string& v) {
     maybe_comma();
-    os_ << '"';
-    for (char c : v) {
-      if (c == '"' || c == '\\') os_ << '\\';
-      os_ << c;
-    }
-    os_ << '"';
+    os_ << '"' << json_escape(v) << '"';
   }
 
   std::string str() const { return os_.str(); }

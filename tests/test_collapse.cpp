@@ -151,40 +151,63 @@ TEST_P(CollapseByteIdentity, ExpandEqualsFullRun) {
 }
 
 // The collapsed prediction path never materialises the expansion; it must
-// still produce bit-identical numbers to the naive and canonical paths.
+// still produce bit-identical numbers to the naive and canonical paths — on
+// one node and across four (torus hops, and routes that share links so
+// contention charges foreign bytes), with and without a memo shared by both
+// class-replay paths and every binding.
 TEST_P(CollapseByteIdentity, PredictionBitsAgreeAcrossAllThreePaths) {
   const CollapseCase c = GetParam();
   const trace::JobTrace full = run_full(c.app, c.dataset);
   const trace::CollapsedTrace collapsed = run_collapsed(c.app, c.dataset);
+  const trace::CanonicalTrace canonical = trace::CanonicalTrace::build(full);
 
   const auto cfg = machine::a64fx();
   const auto opts = cg::CompileOptions::simd_sched();
-  const topo::Topology topo(cfg.shape);
-  const topo::Binding binding =
-      topo::Binding::make(topo, kRanks, kThreads,
-                          topo::RankAllocPolicy::kBlock,
-                          topo::ThreadBindPolicy::compact());
+  cg::CodegenCache codegen;
+  machine::EvalCache evals;
+  const trace::PredictMemo memo{&codegen, &evals};
 
-  const auto naive = trace::predict_job(cfg, opts, binding, full);
-  const auto canonical = trace::predict_job(
-      cfg, opts, binding, trace::CanonicalTrace::build(full));
-  const auto coll = trace::predict_job(cfg, opts, binding, collapsed);
+  for (const int nodes : {1, 4}) {
+    SCOPED_TRACE(std::to_string(nodes) + " node(s)");
+    const topo::Topology topo(cfg.shape, nodes);
+    const topo::Binding binding =
+        topo::Binding::make(topo, kRanks, kThreads,
+                            topo::RankAllocPolicy::kBlock,
+                            topo::ThreadBindPolicy::compact());
+    if (nodes > 1) {
+      // Block allocation puts the first and the last rank on different nodes.
+      ASSERT_EQ(binding.rank_distance(0, kRanks - 1),
+                topo::Distance::kRemoteNode);
+    }
 
-  for (const auto* pred : {&canonical, &coll}) {
-    EXPECT_TRUE(same_bits(pred->total_s, naive.total_s));
-    EXPECT_TRUE(same_bits(pred->compute_s, naive.compute_s));
-    EXPECT_TRUE(same_bits(pred->memory_s, naive.memory_s));
-    EXPECT_TRUE(same_bits(pred->comm_s, naive.comm_s));
-    EXPECT_TRUE(same_bits(pred->barrier_s, naive.barrier_s));
-    EXPECT_TRUE(same_bits(pred->setup_s, naive.setup_s));
-    EXPECT_TRUE(same_bits(pred->flops, naive.flops));
-    ASSERT_EQ(pred->phases.size(), naive.phases.size());
-    for (std::size_t p = 0; p < naive.phases.size(); ++p) {
-      EXPECT_EQ(pred->phases[p].name, naive.phases[p].name);
-      EXPECT_TRUE(same_bits(pred->phases[p].comm_s, naive.phases[p].comm_s))
-          << c.app << " phase " << naive.phases[p].name;
-      EXPECT_TRUE(same_bits(pred->phases[p].total_s, naive.phases[p].total_s))
-          << c.app << " phase " << naive.phases[p].name;
+    const auto naive = trace::predict_job(cfg, opts, binding, full);
+    const auto canonical_bare =
+        trace::predict_job(cfg, opts, binding, canonical);
+    const auto collapsed_bare =
+        trace::predict_job(cfg, opts, binding, collapsed);
+    const auto canonical_memo =
+        trace::predict_job(cfg, opts, binding, canonical, memo);
+    const auto collapsed_memo =
+        trace::predict_job(cfg, opts, binding, collapsed, memo);
+
+    for (const auto* pred : {&canonical_bare, &collapsed_bare,
+                             &canonical_memo, &collapsed_memo}) {
+      EXPECT_TRUE(same_bits(pred->total_s, naive.total_s));
+      EXPECT_TRUE(same_bits(pred->compute_s, naive.compute_s));
+      EXPECT_TRUE(same_bits(pred->memory_s, naive.memory_s));
+      EXPECT_TRUE(same_bits(pred->comm_s, naive.comm_s));
+      EXPECT_TRUE(same_bits(pred->barrier_s, naive.barrier_s));
+      EXPECT_TRUE(same_bits(pred->setup_s, naive.setup_s));
+      EXPECT_TRUE(same_bits(pred->flops, naive.flops));
+      ASSERT_EQ(pred->phases.size(), naive.phases.size());
+      for (std::size_t p = 0; p < naive.phases.size(); ++p) {
+        EXPECT_EQ(pred->phases[p].name, naive.phases[p].name);
+        EXPECT_TRUE(same_bits(pred->phases[p].comm_s, naive.phases[p].comm_s))
+            << c.app << " phase " << naive.phases[p].name;
+        EXPECT_TRUE(
+            same_bits(pred->phases[p].total_s, naive.phases[p].total_s))
+            << c.app << " phase " << naive.phases[p].name;
+      }
     }
   }
 }

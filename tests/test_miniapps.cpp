@@ -128,10 +128,11 @@ std::vector<AppCase> all_cases() {
 }
 
 INSTANTIATE_TEST_SUITE_P(Suite, MiniappRun, ::testing::ValuesIn(all_cases()),
-                         [](const auto& info) {
-                           return info.param.app + "_" +
-                                  std::to_string(info.param.ranks) + "x" +
-                                  std::to_string(info.param.threads);
+                         [](const auto& param_info) {
+                           return param_info.param.app + "_" +
+                                  std::to_string(param_info.param.ranks) +
+                                  "x" +
+                                  std::to_string(param_info.param.threads);
                          });
 
 class WorkInvariance : public ::testing::TestWithParam<std::string> {};
@@ -151,7 +152,9 @@ TEST_P(WorkInvariance, TotalWorkIndependentOfDecomposition) {
 
 INSTANTIATE_TEST_SUITE_P(Suite, WorkInvariance,
                          ::testing::ValuesIn(registry_names()),
-                         [](const auto& info) { return info.param; });
+                         [](const auto& param_info) {
+                           return param_info.param;
+                         });
 
 class Determinism : public ::testing::TestWithParam<std::string> {};
 
@@ -166,7 +169,9 @@ TEST_P(Determinism, RepeatedRunsAgree) {
 
 INSTANTIATE_TEST_SUITE_P(Suite, Determinism,
                          ::testing::ValuesIn(registry_names()),
-                         [](const auto& info) { return info.param; });
+                         [](const auto& param_info) {
+                           return param_info.param;
+                         });
 
 class SeedSensitivity : public ::testing::TestWithParam<std::string> {};
 
@@ -186,7 +191,9 @@ TEST_P(SeedSensitivity, SeedChangesProblem) {
 
 INSTANTIATE_TEST_SUITE_P(Suite, SeedSensitivity,
                          ::testing::ValuesIn(registry_names()),
-                         [](const auto& info) { return info.param; });
+                         [](const auto& param_info) {
+                           return param_info.param;
+                         });
 
 TEST(Miniapps, LargeDatasetAlsoVerifies) {
   // One representative decomposition per app on the large dataset.
@@ -224,7 +231,9 @@ TEST_P(WeakScaling, DoublesWorkAndStillVerifies) {
 
 INSTANTIATE_TEST_SUITE_P(Suite, WeakScaling,
                          ::testing::ValuesIn(registry_names()),
-                         [](const auto& info) { return info.param; });
+                         [](const auto& param_info) {
+                           return param_info.param;
+                         });
 
 TEST(Miniapps, IterationsScaleTimedWork) {
   // ntchem's loop body is uniform: work must scale exactly with iterations.

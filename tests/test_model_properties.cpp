@@ -145,8 +145,8 @@ TEST_P(PerProcessor, EvaluatePhaseAggregatesFlopsExactly) {
 
 INSTANTIATE_TEST_SUITE_P(
     Machines, PerProcessor, ::testing::ValuesIn(extended_comparison_set()),
-    [](const ::testing::TestParamInfo<ProcessorConfig>& info) {
-      std::string name = info.param.name;
+    [](const ::testing::TestParamInfo<ProcessorConfig>& param_info) {
+      std::string name = param_info.param.name;
       for (char& c : name) {
         if (!std::isalnum(static_cast<unsigned char>(c))) c = '_';
       }

@@ -2,6 +2,7 @@
 #include <gtest/gtest.h>
 
 #include "common/error.hpp"
+#include "common/json.hpp"
 #include "mp/job.hpp"
 #include "trace/predict.hpp"
 #include "trace/recorder.hpp"
@@ -276,6 +277,20 @@ TEST(Serialize, EscapesQuotesInNames) {
   const std::string text = to_json(trace);
   EXPECT_TRUE(json::well_formed(text));
   EXPECT_NE(text.find("odd\\\"name"), std::string::npos);
+}
+
+TEST(Serialize, ControlCharactersInNamesStayValidJson) {
+  JobTrace trace = single_phase_trace(1, 1.0);
+  trace[0][0].name = "line\nbreak\x01" "end";
+  const std::string text = to_json(trace);
+  std::string error;
+  const auto doc = fibersim::json::parse(text, &error);
+  ASSERT_TRUE(doc.has_value()) << error << "\n" << text;
+  ASSERT_TRUE(doc->is_array());
+  const fibersim::json::Value& phase = doc->items().at(0).items().at(0);
+  const fibersim::json::Value* name = phase.find("name");
+  ASSERT_NE(name, nullptr);
+  EXPECT_EQ(name->as_string(), trace[0][0].name);
 }
 
 }  // namespace

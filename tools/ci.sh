@@ -1,7 +1,8 @@
 #!/usr/bin/env sh
-# CI gate: tier-1 verify (full build + full test suite), then the
-# concurrency/fault-labelled tests rebuilt under ThreadSanitizer and the
-# failure/fault-injection suites under AddressSanitizer.
+# CI gate: tier-1 verify (full build with warnings as errors + full test
+# suite), then the concurrency/fault-labelled tests rebuilt under
+# ThreadSanitizer and the failure/fault-injection suites under
+# AddressSanitizer.
 #
 # Usage: tools/ci.sh            (from the repo root)
 #   BUILD_DIR=...  override the tier-1 build dir   (default: build)
@@ -15,7 +16,7 @@ TSAN_DIR="${TSAN_DIR:-build-tsan}"
 ASAN_DIR="${ASAN_DIR:-build-asan}"
 
 echo "== tier-1: build + full test suite =="
-cmake -B "$BUILD_DIR" -S .
+cmake -B "$BUILD_DIR" -S . -DFIBERSIM_WERROR=ON
 cmake --build "$BUILD_DIR" -j
 ctest --test-dir "$BUILD_DIR" --output-on-failure -j
 
