@@ -173,7 +173,10 @@ void hash_processor(Fnv1a& h, const machine::ProcessorConfig& p) {
       .f64(p.watts_base)
       .f64(p.watts_per_core_active)
       .f64(p.watts_per_GBps_dram)
-      .f64(p.freq_power_exponent);
+      .f64(p.freq_power_exponent)
+      .f64(p.boost_freq_hz)
+      .i32(p.eco_fp_pipes)
+      .f64(p.eco_core_power_scale);
 }
 }  // namespace
 

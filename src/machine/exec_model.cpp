@@ -2,7 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
-#include <map>
+#include <vector>
 
 #include "common/error.hpp"
 #include "machine/memory_model.hpp"
@@ -173,9 +173,21 @@ PhaseTime ExecModel::evaluate_phase_refs(
   PhaseTime out;
 
   // Channel loads: DRAM bytes per home domain, remote bytes arriving per
-  // domain (these cross the on-chip / socket interconnect as well).
-  std::map<int, double> dram_bytes_by_domain;
-  std::map<int, double> remote_in_by_domain;
+  // domain (these cross the on-chip / socket interconnect as well). Flat
+  // per-domain sums, reused across calls on this thread: each domain gets
+  // its += in thread order, an untouched domain stays 0.0, and the closing
+  // max does not depend on order, so the result is bit-identical to summing
+  // only the domains that occur.
+  int domains = 0;
+  for (const ThreadRef& t : threads) {
+    FS_REQUIRE(t.numa >= 0 && t.home_numa >= 0,
+               "NUMA domain ids must be non-negative");
+    domains = std::max({domains, t.numa + 1, t.home_numa + 1});
+  }
+  thread_local std::vector<double> dram_bytes_by_domain;
+  thread_local std::vector<double> remote_in_by_domain;
+  dram_bytes_by_domain.assign(static_cast<std::size_t>(domains), 0.0);
+  remote_in_by_domain.assign(static_cast<std::size_t>(domains), 0.0);
 
   double worst_compute_s = 0.0;
   double worst_chain_s = 0.0;
@@ -185,10 +197,11 @@ PhaseTime ExecModel::evaluate_phase_refs(
     const WorkEval& e = *t.eval;
     out.flops += e.flops;
 
-    dram_bytes_by_domain[t.numa] += e.local_bytes;
-    dram_bytes_by_domain[t.home_numa] += e.home_bytes;
+    dram_bytes_by_domain[static_cast<std::size_t>(t.numa)] += e.local_bytes;
+    dram_bytes_by_domain[static_cast<std::size_t>(t.home_numa)] += e.home_bytes;
     if (t.home_numa != t.numa) {
-      remote_in_by_domain[t.home_numa] += e.home_bytes;
+      remote_in_by_domain[static_cast<std::size_t>(t.home_numa)] +=
+          e.home_bytes;
       out.remote_bytes += e.home_bytes;
     }
     out.dram_bytes += e.dram_bytes;
@@ -200,11 +213,11 @@ PhaseTime ExecModel::evaluate_phase_refs(
 
   // Memory time: the most loaded channel paces the phase.
   double memory_s = 0.0;
-  for (const auto& [domain, bytes] : dram_bytes_by_domain) {
+  for (const double bytes : dram_bytes_by_domain) {
     memory_s = std::max(memory_s, bytes / cfg_.numa_mem_bw);
   }
   if (cfg_.inter_numa_bw > 0.0) {
-    for (const auto& [domain, bytes] : remote_in_by_domain) {
+    for (const double bytes : remote_in_by_domain) {
       memory_s = std::max(memory_s, bytes / cfg_.inter_numa_bw);
     }
   }

@@ -94,39 +94,49 @@ void LinkContention::add_flow(int src_node, int dst_node,
                               std::uint64_t bytes) {
   FS_REQUIRE(!sealed_, "contention map is sealed");
   if (src_node == dst_node || bytes == 0) return;
-  flows_[{src_node, dst_node}] += bytes;
+  flows_[pair_key(src_node, dst_node)].bytes += bytes;
 }
 
 void LinkContention::seal() {
   FS_REQUIRE(!sealed_, "contention map is sealed");
   sealed_ = true;
   if (flows_.empty()) return;
-  link_load_.assign(static_cast<std::size_t>(torus_->link_count()), 0);
-  std::vector<int> links;
-  for (const auto& [pair, bytes] : flows_) {
-    links.clear();
-    torus_->route_links(pair.first, pair.second, &links);
-    for (const int link : links) {
-      std::uint64_t& load = link_load_[static_cast<std::size_t>(link)];
-      load += bytes;
+  // Every pair's route back to back in one buffer (route_end[i] closes the
+  // i-th pair in flows_ order), reused across phases on this thread. Link
+  // loads are integer sums, so the map's iteration order does not matter.
+  thread_local std::vector<int> links;
+  thread_local std::vector<std::size_t> route_end;
+  thread_local std::vector<std::uint64_t> link_load;
+  links.clear();
+  route_end.clear();
+  link_load.assign(static_cast<std::size_t>(torus_->link_count()), 0);
+  for (const auto& [key, flow] : flows_) {
+    const std::size_t begin = links.size();
+    torus_->route_links(static_cast<int>(key >> 32),
+                        static_cast<int>(key & 0xffffffffu), &links);
+    for (std::size_t k = begin; k < links.size(); ++k) {
+      std::uint64_t& load = link_load[static_cast<std::size_t>(links[k])];
+      load += flow.bytes;
       max_link_load_ = std::max(max_link_load_, load);
     }
+    route_end.push_back(links.size());
+  }
+  std::size_t begin = 0;
+  std::size_t i = 0;
+  for (auto& [key, flow] : flows_) {
+    for (std::size_t k = begin; k < route_end[i]; ++k) {
+      const std::uint64_t load =
+          link_load[static_cast<std::size_t>(links[k])];
+      flow.foreign = std::max(flow.foreign, load - flow.bytes);
+    }
+    begin = route_end[i++];
   }
 }
 
 std::uint64_t LinkContention::foreign_bytes(int src_node, int dst_node) const {
   FS_REQUIRE(sealed_, "contention map must be sealed first");
-  if (src_node == dst_node) return 0;
-  const auto it = flows_.find({src_node, dst_node});
-  if (it == flows_.end()) return 0;
-  std::vector<int> links;
-  torus_->route_links(src_node, dst_node, &links);
-  std::uint64_t worst = 0;
-  for (const int link : links) {
-    const std::uint64_t load = link_load_[static_cast<std::size_t>(link)];
-    worst = std::max(worst, load - it->second);
-  }
-  return worst;
+  const auto it = flows_.find(pair_key(src_node, dst_node));
+  return it == flows_.end() ? 0 : it->second.foreign;
 }
 
 }  // namespace fibersim::machine

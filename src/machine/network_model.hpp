@@ -10,17 +10,17 @@
 // at injection_bw, and every directed torus link on the route at link_bw.
 //
 // Contention is modelled per phase: LinkContention aggregates every
-// inter-node flow of the phase, routes each distinct node pair once, and
-// charges a pair for the *foreign* bytes sharing its busiest link — the
-// bottleneck-link approximation. More traffic on a shared link can only
-// raise (never lower) a flow's cost; a monotonicity test in
-// tests/test_machine.cpp pins that property.
+// inter-node flow of the phase, and at seal time routes each distinct node
+// pair once and computes the *foreign* bytes sharing the pair's busiest
+// link — the bottleneck-link approximation — which every send of that pair
+// is charged. More traffic on a shared link can only raise (never lower) a
+// flow's cost; a monotonicity test in tests/test_machine.cpp pins that
+// property.
 #pragma once
 
 #include <array>
 #include <cstdint>
-#include <map>
-#include <utility>
+#include <unordered_map>
 #include <vector>
 
 #include "machine/processor.hpp"
@@ -57,14 +57,18 @@ class TorusMap {
 };
 
 /// Per-phase link contention: aggregate flows, seal, then query each pair's
-/// foreign bytes (the traffic it shares its busiest route link with).
+/// foreign bytes (the traffic it shares its busiest route link with). Flows
+/// are keyed by the packed node pair; seal() routes every distinct pair
+/// once, sums the link loads and stores each pair's foreign bytes, so a
+/// query is a single hash lookup with no routing and no allocation.
 class LinkContention {
  public:
   explicit LinkContention(const TorusMap* torus) : torus_(torus) {}
 
   /// Accumulate `bytes` flowing src_node -> dst_node (ignored when equal).
   void add_flow(int src_node, int dst_node, std::uint64_t bytes);
-  /// Route every distinct pair once and build per-link loads.
+  /// Route every distinct pair once, build per-link loads and store each
+  /// pair's foreign bytes.
   void seal();
   bool sealed() const { return sealed_; }
 
@@ -77,9 +81,19 @@ class LinkContention {
   std::uint64_t max_link_load() const { return max_link_load_; }
 
  private:
+  /// A pair's aggregated bytes; seal() fills in its foreign bytes.
+  struct Flow {
+    std::uint64_t bytes = 0;
+    std::uint64_t foreign = 0;
+  };
+  static std::uint64_t pair_key(int src_node, int dst_node) {
+    return (static_cast<std::uint64_t>(static_cast<std::uint32_t>(src_node))
+            << 32) |
+           static_cast<std::uint32_t>(dst_node);
+  }
+
   const TorusMap* torus_;
-  std::map<std::pair<int, int>, std::uint64_t> flows_;
-  std::vector<std::uint64_t> link_load_;
+  std::unordered_map<std::uint64_t, Flow> flows_;
   std::uint64_t max_link_load_ = 0;
   bool sealed_ = false;
 };

@@ -14,31 +14,32 @@ namespace {
 
 /// Per-phase point-to-point communication model. Two passes: add_flow()
 /// aggregates every inter-node flow of the phase onto the torus (per
-/// node-pair, routed once by LinkContention), then after seal() each send is
-/// costed with its distance class — torus hop latency + injection bandwidth
-/// + contended-link share for remote sends, CMG-ring hop latency within a
-/// socket, the flat class latencies otherwise.
+/// node-pair; LinkContention routes each pair once and computes its foreign
+/// bytes at seal()), then each send is costed with its distance class —
+/// torus hop latency + injection bandwidth + contended-link share (one hash
+/// lookup) for remote sends, CMG-ring hop latency within a socket, the flat
+/// class latencies otherwise. Callers pass each send's rank distance in, so
+/// a caller that lists the phase's sends once classifies each send once.
 class PhaseComm {
  public:
   PhaseComm(const machine::CommCostModel& model, const topo::Binding& binding)
       : model_(model), binding_(binding), contention_(&model.torus()) {}
 
-  void add_flow(int rank, int dst, std::uint64_t bytes) {
-    if (binding_.rank_distance(rank, dst) == topo::Distance::kRemoteNode) {
+  void add_flow(int rank, int dst, topo::Distance d, std::uint64_t bytes) {
+    if (d == topo::Distance::kRemoteNode) {
       contention_.add_flow(binding_.node_of(rank), binding_.node_of(dst),
                            bytes);
     }
   }
   void add_rank_flows(int rank, const mp::CommLog& comm) {
     for (const auto& [dst, traffic] : comm.sends) {
-      add_flow(rank, dst, traffic.bytes);
+      add_flow(rank, dst, binding_.rank_distance(rank, dst), traffic.bytes);
     }
   }
   void seal() { contention_.seal(); }
 
-  double send_seconds(int rank, int dst, std::uint64_t messages,
-                      std::uint64_t bytes) const {
-    const topo::Distance d = binding_.rank_distance(rank, dst);
+  double send_seconds(int rank, int dst, topo::Distance d,
+                      std::uint64_t messages, std::uint64_t bytes) const {
     switch (d) {
       case topo::Distance::kRemoteNode: {
         const int a = binding_.node_of(rank);
@@ -67,7 +68,8 @@ class PhaseComm {
   double rank_p2p_seconds(int rank, const mp::CommLog& comm) const {
     double seconds = 0.0;
     for (const auto& [dst, traffic] : comm.sends) {
-      seconds += send_seconds(rank, dst, traffic.messages, traffic.bytes);
+      seconds += send_seconds(rank, dst, binding_.rank_distance(rank, dst),
+                              traffic.messages, traffic.bytes);
     }
     return seconds;
   }
@@ -318,6 +320,19 @@ JobPrediction replay_classes(const machine::ProcessorConfig& cfg,
   };
   std::vector<ClassEval> class_evals;
 
+  // The phase's sends, rank-major and ascending by dst within a rank; rank
+  // r's run is [send_offsets[r], send_offsets[r + 1]). Reused across phases
+  // and predictions on this thread.
+  struct Send {
+    int dst;
+    topo::Distance distance;
+    std::uint64_t messages;
+    std::uint64_t bytes;
+  };
+  thread_local std::vector<Send> sends;
+  thread_local std::vector<std::size_t> send_offsets;
+  send_offsets.assign(static_cast<std::size_t>(ranks) + 1, 0);
+
   for (std::size_t p = 0; p < trace.phase_count(); ++p) {
     cancel::checkpoint();  // deadline shed between phases, not mid-phase
     const auto& ph = trace.phases()[p];
@@ -346,15 +361,20 @@ JobPrediction replay_classes(const machine::ProcessorConfig& cfg,
       class_evals.push_back(std::move(ce));
     }
 
-    // Pass A: aggregate the phase's inter-node traffic for contention, in
-    // the same rank-major order as the naive path (integer accumulation, so
-    // the order only matters for auditability).
+    // Pass A: list every rank's sends once (with their rank distance) and
+    // aggregate the phase's inter-node traffic for contention, in the same
+    // rank-major order as the naive path (integer accumulation, so the order
+    // only matters for auditability).
     PhaseComm phase_comm(comm_model, binding);
+    sends.clear();
     for (int rank = 0; rank < ranks; ++rank) {
       for_each_send(trace, p, rank,
-                    [&](int dst, std::uint64_t, std::uint64_t bytes) {
-                      phase_comm.add_flow(rank, dst, bytes);
+                    [&](int dst, std::uint64_t messages, std::uint64_t bytes) {
+                      const topo::Distance d = binding.rank_distance(rank, dst);
+                      sends.push_back(Send{dst, d, messages, bytes});
+                      phase_comm.add_flow(rank, dst, d, bytes);
                     });
+      send_offsets[static_cast<std::size_t>(rank) + 1] = sends.size();
     }
     phase_comm.seal();
 
@@ -378,11 +398,11 @@ JobPrediction replay_classes(const machine::ProcessorConfig& cfg,
                                           home_of[r], 0.0});
       }
       double comm_s = 0.0;
-      for_each_send(trace, p, rank,
-                    [&](int dst, std::uint64_t messages, std::uint64_t bytes) {
-                      comm_s += phase_comm.send_seconds(rank, dst, messages,
-                                                        bytes);
-                    });
+      for (std::size_t k = send_offsets[r]; k < send_offsets[r + 1]; ++k) {
+        const Send& s = sends[k];
+        comm_s += phase_comm.send_seconds(rank, s.dst, s.distance, s.messages,
+                                          s.bytes);
+      }
       for (const double term : ce.coll_terms) comm_s += term;
       worst_comm_s = std::max(worst_comm_s, comm_s);
     }

@@ -503,6 +503,17 @@ TEST(Journal, FingerprintTracksEveryRelevantField) {
   ExperimentConfig mutated = base;
   mutated.processor.inter_numa_bw *= 0.5;
   EXPECT_NE(SweepJournal::fingerprint(mutated), key);
+
+  // The power-mode fields change boost/eco answers, so they key too.
+  ExperimentConfig boost = base;
+  boost.processor.boost_freq_hz += 1e8;
+  EXPECT_NE(SweepJournal::fingerprint(boost), key);
+  ExperimentConfig eco_pipes = base;
+  eco_pipes.processor.eco_fp_pipes += 1;
+  EXPECT_NE(SweepJournal::fingerprint(eco_pipes), key);
+  ExperimentConfig eco_power = base;
+  eco_power.processor.eco_core_power_scale *= 0.5;
+  EXPECT_NE(SweepJournal::fingerprint(eco_power), key);
 }
 
 TEST(Journal, RecordLookupRoundTripsBitExactly) {

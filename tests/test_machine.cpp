@@ -2,12 +2,18 @@
 // locality, execution, communication cost, power, roofline.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <cstdlib>
 #include <fstream>
+#include <map>
+#include <random>
 #include <sstream>
 #include <string>
 #include <utility>
+#include <vector>
 
 #include "common/error.hpp"
 #include "machine/calibrate.hpp"
@@ -15,6 +21,7 @@
 #include "machine/descriptor.hpp"
 #include "machine/exec_model.hpp"
 #include "machine/memory_model.hpp"
+#include "machine/network_model.hpp"
 #include "machine/power_model.hpp"
 #include "machine/processor.hpp"
 #include "machine/registry.hpp"
@@ -279,6 +286,57 @@ TEST(ExecModel, EmptyPhaseRejected) {
   EXPECT_THROW(model.evaluate_phase({}), Error);
 }
 
+/// Bitwise comparison of every PhaseTime field.
+void expect_same_bits(const PhaseTime& a, const PhaseTime& b) {
+  const auto bits = [](double v) { return std::bit_cast<std::uint64_t>(v); };
+  EXPECT_EQ(bits(a.compute_s), bits(b.compute_s));
+  EXPECT_EQ(bits(a.memory_s), bits(b.memory_s));
+  EXPECT_EQ(bits(a.barrier_s), bits(b.barrier_s));
+  EXPECT_EQ(bits(a.total_s), bits(b.total_s));
+  EXPECT_EQ(bits(a.flops), bits(b.flops));
+  EXPECT_EQ(bits(a.dram_bytes), bits(b.dram_bytes));
+  EXPECT_EQ(bits(a.remote_bytes), bits(b.remote_bytes));
+  EXPECT_EQ(bits(a.chain_s), bits(b.chain_s));
+  EXPECT_EQ(a.limiter, b.limiter);
+}
+
+TEST(ExecModel, PhaseRefsIndependentOfDomainLabels) {
+  const ExecModel model(a64fx());
+  // Two threads in domain `a` whose rank data is homed in domain `b`, one
+  // thread at home in `b`. The remote traffic arriving at `b` over the
+  // inter-domain ring, not any DRAM channel, paces the phase.
+  WorkEval off_home;
+  off_home.flops = 1e5;
+  off_home.local_bytes = 1e5;
+  off_home.home_bytes = 3e6 + 0.1;
+  off_home.dram_bytes = off_home.local_bytes + off_home.home_bytes;
+  off_home.compute_s = 1e-6;
+  WorkEval at_home = off_home;
+  at_home.home_bytes = 1e6 + 0.3;
+  at_home.dram_bytes = at_home.local_bytes + at_home.home_bytes;
+  const auto phase = [&](int a, int b) {
+    const std::vector<ThreadRef> refs = {{&off_home, a, b, 1e-7},
+                                         {&off_home, a, b, 1e-7},
+                                         {&at_home, b, b, 0.0}};
+    return model.evaluate_phase_refs(refs);
+  };
+  const PhaseTime base = phase(0, 1);
+  const double remote_in = 0.0 + off_home.home_bytes + off_home.home_bytes;
+  const double dram_b = 0.0 + off_home.home_bytes + off_home.home_bytes +
+                        at_home.local_bytes + at_home.home_bytes;
+  const ProcessorConfig& cfg = model.config();
+  ASSERT_GT(remote_in / cfg.inter_numa_bw, dram_b / cfg.numa_mem_bw);
+  EXPECT_EQ(base.memory_s, remote_in / cfg.inter_numa_bw);
+  EXPECT_EQ(base.limiter, Limiter::kMemory);
+  expect_same_bits(phase(3, 4095), base);
+  expect_same_bits(phase(4095, 3), base);
+
+  const std::vector<ThreadRef> bad_numa = {{&at_home, -1, 0, 0.0}};
+  EXPECT_THROW(model.evaluate_phase_refs(bad_numa), Error);
+  const std::vector<ThreadRef> bad_home = {{&at_home, 0, -2, 0.0}};
+  EXPECT_THROW(model.evaluate_phase_refs(bad_home), Error);
+}
+
 TEST(ExecModel, FlopsAggregated) {
   const ExecModel model(a64fx());
   const auto job = uniform_job(8, 2, 1e5);
@@ -521,6 +579,59 @@ TEST(Contention, MoreTrafficOnASharedLinkNeverGetsCheaper) {
     prev = foreign;
   }
   EXPECT_EQ(prev, 5000u);  // the full rival load lands on the shared link
+}
+
+TEST(Contention, ForeignBytesMatchABruteForceRecount) {
+  const TorusMap t(64);
+  ASSERT_EQ(t.dims(), (std::array<int, 3>{4, 4, 4}));
+  std::mt19937 rng(20210917);
+  std::uniform_int_distribution<int> node(0, t.nodes() - 1);
+  std::uniform_int_distribution<std::uint64_t> size(1, 1u << 20);
+  std::vector<std::pair<std::pair<int, int>, std::uint64_t>> added;
+  for (int i = 0; i < 400; ++i) {
+    std::pair<int, int> pair{node(rng), node(rng)};
+    if (i % 10 == 9) pair = added[static_cast<std::size_t>(i / 2)].first;
+    if (i % 25 == 24) pair.second = pair.first;  // self flow
+    const std::uint64_t bytes = i % 15 == 14 ? 0 : size(rng);
+    added.push_back({pair, bytes});
+  }
+  LinkContention c(&t);
+  for (const auto& [pair, bytes] : added) {
+    c.add_flow(pair.first, pair.second, bytes);
+  }
+  c.seal();
+
+  // Brute force: aggregate per pair, route each, sum every link's load.
+  std::map<std::pair<int, int>, std::uint64_t> flows;
+  for (const auto& [pair, bytes] : added) {
+    if (pair.first != pair.second && bytes != 0) flows[pair] += bytes;
+  }
+  std::map<int, std::uint64_t> load;
+  for (const auto& [pair, bytes] : flows) {
+    std::vector<int> links;
+    t.route_links(pair.first, pair.second, &links);
+    for (const int link : links) load[link] += bytes;
+  }
+  std::uint64_t max_load = 0;
+  for (const auto& [link, bytes] : load) max_load = std::max(max_load, bytes);
+  EXPECT_EQ(c.max_link_load(), max_load);
+
+  for (const auto& [pair, bytes] : added) {
+    std::uint64_t expected = 0;
+    const auto it = flows.find(pair);
+    if (it != flows.end()) {
+      std::vector<int> links;
+      t.route_links(pair.first, pair.second, &links);
+      for (const int link : links) {
+        expected = std::max(expected, load[link] - it->second);
+      }
+    }
+    EXPECT_EQ(c.foreign_bytes(pair.first, pair.second), expected);
+    EXPECT_EQ(c.foreign_bytes(pair.first, pair.second), expected);  // again
+  }
+  std::pair<int, int> never{0, 1};
+  while (flows.count(never) != 0) ++never.second;
+  EXPECT_EQ(c.foreign_bytes(never.first, never.second), 0u);
 }
 
 TEST(CommModel, RemoteLatencyIsExactPerHop) {
