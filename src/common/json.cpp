@@ -1,10 +1,13 @@
 #include "common/json.hpp"
 
+#include <algorithm>
 #include <cerrno>
 #include <cmath>
 #include <cstdint>
 #include <cstdlib>
 
+#include "common/error.hpp"
+#include "common/parse_num.hpp"
 #include "common/string_util.hpp"
 
 namespace fibersim::json {
@@ -369,4 +372,182 @@ std::optional<Value> parse(std::string_view text, std::string* error) {
   return Parser(text).run(error);
 }
 
+// ----- persisted documents -------------------------------------------------
+
+Value parse_document(std::string_view text, const std::string& error_prefix) {
+  std::string err;
+  std::optional<Value> root = parse(text, &err);
+  if (!root) throw Error(error_prefix + ": " + err);
+  return std::move(*root);
+}
+
+std::string Emitter::finish() && {
+  // Drop the final member's trailing ",\n" before closing the root object.
+  out_.erase(out_.size() - 2);
+  out_ += "\n}\n";
+  return std::move(out_);
+}
+
+void Emitter::open(std::string_view key) {
+  line_start(key);
+  out_ += "{\n";
+  ++indent_;
+}
+
+void Emitter::close() {
+  // Drop the trailing ",\n" of the last member before closing the block.
+  out_.erase(out_.size() - 2);
+  out_.push_back('\n');
+  --indent_;
+  out_.append(static_cast<std::size_t>(indent_) * 2, ' ');
+  out_ += "},\n";
+}
+
+void Emitter::str(std::string_view key, std::string_view v) {
+  line_start(key);
+  out_.push_back('"');
+  out_ += json_escape(v);
+  out_ += "\",\n";
+}
+
+void Emitter::num(std::string_view key, double v) {
+  line_start(key);
+  out_ += format_double(v);
+  out_ += ",\n";
+}
+
+void Emitter::num(std::string_view key, int v) {
+  line_start(key);
+  out_ += strfmt("%d", v);
+  out_ += ",\n";
+}
+
+void Emitter::boolean(std::string_view key, bool v) {
+  line_start(key);
+  out_ += v ? "true" : "false";
+  out_ += ",\n";
+}
+
+void Emitter::line_start(std::string_view key) {
+  out_.append(static_cast<std::size_t>(indent_) * 2, ' ');
+  out_.push_back('"');
+  out_ += key;
+  out_ += "\": ";
+}
+
+Reader::Reader(const Value& obj, std::string path, std::string error_prefix)
+    : obj_(obj), path_(std::move(path)), error_prefix_(std::move(error_prefix)) {
+  if (!obj_.is_object()) {
+    fail(path_.empty() ? "top level must be an object"
+                       : "'" + path_ + "' must be an object",
+         obj_.offset());
+  }
+}
+
+void Reader::read(std::string_view key, double* out) {
+  const Value& v = member(key);
+  if (!v.is_number()) fail(describe(key) + " must be a number", v.offset());
+  const std::optional<double> d = parse_f64(v.raw_number());
+  if (!d) fail(describe(key) + " is not a finite double", v.offset());
+  *out = *d;
+}
+
+void Reader::read(std::string_view key, int* out) {
+  const Value& v = member(key);
+  if (!v.is_number()) fail(describe(key) + " must be a number", v.offset());
+  const std::optional<int> i = parse_i32(v.raw_number());
+  if (!i) fail(describe(key) + " must be a 32-bit integer", v.offset());
+  *out = *i;
+}
+
+void Reader::read(std::string_view key, bool* out) {
+  const Value& v = member(key);
+  if (!v.is_bool()) fail(describe(key) + " must be true or false", v.offset());
+  *out = v.as_bool();
+}
+
+void Reader::read(std::string_view key, std::string* out) {
+  const Value& v = member(key);
+  if (!v.is_string()) fail(describe(key) + " must be a string", v.offset());
+  *out = v.as_string();
+}
+
+void Reader::require_format(std::string_view expected) {
+  std::string format;
+  read("format", &format);
+  if (format != expected) {
+    fail("unsupported format '" + format + "' (expected '" +
+             std::string(expected) + "')",
+         offset("format"));
+  }
+}
+
+const Value& Reader::member(std::string_view key) {
+  const Value* v = obj_.find(key);
+  if (v == nullptr) {
+    fail("missing required field '" + describe_path(key) + "'", obj_.offset());
+  }
+  consumed_.emplace_back(key);
+  return *v;
+}
+
+std::size_t Reader::offset(std::string_view key) const {
+  return obj_.find(key)->offset();
+}
+
+void Reader::finish() const {
+  for (const auto& [k, v] : obj_.members()) {
+    if (std::find(consumed_.begin(), consumed_.end(), k) == consumed_.end()) {
+      fail("unknown key '" + describe_path(k) + "'", v.offset());
+    }
+  }
+}
+
+void Reader::fail(const std::string& what, std::size_t offset) const {
+  throw Error(error_prefix_ + ": " + what + strfmt(" (at byte %zu)", offset));
+}
+
+std::string Reader::describe_path(std::string_view key) const {
+  return path_.empty() ? std::string(key) : path_ + "." + std::string(key);
+}
+
+std::string Reader::describe(std::string_view key) const {
+  return "field '" + describe_path(key) + "'";
+}
+
 }  // namespace fibersim::json
+
+namespace fibersim {
+
+std::string json_escape(std::string_view text) {
+  std::string out;
+  out.reserve(text.size());
+  for (const char c : text) {
+    switch (c) {
+      case '"': out += "\\\""; break;
+      case '\\': out += "\\\\"; break;
+      case '\n': out += "\\n"; break;
+      case '\r': out += "\\r"; break;
+      case '\t': out += "\\t"; break;
+      default:
+        if (static_cast<unsigned char>(c) < 0x20) {
+          out += strfmt("\\u%04x", static_cast<unsigned>(c));
+        } else {
+          out += c;
+        }
+    }
+  }
+  return out;
+}
+
+std::string format_double(double v) {
+  // Shortest %.{p}g form whose strtod round-trip is bit-exact; 17 significant
+  // digits always suffice for IEEE-754 binary64.
+  for (int prec = 1; prec <= 17; ++prec) {
+    std::string s = strfmt("%.*g", prec, v);
+    if (std::strtod(s.c_str(), nullptr) == v) return s;
+  }
+  return strfmt("%.17g", v);
+}
+
+}  // namespace fibersim

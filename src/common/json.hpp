@@ -94,4 +94,83 @@ inline constexpr int kMaxDepth = 32;
 /// non-null, a one-line message with the byte offset.
 std::optional<Value> parse(std::string_view text, std::string* error);
 
+// ----- persisted documents -------------------------------------------------
+//
+// Processor descriptors and calibration measurements are config documents
+// read back from disk, where a malformed file is the caller's error: these
+// helpers throw fibersim::Error ("<prefix>: <what> (at byte N)") instead of
+// returning error values.
+
+/// parse(), throwing "<error_prefix>: <grammar error>" on failure.
+Value parse_document(std::string_view text, const std::string& error_prefix);
+
+/// Canonical document emitter: fixed key order, 2-space indent, one
+/// "key": value per line, doubles via format_double. Kept dumb on purpose —
+/// the byte-stability contract of every document it writes lives here.
+class Emitter {
+ public:
+  /// Close the root object (trailing newline included).
+  std::string finish() &&;
+
+  void open(std::string_view key);  ///< start a nested object member
+  void close();                     ///< end the innermost nested object
+  void str(std::string_view key, std::string_view v);
+  void num(std::string_view key, double v);
+  void num(std::string_view key, int v);
+  void boolean(std::string_view key, bool v);
+
+ private:
+  void line_start(std::string_view key);
+
+  std::string out_ = "{\n";
+  int indent_ = 1;
+};
+
+/// Strict object walker: typed getters that fail with the value's byte
+/// offset, plus finish(), which rejects any key the schema did not read.
+class Reader {
+ public:
+  /// `path` names `obj` inside the document ("" for the root) in messages.
+  Reader(const Value& obj, std::string path, std::string error_prefix);
+
+  void read(std::string_view key, double* out);  ///< finite number
+  void read(std::string_view key, int* out);     ///< 32-bit integer
+  void read(std::string_view key, bool* out);
+  void read(std::string_view key, std::string* out);
+  /// Read "format" and fail unless it equals `expected`.
+  void require_format(std::string_view expected);
+
+  /// Required member (typically a nested object for another Reader).
+  const Value& member(std::string_view key);
+  bool has(std::string_view key) const { return obj_.find(key) != nullptr; }
+  /// Byte offset of the member `key` (which must be present).
+  std::size_t offset(std::string_view key) const;
+
+  /// Reject every key the schema did not consume, naming the first one.
+  void finish() const;
+
+  [[noreturn]] void fail(const std::string& what, std::size_t offset) const;
+
+ private:
+  std::string describe_path(std::string_view key) const;
+  std::string describe(std::string_view key) const;
+
+  const Value& obj_;
+  std::string path_;
+  std::string error_prefix_;
+  std::vector<std::string> consumed_;
+};
+
 }  // namespace fibersim::json
+
+namespace fibersim {
+
+/// Escape `text` for embedding inside a JSON string literal (quotes not
+/// added): \" \\ and every control character, so any bytes come out as
+/// valid JSON.
+std::string json_escape(std::string_view text);
+
+/// Shortest decimal form of `v` that strtod parses back to the same bits.
+std::string format_double(double v);
+
+}  // namespace fibersim

@@ -5,6 +5,7 @@
 
 #include "common/barchart.hpp"
 #include "common/error.hpp"
+#include "common/json.hpp"
 #include "common/string_util.hpp"
 
 namespace fibersim {
@@ -25,27 +26,6 @@ const char* report_format_name(ReportFormat format) {
     case ReportFormat::kJson: return "json";
   }
   return "?";
-}
-
-std::string json_escape(std::string_view text) {
-  std::string out;
-  out.reserve(text.size());
-  for (const char c : text) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\r': out += "\\r"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          out += strfmt("\\u%04x", static_cast<unsigned>(c));
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
 }
 
 namespace {

@@ -39,8 +39,4 @@ struct EmitOptions {
 void emit_report(const ReportArtifact& artifact, const EmitOptions& opts,
                  std::ostream& os);
 
-/// Escape `text` for embedding inside a JSON string literal (quotes not
-/// added): \" \\ and control characters, including newlines in figures.
-std::string json_escape(std::string_view text);
-
 }  // namespace fibersim

@@ -2,6 +2,8 @@
 
 #include <bit>
 #include <cerrno>
+#include <initializer_list>
+#include <optional>
 #include <sstream>
 #include <utility>
 
@@ -10,6 +12,8 @@
 
 #include "common/error.hpp"
 #include "common/hash.hpp"
+#include "common/json.hpp"
+#include "common/parse_num.hpp"
 #include "common/string_util.hpp"
 
 namespace fibersim::core {
@@ -23,161 +27,83 @@ std::string hex_f64(double v) {
                                std::bit_cast<std::uint64_t>(v)));
 }
 
-bool parse_hex_u64(std::string_view text, std::uint64_t* out) {
-  if (text.empty() || text.size() > 16) return false;
+/// A JSON string of exactly 16 lowercase hex digits, as the u64 it spells.
+std::optional<std::uint64_t> hex_u64(const json::Value* v) {
+  if (v == nullptr || !v->is_string() || v->as_string().size() != 16) {
+    return std::nullopt;
+  }
   std::uint64_t value = 0;
-  for (char c : text) {
+  for (const char c : v->as_string()) {
     int digit = 0;
     if (c >= '0' && c <= '9') digit = c - '0';
     else if (c >= 'a' && c <= 'f') digit = c - 'a' + 10;
-    else return false;
+    else return std::nullopt;
     value = (value << 4) | static_cast<std::uint64_t>(digit);
   }
-  *out = value;
-  return true;
+  return value;
 }
 
-bool parse_hex_f64(std::string_view text, double* out) {
-  std::uint64_t bits = 0;
-  if (!parse_hex_u64(text, &bits)) return false;
-  *out = std::bit_cast<double>(bits);
-  return true;
+bool read_f64(const json::Value* v, double* out) {
+  const std::optional<std::uint64_t> bits = hex_u64(v);
+  if (bits) *out = std::bit_cast<double>(*bits);
+  return bits.has_value();
 }
 
-// ----- minimal JSON string escape -----------------------------------------
-
-std::string escape(std::string_view s) {
-  std::string out;
-  out.reserve(s.size());
-  for (char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      case '\r': out += "\\r"; break;
-      default: out += c;
-    }
-  }
-  return out;
-}
-
-// ----- line scanner --------------------------------------------------------
-
-/// Strict cursor over one journal line. The journal only ever parses its own
-/// emission format (fixed field order), so this is a scanner, not a general
-/// JSON parser; any mismatch fails the whole line, which the loader skips.
-class Scanner {
- public:
-  explicit Scanner(std::string_view line) : line_(line) {}
-
-  bool literal(std::string_view text) {
-    if (line_.substr(pos_, text.size()) != text) return false;
-    pos_ += text.size();
-    return true;
-  }
-
-  /// "escaped string" (opening quote must be next).
-  bool string(std::string* out) {
-    if (!literal("\"")) return false;
-    out->clear();
-    while (pos_ < line_.size()) {
-      const char c = line_[pos_++];
-      if (c == '"') return true;
-      if (c != '\\') {
-        *out += c;
-        continue;
-      }
-      if (pos_ >= line_.size()) return false;
-      const char e = line_[pos_++];
-      switch (e) {
-        case '"': *out += '"'; break;
-        case '\\': *out += '\\'; break;
-        case 'n': *out += '\n'; break;
-        case 't': *out += '\t'; break;
-        case 'r': *out += '\r'; break;
-        default: return false;
-      }
-    }
+/// An array of exactly `outs.size()` hex doubles.
+bool read_f64s(const json::Value* v, std::initializer_list<double*> outs) {
+  if (v == nullptr || !v->is_array() || v->items().size() != outs.size()) {
     return false;
   }
-
-  /// "hex-encoded double"
-  bool f64(double* out) {
-    std::string text;
-    return string(&text) && parse_hex_f64(text, out);
+  const json::Value* item = v->items().data();
+  for (double* out : outs) {
+    if (!read_f64(item++, out)) return false;
   }
+  return true;
+}
 
-  /// Bare small non-negative integer.
-  bool integer(int* out) {
-    std::size_t digits = 0;
-    long value = 0;
-    while (pos_ < line_.size() && line_[pos_] >= '0' && line_[pos_] <= '9') {
-      value = value * 10 + (line_[pos_] - '0');
-      if (value > 1000000000) return false;
-      ++pos_;
-      ++digits;
-    }
-    if (digits == 0) return false;
-    *out = static_cast<int>(value);
-    return true;
-  }
+/// A non-negative integer below `limit`.
+bool read_int(const json::Value* v, int limit, int* out) {
+  if (v == nullptr || !v->is_number()) return false;
+  const std::optional<int> i = parse_i32(v->raw_number());
+  if (!i || *i < 0 || *i >= limit) return false;
+  *out = *i;
+  return true;
+}
 
-  bool done() const { return pos_ == line_.size(); }
+bool read_str(const json::Value* v, std::string* out) {
+  if (v == nullptr || !v->is_string()) return false;
+  *out = v->as_string();
+  return true;
+}
 
- private:
-  std::string_view line_;
-  std::size_t pos_ = 0;
-};
-
-}  // namespace
+/// One "[name, timed, comm_s, total_s, compute_s, memory_s, barrier_s,
+/// time.total_s, limiter, flops, dram_bytes, remote_bytes, chain_s]" entry.
+bool read_phase(const json::Value& v, trace::PhasePrediction* phase) {
+  if (!v.is_array() || v.items().size() != 13) return false;
+  const json::Value* f = v.items().data();
+  int timed = 0;
+  int limiter = 0;
+  machine::PhaseTime& t = phase->time;
+  const bool ok =
+      read_str(&f[0], &phase->name) && read_int(&f[1], 2, &timed) &&
+      read_f64(&f[2], &phase->comm_s) && read_f64(&f[3], &phase->total_s) &&
+      read_f64(&f[4], &t.compute_s) && read_f64(&f[5], &t.memory_s) &&
+      read_f64(&f[6], &t.barrier_s) && read_f64(&f[7], &t.total_s) &&
+      read_int(&f[8], 4, &limiter) && read_f64(&f[9], &t.flops) &&
+      read_f64(&f[10], &t.dram_bytes) && read_f64(&f[11], &t.remote_bytes) &&
+      read_f64(&f[12], &t.chain_s);
+  phase->timed = timed != 0;
+  t.limiter = static_cast<machine::Limiter>(limiter);
+  return ok;
+}
 
 // ----- fingerprint ---------------------------------------------------------
 
-namespace {
-void hash_processor(Fnv1a& h, const machine::ProcessorConfig& p) {
-  h.str(p.name)
-      .i32(p.shape.sockets)
-      .i32(p.shape.numa_per_socket)
-      .i32(p.shape.cores_per_numa)
-      .f64(p.freq_hz)
-      .str(p.vec.name)
-      .i32(p.vec.vector_bits)
-      .b(p.vec.has_fma)
-      .f64(p.vec.gather_lanes_per_cycle)
-      .b(p.vec.has_predication)
-      .i32(p.fp_pipes)
-      .f64(p.fp_latency_cycles)
-      .f64(p.scalar_ipc)
-      .f64(p.mem_overlap)
-      .f64(p.branch_miss_penalty_cycles);
-  for (const machine::CacheLevel& level : {p.l1, p.l2}) {
-    h.f64(level.capacity_bytes)
-        .f64(level.bytes_per_cycle)
-        .f64(level.latency_cycles);
-  }
-  h.f64(p.numa_mem_bw)
-      .f64(p.numa_mem_latency_ns)
-      .f64(p.inter_numa_bw)
-      .f64(p.inter_numa_latency_ns)
-      .f64(p.inter_socket_bw)
-      .f64(p.inter_socket_latency_ns)
-      .f64(p.net.injection_bw)
-      .f64(p.net.link_bw)
-      .f64(p.net.base_latency_us)
-      .f64(p.net.hop_latency_ns)
-      .f64(p.intra_node_msg_latency_ns)
-      .f64(p.barrier_hop_ns_same_numa)
-      .f64(p.barrier_hop_ns_cross_numa)
-      .f64(p.barrier_hop_ns_cross_socket)
-      .f64(p.watts_base)
-      .f64(p.watts_per_core_active)
-      .f64(p.watts_per_GBps_dram)
-      .f64(p.freq_power_exponent)
-      .f64(p.boost_freq_hz)
-      .i32(p.eco_fp_pipes)
-      .f64(p.eco_core_power_scale);
-}
+void mix(Fnv1a& h, const std::string& v) { h.str(v); }
+void mix(Fnv1a& h, int v) { h.i32(v); }
+void mix(Fnv1a& h, double v) { h.f64(v); }
+void mix(Fnv1a& h, bool v) { h.b(v); }
+
 }  // namespace
 
 std::uint64_t SweepJournal::fingerprint(const ExperimentConfig& config) {
@@ -191,7 +117,11 @@ std::uint64_t SweepJournal::fingerprint(const ExperimentConfig& config) {
       .i32(static_cast<int>(config.bind.kind))
       .i32(config.bind.stride)
       .u64(config.compile.fingerprint());
-  hash_processor(h, config.processor);
+  machine::for_each_field(
+      config.processor,
+      [&h](const char*, const auto& value, const machine::Bound&, bool) {
+        mix(h, value);
+      });
   h.f64(config.nominal_freq_hz)
       .u64(config.seed)
       .i32(config.iterations)
@@ -201,6 +131,40 @@ std::uint64_t SweepJournal::fingerprint(const ExperimentConfig& config) {
 }
 
 // ----- open / load ---------------------------------------------------------
+
+bool SweepJournal::parse_line(std::string_view line, std::uint64_t* key,
+                              Stored* out) {
+  const std::optional<json::Value> doc = json::parse(line, nullptr);
+  if (!doc) return false;
+  const json::Value* v = doc->find("v");
+  const std::optional<std::uint64_t> k = hex_u64(doc->find("key"));
+  const json::Value* phases = doc->find("phases");
+  trace::JobPrediction& p = out->prediction;
+  machine::PowerEstimate& power = out->power;
+  int verified = 0;
+  int nphases = 0;
+  if (v == nullptr || !v->is_number() || v->raw_number() != "1" || !k ||
+      !read_int(doc->find("verified"), 2, &verified) ||
+      !read_f64(doc->find("check_value"), &out->check_value) ||
+      !read_str(doc->find("check_desc"), &out->check_description) ||
+      !read_f64s(doc->find("power"),
+                 {&power.watts, &power.joules, &power.gflops_per_watt}) ||
+      !read_f64s(doc->find("agg"),
+                 {&p.total_s, &p.compute_s, &p.memory_s, &p.comm_s,
+                  &p.barrier_s, &p.flops, &p.dram_bytes, &p.setup_s}) ||
+      !read_int(doc->find("nphases"), 1000000000, &nphases) ||
+      phases == nullptr || !phases->is_array() ||
+      phases->items().size() != static_cast<std::size_t>(nphases)) {
+    return false;
+  }
+  for (const json::Value& item : phases->items()) {
+    p.phases.emplace_back();
+    if (!read_phase(item, &p.phases.back())) return false;
+  }
+  out->verified = verified != 0;
+  *key = *k;
+  return true;
+}
 
 SweepJournal::SweepJournal(std::string path) : path_(std::move(path)) {
   FS_REQUIRE(!path_.empty(), "journal path must not be empty");
@@ -225,58 +189,9 @@ SweepJournal::SweepJournal(std::string path) : path_(std::move(path)) {
     const std::size_t eol = content.find('\n', pos);
     std::string_view line(content.data() + pos, eol - pos);
     pos = eol + 1;
-    Scanner s(line);
     std::uint64_t key = 0;
     Stored stored;
-    std::string key_text;
-    std::string label;  // human-readable only; ignored on load
-    int verified = 0;
-    int nphases = 0;
-    bool ok = s.literal("{\"v\":1,\"key\":") && s.string(&key_text) &&
-              parse_hex_u64(key_text, &key) && s.literal(",\"label\":") &&
-              s.string(&label) && s.literal(",\"verified\":") &&
-              s.integer(&verified) && s.literal(",\"check_value\":") &&
-              s.f64(&stored.check_value) && s.literal(",\"check_desc\":") &&
-              s.string(&stored.check_description) &&
-              s.literal(",\"power\":[") && s.f64(&stored.power.watts) &&
-              s.literal(",") && s.f64(&stored.power.joules) &&
-              s.literal(",") && s.f64(&stored.power.gflops_per_watt) &&
-              s.literal("],\"agg\":[") && s.f64(&stored.prediction.total_s) &&
-              s.literal(",") && s.f64(&stored.prediction.compute_s) &&
-              s.literal(",") && s.f64(&stored.prediction.memory_s) &&
-              s.literal(",") && s.f64(&stored.prediction.comm_s) &&
-              s.literal(",") && s.f64(&stored.prediction.barrier_s) &&
-              s.literal(",") && s.f64(&stored.prediction.flops) &&
-              s.literal(",") && s.f64(&stored.prediction.dram_bytes) &&
-              s.literal(",") && s.f64(&stored.prediction.setup_s) &&
-              s.literal("],\"nphases\":") && s.integer(&nphases) &&
-              s.literal(",\"phases\":[");
-    for (int i = 0; ok && i < nphases; ++i) {
-      trace::PhasePrediction phase;
-      int timed = 0;
-      int limiter = 0;
-      ok = (i == 0 || s.literal(",")) && s.literal("[") &&
-           s.string(&phase.name) && s.literal(",") && s.integer(&timed) &&
-           s.literal(",") && s.f64(&phase.comm_s) && s.literal(",") &&
-           s.f64(&phase.total_s) && s.literal(",") &&
-           s.f64(&phase.time.compute_s) && s.literal(",") &&
-           s.f64(&phase.time.memory_s) && s.literal(",") &&
-           s.f64(&phase.time.barrier_s) && s.literal(",") &&
-           s.f64(&phase.time.total_s) && s.literal(",") &&
-           s.integer(&limiter) && s.literal(",") && s.f64(&phase.time.flops) &&
-           s.literal(",") && s.f64(&phase.time.dram_bytes) &&
-           s.literal(",") && s.f64(&phase.time.remote_bytes) &&
-           s.literal(",") && s.f64(&phase.time.chain_s) && s.literal("]");
-      if (ok && (limiter < 0 || limiter > 3)) ok = false;
-      if (ok) {
-        phase.timed = timed != 0;
-        phase.time.limiter = static_cast<machine::Limiter>(limiter);
-        stored.prediction.phases.push_back(std::move(phase));
-      }
-    }
-    ok = ok && s.literal("]}") && s.done();
-    if (!ok) continue;  // torn/foreign line (e.g. killed mid-append): skip
-    stored.verified = verified != 0;
+    if (!parse_line(line, &key, &stored)) continue;  // torn/foreign: skip
     entries_[key] = std::move(stored);
     ++loaded_;
   }
@@ -324,9 +239,9 @@ bool SweepJournal::record(const ExperimentConfig& config,
       "{\"v\":1,\"key\":\"%016llx\",\"label\":\"%s\",\"verified\":%d,"
       "\"check_value\":\"%s\",\"check_desc\":\"%s\",\"power\":[\"%s\",\"%s\","
       "\"%s\"],\"agg\":[",
-      static_cast<unsigned long long>(key), escape(config.label()).c_str(),
+      static_cast<unsigned long long>(key), json_escape(config.label()).c_str(),
       result.verified ? 1 : 0, hex_f64(result.check_value).c_str(),
-      escape(result.check_description).c_str(),
+      json_escape(result.check_description).c_str(),
       hex_f64(result.power.watts).c_str(),
       hex_f64(result.power.joules).c_str(),
       hex_f64(result.power.gflops_per_watt).c_str());
@@ -341,7 +256,7 @@ bool SweepJournal::record(const ExperimentConfig& config,
   for (std::size_t i = 0; i < p.phases.size(); ++i) {
     const trace::PhasePrediction& phase = p.phases[i];
     if (i > 0) line += ',';
-    line += strfmt("[\"%s\",%d", escape(phase.name).c_str(),
+    line += strfmt("[\"%s\",%d", json_escape(phase.name).c_str(),
                    phase.timed ? 1 : 0);
     line += ",\"" + hex_f64(phase.comm_s) + '"';
     line += ",\"" + hex_f64(phase.total_s) + '"';

@@ -25,6 +25,7 @@
 #include <map>
 #include <mutex>
 #include <string>
+#include <string_view>
 
 #include "core/runner.hpp"
 
@@ -70,6 +71,10 @@ class SweepJournal {
     double check_value = 0.0;
     std::string check_description;
   };
+
+  /// Parse one journal line; false for a torn or foreign line.
+  static bool parse_line(std::string_view line, std::uint64_t* key,
+                         Stored* out);
 
   std::string path_;
   std::size_t loaded_ = 0;

@@ -13,6 +13,7 @@
 #include <sstream>
 
 #include "common/error.hpp"
+#include "common/json.hpp"
 #include "common/log.hpp"
 #include "common/report_emit.hpp"
 #include "common/stats.hpp"

@@ -12,17 +12,14 @@
 #include <cmath>
 #include <cstdlib>
 #include <filesystem>
-#include <optional>
 #include <thread>
 #include <vector>
 
 #include "common/error.hpp"
 #include "common/json.hpp"
-#include "common/parse_num.hpp"
 #include "common/rng.hpp"
 #include "common/string_util.hpp"
 #include "common/units.hpp"
-#include "machine/descriptor.hpp"
 
 namespace fibersim::machine {
 
@@ -269,37 +266,6 @@ isa::VectorIsa host_isa() {
 #endif
 }
 
-[[noreturn]] void fail_meas(const std::string& what, std::size_t offset) {
-  throw Error("calibration measurements: " + what +
-              strfmt(" (at byte %zu)", offset));
-}
-
-double meas_f64(const json::Value& obj, const char* key) {
-  const json::Value* v = obj.find(key);
-  if (v == nullptr) {
-    fail_meas(strfmt("missing required field '%s'", key), obj.offset());
-  }
-  if (!v->is_number()) {
-    fail_meas(strfmt("field '%s' must be a number", key), v->offset());
-  }
-  const std::optional<double> d = parse_f64(v->raw_number());
-  if (!d) fail_meas(strfmt("field '%s' is not finite", key), v->offset());
-  return *d;
-}
-
-int meas_i32(const json::Value& obj, const char* key) {
-  const json::Value* v = obj.find(key);
-  if (v == nullptr) {
-    fail_meas(strfmt("missing required field '%s'", key), obj.offset());
-  }
-  if (!v->is_number()) {
-    fail_meas(strfmt("field '%s' must be a number", key), v->offset());
-  }
-  const std::optional<int> i = parse_i32(v->raw_number());
-  if (!i) fail_meas(strfmt("field '%s' must be an integer", key), v->offset());
-  return *i;
-}
-
 constexpr std::string_view kMeasurementsFormat = "fibersim-calibration/1";
 
 }  // namespace
@@ -310,59 +276,38 @@ void CalibrationOptions::validate() const {
 }
 
 std::string measurements_to_json(const CalibrationMeasurements& m) {
-  std::string out = "{\n";
-  auto field = [&out](const char* key, const std::string& v, bool last = false) {
-    out += strfmt("  \"%s\": %s%s\n", key, v.c_str(), last ? "" : ",");
-  };
-  field("format", "\"" + std::string(kMeasurementsFormat) + "\"");
-  field("freq_hz", format_double(m.freq_hz));
-  field("l1_bw", format_double(m.l1_bw));
-  field("l2_bw", format_double(m.l2_bw));
-  field("dram_bw", format_double(m.dram_bw));
-  field("fma_flops", format_double(m.fma_flops));
-  field("numa_remote_penalty", format_double(m.numa_remote_penalty));
-  field("barrier_ns", format_double(m.barrier_ns));
-  field("threads", strfmt("%d", m.threads));
-  field("numa_domains", strfmt("%d", m.numa_domains));
-  field("wall_s", format_double(m.wall_s), /*last=*/true);
-  out += "}\n";
-  return out;
+  json::Emitter e;
+  e.str("format", kMeasurementsFormat);
+  e.num("freq_hz", m.freq_hz);
+  e.num("l1_bw", m.l1_bw);
+  e.num("l2_bw", m.l2_bw);
+  e.num("dram_bw", m.dram_bw);
+  e.num("fma_flops", m.fma_flops);
+  e.num("numa_remote_penalty", m.numa_remote_penalty);
+  e.num("barrier_ns", m.barrier_ns);
+  e.num("threads", m.threads);
+  e.num("numa_domains", m.numa_domains);
+  e.num("wall_s", m.wall_s);
+  return std::move(e).finish();
 }
 
 CalibrationMeasurements parse_measurements(std::string_view text) {
-  std::string err;
-  const std::optional<json::Value> root = json::parse(text, &err);
-  if (!root) throw Error("calibration measurements: " + err);
-  if (!root->is_object()) {
-    fail_meas("top level must be an object", root->offset());
-  }
-  const json::Value* fmt = root->find("format");
-  if (fmt == nullptr || !fmt->is_string() ||
-      fmt->as_string() != kMeasurementsFormat) {
-    fail_meas("missing or unsupported 'format' (expected '" +
-                  std::string(kMeasurementsFormat) + "')",
-              fmt != nullptr ? fmt->offset() : root->offset());
-  }
+  const std::string prefix = "calibration measurements";
+  const json::Value root = json::parse_document(text, prefix);
+  json::Reader r(root, "", prefix);
+  r.require_format(kMeasurementsFormat);
   CalibrationMeasurements m;
-  m.freq_hz = meas_f64(*root, "freq_hz");
-  m.l1_bw = meas_f64(*root, "l1_bw");
-  m.l2_bw = meas_f64(*root, "l2_bw");
-  m.dram_bw = meas_f64(*root, "dram_bw");
-  m.fma_flops = meas_f64(*root, "fma_flops");
-  m.numa_remote_penalty = meas_f64(*root, "numa_remote_penalty");
-  m.barrier_ns = meas_f64(*root, "barrier_ns");
-  m.threads = meas_i32(*root, "threads");
-  m.numa_domains = meas_i32(*root, "numa_domains");
-  m.wall_s = meas_f64(*root, "wall_s");
-  static const char* kKnown[] = {
-      "format",  "freq_hz",    "l1_bw",      "l2_bw",
-      "dram_bw", "fma_flops",  "numa_remote_penalty",
-      "barrier_ns", "threads", "numa_domains", "wall_s"};
-  for (const auto& [k, v] : root->members()) {
-    bool known = false;
-    for (const char* c : kKnown) known = known || k == c;
-    if (!known) fail_meas("unknown key '" + k + "'", v.offset());
-  }
+  r.read("freq_hz", &m.freq_hz);
+  r.read("l1_bw", &m.l1_bw);
+  r.read("l2_bw", &m.l2_bw);
+  r.read("dram_bw", &m.dram_bw);
+  r.read("fma_flops", &m.fma_flops);
+  r.read("numa_remote_penalty", &m.numa_remote_penalty);
+  r.read("barrier_ns", &m.barrier_ns);
+  r.read("threads", &m.threads);
+  r.read("numa_domains", &m.numa_domains);
+  r.read("wall_s", &m.wall_s);
+  r.finish();
   FS_REQUIRE(m.freq_hz > 0.0, "measured freq_hz must be positive");
   FS_REQUIRE(m.l1_bw > 0.0 && m.l2_bw > 0.0 && m.dram_bw > 0.0,
              "measured bandwidths must be positive");

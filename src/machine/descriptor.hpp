@@ -45,8 +45,4 @@ ProcessorConfig parse_descriptor(std::string_view text);
 /// with the file path.
 ProcessorConfig load_descriptor_file(const std::string& path);
 
-/// Shortest decimal form of `v` that strtod parses back to the same bits
-/// (exposed for the calibration emitter and tests).
-std::string format_double(double v);
-
 }  // namespace fibersim::machine

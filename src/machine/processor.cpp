@@ -1,6 +1,7 @@
 #include "machine/processor.hpp"
 
 #include "common/error.hpp"
+#include "common/string_util.hpp"
 #include "common/units.hpp"
 
 namespace fibersim::machine {
@@ -13,65 +14,54 @@ double ProcessorConfig::vec_flops_per_cycle() const {
   return static_cast<double>(lanes) * ops_per_lane * fp_pipes;
 }
 
+std::string Bound::describe() const {
+  const bool has_lo = lo > -std::numeric_limits<double>::infinity();
+  const bool has_hi = hi < std::numeric_limits<double>::infinity();
+  if (has_lo && has_hi) {
+    return strfmt("in %c%g, %g%c", lo_open ? '(' : '[', lo, hi,
+                  hi_open ? ')' : ']');
+  }
+  if (has_hi) return strfmt("%s %g", hi_open ? "<" : "<=", hi);
+  return strfmt("%s %g", lo_open ? ">" : ">=", lo);
+}
+
+std::string bound_error(std::string_view path, const Bound& bound, double) {
+  return std::string(path) + " must be " + bound.describe();
+}
+
+std::string bound_error(std::string_view path, const Bound& bound,
+                        const std::string&) {
+  return std::string(path) + " length must be " + bound.describe();
+}
+
 void ProcessorConfig::validate() const {
-  // Every field is checked by name: descriptor-loaded configs surface the
-  // exact offending parameter, never a generic "bad config".
-  FS_REQUIRE(!name.empty(), "processor needs a name");
-  FS_REQUIRE(shape.sockets >= 1, "shape.sockets must be >= 1");
-  FS_REQUIRE(shape.numa_per_socket >= 1, "shape.numa_per_socket must be >= 1");
-  FS_REQUIRE(shape.cores_per_numa >= 1, "shape.cores_per_numa must be >= 1");
-  FS_REQUIRE(freq_hz > 0.0, "freq_hz must be positive");
-  FS_REQUIRE(boost_freq_hz >= 0.0, "boost_freq_hz must be >= 0");
-  FS_REQUIRE(vec.vector_bits >= 64, "vec.vector_bits must be >= 64 (one lane)");
-  FS_REQUIRE(vec.vector_bits % 64 == 0,
-             "vec.vector_bits must be a multiple of 64");
-  FS_REQUIRE(vec.gather_lanes_per_cycle >= 0.0,
-             "vec.gather_lanes_per_cycle must be >= 0");
-  FS_REQUIRE(fp_pipes >= 1, "fp_pipes must be >= 1");
-  FS_REQUIRE(fp_latency_cycles >= 1.0, "fp_latency_cycles must be >= 1");
-  FS_REQUIRE(scalar_ipc > 0.0, "scalar_ipc must be positive");
-  FS_REQUIRE(mem_overlap >= 0.0 && mem_overlap <= 1.0, "mem_overlap in [0,1]");
-  FS_REQUIRE(branch_miss_penalty_cycles >= 0.0,
-             "branch_miss_penalty_cycles must be >= 0");
-  FS_REQUIRE(l1.capacity_bytes > 0.0, "l1.capacity_bytes must be positive");
-  FS_REQUIRE(l1.bytes_per_cycle > 0.0, "l1.bytes_per_cycle must be positive");
-  FS_REQUIRE(l1.latency_cycles >= 0.0, "l1.latency_cycles must be >= 0");
-  FS_REQUIRE(l2.capacity_bytes > 0.0, "l2.capacity_bytes must be positive");
-  FS_REQUIRE(l2.bytes_per_cycle > 0.0, "l2.bytes_per_cycle must be positive");
-  FS_REQUIRE(l2.latency_cycles >= 0.0, "l2.latency_cycles must be >= 0");
-  FS_REQUIRE(numa_mem_bw > 0.0, "numa_mem_bw must be positive");
-  FS_REQUIRE(numa_mem_latency_ns >= 0.0, "numa_mem_latency_ns must be >= 0");
-  FS_REQUIRE(inter_numa_bw > 0.0 || shape.numa_per_node() == 1,
-             "multi-numa shape needs inter_numa_bw > 0");
-  FS_REQUIRE(inter_numa_bw >= 0.0, "inter_numa_bw must be >= 0");
-  FS_REQUIRE(inter_numa_latency_ns >= 0.0,
-             "inter_numa_latency_ns must be >= 0");
-  FS_REQUIRE(inter_socket_bw > 0.0 || shape.sockets == 1,
-             "multi-socket shape needs inter_socket_bw > 0");
-  FS_REQUIRE(inter_socket_bw >= 0.0, "inter_socket_bw must be >= 0");
-  FS_REQUIRE(inter_socket_latency_ns >= 0.0,
-             "inter_socket_latency_ns must be >= 0");
-  FS_REQUIRE(net.injection_bw > 0.0, "net.injection_bw must be positive");
-  FS_REQUIRE(net.link_bw > 0.0, "net.link_bw must be positive");
-  FS_REQUIRE(net.base_latency_us >= 0.0, "net.base_latency_us must be >= 0");
-  FS_REQUIRE(net.hop_latency_ns >= 0.0, "net.hop_latency_ns must be >= 0");
-  FS_REQUIRE(intra_node_msg_latency_ns >= 0.0,
-             "intra_node_msg_latency_ns must be >= 0");
-  FS_REQUIRE(barrier_hop_ns_same_numa > 0.0,
-             "barrier_hop_ns_same_numa must be positive");
-  FS_REQUIRE(barrier_hop_ns_cross_numa > 0.0,
-             "barrier_hop_ns_cross_numa must be positive");
-  FS_REQUIRE(barrier_hop_ns_cross_socket > 0.0,
-             "barrier_hop_ns_cross_socket must be positive");
-  FS_REQUIRE(watts_base >= 0.0, "watts_base must be >= 0");
-  FS_REQUIRE(watts_per_core_active >= 0.0,
-             "watts_per_core_active must be >= 0");
-  FS_REQUIRE(watts_per_GBps_dram >= 0.0, "watts_per_GBps_dram must be >= 0");
-  FS_REQUIRE(freq_power_exponent >= 1.0, "freq_power_exponent must be >= 1");
-  FS_REQUIRE(eco_fp_pipes >= 0, "eco_fp_pipes must be >= 0");
-  FS_REQUIRE(eco_fp_pipes <= fp_pipes, "eco_fp_pipes must be <= fp_pipes");
-  FS_REQUIRE(eco_core_power_scale > 0.0 && eco_core_power_scale <= 1.0,
-             "eco_core_power_scale in (0,1]");
+  for_each_field(*this, [](const char* path, const auto& value,
+                           const Bound& bound, bool /*optional*/) {
+    if (!bound.admits(value)) throw Error(bound_error(path, bound, value));
+  });
+  if (const std::optional<RuleViolation> broken = first_broken_rule()) {
+    throw Error(broken->message);
+  }
+}
+
+std::optional<ProcessorConfig::RuleViolation>
+ProcessorConfig::first_broken_rule() const {
+  if (vec.vector_bits % 64 != 0) {
+    return RuleViolation{"vec.vector_bits",
+                         "vec.vector_bits must be a multiple of 64"};
+  }
+  if (shape.numa_per_node() > 1 && !(inter_numa_bw > 0.0)) {
+    return RuleViolation{"inter_numa_bw",
+                         "multi-numa shape needs inter_numa_bw > 0"};
+  }
+  if (shape.sockets > 1 && !(inter_socket_bw > 0.0)) {
+    return RuleViolation{"inter_socket_bw",
+                         "multi-socket shape needs inter_socket_bw > 0"};
+  }
+  if (eco_fp_pipes > fp_pipes) {
+    return RuleViolation{"eco.fp_pipes", "eco.fp_pipes must be <= fp_pipes"};
+  }
+  return std::nullopt;
 }
 
 const char* power_mode_name(PowerMode mode) {

@@ -12,7 +12,10 @@
 //     8-channel DDR4 per socket (~160 GB/s).
 #pragma once
 
+#include <limits>
+#include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "isa/vector_isa.hpp"
@@ -111,7 +114,20 @@ struct ProcessorConfig {
   /// Machine balance in flop/byte — where the roofline knee sits.
   double balance() const { return peak_flops_node() / node_mem_bw(); }
 
+  /// Throws fibersim::Error naming the first field outside its bound (by
+  /// descriptor path, e.g. "barrier.hop_ns_same_numa must be > 0") or the
+  /// first broken cross-field rule. Allocates nothing unless it throws: it
+  /// runs on every prediction.
   void validate() const;
+
+  /// A broken rule that is not a plain per-field bound: the descriptor path
+  /// it is charged to and the full message.
+  struct RuleViolation {
+    const char* path;
+    const char* message;
+  };
+  /// The first broken cross-field rule, if any (bounds are not checked).
+  std::optional<RuleViolation> first_broken_rule() const;
 
   /// Exact value equality over every field — the identity the prediction
   /// memo layer registers processors under (machine::EvalCache), so two
@@ -120,6 +136,97 @@ struct ProcessorConfig {
   friend bool operator==(const ProcessorConfig&,
                          const ProcessorConfig&) = default;
 };
+
+/// Range a numeric field's value must lie in; a string field's bound applies
+/// to its length. Default-constructed, it admits every value.
+struct Bound {
+  double lo = -std::numeric_limits<double>::infinity();
+  double hi = std::numeric_limits<double>::infinity();
+  bool lo_open = false;
+  bool hi_open = false;
+
+  bool admits(double v) const {
+    return (lo_open ? v > lo : v >= lo) && (hi_open ? v < hi : v <= hi);
+  }
+  bool admits(const std::string& s) const {
+    return admits(static_cast<double>(s.size()));
+  }
+  /// "> 0", ">= 1", "in (0, 1]", ...
+  std::string describe() const;
+};
+
+/// The error for a value of field `path` outside `bound`: "<path> must be
+/// <range>", or "<path> length must be <range>" for a string.
+std::string bound_error(std::string_view path, const Bound& bound, double);
+std::string bound_error(std::string_view path, const Bound& bound,
+                        const std::string&);
+
+/// The one list of ProcessorConfig's leaf fields, in descriptor order: calls
+/// `visit(path, member, bound, optional)` once per field, where `path` is
+/// the descriptor path ("shape.sockets", "barrier.hop_ns_same_numa"), and an
+/// optional field may be left out of a descriptor — a grouped one by leaving
+/// out its whole group — keeping its default. validate(), the descriptor
+/// emitter and parser, and the sweep journal's fingerprint all walk this
+/// list, so a new machine parameter is one line here. `Config` is
+/// ProcessorConfig or const ProcessorConfig.
+template <class Config, class Visit>
+void for_each_field(Config& c, Visit&& visit) {
+  constexpr Bound kAny{};
+  constexpr Bound kPositive{.lo = 0.0, .lo_open = true};
+  constexpr Bound kNonNegative{.lo = 0.0};
+  constexpr Bound kAtLeastOne{.lo = 1.0};
+  const auto req = [&visit](const char* path, auto& member, const Bound& b) {
+    visit(path, member, b, false);
+  };
+  const auto opt = [&visit](const char* path, auto& member, const Bound& b) {
+    visit(path, member, b, true);
+  };
+  req("name", c.name, kAtLeastOne);
+  req("shape.sockets", c.shape.sockets, kAtLeastOne);
+  req("shape.numa_per_socket", c.shape.numa_per_socket, kAtLeastOne);
+  req("shape.cores_per_numa", c.shape.cores_per_numa, kAtLeastOne);
+  req("freq_hz", c.freq_hz, kPositive);
+  opt("boost_freq_hz", c.boost_freq_hz, kNonNegative);
+  req("vec.name", c.vec.name, kAny);
+  req("vec.vector_bits", c.vec.vector_bits, Bound{.lo = 64.0});
+  req("vec.has_fma", c.vec.has_fma, kAny);
+  req("vec.gather_lanes_per_cycle", c.vec.gather_lanes_per_cycle,
+      kNonNegative);
+  req("vec.has_predication", c.vec.has_predication, kAny);
+  req("fp_pipes", c.fp_pipes, kAtLeastOne);
+  req("fp_latency_cycles", c.fp_latency_cycles, kAtLeastOne);
+  req("scalar_ipc", c.scalar_ipc, kPositive);
+  req("mem_overlap", c.mem_overlap, Bound{.lo = 0.0, .hi = 1.0});
+  req("branch_miss_penalty_cycles", c.branch_miss_penalty_cycles,
+      kNonNegative);
+  req("l1.capacity_bytes", c.l1.capacity_bytes, kPositive);
+  req("l1.bytes_per_cycle", c.l1.bytes_per_cycle, kPositive);
+  req("l1.latency_cycles", c.l1.latency_cycles, kNonNegative);
+  req("l2.capacity_bytes", c.l2.capacity_bytes, kPositive);
+  req("l2.bytes_per_cycle", c.l2.bytes_per_cycle, kPositive);
+  req("l2.latency_cycles", c.l2.latency_cycles, kNonNegative);
+  req("numa_mem_bw", c.numa_mem_bw, kPositive);
+  req("numa_mem_latency_ns", c.numa_mem_latency_ns, kNonNegative);
+  req("inter_numa_bw", c.inter_numa_bw, kNonNegative);
+  req("inter_numa_latency_ns", c.inter_numa_latency_ns, kNonNegative);
+  req("inter_socket_bw", c.inter_socket_bw, kNonNegative);
+  req("inter_socket_latency_ns", c.inter_socket_latency_ns, kNonNegative);
+  req("net.injection_bw", c.net.injection_bw, kPositive);
+  req("net.link_bw", c.net.link_bw, kPositive);
+  req("net.base_latency_us", c.net.base_latency_us, kNonNegative);
+  req("net.hop_latency_ns", c.net.hop_latency_ns, kNonNegative);
+  req("intra_node_msg_latency_ns", c.intra_node_msg_latency_ns, kNonNegative);
+  req("barrier.hop_ns_same_numa", c.barrier_hop_ns_same_numa, kPositive);
+  req("barrier.hop_ns_cross_numa", c.barrier_hop_ns_cross_numa, kPositive);
+  req("barrier.hop_ns_cross_socket", c.barrier_hop_ns_cross_socket, kPositive);
+  req("power.watts_base", c.watts_base, kNonNegative);
+  req("power.watts_per_core_active", c.watts_per_core_active, kNonNegative);
+  req("power.watts_per_GBps_dram", c.watts_per_GBps_dram, kNonNegative);
+  req("power.freq_power_exponent", c.freq_power_exponent, kAtLeastOne);
+  opt("eco.fp_pipes", c.eco_fp_pipes, kNonNegative);
+  opt("eco.core_power_scale", c.eco_core_power_scale,
+      Bound{.lo = 0.0, .hi = 1.0, .lo_open = true});
+}
 
 /// Power/clock operating modes exposed by the A64FX (and modelled uniformly
 /// for any processor whose descriptor declares the matching fields).

@@ -4,7 +4,7 @@
 #include <sstream>
 
 #include "common/error.hpp"
-#include "common/report_emit.hpp"
+#include "common/json.hpp"
 
 namespace fibersim::trace {
 

@@ -6,14 +6,17 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <bit>
 #include <cstdio>
 #include <fstream>
 #include <memory>
 #include <sstream>
+#include <string>
 #include <thread>
 #include <vector>
 
 #include "common/error.hpp"
+#include "common/json.hpp"
 #include "core/journal.hpp"
 #include "core/reports.hpp"
 #include "core/runner.hpp"
@@ -606,6 +609,86 @@ TEST(Journal, TornFinalLineIsSkippedOnLoad) {
   ExperimentResult back;
   EXPECT_TRUE(reopened.lookup(cfg, &back));
   EXPECT_EQ(back.prediction.total_s, res.prediction.total_s);
+}
+
+TEST(Journal, EveryLineIsValidJsonWhateverBytesTheStringsCarry) {
+  const std::string path = temp_journal_path("escape");
+  std::remove(path.c_str());
+  Runner runner;
+  ExperimentConfig cfg = small_ffvc(2, 1);
+  ExperimentResult res = runner.run(cfg);
+  // The label carries the processor name; neither string may leak a raw
+  // control byte or an unescaped quote into the line.
+  cfg.processor.name = "A64FX \x01\"quoted\"";
+  res.check_description += " \x01\"\\";
+  {
+    SweepJournal journal(path);
+    ASSERT_TRUE(journal.record(cfg, res));
+  }
+  std::ifstream in(path, std::ios::binary);
+  std::string line;
+  std::size_t lines = 0;
+  while (std::getline(in, line)) {
+    ++lines;
+    std::string err;
+    EXPECT_TRUE(json::parse(line, &err).has_value()) << err << "\n" << line;
+  }
+  EXPECT_EQ(lines, 1u);
+
+  SweepJournal reopened(path);
+  EXPECT_EQ(reopened.loaded(), 1u);
+  ExperimentResult back;
+  ASSERT_TRUE(reopened.lookup(cfg, &back));
+  EXPECT_EQ(back.check_description, res.check_description);
+  EXPECT_EQ(back.verified, res.verified);
+  const auto bits = [](double v) { return std::bit_cast<std::uint64_t>(v); };
+  EXPECT_EQ(bits(back.check_value), bits(res.check_value));
+  EXPECT_EQ(bits(back.power.joules), bits(res.power.joules));
+  EXPECT_EQ(bits(back.prediction.total_s), bits(res.prediction.total_s));
+  EXPECT_EQ(bits(back.prediction.setup_s), bits(res.prediction.setup_s));
+  ASSERT_EQ(back.prediction.phases.size(), res.prediction.phases.size());
+  for (std::size_t i = 0; i < back.prediction.phases.size(); ++i) {
+    const trace::PhasePrediction& a = back.prediction.phases[i];
+    const trace::PhasePrediction& b = res.prediction.phases[i];
+    EXPECT_EQ(a.name, b.name);
+    EXPECT_EQ(a.timed, b.timed);
+    EXPECT_EQ(a.time.limiter, b.time.limiter);
+    EXPECT_EQ(bits(a.comm_s), bits(b.comm_s));
+    EXPECT_EQ(bits(a.time.chain_s), bits(b.time.chain_s));
+    EXPECT_EQ(bits(a.time.remote_bytes), bits(b.time.remote_bytes));
+  }
+}
+
+TEST(Journal, LoadsALineInTheVersionOneFormat) {
+  // Written by an earlier build (ffb/small, 8x6); the line format is a
+  // contract, so a journal from any version-1 writer still loads.
+  const std::string line =
+      R"({"v":1,"key":"624ec17a87460d41","label":"ffb/small 8x6 block/)"
+      R"(compact [simd+,swp] on A64FX","verified":1,"check_value":)"
+      R"("3fa3828b425d5dee","check_desc":"CG residual reduction |r|/|r0|",)"
+      R"("power":["4069a57d0679d4ee","3f86625892d4c31a","3fc7a2fa6b9f1bdb"],)"
+      R"("agg":["3f0bedf658d8d4b6","3ef50b1f6a7b72f5","3ef25a2848263d09",)"
+      R"("3ef5bbb60d388b1a","3ed4f357252adcce","413ecc0000000000",)"
+      R"("4171178000000000","3ef78c737ed9bf3a"],"nphases":3,"phases":[)"
+      R"(["setup",0,"0000000000000000","3ef78c737ed9bf3a","3ef78c737ed9bf3a",)"
+      R"("0000000000000000","0000000000000000","3ef78c737ed9bf3a",0,)"
+      R"("0000000000000000","0000000000000000","0000000000000000",)"
+      R"("0000000000000000"],["linalg",1,"3eed731fc8dbc24e",)"
+      R"("3eff75f6f0fdfe32","3ee07096ccb76f27","3ee21e908ed8f651",)"
+      R"("3ed18d9c0a622e9f","3ef0bc670c901d0b",1,"412a280000000000",)"
+      R"("4160e00000000000","0000000000000000","3ea893d786f15205"],)"
+      R"(["spmv",1,"3edc0898a32aa7cb","3ef865f5c0b3ab3a","3ee9a5a8083f76c3",)"
+      R"("3ee295c0017383c1","3eab2dd8d6457179","3ef163cf97e90147",0,)"
+      R"("4131b80000000000","41614f0000000000","0000000000000000",)"
+      R"("3ed8bb722af63f6f"]]})";
+  const std::string path = temp_journal_path("version_one");
+  {
+    std::ofstream out(path, std::ios::binary | std::ios::trunc);
+    out << line << '\n';
+  }
+  SweepJournal journal(path);
+  EXPECT_EQ(journal.loaded(), 1u);
+  EXPECT_EQ(journal.recovered_tail_bytes(), 0u);
 }
 
 TEST(Journal, ReportBytesSurviveKillAndResume) {

@@ -12,10 +12,13 @@
 #include <random>
 #include <sstream>
 #include <string>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
 #include "common/error.hpp"
+#include "common/json.hpp"
+#include "core/journal.hpp"
 #include "machine/calibrate.hpp"
 #include "machine/comm_model.hpp"
 #include "machine/descriptor.hpp"
@@ -816,6 +819,150 @@ TEST(Descriptor, RejectsMalformedDocuments) {
   EXPECT_FALSE(
       parse_error(mutated_a64fx("\"freq_hz\": 2e+09", "\"freq_hz\": 2e+999"))
           .empty());
+}
+
+/// Byte offset of the value at descriptor `path` in canonical `text`, found
+/// by text search (independent of the parser's own offsets).
+std::size_t value_offset(const std::string& text, const std::string& path) {
+  const std::size_t dot = path.find('.');
+  std::string needle = "\n  \"" + path + "\": ";
+  std::size_t from = 0;
+  if (dot != std::string::npos) {
+    from = text.find("\n  \"" + path.substr(0, dot) + "\": {");
+    needle = "\n    \"" + path.substr(dot + 1) + "\": ";
+  }
+  const std::size_t at = text.find(needle, from);
+  EXPECT_NE(at, std::string::npos) << path;
+  return at + needle.size();
+}
+
+std::uint64_t journal_key(const ProcessorConfig& processor) {
+  core::ExperimentConfig config;
+  config.processor = processor;
+  return core::SweepJournal::fingerprint(config);
+}
+
+/// Visit the `index`-th listed field of `cfg` only.
+template <class Visit>
+void visit_nth_field(ProcessorConfig& cfg, std::size_t index, Visit&& visit) {
+  std::size_t k = 0;
+  for_each_field(cfg, [&](const char* path, auto& value, const Bound& bound,
+                          bool) {
+    if (k++ == index) visit(path, value, bound);
+  });
+}
+
+/// Parse `text`, expecting an error that names `path` at byte `offset`.
+void expect_rejected_at(const std::string& text, const std::string& path,
+                        std::size_t offset) {
+  const std::string msg = parse_error(text);
+  EXPECT_NE(msg.find(path), std::string::npos) << path << ": " << msg;
+  EXPECT_NE(msg.find("(at byte " + std::to_string(offset) + ")"),
+            std::string::npos)
+      << path << ": " << msg;
+}
+
+TEST(Descriptor, EveryListedFieldRoundTripsAndKeysTheJournal) {
+  // A single-socket machine may declare a socket link it never uses; with
+  // one, shape.sockets has a valid perturbation on its own. The A64FX keeps
+  // four fields at their defaults; moving them means parse (which starts
+  // from the defaults) must set every field for the round trips to hold.
+  ProcessorConfig base = a64fx();
+  base.inter_socket_bw = base.inter_numa_bw;
+  base.net.hop_latency_ns = 80.0;
+  base.intra_node_msg_latency_ns = 250.0;
+  base.freq_power_exponent = 2.5;
+  base.eco_core_power_scale = 0.6;
+  ASSERT_NO_THROW(base.validate());
+  EXPECT_TRUE(parse_descriptor(to_descriptor(base)) == base);
+  const std::string base_text = to_descriptor(base);
+  std::size_t fields = 0;
+  for_each_field(base, [&](const char*, const auto&, const Bound&, bool) {
+    ++fields;
+  });
+
+  for (std::size_t i = 0; i < fields; ++i) {
+    // A valid perturbation: the first candidate that still validates.
+    ProcessorConfig cfg = base;
+    std::string path;
+    visit_nth_field(cfg, i, [&](const char* p, auto& value, const Bound&) {
+      using T = std::decay_t<decltype(value)>;
+      path = p;
+      const T original = value;
+      std::vector<T> candidates;
+      if constexpr (std::is_same_v<T, std::string>) {
+        candidates = {original + "x"};
+      } else if constexpr (std::is_same_v<T, bool>) {
+        candidates = {!original};
+      } else {
+        candidates = {static_cast<T>(original * 2), static_cast<T>(original + 1),
+                      static_cast<T>(original / 2), static_cast<T>(original - 1)};
+      }
+      for (const T& candidate : candidates) {
+        value = candidate;
+        if (candidate == original) continue;
+        try {
+          cfg.validate();
+          return;
+        } catch (const Error&) {
+        }
+      }
+      value = original;
+    });
+    ASSERT_FALSE(cfg == base) << path << ": no valid perturbation";
+    const std::string text = to_descriptor(cfg);
+    EXPECT_NE(text, base_text) << path;
+    EXPECT_NE(journal_key(cfg), journal_key(base)) << path;
+    EXPECT_TRUE(parse_descriptor(text) == cfg) << path;
+
+    // Out of range: just past each finite end of the bound, rejected at
+    // the value's offset.
+    for (const bool past_hi : {false, true}) {
+      ProcessorConfig bad = base;
+      bool bounded = false;
+      visit_nth_field(bad, i, [&](const char*, auto& value, const Bound& b) {
+        using T = std::decay_t<decltype(value)>;
+        if constexpr (std::is_same_v<T, std::string>) {
+          bounded = !past_hi && b.lo > 0.0;
+          value.clear();
+        } else if constexpr (!std::is_same_v<T, bool>) {
+          if (!past_hi && b.lo > -HUGE_VAL) {
+            bounded = true;
+            value = static_cast<T>(b.lo_open ? b.lo : b.lo - 1);
+          } else if (past_hi && b.hi < HUGE_VAL) {
+            bounded = true;
+            value = static_cast<T>(b.hi_open ? b.hi : b.hi + 1);
+          }
+        }
+      });
+      if (!bounded) continue;
+      EXPECT_THROW(bad.validate(), Error) << path;
+      const std::string bad_text = to_descriptor(bad);
+      expect_rejected_at(bad_text, path, value_offset(bad_text, path));
+    }
+  }
+
+  // The cross-field rules cite the field each is charged to.
+  ProcessorConfig eco = base;
+  eco.eco_fp_pipes = eco.fp_pipes + 1;
+  ProcessorConfig bits = base;
+  bits.vec.vector_bits = 96;
+  ProcessorConfig numa = base;
+  numa.inter_numa_bw = 0.0;
+  ProcessorConfig sockets = base;
+  sockets.shape.sockets = 2;
+  sockets.inter_socket_bw = 0.0;
+  const std::pair<ProcessorConfig, const char*> rules[] = {
+      {eco, "eco.fp_pipes"},
+      {bits, "vec.vector_bits"},
+      {numa, "inter_numa_bw"},
+      {sockets, "inter_socket_bw"},
+  };
+  for (const auto& [cfg, path] : rules) {
+    EXPECT_THROW(cfg.validate(), Error) << path;
+    const std::string text = to_descriptor(cfg);
+    expect_rejected_at(text, path, value_offset(text, path));
+  }
 }
 
 TEST(Descriptor, MissingFileNamesThePath) {

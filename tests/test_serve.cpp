@@ -534,26 +534,33 @@ TEST(Serve, ExpiredQueuedWorkIsShedWithTypedDeadline) {
 
   // Pipeline: a cold run occupies the single worker, so the 1 ms deadline
   // on the second request expires while it queues — it must be shed with a
-  // typed DEADLINE, never executed, never hung.
+  // typed DEADLINE, never executed, never hung. Every message send of the
+  // native runs is delayed 100 ms while the plan is installed, so the
+  // occupier holds the worker far past the deadline however fast or loaded
+  // the host is.
   ServeClient client(server.socket_path());
-  client.send_line(
-      R"({"verb":"predict","app":"ffvc","dataset":"small","ranks":2,)"
-      R"("threads":1,"iterations":1,"seed":9001,"id":"occupier"})");
-  client.send_line(
-      R"({"verb":"predict","app":"ffvc","dataset":"small","ranks":2,)"
-      R"("threads":1,"iterations":1,"seed":9002,"deadline_ms":1,)"
-      R"("id":"doomed"})");
-  const auto first = client.read_line();
-  ASSERT_TRUE(first.has_value());
-  EXPECT_EQ(field_of(*first, "ok"), "true") << *first;
-  const auto second = client.read_line();
-  ASSERT_TRUE(second.has_value());
-  EXPECT_EQ(field_of(*second, "code"), kCodeDeadline) << *second;
-  // Shed in-queue ("deadline expired before execution") or unwound at a
-  // checkpoint ("cancelled: deadline exceeded"), depending on scheduling —
-  // either way the error names the deadline.
-  EXPECT_NE(field_of(*second, "error").find("deadline"), std::string::npos)
-      << *second;
+  {
+    fault::ScopedPlan stall(
+        fault::Plan::parse("mp.delay=1;mp.delay_ms=100"));
+    client.send_line(
+        R"({"verb":"predict","app":"ffvc","dataset":"small","ranks":2,)"
+        R"("threads":1,"iterations":1,"seed":9001,"id":"occupier"})");
+    client.send_line(
+        R"({"verb":"predict","app":"ffvc","dataset":"small","ranks":2,)"
+        R"("threads":1,"iterations":1,"seed":9002,"deadline_ms":1,)"
+        R"("id":"doomed"})");
+    const auto first = client.read_line();
+    ASSERT_TRUE(first.has_value());
+    EXPECT_EQ(field_of(*first, "ok"), "true") << *first;
+    const auto second = client.read_line();
+    ASSERT_TRUE(second.has_value());
+    EXPECT_EQ(field_of(*second, "code"), kCodeDeadline) << *second;
+    // Shed in-queue ("deadline expired before execution") or unwound at a
+    // checkpoint ("cancelled: deadline exceeded"), depending on scheduling —
+    // either way the error names the deadline.
+    EXPECT_NE(field_of(*second, "error").find("deadline"), std::string::npos)
+        << *second;
+  }
 
   // A generous deadline on an idle server sails through.
   const std::string ok_response = client.request(

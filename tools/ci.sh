@@ -50,6 +50,20 @@ diff "$CACHE_DIR/report.cold.txt" "$CACHE_DIR/report.j4.txt"
       }
     done
 
+echo "== journal: a resumed sweep replays every point, byte-identically =="
+# The first pass records every point; the second must serve all of them
+# from the journal (no line appended) and render the same bytes.
+JOURNAL="$CACHE_DIR/report.journal.jsonl"
+"$FIBERSIM" $REPORT_ARGS --journal "$JOURNAL" > "$CACHE_DIR/report.journal1.txt"
+diff "$CACHE_DIR/report.cold.txt" "$CACHE_DIR/report.journal1.txt"
+JOURNAL_LINES="$(wc -l < "$JOURNAL")"
+"$FIBERSIM" $REPORT_ARGS --journal "$JOURNAL" > "$CACHE_DIR/report.journal2.txt"
+diff "$CACHE_DIR/report.cold.txt" "$CACHE_DIR/report.journal2.txt"
+[ "$(wc -l < "$JOURNAL")" -eq "$JOURNAL_LINES" ] || {
+  echo "journal: the resumed sweep appended lines" >&2
+  exit 1
+}
+
 echo "== descriptors: checked-in files == constructors == loaded registry =="
 # Each committed descriptor must be byte-identical to what the compiled-in
 # constructor serialises to (the registry asserts the reverse direction —
@@ -59,6 +73,12 @@ for pair in "a64fx a64fx.json" "skylake skylake8168x2.json" \
   set -- $pair
   "$FIBERSIM" describe "$1" > "$CACHE_DIR/describe.$1.json"
   diff "$CACHE_DIR/describe.$1.json" "descriptors/$2"
+done
+# Parse -> emit is the identity on every checked-in file, not only on the
+# compiled-in machines.
+for file in descriptors/*.json; do
+  "$FIBERSIM" describe "$file" > "$CACHE_DIR/describe.file.json"
+  diff "$CACHE_DIR/describe.file.json" "$file"
 done
 # Every descriptor passes the deep field-range check.
 "$BUILD_DIR/tools/json_check" descriptors/*.json
