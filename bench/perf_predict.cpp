@@ -113,8 +113,7 @@ int main(int argc, char** argv) {
   base.dataset = dataset;
   base.ranks = ranks;
   base.threads = threads;
-  const core::ExperimentResult seed_result = runner.run(base);
-  const trace::JobTrace& raw = seed_result.job_trace;
+  const trace::JobTrace raw = runner.expanded_trace(base);
   const trace::CanonicalTrace canonical = trace::CanonicalTrace::build(raw);
 
   // The sweep: processors x compile presets x (alloc x bind) placements.

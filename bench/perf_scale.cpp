@@ -4,12 +4,11 @@
 // 12 threads, ffvc/large, weak_scale = nodes):
 //
 //   * overlap: rank counts where BOTH paths are feasible. The full and the
-//     collapsed simulation run back to back; their predictions and (where
-//     the collapsed execution expands, ranks <= 4096) raw traces must be
-//     byte-identical, and the collapsed pass must execute exactly one
-//     native rank per symmetry class (Runner::collapse_native_ranks() ==
-//     Runner::collapse_classes() — the invariant tools/ci.sh checks in the
-//     JSON artifact).
+//     collapsed simulation run back to back; their predictions and expanded
+//     raw traces must be byte-identical, and the collapsed pass must
+//     execute exactly one native rank per symmetry class
+//     (Runner::collapse_native_ranks() == Runner::collapse_classes() — the
+//     invariant tools/ci.sh checks in the JSON artifact).
 //   * weak scale: collapsed-only rank counts up to >= 10^5. The full-
 //     simulation trend is extrapolated linearly from the largest overlap
 //     point (conservative: real cost grows superlinearly with the thread
@@ -139,7 +138,8 @@ int main(int argc, char** argv) {
     s.bits_equal =
         bits(coll.seconds()) == bits(full.seconds()) &&
         trace::to_json(coll.prediction) == trace::to_json(full.prediction) &&
-        trace::to_json(coll.job_trace) == trace::to_json(full.job_trace) &&
+        trace::to_json(coll_runner.expanded_trace(coll.config)) ==
+            trace::to_json(full_runner.expanded_trace(full.config)) &&
         coll.verified && full.verified;
     if (!s.bits_equal) {
       std::cerr << "FATAL: collapsed output diverged from full at "

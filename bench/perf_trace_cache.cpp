@@ -50,13 +50,15 @@ using namespace fibersim;
 namespace fs = std::filesystem;
 
 /// Serialize a sweep's results into one comparable byte string: prediction,
-/// raw per-rank trace, and the verification value by bit pattern.
-std::string serialize_results(const std::vector<core::ExperimentResult>& rs) {
+/// raw per-rank trace (expanded from `runner`'s cache), and the verification
+/// value by bit pattern.
+std::string serialize_results(core::Runner& runner,
+                              const std::vector<core::ExperimentResult>& rs) {
   std::ostringstream out;
   for (const core::ExperimentResult& r : rs) {
     out << r.config.label() << "\n"
         << trace::to_json(r.prediction) << "\n"
-        << trace::to_json(r.job_trace) << "\n"
+        << trace::to_json(runner.expanded_trace(r.config)) << "\n"
         << (r.verified ? "ok " : "FAIL ")
         << std::bit_cast<std::uint64_t>(r.check_value) << " "
         << r.check_description << "\n";
@@ -86,7 +88,7 @@ PassStats run_pass(const std::vector<core::ExperimentConfig>& configs,
   stats.native_runs = runner.native_runs();
   stats.disk_hits = runner.disk_hits();
   stats.disk_writes = runner.disk_writes();
-  stats.bytes = serialize_results(results);
+  stats.bytes = serialize_results(runner, results);
   return stats;
 }
 

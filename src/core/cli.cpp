@@ -356,7 +356,7 @@ int cmd_run(const std::vector<std::string>& args, std::ostream& out,
       err << "cannot write trace file: " << dump_trace_path << "\n";
       return 2;
     }
-    trace_out << trace::to_json(res.job_trace) << "\n";
+    trace_out << trace::to_json(runner.expanded_trace(cfg)) << "\n";
   }
   if (json) {
     out << trace::to_json(res.prediction) << "\n";

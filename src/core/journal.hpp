@@ -15,9 +15,8 @@
 // including all ProcessorConfig *values*, not just its name, because
 // ablation reports mutate processor parameters without renaming them.
 //
-// Journaled results carry everything reports consume (prediction, power,
-// verification); the raw per-rank trace is not journaled, so
-// ExperimentResult::job_trace is empty on a journal hit.
+// Journaled results carry everything an ExperimentResult holds (prediction,
+// power, verification).
 #pragma once
 
 #include <cstdint>

@@ -80,8 +80,7 @@ class CollapsedTrace {
   };
   void rank_sends(std::size_t p, int rank, std::vector<RankSend>* out) const;
 
-  /// Full virtual-job trace; only feasible at test scale (ranks x phases
-  /// records are materialised).
+  /// Full virtual-job trace (ranks x phases records are materialised).
   JobTrace expand() const;
 
   /// Content hash: symmetry partition + every class record.

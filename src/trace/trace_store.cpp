@@ -396,7 +396,6 @@ std::optional<StoredExecution> decode_stored(const StoreKey& key,
     return std::nullopt;
   }
   if (exec.canonical.fingerprint() != stored_fingerprint) return std::nullopt;
-  exec.job_trace = std::move(trace);
   return exec;
 }
 

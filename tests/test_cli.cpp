@@ -6,6 +6,7 @@
 #include <sstream>
 
 #include "common/error.hpp"
+#include "common/json.hpp"
 #include "core/cli.hpp"
 #include "core/config_parse.hpp"
 #include "core/report_flags.hpp"
@@ -298,6 +299,23 @@ TEST(Cli, RunDumpTraceWritesFile) {
   EXPECT_EQ(first_line.front(), '[');
   EXPECT_NE(first_line.find("dgemm"), std::string::npos);
   std::remove(path.c_str());
+}
+
+// A collapsed job past the native thread cap (4096 ranks) must still dump
+// the full expansion, one entry per virtual rank.
+TEST(Cli, RunDumpTraceExpandsCollapsedJobBeyondNativeScale) {
+  const std::string path = "/tmp/fibersim_cli_trace_8192.json";
+  const CliResult r = run_cli(
+      {"run", "--app", "ntchem", "--ranks", "8192", "--threads", "1",
+       "--nodes", "256", "--iterations", "1", "--collapse-ranks",
+       "--dump-trace", path});
+  ASSERT_EQ(r.code, 0) << r.err;
+  std::stringstream text;
+  text << std::ifstream(path).rdbuf();
+  std::remove(path.c_str());
+  const json::Value doc = json::parse_document(text.str(), path);
+  ASSERT_TRUE(doc.is_array());
+  EXPECT_EQ(doc.items().size(), 8192u);
 }
 
 TEST(Cli, RunDumpTraceRejectsBadPath) {

@@ -22,7 +22,7 @@
 #include "miniapps/miniapp.hpp"
 #include "mp/job.hpp"
 #include "mp/symmetry.hpp"
-#include "rt/thread_team.hpp"
+#include "native_trace.hpp"
 #include "trace/collapsed.hpp"
 #include "trace/predict.hpp"
 #include "trace/recorder.hpp"
@@ -63,46 +63,21 @@ constexpr int kThreads = 2;
 constexpr int kIterations = 1;
 constexpr std::uint64_t kSeed = 42;
 
-trace::JobTrace run_full(const std::string& name, apps::Dataset dataset,
-                         int ranks = kRanks) {
-  trace::JobTrace trace(static_cast<std::size_t>(ranks));
-  mp::Job::run(ranks, [&](mp::Comm& comm) {
-    rt::ThreadTeam team(kThreads);
-    trace::Recorder rec(&comm);
-    apps::RunContext ctx;
-    ctx.comm = &comm;
-    ctx.team = &team;
-    ctx.recorder = &rec;
-    ctx.dataset = dataset;
-    ctx.seed = kSeed;
-    ctx.iterations = kIterations;
-    const auto app = apps::create_miniapp(name);
-    (void)app->run(ctx);
-    trace[static_cast<std::size_t>(comm.rank())] = rec.phases();
-  });
-  return trace;
+trace::JobTrace run_full(const std::string& name, apps::Dataset dataset) {
+  return record_native(name, kRanks, kThreads, dataset, kIterations, kSeed)
+      .trace;
 }
 
 trace::CollapsedTrace run_collapsed(const std::string& name,
-                                    apps::Dataset dataset,
-                                    int ranks = kRanks) {
+                                    apps::Dataset dataset) {
   const mp::CollapseSpec spec =
       apps::create_miniapp(name)->collapse_spec(dataset, /*weak_scale=*/1);
   EXPECT_TRUE(spec.collapsible()) << name << " declares no collapse spec";
-  mp::RankSymmetry symmetry = mp::RankSymmetry::build(spec, ranks);
+  mp::RankSymmetry symmetry = mp::RankSymmetry::build(spec, kRanks);
   trace::JobTrace reps(static_cast<std::size_t>(symmetry.classes()));
   mp::Job::run_collapsed(symmetry, [&](mp::Comm& comm) {
-    rt::ThreadTeam team(kThreads);
     trace::Recorder rec(&comm);
-    apps::RunContext ctx;
-    ctx.comm = &comm;
-    ctx.team = &team;
-    ctx.recorder = &rec;
-    ctx.dataset = dataset;
-    ctx.seed = kSeed;
-    ctx.iterations = kIterations;
-    const auto app = apps::create_miniapp(name);
-    (void)app->run(ctx);
+    (void)run_rank(comm, rec, name, kThreads, dataset, kIterations, kSeed);
     reps[static_cast<std::size_t>(symmetry.class_of(comm.rank()))] =
         rec.phases();
   });
@@ -139,15 +114,8 @@ TEST_P(CollapseByteIdentity, ExpandEqualsFullRun) {
   EXPECT_GT(collapsed.native_ranks(), 0);
   EXPECT_LT(collapsed.native_ranks(), kRanks)
       << c.app << " collapse saved nothing at " << kRanks << " ranks";
-  const trace::JobTrace expanded = collapsed.expand();
-  ASSERT_EQ(expanded.size(), full.size());
-  for (std::size_t r = 0; r < full.size(); ++r) {
-    ASSERT_EQ(expanded[r].size(), full[r].size()) << "rank " << r;
-    for (std::size_t p = 0; p < full[r].size(); ++p) {
-      EXPECT_TRUE(trace::records_equal(expanded[r][p], full[r][p]))
-          << c.app << " rank " << r << " phase " << full[r][p].name;
-    }
-  }
+  SCOPED_TRACE(c.app);
+  expect_traces_identical(collapsed.expand(), full);
 }
 
 // The collapsed prediction path never materialises the expansion; it must
@@ -303,6 +271,13 @@ TEST(RunnerCollapse, StoreRoundTripRehydratesCollapsedExecution) {
   EXPECT_EQ(warm.collapse_native_ranks(), 0u);  // nothing executed natively
   EXPECT_EQ(warm.collapse_replicated_ranks(),
             static_cast<std::size_t>(kRanks) - classes);
+
+  // Rehydration assembles from the stored slots' canonical.expand(); the
+  // warm trace must match the cold one and a full native run.
+  const core::ExperimentConfig cfg = collapse_config("modylas", true);
+  const trace::JobTrace warm_trace = warm.expanded_trace(cfg);
+  expect_traces_identical(warm_trace, cold.expanded_trace(cfg));
+  expect_traces_identical(warm_trace, run_full("modylas", cfg.dataset));
 }
 
 TEST(RunnerCollapse, CollapsedAndFullStoreEntriesAreDistinct) {

@@ -4,49 +4,17 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
-#include <mutex>
 
 #include "common/error.hpp"
 #include "miniapps/miniapp.hpp"
-#include "mp/job.hpp"
-#include "rt/thread_team.hpp"
-#include "trace/predict.hpp"
+#include "native_trace.hpp"
 
 namespace fibersim::apps {
 namespace {
 
-struct RunOutput {
-  trace::JobTrace trace;
-  std::vector<RunResult> results;
-};
-
-RunOutput run_app(const std::string& name, int ranks, int threads,
-                  Dataset dataset = Dataset::kSmall, int iterations = 2,
-                  std::uint64_t seed = 42, int weak_scale = 1) {
-  RunOutput out;
-  out.trace.resize(static_cast<std::size_t>(ranks));
-  out.results.resize(static_cast<std::size_t>(ranks));
-  mp::Job::run(ranks, [&](mp::Comm& comm) {
-    rt::ThreadTeam team(threads);
-    trace::Recorder rec(&comm);
-    RunContext ctx;
-    ctx.comm = &comm;
-    ctx.team = &team;
-    ctx.recorder = &rec;
-    ctx.dataset = dataset;
-    ctx.seed = seed;
-    ctx.iterations = iterations;
-    ctx.weak_scale = weak_scale;
-    const auto app = create_miniapp(name);
-    out.results[static_cast<std::size_t>(comm.rank())] = app->run(ctx);
-    out.trace[static_cast<std::size_t>(comm.rank())] = rec.phases();
-  });
-  return out;
-}
-
-double total_timed_flops(const trace::JobTrace& trace) {
+double total_timed_flops(const NativeRun& run) {
   double total = 0.0;
-  for (const auto& rank_trace : trace) {
+  for (const auto& rank_trace : run.trace) {
     for (const auto& phase : rank_trace) {
       if (phase.timed) total += phase.work.flops + phase.work.int_ops;
     }
@@ -88,7 +56,8 @@ class MiniappRun : public ::testing::TestWithParam<AppCase> {};
 
 TEST_P(MiniappRun, VerifiesAndTracesConsistently) {
   const AppCase c = GetParam();
-  const RunOutput out = run_app(c.app, c.ranks, c.threads);
+  const NativeRun out =
+      record_native(c.app, c.ranks, c.threads, Dataset::kSmall, 2);
   for (int r = 0; r < c.ranks; ++r) {
     EXPECT_TRUE(out.results[static_cast<std::size_t>(r)].verified)
         << c.app << " rank " << r << ": "
@@ -141,9 +110,13 @@ class WorkInvariance : public ::testing::TestWithParam<std::string> {};
 // the decomposition (strong scaling).
 TEST_P(WorkInvariance, TotalWorkIndependentOfDecomposition) {
   const std::string app = GetParam();
-  const double w1 = total_timed_flops(run_app(app, 1, 2).trace);
-  const double w4 = total_timed_flops(run_app(app, 4, 1).trace);
-  const double w6 = total_timed_flops(run_app(app, 6, 2).trace);
+  const auto work = [&](int ranks, int threads) {
+    return total_timed_flops(
+        record_native(app, ranks, threads, Dataset::kSmall, 2));
+  };
+  const double w1 = work(1, 2);
+  const double w4 = work(4, 1);
+  const double w6 = work(6, 2);
   ASSERT_GT(w1, 0.0);
   // Allow a few percent for surface effects / uneven remainders.
   EXPECT_NEAR(w4 / w1, 1.0, 0.05) << app;
@@ -161,10 +134,10 @@ class Determinism : public ::testing::TestWithParam<std::string> {};
 // Same configuration + same seed => bitwise identical verification value.
 TEST_P(Determinism, RepeatedRunsAgree) {
   const std::string app = GetParam();
-  const auto a = run_app(app, 2, 2);
-  const auto b = run_app(app, 2, 2);
+  const auto a = record_native(app, 2, 2, Dataset::kSmall, 2);
+  const auto b = record_native(app, 2, 2, Dataset::kSmall, 2);
   EXPECT_EQ(a.results[0].check_value, b.results[0].check_value) << app;
-  EXPECT_EQ(total_timed_flops(a.trace), total_timed_flops(b.trace));
+  EXPECT_EQ(total_timed_flops(a), total_timed_flops(b));
 }
 
 INSTANTIATE_TEST_SUITE_P(Suite, Determinism,
@@ -179,8 +152,8 @@ class SeedSensitivity : public ::testing::TestWithParam<std::string> {};
 // accidentally ignoring the seed).
 TEST_P(SeedSensitivity, SeedChangesProblem) {
   const std::string app = GetParam();
-  const auto a = run_app(app, 2, 1, Dataset::kSmall, 2, 42);
-  const auto b = run_app(app, 2, 1, Dataset::kSmall, 2, 43);
+  const auto a = record_native(app, 2, 1, Dataset::kSmall, 2, 42);
+  const auto b = record_native(app, 2, 1, Dataset::kSmall, 2, 43);
   // Some inputs are index-derived by design; their checks are seed
   // independent.
   if (app == "ffvc" || app == "ffb" || app == "nicam") {
@@ -198,17 +171,16 @@ INSTANTIATE_TEST_SUITE_P(Suite, SeedSensitivity,
 TEST(Miniapps, LargeDatasetAlsoVerifies) {
   // One representative decomposition per app on the large dataset.
   for (const auto& name : registry_names()) {
-    const auto out = run_app(name, 2, 2, Dataset::kLarge, 1);
+    const auto out = record_native(name, 2, 2, Dataset::kLarge);
     EXPECT_TRUE(out.results[0].verified) << name;
   }
 }
 
 TEST(Miniapps, LargeDatasetDoesMoreWork) {
   for (const auto& name : registry_names()) {
-    const double small =
-        total_timed_flops(run_app(name, 2, 1, Dataset::kSmall, 1).trace);
+    const double small = total_timed_flops(record_native(name, 2, 1));
     const double large =
-        total_timed_flops(run_app(name, 2, 1, Dataset::kLarge, 1).trace);
+        total_timed_flops(record_native(name, 2, 1, Dataset::kLarge));
     EXPECT_GT(large, 1.5 * small) << name;
   }
 }
@@ -218,11 +190,10 @@ class WeakScaling : public ::testing::TestWithParam<std::string> {};
 // weak_scale = k must multiply total work by ~k and keep verification green.
 TEST_P(WeakScaling, DoublesWorkAndStillVerifies) {
   const std::string app = GetParam();
-  const auto base = run_app(app, 2, 1, Dataset::kSmall, 1, 42, 1);
-  const auto scaled = run_app(app, 2, 1, Dataset::kSmall, 1, 42, 2);
+  const auto base = record_native(app, 2, 1);
+  const auto scaled = record_native(app, 2, 1, Dataset::kSmall, 1, 42, 2);
   EXPECT_TRUE(scaled.results[0].verified) << app;
-  const double ratio =
-      total_timed_flops(scaled.trace) / total_timed_flops(base.trace);
+  const double ratio = total_timed_flops(scaled) / total_timed_flops(base);
   // ngsa's k-mer pass is population independent, hence the loose lower
   // bound; everything else should be very close to 2.
   EXPECT_GT(ratio, 1.6) << app;
@@ -237,17 +208,15 @@ INSTANTIATE_TEST_SUITE_P(Suite, WeakScaling,
 
 TEST(Miniapps, IterationsScaleTimedWork) {
   // ntchem's loop body is uniform: work must scale exactly with iterations.
-  const double n1 =
-      total_timed_flops(run_app("ntchem", 2, 1, Dataset::kSmall, 1).trace);
+  const double n1 = total_timed_flops(record_native("ntchem", 2, 1));
   const double n3 =
-      total_timed_flops(run_app("ntchem", 2, 1, Dataset::kSmall, 3).trace);
+      total_timed_flops(record_native("ntchem", 2, 1, Dataset::kSmall, 3));
   EXPECT_NEAR(n3 / n1, 3.0, 0.05);
   // ffvc has a one-off diagnostic prologue, so the ratio is below 3 but the
   // work must still grow substantially.
-  const double f1 =
-      total_timed_flops(run_app("ffvc", 2, 1, Dataset::kSmall, 1).trace);
+  const double f1 = total_timed_flops(record_native("ffvc", 2, 1));
   const double f3 =
-      total_timed_flops(run_app("ffvc", 2, 1, Dataset::kSmall, 3).trace);
+      total_timed_flops(record_native("ffvc", 2, 1, Dataset::kSmall, 3));
   EXPECT_GT(f3 / f1, 2.0);
   EXPECT_LT(f3 / f1, 3.0);
 }

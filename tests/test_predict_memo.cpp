@@ -15,6 +15,7 @@
 #include "core/sweep.hpp"
 #include "core/sweep_pool.hpp"
 #include "machine/eval_cache.hpp"
+#include "native_trace.hpp"
 #include "trace/canonical.hpp"
 #include "trace/predict.hpp"
 
@@ -53,18 +54,6 @@ void expect_identical(const trace::JobPrediction& a,
   }
 }
 
-trace::JobTrace record_trace(const std::string& app, apps::Dataset dataset,
-                             int ranks, int threads) {
-  core::Runner runner;
-  core::ExperimentConfig cfg;
-  cfg.app = app;
-  cfg.dataset = dataset;
-  cfg.ranks = ranks;
-  cfg.threads = threads;
-  cfg.iterations = 1;
-  return runner.run(cfg).job_trace;
-}
-
 TEST(PredictMemo, BitIdenticalForEveryMiniappAndDataset) {
   const std::vector<machine::ProcessorConfig> processors = {
       machine::a64fx(), machine::skylake8168_dual()};
@@ -80,7 +69,8 @@ TEST(PredictMemo, BitIdenticalForEveryMiniappAndDataset) {
   for (const std::string& app : apps::registry_names()) {
     for (const apps::Dataset dataset :
          {apps::Dataset::kSmall, apps::Dataset::kLarge}) {
-      const trace::JobTrace raw = record_trace(app, dataset, ranks, threads);
+      const trace::JobTrace raw =
+          record_native(app, ranks, threads, dataset).trace;
       const trace::CanonicalTrace canonical = trace::CanonicalTrace::build(raw);
 
       cg::CodegenCache codegen;
@@ -113,8 +103,7 @@ TEST(PredictMemo, BitIdenticalForEveryMiniappAndDataset) {
 }
 
 TEST(CanonicalTrace, GroupsRanksAndValidatesOnce) {
-  const trace::JobTrace raw =
-      record_trace("ffvc", apps::Dataset::kSmall, 4, 2);
+  const trace::JobTrace raw = record_native("ffvc", 4, 2).trace;
   const trace::CanonicalTrace canonical = trace::CanonicalTrace::build(raw);
   EXPECT_EQ(canonical.ranks(), 4);
   EXPECT_EQ(canonical.phase_count(), raw.front().size());
@@ -150,8 +139,7 @@ TEST(CanonicalTrace, GroupsRanksAndValidatesOnce) {
 TEST(PredictMemo, CodegenEvalsIndependentOfBindingCount) {
   const int ranks = 4;
   const int threads = 4;
-  const trace::JobTrace raw =
-      record_trace("ffvc", apps::Dataset::kSmall, ranks, threads);
+  const trace::JobTrace raw = record_native("ffvc", ranks, threads).trace;
   const trace::CanonicalTrace canonical = trace::CanonicalTrace::build(raw);
   const machine::ProcessorConfig proc = machine::a64fx();
   const cg::CompileOptions opts = cg::CompileOptions::simd_sched();
@@ -197,8 +185,7 @@ TEST(PredictMemo, CodegenEvalsIndependentOfBindingCount) {
 }
 
 TEST(PredictMemo, DistinctProcessorsNeverShareExecEvaluations) {
-  const trace::JobTrace raw =
-      record_trace("ffvc", apps::Dataset::kSmall, 2, 2);
+  const trace::JobTrace raw = record_native("ffvc", 2, 2).trace;
   const trace::CanonicalTrace canonical = trace::CanonicalTrace::build(raw);
   const cg::CompileOptions opts = cg::CompileOptions::as_is();
 

@@ -36,6 +36,21 @@ diff "$CACHE_DIR/cold.json" "$CACHE_DIR/warm.json"
 "$BUILD_DIR/bench/perf_trace_cache" --out "$CACHE_DIR/BENCH_trace_cache.json" \
     --cache-dir "$CACHE_DIR/bench-cache"
 
+echo "== dump-trace: full, collapsed and warm dumps are byte-identical =="
+# The cache holds one trace form per execution (canonical, or collapsed
+# representatives); --dump-trace expands it on demand. The full run, the
+# collapsed run and a warm replay of the collapsed run from the store must
+# all dump the same per-rank trace.
+DUMP_ARGS="run --app ffvc --ranks 64 --threads 2 --nodes 4 --iterations 1"
+DUMP_CACHE="$CACHE_DIR/dump-cache"
+"$FIBERSIM" $DUMP_ARGS --dump-trace "$CACHE_DIR/dump.full.json" > /dev/null
+"$FIBERSIM" $DUMP_ARGS --collapse-ranks --trace-cache "$DUMP_CACHE" \
+    --dump-trace "$CACHE_DIR/dump.collapsed.json" > /dev/null
+"$FIBERSIM" $DUMP_ARGS --collapse-ranks --trace-cache "$DUMP_CACHE" \
+    --dump-trace "$CACHE_DIR/dump.warm.json" > /dev/null
+cmp "$CACHE_DIR/dump.full.json" "$CACHE_DIR/dump.collapsed.json"
+cmp "$CACHE_DIR/dump.full.json" "$CACHE_DIR/dump.warm.json"
+
 echo "== report registry: --all must be jobs-invariant and documented =="
 REPORT_ARGS="report --all --apps ffvc --dataset small --iterations 1"
 "$FIBERSIM" $REPORT_ARGS > "$CACHE_DIR/report.cold.txt"
