@@ -1,33 +1,11 @@
-// CodegenCache — memoized cg::apply.
-//
-// A sweep over 20 bindings on one processor evaluates the exact same codegen
-// transform configs x ranks x phases times: apply() is a pure function of
-// (CompileOptions, WorkEstimate), so the cache keys results on (options
-// fingerprint, work content hash) and verifies every hit with a bitwise
-// compare of the input estimate — a hash collision can cost a bucket scan,
-// never return a wrong transform. Cached results are bit-identical to a
-// fresh apply() by construction (same inputs, same pure function, copied
-// bits).
-//
-// Thread-safe under SweepPool concurrency, with *deterministic* counters:
-// computation happens under the bucket lock after a failed exact scan, so
-// concurrent first-callers serialize and exactly one performs the eval —
-// evals() always equals the number of distinct (options, work) values seen,
-// lookups() the number of apply() calls, hits() the difference. Tests and
-// benches assert the memoization contract on these counters on any host,
-// including single-core CI where wall-clock comparisons are meaningless.
+// CodegenCache — retired: codegen is memoized inside the stage-1 memo
+// (machine::EvalCache). Only the old entry point stays, as a plain uncached
+// cg::apply, because the traced fsbench build wraps it by its mangled name
+// and forces it with --undefined, which fails to link once it is undefined.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
-#include <map>
-#include <memory>
-#include <mutex>
-#include <shared_mutex>
-#include <utility>
-#include <vector>
 
-#include "cg/codegen_model.hpp"
 #include "cg/compile_options.hpp"
 #include "isa/work_estimate.hpp"
 
@@ -35,49 +13,9 @@ namespace fibersim::cg {
 
 class CodegenCache {
  public:
-  CodegenCache() = default;
-  CodegenCache(const CodegenCache&) = delete;
-  CodegenCache& operator=(const CodegenCache&) = delete;
-
-  /// Memoized cg::apply(opts, work). `work_h` must be isa::work_hash(work)
-  /// (callers usually have it precomputed on the canonical trace); the
-  /// convenience overload hashes internally.
+  /// cg::apply(opts, work); `work_h` is unused.
   isa::WorkEstimate apply(const CompileOptions& opts,
-                          const isa::WorkEstimate& work,
-                          std::uint64_t work_h);
-  isa::WorkEstimate apply(const CompileOptions& opts,
-                          const isa::WorkEstimate& work) {
-    return apply(opts, work, isa::work_hash(work));
-  }
-
-  /// Distinct (options, work) values actually transformed. Deterministic.
-  std::size_t evals() const { return evals_.load(std::memory_order_relaxed); }
-  /// Total apply() calls. Deterministic for a deterministic workload.
-  std::size_t lookups() const {
-    return lookups_.load(std::memory_order_relaxed);
-  }
-  /// Calls served from the cache: lookups() - evals().
-  std::size_t hits() const { return lookups() - evals(); }
-
- private:
-  using Key = std::pair<std::uint64_t, std::uint64_t>;  // (opts fp, work hash)
-  struct Entry {
-    isa::WorkEstimate input;
-    isa::WorkEstimate output;
-  };
-  /// One hash bucket; entries with the same key but different input bits
-  /// (a collision) chain in insertion order.
-  struct Bucket {
-    std::mutex mutex;
-    std::vector<Entry> entries;
-  };
-
-  std::shared_ptr<Bucket> bucket_for(const Key& key);
-
-  std::shared_mutex map_mutex_;
-  std::map<Key, std::shared_ptr<Bucket>> buckets_;
-  std::atomic<std::size_t> evals_{0};
-  std::atomic<std::size_t> lookups_{0};
+                          const isa::WorkEstimate& work, std::uint64_t work_h);
 };
 
 }  // namespace fibersim::cg

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "cg/codegen_cache.hpp"
 #include "common/error.hpp"
 
 namespace fibersim::cg {
@@ -115,6 +116,12 @@ isa::WorkEstimate apply(const CompileOptions& opts,
   }
   out.validate();
   return out;
+}
+
+isa::WorkEstimate CodegenCache::apply(const CompileOptions& opts,
+                                      const isa::WorkEstimate& work,
+                                      std::uint64_t /*work_h*/) {
+  return cg::apply(opts, work);
 }
 
 }  // namespace fibersim::cg

@@ -64,11 +64,11 @@ struct CompileOptions {
   void validate() const;
 
   /// Exact (collision-free) value fingerprint: every field bit-packed into
-  /// one word. Keys the codegen memo cache — equal fingerprints imply equal
-  /// options, so no verification compare is needed on lookup. The compiler
-  /// profile packs into previously-unused high bits with kFujitsu == 0, so
-  /// every pre-profile option set keeps its exact historical fingerprint
-  /// (no cache-key aliasing across the feature boundary).
+  /// one word. Keys the stage-1 prediction memo's contexts — equal
+  /// fingerprints imply equal options. The compiler profile packs into
+  /// previously-unused high bits with kFujitsu == 0, so every pre-profile
+  /// option set keeps its exact historical fingerprint (no cache-key
+  /// aliasing across the feature boundary).
   std::uint64_t fingerprint() const;
 
   friend bool operator==(const CompileOptions&, const CompileOptions&) = default;

@@ -352,7 +352,7 @@ ExperimentResult Runner::run(const ExperimentConfig& config, int attempt,
 
   ExperimentResult result;
   result.config = config;
-  const trace::PredictMemo memo{&codegen_cache_, &eval_cache_};
+  const trace::PredictMemo memo{&stage1_memo_};
   result.prediction =
       exec->is_collapsed
           ? trace::predict_job(config.processor, config.compile, binding,

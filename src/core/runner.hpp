@@ -122,14 +122,15 @@ class Runner {
     return collapse_replicated_.load(std::memory_order_relaxed);
   }
 
-  /// Memoization counters, deterministic for a given run() call sequence
-  /// regardless of thread interleaving (see CodegenCache/EvalCache).
-  std::size_t codegen_evals() const { return codegen_cache_.evals(); }
-  std::size_t codegen_lookups() const { return codegen_cache_.lookups(); }
-  std::size_t codegen_hits() const { return codegen_cache_.hits(); }
-  std::size_t exec_evals() const { return eval_cache_.evals(); }
-  std::size_t exec_lookups() const { return eval_cache_.lookups(); }
-  std::size_t exec_hits() const { return eval_cache_.hits(); }
+  /// Stage-1 memo counters, deterministic for a given run() call sequence
+  /// (see machine::EvalCache). A miss is one codegen transform plus one work
+  /// evaluation, so the codegen_* and exec_* families read the same memo.
+  std::size_t codegen_evals() const { return stage1_memo_.evals(); }
+  std::size_t codegen_lookups() const { return stage1_memo_.lookups(); }
+  std::size_t codegen_hits() const { return stage1_memo_.hits(); }
+  std::size_t exec_evals() const { return stage1_memo_.evals(); }
+  std::size_t exec_lookups() const { return stage1_memo_.lookups(); }
+  std::size_t exec_hits() const { return stage1_memo_.hits(); }
 
  private:
   struct Execution {
@@ -191,9 +192,8 @@ class Runner {
   std::atomic<std::size_t> collapse_native_ranks_{0};
   std::atomic<std::size_t> collapse_replicated_{0};
 
-  // Shared memo layers for the canonical prediction path (thread-safe).
-  cg::CodegenCache codegen_cache_;
-  machine::EvalCache eval_cache_;
+  // Shared stage-1 memo for the class-replay prediction paths (thread-safe).
+  machine::EvalCache stage1_memo_;
 };
 
 }  // namespace fibersim::core

@@ -11,7 +11,7 @@
 // then mutates the elites at full budget. Candidate proposals are deduped
 // exactly against everything already evaluated at the same budget, and the
 // per-prediction work is deduped further down by the Runner's cache tiers
-// (tier-1 execution memo / TraceStore, CodegenCache, EvalCache) — the
+// (tier-1 execution memo / TraceStore, the stage-1 memo) — the
 // combination is what keeps huge-space searches tractable.
 //
 // Determinism contract: for fixed TunerOptions (seed included) the outcome

@@ -11,7 +11,7 @@
 //   * ranks whose PhaseRecords are value-identical (work bits, communication
 //     log, flags) are grouped into equivalence classes with multiplicities;
 //   * every class carries a stable content hash of its work record, which
-//     keys the codegen and exec-model memo caches downstream.
+//     keys the stage-1 prediction memo downstream.
 //
 // A CanonicalTrace is immutable after build() and holds everything
 // predict_job needs; prediction cost then scales with the number of distinct

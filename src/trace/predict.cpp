@@ -285,8 +285,15 @@ JobPrediction replay_classes(const machine::ProcessorConfig& cfg,
   const machine::CommCostModel comm_model(cfg, binding.topology().nodes());
   const int ranks = binding.ranks();
   const int threads = binding.threads_per_rank();
-  const std::uint64_t proc_token =
-      memo.exec ? memo.exec->processor_token(cfg) : 0;
+  // The stage-1 memo context, registered once per predict; the predict's
+  // lookups (one per class per phase) are counted in one add.
+  std::uint64_t context = 0;
+  if (memo.stage1 != nullptr) {
+    context = memo.stage1->context_token(cfg, opts);
+    std::size_t lookups = 0;
+    for (const auto& ph : trace.phases()) lookups += ph.classes.size();
+    memo.stage1->count_lookups(lookups);
+  }
 
   // Placement tables: computed once per sweep point and reused by every
   // phase (the naive path re-derives them per thread entry per phase).
@@ -341,21 +348,19 @@ JobPrediction replay_classes(const machine::ProcessorConfig& cfg,
     // Stage 1 — per equivalence class, not per rank. Work and collective
     // logs are identical within a class, so the class record stands for
     // every member bitwise.
+    // A fanned-out phase evaluates each thread's 1/threads share.
+    const int share = fan_out ? threads : 1;
+    const std::uint64_t phase_context =
+        machine::EvalCache::with_share(context, share);
     class_evals.clear();
     class_evals.reserve(ph.classes.size());
     for (const auto& cls : ph.classes) {
-      const isa::WorkEstimate generated =
-          memo.codegen
-              ? memo.codegen->apply(opts, cls.record.work, cls.work_hash)
-              : cg::apply(opts, cls.record.work);
-      const isa::WorkEstimate per_thread =
-          fan_out ? generated.scaled(1.0 / static_cast<double>(threads))
-                  : generated;
       ClassEval ce;
-      ce.eval = memo.exec
-                    ? memo.exec->work_eval(exec, proc_token, per_thread,
-                                           isa::work_hash(per_thread))
-                    : exec.evaluate_work(per_thread);
+      ce.eval = memo.stage1 != nullptr
+                    ? memo.stage1->work_eval(exec, phase_context,
+                                             cls.record.work, cls.work_hash)
+                    : machine::EvalCache::evaluate(exec, opts, share,
+                                                   cls.record.work);
       ce.coll_terms =
           collective_terms(comm_model, ranks, job_span, cls.record.comm);
       class_evals.push_back(std::move(ce));

@@ -9,7 +9,6 @@
 #include <string>
 #include <vector>
 
-#include "cg/codegen_cache.hpp"
 #include "cg/compile_options.hpp"
 #include "machine/eval_cache.hpp"
 #include "machine/exec_model.hpp"
@@ -65,19 +64,18 @@ JobPrediction predict_job(const machine::ProcessorConfig& cfg,
                           const cg::CompileOptions& opts,
                           const topo::Binding& binding, const JobTrace& trace);
 
-/// Optional shared memo caches for the canonical prediction path. Both
-/// pointers may be null (that stage then evaluates directly, still only once
-/// per equivalence class). The caches are thread-safe; one pair is typically
+/// Optional shared stage-1 memo for the class-replay prediction paths. A
+/// null pointer evaluates every class directly (still only once per
+/// equivalence class per phase). The memo is thread-safe; one is typically
 /// owned by a core::Runner and shared by every sweep point.
 struct PredictMemo {
-  cg::CodegenCache* codegen = nullptr;
-  machine::EvalCache* exec = nullptr;
+  machine::EvalCache* stage1 = nullptr;
 };
 
 /// Predict from a canonicalized trace: bit-identical to the naive overload
 /// on the trace the CanonicalTrace was built from, but the per-phase cost is
-/// O(equivalence classes) codegen/exec-model evaluations (shared further
-/// across calls through `memo`) plus O(ranks x threads) cheap placement
+/// O(equivalence classes) stage-1 evaluations (shared further across calls
+/// through `memo`) plus O(ranks x threads) cheap placement
 /// accumulation — the string-compare validation of the naive path happened
 /// once, at CanonicalTrace::build. Shares one class-replay engine with the
 /// CollapsedTrace overload below; only the rank -> class lookup and the

@@ -156,8 +156,8 @@ TEST(Apply, OutputAlwaysValidates) {
 
 TEST(CompileOptions, EveryPresetValidatesAndFingerprintsUniquely) {
   // tuning_ladder() + search_presets(): all constructed pre-validated, and
-  // fingerprint() must be injective over the union (it keys the codegen
-  // memo cache — a collision would silently alias two option sets).
+  // fingerprint() must be injective over the union (it keys the stage-1
+  // memo's contexts — a collision would alias two option sets).
   std::vector<CompileOptions> all = tuning_ladder();
   const std::vector<CompileOptions> searched = search_presets();
   all.insert(all.end(), searched.begin(), searched.end());

@@ -131,9 +131,8 @@ TEST_P(CollapseByteIdentity, PredictionBitsAgreeAcrossAllThreePaths) {
 
   const auto cfg = machine::a64fx();
   const auto opts = cg::CompileOptions::simd_sched();
-  cg::CodegenCache codegen;
-  machine::EvalCache evals;
-  const trace::PredictMemo memo{&codegen, &evals};
+  machine::EvalCache stage1;
+  const trace::PredictMemo memo{&stage1};
 
   for (const int nodes : {1, 4}) {
     SCOPED_TRACE(std::to_string(nodes) + " node(s)");

@@ -1,15 +1,19 @@
 // Tests for canonical trace compaction and prediction memoization: the
 // memoized path must be bit-identical to the naive predictor for every
 // miniapp, dataset and sweep axis; eval counters must scale with distinct
-// work, not with sweep size; the caches must behave deterministically under
-// SweepPool concurrency.
+// work, not with sweep size; the stage-1 memo must key on every input that
+// can change an answer and behave deterministically under concurrency.
 #include <gtest/gtest.h>
 
 #include <bit>
+#include <cmath>
 #include <cstdint>
+#include <latch>
+#include <limits>
+#include <thread>
 #include <vector>
 
-#include "cg/codegen_cache.hpp"
+#include "cg/codegen_model.hpp"
 #include "common/error.hpp"
 #include "core/runner.hpp"
 #include "core/sweep.hpp"
@@ -73,9 +77,8 @@ TEST(PredictMemo, BitIdenticalForEveryMiniappAndDataset) {
           record_native(app, ranks, threads, dataset).trace;
       const trace::CanonicalTrace canonical = trace::CanonicalTrace::build(raw);
 
-      cg::CodegenCache codegen;
-      machine::EvalCache evals;
-      const trace::PredictMemo memo{&codegen, &evals};
+      machine::EvalCache stage1;
+      const trace::PredictMemo memo{&stage1};
       for (const machine::ProcessorConfig& proc : processors) {
         const topo::Topology topology(proc.shape, 1);
         for (const cg::CompileOptions& opts : options) {
@@ -136,7 +139,7 @@ TEST(CanonicalTrace, GroupsRanksAndValidatesOnce) {
   EXPECT_THROW(trace::CanonicalTrace::build(trace::JobTrace{}), Error);
 }
 
-TEST(PredictMemo, CodegenEvalsIndependentOfBindingCount) {
+TEST(PredictMemo, Stage1EvalsIndependentOfBindingCount) {
   const int ranks = 4;
   const int threads = 4;
   const trace::JobTrace raw = record_native("ffvc", ranks, threads).trace;
@@ -161,27 +164,23 @@ TEST(PredictMemo, CodegenEvalsIndependentOfBindingCount) {
   }
   ASSERT_GE(bindings.size(), 10u);
 
-  cg::CodegenCache codegen;
-  machine::EvalCache evals;
-  const trace::PredictMemo memo{&codegen, &evals};
+  machine::EvalCache stage1;
+  const trace::PredictMemo memo{&stage1};
   (void)trace::predict_job(proc, opts, bindings.front(), canonical, memo);
-  const std::size_t codegen_after_one = codegen.evals();
-  const std::size_t exec_after_one = evals.evals();
-  EXPECT_GT(codegen_after_one, 0u);
+  const std::size_t after_one = stage1.evals();
+  EXPECT_GT(after_one, 0u);
 
   for (const topo::Binding& binding : bindings) {
     (void)trace::predict_job(proc, opts, binding, canonical, memo);
   }
-  // Codegen depends only on (options, work): binding count must not move it.
-  EXPECT_EQ(codegen.evals(), codegen_after_one);
-  // Exec-model work depends only on (processor, per-thread work); every
-  // binding shares the same thread count, so no new evaluations either.
-  EXPECT_EQ(evals.evals(), exec_after_one);
-  // Lookup/hit accounting stays exact.
-  EXPECT_EQ(codegen.hits() + codegen.evals(), codegen.lookups());
-  EXPECT_EQ(evals.hits() + evals.evals(), evals.lookups());
-  EXPECT_GT(codegen.hits(), 0u);
-  EXPECT_GT(evals.hits(), 0u);
+  // Stage 1 depends only on (processor, options, thread share, class work);
+  // every binding shares the thread count, so the binding count must not
+  // move it.
+  EXPECT_EQ(stage1.evals(), after_one);
+  // One lookup per class per phase per predict; hit accounting stays exact.
+  EXPECT_EQ(stage1.lookups(), (bindings.size() + 1) * canonical.class_count());
+  EXPECT_EQ(stage1.hits() + stage1.evals(), stage1.lookups());
+  EXPECT_GT(stage1.hits(), 0u);
 }
 
 TEST(PredictMemo, DistinctProcessorsNeverShareExecEvaluations) {
@@ -189,9 +188,8 @@ TEST(PredictMemo, DistinctProcessorsNeverShareExecEvaluations) {
   const trace::CanonicalTrace canonical = trace::CanonicalTrace::build(raw);
   const cg::CompileOptions opts = cg::CompileOptions::as_is();
 
-  cg::CodegenCache codegen;
-  machine::EvalCache evals;
-  const trace::PredictMemo memo{&codegen, &evals};
+  machine::EvalCache stage1;
+  const trace::PredictMemo memo{&stage1};
 
   const machine::ProcessorConfig a = machine::a64fx();
   machine::ProcessorConfig b = machine::a64fx();
@@ -202,20 +200,208 @@ TEST(PredictMemo, DistinctProcessorsNeverShareExecEvaluations) {
                           topo::ThreadBindPolicy::compact());
 
   (void)trace::predict_job(a, opts, binding, canonical, memo);
-  const std::size_t after_a = evals.evals();
-  const std::size_t codegen_after_a = codegen.evals();
+  const std::size_t after_a = stage1.evals();
+  EXPECT_GT(after_a, 0u);
   (void)trace::predict_job(b, opts, binding, canonical, memo);
-  // Same work, different processor: the exec cache must re-evaluate.
-  EXPECT_EQ(evals.evals(), 2 * after_a);
-  EXPECT_EQ(evals.processors(), 2u);
-  // Codegen is processor-independent: the second machine adds no evals.
-  EXPECT_EQ(codegen.evals(), codegen_after_a);
+  // Same work and options, different processor: the second machine
+  // re-evaluates every entry the first one made, and shares none.
+  EXPECT_EQ(stage1.evals(), 2 * after_a);
+  EXPECT_EQ(stage1.processors(), 2u);
 
-  // Re-running either machine is all hits everywhere.
-  const std::size_t exec_evals_before = evals.evals();
+  // Re-running either machine is all hits.
   (void)trace::predict_job(a, opts, binding, canonical, memo);
   (void)trace::predict_job(b, opts, binding, canonical, memo);
-  EXPECT_EQ(evals.evals(), exec_evals_before);
+  EXPECT_EQ(stage1.evals(), 2 * after_a);
+  EXPECT_EQ(stage1.hits() + stage1.evals(), stage1.lookups());
+}
+
+// ---- the stage-1 memo on its own -------------------------------------------
+
+/// Every input of one stage-1 evaluation.
+struct Stage1Input {
+  machine::ProcessorConfig proc;
+  cg::CompileOptions opts;
+  int share = 1;
+  isa::WorkEstimate work;
+};
+
+/// The reference: codegen, the thread share, then a fresh work evaluation.
+machine::WorkEval fresh_eval(const Stage1Input& in) {
+  const isa::WorkEstimate generated = cg::apply(in.opts, in.work);
+  const machine::ExecModel exec(in.proc);
+  return exec.evaluate_work(
+      in.share > 1 ? generated.scaled(1.0 / static_cast<double>(in.share))
+                   : generated);
+}
+
+bool same_eval(const machine::WorkEval& a, const machine::WorkEval& b) {
+  return same_bits(a.flops, b.flops) && same_bits(a.dram_bytes, b.dram_bytes) &&
+         same_bits(a.local_bytes, b.local_bytes) &&
+         same_bits(a.home_bytes, b.home_bytes) &&
+         same_bits(a.compute_s, b.compute_s) &&
+         same_bits(a.chain_s, b.chain_s);
+}
+
+/// One lookup of `in`, keyed on `work_h` (isa::work_hash unless a test
+/// forces a collision).
+machine::WorkEval memo_eval(machine::EvalCache& memo, const Stage1Input& in,
+                            std::uint64_t work_h) {
+  memo.count_lookups(1);
+  const std::uint64_t context = machine::EvalCache::with_share(
+      memo.context_token(in.proc, in.opts), in.share);
+  return memo.work_eval(machine::ExecModel(in.proc), context, in.work, work_h);
+}
+
+isa::WorkEstimate sample_work() {
+  isa::WorkEstimate w;
+  w.flops = 4.0e6;
+  w.load_bytes = 3.2e7;
+  w.store_bytes = 8.0e6;
+  w.int_ops = 1.0e6;
+  w.branches = 5.0e5;
+  w.iterations = 1.0e6;
+  w.vectorizable_fraction = 0.8;
+  w.fma_fraction = 0.5;
+  w.dep_chain_ops = 0.0;
+  w.gather_fraction = 0.1;
+  w.branch_miss_rate = 0.02;
+  w.shared_access_fraction = 0.25;
+  w.working_set_bytes = 4.0e7;
+  w.dram_traffic_bytes = -1.0;
+  w.inner_trip_count = 64.0;
+  return w;
+}
+
+Stage1Input sample_input() {
+  return Stage1Input{machine::a64fx(), cg::CompileOptions::simd_sched(), 2,
+                     sample_work()};
+}
+
+TEST(Stage1Memo, InputsDifferingInOneFieldNeverShareAnEntry) {
+  std::vector<Stage1Input> inputs = {sample_input()};
+  // One WorkEstimate field at a time, moved by one ulp.
+  for (double isa::WorkEstimate::*field :
+       {&isa::WorkEstimate::flops, &isa::WorkEstimate::load_bytes,
+        &isa::WorkEstimate::store_bytes, &isa::WorkEstimate::int_ops,
+        &isa::WorkEstimate::branches, &isa::WorkEstimate::iterations,
+        &isa::WorkEstimate::vectorizable_fraction,
+        &isa::WorkEstimate::fma_fraction, &isa::WorkEstimate::dep_chain_ops,
+        &isa::WorkEstimate::gather_fraction,
+        &isa::WorkEstimate::branch_miss_rate,
+        &isa::WorkEstimate::shared_access_fraction,
+        &isa::WorkEstimate::working_set_bytes,
+        &isa::WorkEstimate::dram_traffic_bytes,
+        &isa::WorkEstimate::inner_trip_count}) {
+    Stage1Input in = sample_input();
+    in.work.*field = std::nextafter(in.work.*field,
+                                    std::numeric_limits<double>::infinity());
+    inputs.push_back(in);
+  }
+  // +0.0 vs -0.0: equal as doubles, distinct as inputs.
+  inputs.push_back(sample_input());
+  inputs.back().work.dep_chain_ops = -0.0;
+  // The compiler profile alone.
+  inputs.push_back(sample_input());
+  inputs.back().opts.compiler = cg::CompilerProfile::kGnu;
+  // The thread share alone.
+  inputs.push_back(sample_input());
+  inputs.back().share = 1;
+  inputs.push_back(sample_input());
+  inputs.back().share = 4;
+  // One processor field alone.
+  inputs.push_back(sample_input());
+  inputs.back().proc.freq_hz =
+      std::nextafter(inputs.back().proc.freq_hz, 0.0);
+
+  machine::EvalCache memo;
+  for (std::size_t i = 0; i < inputs.size(); ++i) {
+    SCOPED_TRACE(i);
+    const Stage1Input& in = inputs[i];
+    EXPECT_TRUE(same_eval(memo_eval(memo, in, isa::work_hash(in.work)),
+                          fresh_eval(in)));
+    EXPECT_EQ(memo.evals(), i + 1);  // a new entry, never a shared one
+  }
+  EXPECT_EQ(memo.processors(), 2u);
+
+  // A second pass hits every entry and still returns each input's own bits.
+  for (std::size_t i = 0; i < inputs.size(); ++i) {
+    SCOPED_TRACE(i);
+    const Stage1Input& in = inputs[i];
+    EXPECT_TRUE(same_eval(memo_eval(memo, in, isa::work_hash(in.work)),
+                          fresh_eval(in)));
+  }
+  EXPECT_EQ(memo.evals(), inputs.size());
+  EXPECT_EQ(memo.hits(), inputs.size());
+  EXPECT_EQ(memo.lookups(), 2 * inputs.size());
+}
+
+TEST(Stage1Memo, EqualHashesNeverAliasDifferentWork) {
+  const Stage1Input a = sample_input();
+  Stage1Input b = sample_input();
+  b.work.flops *= 2.0;
+  const std::uint64_t forced = 42;  // the same hash for different work
+
+  machine::EvalCache memo;
+  EXPECT_TRUE(same_eval(memo_eval(memo, a, forced), fresh_eval(a)));
+  EXPECT_TRUE(same_eval(memo_eval(memo, b, forced), fresh_eval(b)));
+  EXPECT_EQ(memo.evals(), 2u);
+  EXPECT_FALSE(same_eval(fresh_eval(a), fresh_eval(b)));
+  // Both now sit in one chain; each lookup still finds its own entry.
+  EXPECT_TRUE(same_eval(memo_eval(memo, a, forced), fresh_eval(a)));
+  EXPECT_TRUE(same_eval(memo_eval(memo, b, forced), fresh_eval(b)));
+  EXPECT_EQ(memo.evals(), 2u);
+}
+
+// Runs under `ctest -L sanitize`: lock-free hits racing with striped inserts.
+TEST(Stage1Memo, RacingThreadsEvaluateEachInputOnce) {
+  std::vector<Stage1Input> inputs;
+  for (const double scale : {1.0, 2.0, 3.0, 5.0}) {
+    for (const int share : {1, 4}) {
+      for (const cg::CompileOptions& opts :
+           {cg::CompileOptions::as_is(), cg::CompileOptions::simd_sched()}) {
+        Stage1Input in = sample_input();
+        in.work = in.work.scaled(scale);
+        in.share = share;
+        in.opts = opts;
+        inputs.push_back(in);
+      }
+    }
+  }
+  std::vector<std::uint64_t> hashes;
+  for (const Stage1Input& in : inputs) {
+    hashes.push_back(isa::work_hash(in.work));
+  }
+
+  constexpr std::size_t kThreads = 8;
+  constexpr std::size_t kRounds = 3;
+  machine::EvalCache memo;
+  std::vector<std::vector<machine::WorkEval>> results(
+      kThreads, std::vector<machine::WorkEval>(inputs.size()));
+  std::latch start(static_cast<std::ptrdiff_t>(kThreads));
+  std::vector<std::thread> workers;
+  for (std::size_t t = 0; t < kThreads; ++t) {
+    workers.emplace_back([&, t] {
+      start.arrive_and_wait();
+      for (std::size_t round = 0; round < kRounds; ++round) {
+        for (std::size_t k = 0; k < inputs.size(); ++k) {
+          // Each thread walks the inputs from its own offset.
+          const std::size_t i = (k + t) % inputs.size();
+          results[t][i] = memo_eval(memo, inputs[i], hashes[i]);
+        }
+      }
+    });
+  }
+  for (std::thread& w : workers) w.join();
+
+  EXPECT_EQ(memo.evals(), inputs.size());
+  EXPECT_EQ(memo.lookups(), kThreads * kRounds * inputs.size());
+  EXPECT_EQ(memo.hits() + memo.evals(), memo.lookups());
+  for (std::size_t i = 0; i < inputs.size(); ++i) {
+    const machine::WorkEval reference = fresh_eval(inputs[i]);
+    for (std::size_t t = 0; t < kThreads; ++t) {
+      EXPECT_TRUE(same_eval(results[t][i], reference)) << t << "/" << i;
+    }
+  }
 }
 
 TEST(Runner, ExposesDeterministicMemoCounters) {

@@ -202,12 +202,16 @@ grep -q "server stopped" "$SERVE_LOG.chaos"
 echo "== tune: seeded determinism across jobs + halving vs exhaustive =="
 # The autotuner's contract: byte-identical reports for any --jobs N at a
 # fixed seed, and a recommendation that beats the paper's as-is baseline.
-TUNE_ARGS="tune --app ffvc --dataset small --iterations 2 --seed 42 \
-    --processors a64fx --combos representative --generations 2"
-"$FIBERSIM" $TUNE_ARGS --jobs 1 > "$CACHE_DIR/tune.j1.txt"
-"$FIBERSIM" $TUNE_ARGS --jobs 4 > "$CACHE_DIR/tune.j4.txt"
-diff "$CACHE_DIR/tune.j1.txt" "$CACHE_DIR/tune.j4.txt"
-grep -q 'best beats as-is baseline: yes' "$CACHE_DIR/tune.j1.txt" || {
+# Three apps, so the concurrent stage-1 memo is checked byte for byte
+# through the CLI on differently shaped traces.
+for TUNE_APP in ffvc ntchem mvmc; do
+  TUNE_ARGS="tune --app $TUNE_APP --dataset small --iterations 2 --seed 42 \
+      --processors a64fx --combos representative --generations 2"
+  "$FIBERSIM" $TUNE_ARGS --jobs 1 > "$CACHE_DIR/tune.$TUNE_APP.j1.txt"
+  "$FIBERSIM" $TUNE_ARGS --jobs 4 > "$CACHE_DIR/tune.$TUNE_APP.j4.txt"
+  diff "$CACHE_DIR/tune.$TUNE_APP.j1.txt" "$CACHE_DIR/tune.$TUNE_APP.j4.txt"
+done
+grep -q 'best beats as-is baseline: yes' "$CACHE_DIR/tune.ffvc.j1.txt" || {
   echo "tune: recommended config does not beat the as-is baseline" >&2
   exit 1
 }
