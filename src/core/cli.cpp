@@ -81,22 +81,17 @@ constexpr const char* kUsage =
     "                            kernel results, --from-measurements skips\n"
     "                            the kernels and refits deterministically\n"
     "                            from a saved measurement file\n"
-    "  tune [--app name]         successive-halving autotune over the full\n"
-    "       [--dataset d]        MPI x OMP / stride / alloc / compile-preset\n"
-    "       [--iterations N]     / compiler-profile / processor cross-\n"
-    "       [--seed N]           product; races every candidate at a small\n"
-    "       [--jobs N]           budget and re-races survivors at the\n"
-    "       [--eta N]            target budget, then refines the elites\n"
-    "       [--min-survivors N]  with a seeded evolutionary stage\n"
-    "       [--generations N]    (--generations 0 disables it). Output is\n"
-    "       [--population N]     the budget schedule, the best-config\n"
-    "       [--processors a,b]   recommendation and the time-vs-BW-pressure\n"
-    "       [--presets full|ladder]  Pareto front, byte-identical for any\n"
-    "       [--combos full|representative]  --jobs N at a fixed seed.\n"
-    "       [--unbounded on|off] --unbounded keeps every candidate at every\n"
-    "       [--collapse-ranks on|off]  rung (exhaustive argmin, for\n"
-    "       [--format text|csv|json]   verification); --trace-cache D\n"
-    "       [--trace-cache D]    reuses native runs across tune runs\n"
+    "  tune [--app name]         memoized exhaustive autotune over the\n"
+    "       [--dataset d]        full MPI x OMP / stride / alloc / compile-\n"
+    "       [--iterations N]     preset / compiler-profile / processor\n"
+    "       [--seed N]           cross-product: predicts every candidate\n"
+    "       [--jobs N]           once at the target budget. Output is the\n"
+    "       [--processors a,b]   best-config recommendation and the time-\n"
+    "       [--presets full|ladder]  vs-BW-pressure Pareto front, byte-\n"
+    "       [--combos full|representative]  identical for any --jobs N.\n"
+    "       [--collapse-ranks on|off]  --trace-cache D reuses native runs\n"
+    "       [--format text|csv|json]   across tune runs\n"
+    "       [--trace-cache D]\n"
     "  serve [--socket path]     long-lived prediction daemon on a Unix\n"
     "        [--workers N]       socket (default fibersim.sock): line-\n"
     "        [--queue N]         delimited JSON requests (ping | stats |\n"
@@ -479,14 +474,6 @@ int cmd_tune(const std::vector<std::string>& args, std::ostream& out,
       problem = flag_u64(key, value, &topts.seed);
     } else if (key == "--jobs") {
       problem = flag_int(key, value, 1, &topts.jobs);
-    } else if (key == "--eta") {
-      problem = flag_int(key, value, 2, &topts.eta);
-    } else if (key == "--min-survivors") {
-      problem = flag_int(key, value, 1, &topts.min_survivors);
-    } else if (key == "--generations") {
-      problem = flag_int(key, value, 0, &topts.generations);
-    } else if (key == "--population") {
-      problem = flag_int(key, value, 1, &topts.population);
     } else if (key == "--processors") {
       topts.processors.clear();
       for (const std::string& name : split(value, ',')) {
@@ -514,9 +501,6 @@ int cmd_tune(const std::vector<std::string>& args, std::ostream& out,
             << " (expected full | representative)\n";
         return 2;
       }
-    } else if (key == "--unbounded") {
-      problem = flag_bool(key, value, &flag);
-      topts.unbounded = flag;
     } else if (key == "--collapse-ranks") {
       problem = flag_bool(key, value, &flag);
       topts.collapse = flag;
@@ -535,8 +519,7 @@ int cmd_tune(const std::vector<std::string>& args, std::ostream& out,
   }
   Runner runner;
   attach_trace_store(runner, trace_cache_dir);
-  Tuner tuner(runner, topts);
-  const TuneOutcome outcome = tuner.run();
+  const TuneOutcome outcome = Tuner(runner, topts).run();
   EmitOptions opts;
   opts.format = format;
   opts.framed = false;

@@ -478,6 +478,19 @@ TEST(Cli, ServeRejectsMalformedNumericValues) {
   EXPECT_EQ(run_cli({"serve", "--workers"}).code, 2);
 }
 
+// The search-schedule flags of the retired successive-halving tuner must
+// fail loudly, so an old script never silently runs a different search.
+TEST(Cli, TuneRejectsRetiredSearchFlags) {
+  for (const char* flag : {"--eta", "--min-survivors", "--generations",
+                           "--population", "--unbounded"}) {
+    const CliResult r = run_cli({"tune", flag, "2"});
+    EXPECT_EQ(r.code, 2) << flag;
+    EXPECT_NE(r.err.find(std::string("unknown tune flag: ") + flag),
+              std::string::npos)
+        << flag;
+  }
+}
+
 // The bench shims route their argv through the same parse_report_flags as
 // `fibersim report`; exercise that entry point directly so a bench binary
 // can never crash on a malformed numeric value either.

@@ -1,16 +1,20 @@
 // core::Tuner property tests.
 //
 // The load-bearing contracts:
-//   * unbounded budget degenerates to exhaustive search: for every miniapp
-//     the recommended config's predicted time is bit-identical to the
-//     brute-force argmin over the same space at the target budget;
+//   * for every miniapp the recommended config and the Pareto front equal
+//     the argmin and the non-dominated set of an independent brute-force
+//     sweep over the same space at the target budget;
 //   * seeded determinism: the rendered tune report is byte-identical for
-//     --jobs 1 and --jobs 4 (evolution on), per the contract in tuner.hpp;
+//     --jobs 1 and --jobs 4, per the contract in tuner.hpp;
 //   * the Pareto front is a genuine non-dominated set containing the best;
-//   * dedupe accounting: proposals that repeat a (candidate, budget) pair
-//     are counted, never re-predicted.
+//   * the as-is baseline is answered from the space when it lies there and
+//     predicted once more only when it does not;
+//   * the cache tiers make the full 14580-point space cheap: at least 50x
+//     fewer native runs and stage-1 evaluations than naive enumeration.
+#include <algorithm>
 #include <bit>
 #include <cstdint>
+#include <map>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -44,14 +48,12 @@ TunerOptions trimmed_options(const std::string& app) {
   return opts;
 }
 
-TEST(Tuner, UnboundedBudgetEqualsExhaustiveArgminForEveryApp) {
+TEST(Tuner, ArgminEqualsBruteForceForEveryApp) {
   for (const std::string& app : apps::registry_names()) {
-    TunerOptions opts = trimmed_options(app);
-    opts.unbounded = true;
+    const TunerOptions opts = trimmed_options(app);
 
     Runner tuner_runner;
-    Tuner tuner(tuner_runner, opts);
-    const TuneOutcome outcome = tuner.run();
+    const TuneOutcome outcome = Tuner(tuner_runner, opts).run();
 
     // Brute force on a fresh runner: every candidate at the target budget.
     Runner brute_runner;
@@ -59,6 +61,10 @@ TEST(Tuner, UnboundedBudgetEqualsExhaustiveArgminForEveryApp) {
     const std::vector<TuneCandidate> space = enumerator.space();
     ASSERT_FALSE(space.empty()) << app;
     EXPECT_EQ(outcome.space_size, space.size()) << app;
+    // The trimmed space holds the as-is baseline, so it is never predicted
+    // twice.
+    EXPECT_EQ(outcome.evaluations, space.size()) << app;
+    EXPECT_EQ(outcome.deduped, 1u) << app;
     const TuneBudget target{opts.dataset, opts.iterations};
     std::vector<ExperimentConfig> configs;
     configs.reserve(space.size());
@@ -68,26 +74,48 @@ TEST(Tuner, UnboundedBudgetEqualsExhaustiveArgminForEveryApp) {
     const std::vector<ExperimentResult> results =
         SweepPool(2).run(brute_runner, configs);
     ASSERT_EQ(results.size(), space.size()) << app;
+    const auto seconds = [&](std::size_t i) { return results[i].seconds(); };
+    const auto bw = [&](std::size_t i) {
+      return results[i].prediction.bw_pressure();
+    };
     // Same tie-break as the tuner's argmin: seconds, then BW pressure, then
     // enumeration order.
     std::size_t best = 0;
     for (std::size_t i = 1; i < results.size(); ++i) {
-      const double s = results[i].seconds();
-      const double bw = results[i].prediction.bw_pressure();
-      if (s < results[best].seconds() ||
-          (s == results[best].seconds() &&
-           bw < results[best].prediction.bw_pressure())) {
+      if (seconds(i) < seconds(best) ||
+          (seconds(i) == seconds(best) && bw(i) < bw(best))) {
         best = i;
       }
     }
 
-    EXPECT_TRUE(same_bits(outcome.best.seconds, results[best].seconds()))
+    EXPECT_TRUE(same_bits(outcome.best.seconds, seconds(best)))
         << app << ": tuner " << outcome.best.seconds << " vs exhaustive "
-        << results[best].seconds();
+        << seconds(best);
     EXPECT_EQ(outcome.best.candidate, space[best]) << app;
-    // Unbounded halving never drops anyone: the final rung races everyone.
-    ASSERT_FALSE(outcome.rungs.empty()) << app;
-    EXPECT_EQ(outcome.rungs.back().candidates, space.size()) << app;
+
+    // The non-dominated set over (seconds, BW pressure); of exact
+    // duplicates the first in enumeration order stands for all.
+    std::vector<std::size_t> front;
+    for (std::size_t i = 0; i < results.size(); ++i) {
+      bool dominated = false;
+      for (std::size_t j = 0; j < results.size() && !dominated; ++j) {
+        const bool no_worse = seconds(j) <= seconds(i) && bw(j) <= bw(i);
+        const bool better = seconds(j) < seconds(i) || bw(j) < bw(i);
+        dominated = no_worse && (better || j < i);
+      }
+      if (!dominated) front.push_back(i);
+    }
+    std::sort(front.begin(), front.end(), [&](std::size_t a, std::size_t b) {
+      return seconds(a) < seconds(b);
+    });
+    ASSERT_EQ(outcome.pareto.size(), front.size()) << app;
+    for (std::size_t k = 0; k < front.size(); ++k) {
+      EXPECT_EQ(outcome.pareto[k].candidate, space[front[k]]) << app;
+      EXPECT_TRUE(same_bits(outcome.pareto[k].seconds, seconds(front[k])))
+          << app;
+      EXPECT_TRUE(same_bits(outcome.pareto[k].bw_pressure, bw(front[k])))
+          << app;
+    }
   }
 }
 
@@ -101,9 +129,7 @@ std::string render(const TuneOutcome& outcome, const TunerOptions& opts,
 }
 
 TEST(Tuner, SeededRunsAreByteIdenticalAcrossJobsCounts) {
-  TunerOptions opts = trimmed_options("ffvc");
-  opts.generations = 2;  // exercise the evolutionary stage too
-  opts.population = 6;
+  const TunerOptions opts = trimmed_options("ffvc");
 
   TunerOptions serial = opts;
   serial.jobs = 1;
@@ -147,22 +173,6 @@ TEST(Tuner, ParetoFrontIsNonDominatedAndContainsBest) {
   }
 }
 
-TEST(Tuner, EvolutionDedupesRepeatProposals) {
-  TunerOptions opts = trimmed_options("ffvc");
-  opts.generations = 3;
-  opts.population = 6;
-  Runner runner;
-  const TuneOutcome outcome = Tuner(runner, opts).run();
-
-  // Mutations over a trimmed space collide with already-evaluated points;
-  // the memo must swallow them instead of re-predicting.
-  EXPECT_GT(outcome.deduped, 0u);
-  // Every evaluation is a distinct (candidate, budget) pair, so the count
-  // can never exceed rungs' proposals + evolution proposals; at minimum the
-  // full space was raced once at the first rung.
-  EXPECT_GE(outcome.evaluations, outcome.space_size);
-}
-
 TEST(Tuner, BaselineIsAlwaysEvaluatedAndNeverBeatsBest) {
   for (const std::string& app : apps::registry_names()) {
     TunerOptions opts = trimmed_options(app);
@@ -171,6 +181,49 @@ TEST(Tuner, BaselineIsAlwaysEvaluatedAndNeverBeatsBest) {
     EXPECT_GT(outcome.baseline.seconds, 0.0) << app;
     EXPECT_LE(outcome.best.seconds, outcome.baseline.seconds) << app;
   }
+}
+
+TEST(Tuner, BaselineOutsideTheSpaceIsPredictedOnce) {
+  TunerOptions opts = trimmed_options("ffvc");
+  opts.presets = {cg::CompileOptions::simd_enhanced()};
+  Runner runner;
+  Tuner tuner(runner, opts);
+  const TuneOutcome outcome = tuner.run();
+  EXPECT_EQ(outcome.evaluations, tuner.space().size() + 1);
+  EXPECT_EQ(outcome.deduped, 0u);
+  EXPECT_EQ(outcome.baseline.candidate.compile, cg::CompileOptions::as_is());
+  EXPECT_LE(outcome.best.seconds, outcome.baseline.seconds);
+}
+
+// The full space with the CLI defaults, costed against naive enumeration:
+// one native run per config, and one codegen transform per rank x phase,
+// the phases counted from rank 0's trace of each distinct execution.
+TEST(Tuner, FullSpaceCutsNativeRunsAndStageOneEvalsFiftyfold) {
+  TunerOptions opts;
+  opts.app = "ffvc";
+  opts.jobs = 2;
+  Runner runner;
+  Tuner tuner(runner, opts);
+  const TuneOutcome outcome = tuner.run();
+  ASSERT_EQ(outcome.space_size, 14580u);
+  const std::size_t native_runs = runner.native_runs();
+  const std::size_t stage1_evals = runner.exec_evals();
+
+  const TuneBudget target{opts.dataset, opts.iterations};
+  std::size_t naive_codegen = 0;
+  std::map<trace::StoreKey, std::size_t> phases_of;
+  for (const TuneCandidate& candidate : tuner.space()) {
+    const ExperimentConfig config = tuner.make_config(candidate, target);
+    const auto [it, fresh] =
+        phases_of.try_emplace(Runner::execution_key(config));
+    if (fresh) it->second = runner.expanded_trace(config).front().size();
+    naive_codegen += static_cast<std::size_t>(config.ranks) * it->second;
+  }
+
+  EXPECT_GT(native_runs, 0u);
+  EXPECT_LE(native_runs * 50, outcome.space_size) << native_runs;
+  EXPECT_LE(stage1_evals * 50, naive_codegen)
+      << stage1_evals << " vs naive " << naive_codegen;
 }
 
 }  // namespace

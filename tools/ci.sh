@@ -199,14 +199,15 @@ grep -q "server stopped" "$SERVE_LOG.chaos"
 [ ! -e "$SERVE_SOCK" ] && [ ! -e "$SERVE_SOCK.chaos" ]
 [ "$(find "$SERVE_CACHE" -name '.tmp-*' | wc -l)" -eq 0 ]
 
-echo "== tune: seeded determinism across jobs + halving vs exhaustive =="
+echo "== tune: seeded determinism across jobs + beats the as-is baseline =="
 # The autotuner's contract: byte-identical reports for any --jobs N at a
 # fixed seed, and a recommendation that beats the paper's as-is baseline.
 # Three apps, so the concurrent stage-1 memo is checked byte for byte
-# through the CLI on differently shaped traces.
+# through the CLI on differently shaped traces. The argmin, Pareto and
+# full-space cost gates live in test_tuner.
 for TUNE_APP in ffvc ntchem mvmc; do
   TUNE_ARGS="tune --app $TUNE_APP --dataset small --iterations 2 --seed 42 \
-      --processors a64fx --combos representative --generations 2"
+      --processors a64fx --combos representative"
   "$FIBERSIM" $TUNE_ARGS --jobs 1 > "$CACHE_DIR/tune.$TUNE_APP.j1.txt"
   "$FIBERSIM" $TUNE_ARGS --jobs 4 > "$CACHE_DIR/tune.$TUNE_APP.j4.txt"
   diff "$CACHE_DIR/tune.$TUNE_APP.j1.txt" "$CACHE_DIR/tune.$TUNE_APP.j4.txt"
@@ -215,17 +216,6 @@ grep -q 'best beats as-is baseline: yes' "$CACHE_DIR/tune.ffvc.j1.txt" || {
   echo "tune: recommended config does not beat the as-is baseline" >&2
   exit 1
 }
-# The bench races the tuner against exhaustive enumeration of the full
-# cross-product and exits nonzero unless the argmin matches bitwise, the
-# native/codegen eval counts shrink >= 50x, and jobs 1 == jobs 4.
-"$BUILD_DIR/bench/perf_tune" --out "$CACHE_DIR/BENCH_tune.json"
-for invariant in '"argmin_match": true' '"jobs_identical": true' \
-    '"reduction_ok": true' '"best_beats_baseline": true' '"ok": true'; do
-  grep -q "$invariant" "$CACHE_DIR/BENCH_tune.json" || {
-    echo "BENCH_tune.json missing invariant: $invariant" >&2
-    exit 1
-  }
-done
 
 echo "== bench artifacts: every committed BENCH_*.json must parse =="
 # Hand-rolled JSON writers drift; gate every repo-root artifact through the
