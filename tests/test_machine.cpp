@@ -1098,6 +1098,12 @@ TEST(Calibrate, FitIsDeterministicAndSelfConsistent) {
   const ProcessorConfig b = fit_descriptor(m, opt);
   EXPECT_TRUE(a == b);
   EXPECT_EQ(to_descriptor(a), to_descriptor(b));
+  // The fitted descriptor survives emit -> parse field for field, and the
+  // parsed config re-emits the same bytes.
+  const std::string emitted = to_descriptor(a);
+  const ProcessorConfig reparsed = parse_descriptor(emitted);
+  EXPECT_TRUE(reparsed == a);
+  EXPECT_EQ(to_descriptor(reparsed), emitted);
   // Synthetic measurements are themselves a pure function of (cfg, seed).
   EXPECT_TRUE(m == synthetic_measurements(a64fx(), 42, 0.02));
   EXPECT_FALSE(m == synthetic_measurements(a64fx(), 43, 0.02));

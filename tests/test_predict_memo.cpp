@@ -58,51 +58,62 @@ void expect_identical(const trace::JobPrediction& a,
   }
 }
 
-TEST(PredictMemo, BitIdenticalForEveryMiniappAndDataset) {
-  const std::vector<machine::ProcessorConfig> processors = {
-      machine::a64fx(), machine::skylake8168_dual()};
-  const std::vector<cg::CompileOptions> options = {
-      cg::CompileOptions::as_is(), cg::CompileOptions::simd_sched()};
-  const std::vector<topo::RankAllocPolicy> allocs = {
-      topo::RankAllocPolicy::kBlock, topo::RankAllocPolicy::kScatter};
-  const std::vector<topo::ThreadBindPolicy> binds = {
-      topo::ThreadBindPolicy::compact(), topo::ThreadBindPolicy::scatter()};
-  const int ranks = 2;
-  const int threads = 4;
-
-  for (const std::string& app : apps::registry_names()) {
-    for (const apps::Dataset dataset :
-         {apps::Dataset::kSmall, apps::Dataset::kLarge}) {
-      const trace::JobTrace raw =
-          record_native(app, ranks, threads, dataset).trace;
-      const trace::CanonicalTrace canonical = trace::CanonicalTrace::build(raw);
-
-      machine::EvalCache stage1;
-      const trace::PredictMemo memo{&stage1};
-      for (const machine::ProcessorConfig& proc : processors) {
-        const topo::Topology topology(proc.shape, 1);
-        for (const cg::CompileOptions& opts : options) {
-          for (const topo::RankAllocPolicy alloc : allocs) {
-            for (const topo::ThreadBindPolicy& bind : binds) {
-              const topo::Binding binding =
-                  topo::Binding::make(topology, ranks, threads, alloc, bind);
-              // A fresh naive prediction on the raw trace is the reference.
-              const trace::JobPrediction naive =
-                  trace::predict_job(proc, opts, binding, raw);
-              const trace::JobPrediction memoized =
-                  trace::predict_job(proc, opts, binding, canonical, memo);
-              // The memo-free canonical path must agree too.
-              const trace::JobPrediction plain =
-                  trace::predict_job(proc, opts, binding, canonical);
-              SCOPED_TRACE(app + "/" + apps::dataset_name(dataset));
-              expect_identical(naive, memoized);
-              expect_identical(naive, plain);
-            }
-          }
+/// Predicts `raw` at every processor x options x alloc x bind point three
+/// ways — naive on the raw trace, canonical through one shared stage-1 memo,
+/// and canonical without a memo — and expects the three bit for bit equal.
+void expect_memo_matches_naive(
+    const trace::JobTrace& raw, int threads,
+    const std::vector<machine::ProcessorConfig>& processors,
+    const std::vector<cg::CompileOptions>& options,
+    const std::vector<topo::RankAllocPolicy>& allocs,
+    const std::vector<topo::ThreadBindPolicy>& binds) {
+  const int ranks = static_cast<int>(raw.size());
+  const trace::CanonicalTrace canonical = trace::CanonicalTrace::build(raw);
+  machine::EvalCache stage1;
+  const trace::PredictMemo memo{&stage1};
+  for (const machine::ProcessorConfig& proc : processors) {
+    const topo::Topology topology(proc.shape, 1);
+    for (const cg::CompileOptions& opts : options) {
+      for (const topo::RankAllocPolicy alloc : allocs) {
+        for (const topo::ThreadBindPolicy& bind : binds) {
+          const topo::Binding binding =
+              topo::Binding::make(topology, ranks, threads, alloc, bind);
+          // A fresh naive prediction on the raw trace is the reference.
+          const trace::JobPrediction naive =
+              trace::predict_job(proc, opts, binding, raw);
+          expect_identical(
+              naive, trace::predict_job(proc, opts, binding, canonical, memo));
+          expect_identical(naive,
+                           trace::predict_job(proc, opts, binding, canonical));
         }
       }
     }
   }
+}
+
+TEST(PredictMemo, BitIdenticalForEveryMiniappAndDataset) {
+  const std::vector<topo::ThreadBindPolicy> binds = {
+      topo::ThreadBindPolicy::compact(), topo::ThreadBindPolicy::scatter()};
+  for (const std::string& app : apps::registry_names()) {
+    for (const apps::Dataset dataset :
+         {apps::Dataset::kSmall, apps::Dataset::kLarge}) {
+      SCOPED_TRACE(app + "/" + apps::dataset_name(dataset));
+      expect_memo_matches_naive(
+          record_native(app, 2, 4, dataset).trace, 4,
+          {machine::a64fx(), machine::skylake8168_dual()},
+          {cg::CompileOptions::as_is(), cg::CompileOptions::simd_sched()},
+          {topo::RankAllocPolicy::kBlock, topo::RankAllocPolicy::kScatter},
+          binds);
+    }
+  }
+  // A T2/F1-shaped sweep on one wider job: every comparison processor,
+  // compile preset and rank allocation shares the single trace.
+  SCOPED_TRACE("ffvc/small 4x12 sweep");
+  expect_memo_matches_naive(
+      record_native("ffvc", 4, 12).trace, 12, machine::comparison_set(),
+      {cg::CompileOptions::as_is(), cg::CompileOptions::simd_enhanced(),
+       cg::CompileOptions::simd_sched()},
+      core::alloc_policies(), binds);
 }
 
 TEST(CanonicalTrace, GroupsRanksAndValidatesOnce) {

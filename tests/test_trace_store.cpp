@@ -23,7 +23,9 @@
 #include "common/error.hpp"
 #include "common/hash.hpp"
 #include "core/runner.hpp"
+#include "core/sweep_pool.hpp"
 #include "fault/fault.hpp"
+#include "machine/processor.hpp"
 #include "native_trace.hpp"
 #include "trace/canonical.hpp"
 #include "trace/serialize.hpp"
@@ -275,34 +277,73 @@ TEST(TraceStore, CorruptFilesFallBackToNativeRuns) {
   EXPECT_EQ(runner.disk_hits(), 0u);
 }
 
-TEST(TraceStore, WarmRunnerReplaysEverythingFromDisk) {
-  TempDir dir("warm");
-  const std::vector<core::ExperimentConfig> configs = {
-      make_config("ffb", apps::Dataset::kSmall),
-      make_config("ffvc", apps::Dataset::kSmall),
-      make_config("ffvc", apps::Dataset::kSmall, 4, 2),
-  };
+/// One pass of `configs` through a fresh Runner on `dir`'s store.
+struct SweepPass {
+  std::vector<core::ExperimentResult> results;
+  std::vector<trace::JobTrace> traces;  ///< expanded; index == config
+  std::size_t native_runs = 0;
+  std::size_t disk_hits = 0;
+  std::size_t disk_writes = 0;
+};
 
-  core::Runner cold;
-  cold.set_trace_store(std::make_shared<trace::TraceStore>(dir.str()));
-  std::vector<core::ExperimentResult> cold_results;
+SweepPass run_sweep(const std::vector<core::ExperimentConfig>& configs,
+                    const TempDir& dir, int jobs) {
+  core::Runner runner;
+  runner.set_trace_store(std::make_shared<trace::TraceStore>(dir.str()));
+  SweepPass pass;
+  pass.results = core::SweepPool(jobs).run(runner, configs);
+  pass.native_runs = runner.native_runs();
+  pass.disk_hits = runner.disk_hits();
+  pass.disk_writes = runner.disk_writes();
   for (const core::ExperimentConfig& cfg : configs) {
-    cold_results.push_back(cold.run(cfg));
+    pass.traces.push_back(runner.expanded_trace(cfg));
   }
-  EXPECT_EQ(cold.native_runs(), configs.size());
-  EXPECT_EQ(cold.disk_writes(), configs.size());
+  return pass;
+}
 
-  core::Runner warm;
-  warm.set_trace_store(std::make_shared<trace::TraceStore>(dir.str()));
-  for (std::size_t i = 0; i < configs.size(); ++i) {
-    const core::ExperimentResult res = warm.run(configs[i]);
-    expect_results_identical(res, cold_results[i]);
-    expect_traces_identical(warm.expanded_trace(configs[i]),
-                            cold.expanded_trace(configs[i]));
+void expect_passes_identical(const SweepPass& a, const SweepPass& b) {
+  ASSERT_EQ(a.results.size(), b.results.size());
+  for (std::size_t i = 0; i < a.results.size(); ++i) {
+    SCOPED_TRACE(a.results[i].config.label());
+    expect_results_identical(a.results[i], b.results[i]);
+    expect_traces_identical(a.traces[i], b.traces[i]);
   }
-  EXPECT_EQ(warm.native_runs(), 0u);
-  EXPECT_EQ(warm.disk_hits(), configs.size());
-  EXPECT_FALSE(has_temp_files(dir.path));
+}
+
+TEST(TraceStore, WarmSweepReplaysFromDiskAtAnyJobs) {
+  // apps x (ranks, threads) x comparison processors. Processors do not enter
+  // the execution key, so 18 configs share 6 native runs.
+  std::vector<core::ExperimentConfig> configs;
+  for (const machine::ProcessorConfig& proc : machine::comparison_set()) {
+    for (const char* app : {"ffvc", "ffb", "modylas"}) {
+      for (const auto& [ranks, threads] :
+           {std::pair{2, 2}, std::pair{4, 2}}) {
+        configs.push_back(make_config(app, apps::Dataset::kSmall, ranks,
+                                      threads));
+        configs.back().processor = proc;
+      }
+    }
+  }
+  const std::size_t unique_keys = 6;
+
+  std::vector<SweepPass> cold_passes;
+  for (const int jobs : {1, 4}) {
+    SCOPED_TRACE("jobs " + std::to_string(jobs));
+    TempDir dir("sweep");
+    SweepPass cold = run_sweep(configs, dir, jobs);
+    EXPECT_EQ(cold.native_runs, unique_keys);
+    EXPECT_EQ(cold.disk_writes, unique_keys);
+    // A fresh Runner on the same directory replays every key from disk and
+    // reproduces the cold predictions, traces and check values bit for bit.
+    const SweepPass warm = run_sweep(configs, dir, jobs);
+    EXPECT_EQ(warm.native_runs, 0u);
+    EXPECT_EQ(warm.disk_hits, unique_keys);
+    expect_passes_identical(warm, cold);
+    EXPECT_FALSE(has_temp_files(dir.path));
+    cold_passes.push_back(std::move(cold));
+  }
+  // The determinism contract extends to the disk tier: any --jobs, same bits.
+  expect_passes_identical(cold_passes[1], cold_passes[0]);
 }
 
 TEST(TraceStore, EvictionKeepsDirectoryUnderBudget) {
