@@ -93,27 +93,41 @@ void TorusMap::route_links(int a, int b, std::vector<int>* out) const {
 void LinkContention::add_flow(int src_node, int dst_node,
                               std::uint64_t bytes) {
   FS_REQUIRE(!sealed_, "contention map is sealed");
+  const int nodes = torus_->nodes();
+  FS_REQUIRE(src_node >= 0 && src_node < nodes && dst_node >= 0 &&
+                 dst_node < nodes,
+             "contention flow node out of range");
   if (src_node == dst_node || bytes == 0) return;
-  flows_[pair_key(src_node, dst_node)].bytes += bytes;
+  if (head_.empty()) head_.assign(static_cast<std::size_t>(nodes), -1);
+  int* link = &head_[static_cast<std::size_t>(src_node)];
+  while (*link >= 0) {
+    Flow& flow = flows_[static_cast<std::size_t>(*link)];
+    if (flow.dst == dst_node) {
+      flow.bytes += bytes;
+      return;
+    }
+    link = &flow.next;
+  }
+  *link = static_cast<int>(flows_.size());
+  flows_.push_back(Flow{src_node, dst_node, -1, bytes, 0});
 }
 
 void LinkContention::seal() {
   FS_REQUIRE(!sealed_, "contention map is sealed");
   sealed_ = true;
   if (flows_.empty()) return;
-  // Every pair's route back to back in one buffer (route_end[i] closes the
-  // i-th pair in flows_ order), reused across phases on this thread. Link
-  // loads are integer sums, so the map's iteration order does not matter.
+  // Every pair's route back to back in one buffer (route_end[i] closes
+  // flows_[i]'s route), reused across phases on this thread. Link loads are
+  // integer sums, so the order flows were added in does not matter.
   thread_local std::vector<int> links;
   thread_local std::vector<std::size_t> route_end;
   thread_local std::vector<std::uint64_t> link_load;
   links.clear();
   route_end.clear();
   link_load.assign(static_cast<std::size_t>(torus_->link_count()), 0);
-  for (const auto& [key, flow] : flows_) {
+  for (const Flow& flow : flows_) {
     const std::size_t begin = links.size();
-    torus_->route_links(static_cast<int>(key >> 32),
-                        static_cast<int>(key & 0xffffffffu), &links);
+    torus_->route_links(flow.src, flow.dst, &links);
     for (std::size_t k = begin; k < links.size(); ++k) {
       std::uint64_t& load = link_load[static_cast<std::size_t>(links[k])];
       load += flow.bytes;
@@ -122,21 +136,28 @@ void LinkContention::seal() {
     route_end.push_back(links.size());
   }
   std::size_t begin = 0;
-  std::size_t i = 0;
-  for (auto& [key, flow] : flows_) {
+  for (std::size_t i = 0; i < flows_.size(); ++i) {
+    Flow& flow = flows_[i];
     for (std::size_t k = begin; k < route_end[i]; ++k) {
       const std::uint64_t load =
           link_load[static_cast<std::size_t>(links[k])];
       flow.foreign = std::max(flow.foreign, load - flow.bytes);
     }
-    begin = route_end[i++];
+    begin = route_end[i];
   }
 }
 
 std::uint64_t LinkContention::foreign_bytes(int src_node, int dst_node) const {
   FS_REQUIRE(sealed_, "contention map must be sealed first");
-  const auto it = flows_.find(pair_key(src_node, dst_node));
-  return it == flows_.end() ? 0 : it->second.foreign;
+  // head_ is empty until the first flow, so this also answers 0 for any
+  // node of a phase without inter-node traffic.
+  if (src_node < 0 || src_node >= static_cast<int>(head_.size())) return 0;
+  for (int i = head_[static_cast<std::size_t>(src_node)]; i >= 0;
+       i = flows_[static_cast<std::size_t>(i)].next) {
+    const Flow& flow = flows_[static_cast<std::size_t>(i)];
+    if (flow.dst == dst_node) return flow.foreign;
+  }
+  return 0;
 }
 
 }  // namespace fibersim::machine

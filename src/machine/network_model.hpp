@@ -13,14 +13,16 @@
 // inter-node flow of the phase, and at seal time routes each distinct node
 // pair once and computes the *foreign* bytes sharing the pair's busiest
 // link — the bottleneck-link approximation — which every send of that pair
-// is charged. More traffic on a shared link can only raise (never lower) a
-// flow's cost; a monotonicity test in tests/test_machine.cpp pins that
-// property.
+// is charged. Flows live in a flat table chained per source node (a node
+// talks to a handful of others per phase, so a chain is a few entries).
+// Every load is a uint64_t sum, so the order flows arrive in cannot change
+// a bit of any answer. More traffic on a shared link can only raise (never
+// lower) a flow's cost; a monotonicity test in tests/test_machine.cpp pins
+// that property.
 #pragma once
 
 #include <array>
 #include <cstdint>
-#include <unordered_map>
 #include <vector>
 
 #include "machine/processor.hpp"
@@ -57,15 +59,17 @@ class TorusMap {
 };
 
 /// Per-phase link contention: aggregate flows, seal, then query each pair's
-/// foreign bytes (the traffic it shares its busiest route link with). Flows
-/// are keyed by the packed node pair; seal() routes every distinct pair
-/// once, sums the link loads and stores each pair's foreign bytes, so a
-/// query is a single hash lookup with no routing and no allocation.
+/// foreign bytes (the traffic it shares its busiest route link with). Each
+/// distinct node pair is one entry of a flat table, chained from a head
+/// index per source node; seal() routes every entry once, sums the link
+/// loads and stores each pair's foreign bytes, so a query walks the
+/// source's short chain with no routing, hashing or allocation.
 class LinkContention {
  public:
   explicit LinkContention(const TorusMap* torus) : torus_(torus) {}
 
-  /// Accumulate `bytes` flowing src_node -> dst_node (ignored when equal).
+  /// Accumulate `bytes` flowing src_node -> dst_node (ignored when equal or
+  /// zero). Both nodes must lie in [0, torus nodes).
   void add_flow(int src_node, int dst_node, std::uint64_t bytes);
   /// Route every distinct pair once, build per-link loads and store each
   /// pair's foreign bytes.
@@ -74,7 +78,8 @@ class LinkContention {
 
   /// Bytes of *other* pairs' traffic on the busiest link of this pair's
   /// route: max over route links of (link load - this pair's bytes).
-  /// Zero for self-flows, unknown pairs and single-node tori.
+  /// Zero for self-flows, unknown or out-of-range pairs and single-node
+  /// tori.
   std::uint64_t foreign_bytes(int src_node, int dst_node) const;
 
   /// Total load of the most loaded directed link (diagnostics).
@@ -83,17 +88,18 @@ class LinkContention {
  private:
   /// A pair's aggregated bytes; seal() fills in its foreign bytes.
   struct Flow {
+    int src = 0;
+    int dst = 0;
+    int next = -1;  // the source's next flow in flows_, -1 ends the chain
     std::uint64_t bytes = 0;
     std::uint64_t foreign = 0;
   };
-  static std::uint64_t pair_key(int src_node, int dst_node) {
-    return (static_cast<std::uint64_t>(static_cast<std::uint32_t>(src_node))
-            << 32) |
-           static_cast<std::uint32_t>(dst_node);
-  }
 
   const TorusMap* torus_;
-  std::unordered_map<std::uint64_t, Flow> flows_;
+  /// First flow of each source node (-1: none). Sized on the first flow, so
+  /// a phase without inter-node traffic allocates nothing.
+  std::vector<int> head_;
+  std::vector<Flow> flows_;  // insertion order
   std::uint64_t max_link_load_ = 0;
   bool sealed_ = false;
 };

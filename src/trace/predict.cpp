@@ -16,42 +16,48 @@ namespace {
 /// aggregates every inter-node flow of the phase onto the torus (per
 /// node-pair; LinkContention routes each pair once and computes its foreign
 /// bytes at seal()), then each send is costed with its distance class —
-/// torus hop latency + injection bandwidth + contended-link share (one hash
-/// lookup) for remote sends, CMG-ring hop latency within a socket, the flat
-/// class latencies otherwise. Callers pass each send's rank distance in, so
-/// a caller that lists the phase's sends once classifies each send once.
+/// torus hop latency + injection bandwidth + contended-link share (a walk of
+/// the source node's short flow chain) for remote sends, CMG-ring hop
+/// latency within a socket, the flat class latencies otherwise. Callers pass
+/// each send's rank distance in, so a caller that lists the phase's sends
+/// once classifies each send once, and may pass a remote send's node pair
+/// in too.
 class PhaseComm {
  public:
   PhaseComm(const machine::CommCostModel& model, const topo::Binding& binding)
       : model_(model), binding_(binding), contention_(&model.torus()) {}
 
-  void add_flow(int rank, int dst, topo::Distance d, std::uint64_t bytes) {
-    if (d == topo::Distance::kRemoteNode) {
-      contention_.add_flow(binding_.node_of(rank), binding_.node_of(dst),
-                           bytes);
-    }
+  void add_flow(int src_node, int dst_node, std::uint64_t bytes) {
+    contention_.add_flow(src_node, dst_node, bytes);
   }
   void add_rank_flows(int rank, const mp::CommLog& comm) {
     for (const auto& [dst, traffic] : comm.sends) {
-      add_flow(rank, dst, binding_.rank_distance(rank, dst), traffic.bytes);
+      if (binding_.rank_distance(rank, dst) == topo::Distance::kRemoteNode) {
+        add_flow(binding_.node_of(rank), binding_.node_of(dst), traffic.bytes);
+      }
     }
   }
   void seal() { contention_.seal(); }
 
+  /// Seconds of one send between two nodes.
+  double remote_seconds(int src_node, int dst_node, std::uint64_t messages,
+                        std::uint64_t bytes) const {
+    const int hops = model_.torus().hops(src_node, dst_node);
+    const double foreign =
+        static_cast<double>(contention_.foreign_bytes(src_node, dst_node));
+    return static_cast<double>(messages) *
+               model_.remote_latency_seconds(hops) +
+           static_cast<double>(bytes) /
+               model_.bandwidth(topo::Distance::kRemoteNode) +
+           foreign / model_.link_bandwidth();
+  }
+
   double send_seconds(int rank, int dst, topo::Distance d,
                       std::uint64_t messages, std::uint64_t bytes) const {
     switch (d) {
-      case topo::Distance::kRemoteNode: {
-        const int a = binding_.node_of(rank);
-        const int b = binding_.node_of(dst);
-        const int hops = model_.torus().hops(a, b);
-        const double foreign =
-            static_cast<double>(contention_.foreign_bytes(a, b));
-        return static_cast<double>(messages) *
-                   model_.remote_latency_seconds(hops) +
-               static_cast<double>(bytes) / model_.bandwidth(d) +
-               foreign / model_.link_bandwidth();
-      }
+      case topo::Distance::kRemoteNode:
+        return remote_seconds(binding_.node_of(rank), binding_.node_of(dst),
+                              messages, bytes);
       case topo::Distance::kSameSocket:
         return static_cast<double>(messages) *
                    model_.intra_socket_latency_seconds(
@@ -328,11 +334,14 @@ JobPrediction replay_classes(const machine::ProcessorConfig& cfg,
   std::vector<ClassEval> class_evals;
 
   // The phase's sends, rank-major and ascending by dst within a rank; rank
-  // r's run is [send_offsets[r], send_offsets[r + 1]). Reused across phases
-  // and predictions on this thread.
+  // r's run is [send_offsets[r], send_offsets[r + 1]). A remote send also
+  // carries its node pair, looked up once here. Reused across phases and
+  // predictions on this thread.
   struct Send {
     int dst;
     topo::Distance distance;
+    int src_node;  // remote sends only
+    int dst_node;  // remote sends only
     std::uint64_t messages;
     std::uint64_t bytes;
   };
@@ -373,11 +382,16 @@ JobPrediction replay_classes(const machine::ProcessorConfig& cfg,
     PhaseComm phase_comm(comm_model, binding);
     sends.clear();
     for (int rank = 0; rank < ranks; ++rank) {
+      const int src_node = binding.node_of(rank);
       for_each_send(trace, p, rank,
                     [&](int dst, std::uint64_t messages, std::uint64_t bytes) {
                       const topo::Distance d = binding.rank_distance(rank, dst);
-                      sends.push_back(Send{dst, d, messages, bytes});
-                      phase_comm.add_flow(rank, dst, d, bytes);
+                      Send s{dst, d, src_node, src_node, messages, bytes};
+                      if (d == topo::Distance::kRemoteNode) {
+                        s.dst_node = binding.node_of(dst);
+                        phase_comm.add_flow(src_node, s.dst_node, bytes);
+                      }
+                      sends.push_back(s);
                     });
       send_offsets[static_cast<std::size_t>(rank) + 1] = sends.size();
     }
@@ -405,8 +419,11 @@ JobPrediction replay_classes(const machine::ProcessorConfig& cfg,
       double comm_s = 0.0;
       for (std::size_t k = send_offsets[r]; k < send_offsets[r + 1]; ++k) {
         const Send& s = sends[k];
-        comm_s += phase_comm.send_seconds(rank, s.dst, s.distance, s.messages,
-                                          s.bytes);
+        comm_s += s.distance == topo::Distance::kRemoteNode
+                      ? phase_comm.remote_seconds(s.src_node, s.dst_node,
+                                                  s.messages, s.bytes)
+                      : phase_comm.send_seconds(rank, s.dst, s.distance,
+                                                s.messages, s.bytes);
       }
       for (const double term : ce.coll_terms) comm_s += term;
       worst_comm_s = std::max(worst_comm_s, comm_s);

@@ -12,6 +12,8 @@
 #include <bit>
 #include <cstdint>
 #include <filesystem>
+#include <map>
+#include <set>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -19,6 +21,7 @@
 #include "common/error.hpp"
 #include "core/reports.hpp"
 #include "core/runner.hpp"
+#include "machine/network_model.hpp"
 #include "miniapps/miniapp.hpp"
 #include "mp/job.hpp"
 #include "mp/symmetry.hpp"
@@ -105,6 +108,31 @@ std::vector<CollapseCase> all_cases() {
 
 class CollapseByteIdentity : public ::testing::TestWithParam<CollapseCase> {};
 
+/// Whether any phase of `trace` routes two distinct inter-node pairs over one
+/// torus link — the only case in which contention charges foreign bytes.
+bool routes_share_a_link(const trace::JobTrace& trace,
+                         const topo::Binding& binding,
+                         const machine::TorusMap& torus) {
+  for (std::size_t p = 0; p < trace.front().size(); ++p) {
+    std::map<int, std::set<std::pair<int, int>>> pairs_on_link;
+    for (int r = 0; r < binding.ranks(); ++r) {
+      for (const auto& [dst, traffic] :
+           trace[static_cast<std::size_t>(r)][p].comm.sends) {
+        const int a = binding.node_of(r);
+        const int b = binding.node_of(dst);
+        if (a == b || traffic.bytes == 0) continue;
+        std::vector<int> links;
+        torus.route_links(a, b, &links);
+        for (const int link : links) pairs_on_link[link].insert({a, b});
+      }
+    }
+    for (const auto& [link, pairs] : pairs_on_link) {
+      if (pairs.size() > 1) return true;
+    }
+  }
+  return false;
+}
+
 // The core contract: CollapsedTrace::expand() equals the JobTrace a full
 // run records, bit for bit, for every rank and phase.
 TEST_P(CollapseByteIdentity, ExpandEqualsFullRun) {
@@ -120,8 +148,9 @@ TEST_P(CollapseByteIdentity, ExpandEqualsFullRun) {
 
 // The collapsed prediction path never materialises the expansion; it must
 // still produce bit-identical numbers to the naive and canonical paths — on
-// one node and across four (torus hops, and routes that share links so
-// contention charges foreign bytes), with and without a memo shared by both
+// one node, across four (torus hops, and routes that share links so
+// contention charges foreign bytes) and across sixteen (one rank per node,
+// several flows per source node), with and without a memo shared by both
 // class-replay paths and every binding.
 TEST_P(CollapseByteIdentity, PredictionBitsAgreeAcrossAllThreePaths) {
   const CollapseCase c = GetParam();
@@ -134,7 +163,7 @@ TEST_P(CollapseByteIdentity, PredictionBitsAgreeAcrossAllThreePaths) {
   machine::EvalCache stage1;
   const trace::PredictMemo memo{&stage1};
 
-  for (const int nodes : {1, 4}) {
+  for (const int nodes : {1, 4, kRanks}) {
     SCOPED_TRACE(std::to_string(nodes) + " node(s)");
     const topo::Topology topo(cfg.shape, nodes);
     const topo::Binding binding =
@@ -145,6 +174,11 @@ TEST_P(CollapseByteIdentity, PredictionBitsAgreeAcrossAllThreePaths) {
       // Block allocation puts the first and the last rank on different nodes.
       ASSERT_EQ(binding.rank_distance(0, kRanks - 1),
                 topo::Distance::kRemoteNode);
+    }
+    if (nodes == kRanks) {
+      // One rank per node on a 4x2x2 torus: every send is remote, and each
+      // source node's flows form a multi-entry chain.
+      for (int r = 0; r < kRanks; ++r) ASSERT_EQ(binding.node_of(r), r);
     }
 
     const auto naive = trace::predict_job(cfg, opts, binding, full);
@@ -174,6 +208,27 @@ TEST_P(CollapseByteIdentity, PredictionBitsAgreeAcrossAllThreePaths) {
         EXPECT_TRUE(
             same_bits(pred->phases[p].total_s, naive.phases[p].total_s))
             << c.app << " phase " << naive.phases[p].name;
+      }
+    }
+
+    if (nodes == kRanks) {
+      // Only foreign bytes on shared links are charged at net.link_bw, so
+      // halving it moves comm_s exactly when some phase routes two node
+      // pairs over one link (recounted here from the routes alone) — on
+      // every path, by the same bits.
+      machine::ProcessorConfig slow = cfg;
+      slow.net.link_bw /= 2;
+      const auto slow_naive = trace::predict_job(slow, opts, binding, full);
+      if (routes_share_a_link(full, binding, machine::TorusMap(nodes))) {
+        EXPECT_GT(slow_naive.comm_s, naive.comm_s);
+      } else {
+        EXPECT_TRUE(same_bits(slow_naive.comm_s, naive.comm_s));
+      }
+      for (const auto& pred :
+           {trace::predict_job(slow, opts, binding, canonical, memo),
+            trace::predict_job(slow, opts, binding, collapsed, memo)}) {
+        EXPECT_TRUE(same_bits(pred.comm_s, slow_naive.comm_s));
+        EXPECT_TRUE(same_bits(pred.total_s, slow_naive.total_s));
       }
     }
   }

@@ -584,13 +584,83 @@ TEST(Contention, MoreTrafficOnASharedLinkNeverGetsCheaper) {
   EXPECT_EQ(prev, 5000u);  // the full rival load lands on the shared link
 }
 
+TEST(Contention, RejectsOutOfRangeNodesAndAnswersZeroForThem) {
+  const TorusMap t(8);
+  LinkContention c(&t);
+  EXPECT_THROW(c.add_flow(-1, 0, 100), Error);
+  EXPECT_THROW(c.add_flow(0, -1, 100), Error);
+  EXPECT_THROW(c.add_flow(8, 0, 100), Error);
+  EXPECT_THROW(c.add_flow(0, 8, 100), Error);
+  EXPECT_THROW(c.add_flow(8, 8, 100), Error);  // a self-flow off the torus
+  EXPECT_THROW(c.add_flow(0, 9, 0), Error);    // a zero-byte flow off it
+  c.add_flow(0, 1, 1000);
+  c.add_flow(4, 1, 700);
+  c.seal();
+  EXPECT_EQ(c.foreign_bytes(0, 1), 700u);
+  EXPECT_EQ(c.foreign_bytes(-1, 1), 0u);
+  EXPECT_EQ(c.foreign_bytes(8, 1), 0u);
+  EXPECT_EQ(c.foreign_bytes(0, -1), 0u);
+  EXPECT_EQ(c.foreign_bytes(0, 8), 0u);
+  EXPECT_EQ(c.foreign_bytes(1 << 20, 1 << 20), 0u);
+  EXPECT_THROW(c.add_flow(0, 1, 1), Error);  // sealed
+
+  // A phase without inter-node traffic answers 0 for every query.
+  LinkContention empty(&t);
+  empty.seal();
+  EXPECT_EQ(empty.foreign_bytes(0, 1), 0u);
+  EXPECT_EQ(empty.foreign_bytes(-1, 9), 0u);
+  EXPECT_EQ(empty.max_link_load(), 0u);
+}
+
+/// Flows as added to a LinkContention: ((src, dst), bytes), repeats,
+/// self-flows and zero-byte flows included.
+using FlowList = std::vector<std::pair<std::pair<int, int>, std::uint64_t>>;
+
+/// What a LinkContention fed `added` must answer, recounted by brute force:
+/// aggregate per pair, route each, sum every link's load.
+struct ContentionRecount {
+  std::map<std::pair<int, int>, std::uint64_t> flows;    // aggregated bytes
+  std::map<std::pair<int, int>, std::uint64_t> foreign;  // per known pair
+  std::uint64_t max_load = 0;
+
+  std::uint64_t foreign_of(const std::pair<int, int>& pair) const {
+    const auto it = foreign.find(pair);
+    return it == foreign.end() ? 0 : it->second;
+  }
+};
+
+ContentionRecount recount_contention(const TorusMap& t,
+                                     const FlowList& added) {
+  ContentionRecount r;
+  for (const auto& [pair, bytes] : added) {
+    if (pair.first != pair.second && bytes != 0) r.flows[pair] += bytes;
+  }
+  std::map<int, std::uint64_t> load;
+  for (const auto& [pair, bytes] : r.flows) {
+    std::vector<int> links;
+    t.route_links(pair.first, pair.second, &links);
+    for (const int link : links) load[link] += bytes;
+  }
+  for (const auto& [link, bytes] : load) r.max_load = std::max(r.max_load, bytes);
+  for (const auto& [pair, bytes] : r.flows) {
+    std::uint64_t expected = 0;
+    std::vector<int> links;
+    t.route_links(pair.first, pair.second, &links);
+    for (const int link : links) {
+      expected = std::max(expected, load[link] - bytes);
+    }
+    r.foreign[pair] = expected;
+  }
+  return r;
+}
+
 TEST(Contention, ForeignBytesMatchABruteForceRecount) {
   const TorusMap t(64);
   ASSERT_EQ(t.dims(), (std::array<int, 3>{4, 4, 4}));
   std::mt19937 rng(20210917);
   std::uniform_int_distribution<int> node(0, t.nodes() - 1);
   std::uniform_int_distribution<std::uint64_t> size(1, 1u << 20);
-  std::vector<std::pair<std::pair<int, int>, std::uint64_t>> added;
+  FlowList added;
   for (int i = 0; i < 400; ++i) {
     std::pair<int, int> pair{node(rng), node(rng)};
     if (i % 10 == 9) pair = added[static_cast<std::size_t>(i / 2)].first;
@@ -604,37 +674,68 @@ TEST(Contention, ForeignBytesMatchABruteForceRecount) {
   }
   c.seal();
 
-  // Brute force: aggregate per pair, route each, sum every link's load.
-  std::map<std::pair<int, int>, std::uint64_t> flows;
+  const ContentionRecount r = recount_contention(t, added);
+  EXPECT_EQ(c.max_link_load(), r.max_load);
   for (const auto& [pair, bytes] : added) {
-    if (pair.first != pair.second && bytes != 0) flows[pair] += bytes;
-  }
-  std::map<int, std::uint64_t> load;
-  for (const auto& [pair, bytes] : flows) {
-    std::vector<int> links;
-    t.route_links(pair.first, pair.second, &links);
-    for (const int link : links) load[link] += bytes;
-  }
-  std::uint64_t max_load = 0;
-  for (const auto& [link, bytes] : load) max_load = std::max(max_load, bytes);
-  EXPECT_EQ(c.max_link_load(), max_load);
-
-  for (const auto& [pair, bytes] : added) {
-    std::uint64_t expected = 0;
-    const auto it = flows.find(pair);
-    if (it != flows.end()) {
-      std::vector<int> links;
-      t.route_links(pair.first, pair.second, &links);
-      for (const int link : links) {
-        expected = std::max(expected, load[link] - it->second);
-      }
-    }
-    EXPECT_EQ(c.foreign_bytes(pair.first, pair.second), expected);
-    EXPECT_EQ(c.foreign_bytes(pair.first, pair.second), expected);  // again
+    EXPECT_EQ(c.foreign_bytes(pair.first, pair.second), r.foreign_of(pair));
+    EXPECT_EQ(c.foreign_bytes(pair.first, pair.second),
+              r.foreign_of(pair));  // again
   }
   std::pair<int, int> never{0, 1};
-  while (flows.count(never) != 0) ++never.second;
+  while (r.flows.count(never) != 0) ++never.second;
   EXPECT_EQ(c.foreign_bytes(never.first, never.second), 0u);
+}
+
+// Each source node's flows form a chain in insertion order; every answer is
+// a uint64_t sum, so no order of the same flows may change a single bit.
+TEST(Contention, AnswersDoNotDependOnFlowOrder) {
+  // 4x4x3: even rings with exact half-way wrap ties next to an odd ring.
+  const TorusMap t(48);
+  ASSERT_EQ(t.dims(), (std::array<int, 3>{4, 4, 3}));
+  std::mt19937 rng(20260418);
+  std::uniform_int_distribution<int> node(0, t.nodes() - 1);
+  std::uniform_int_distribution<std::uint64_t> size(1, 1u << 16);
+  FlowList added;
+  for (int src = 0; src < t.nodes(); ++src) {
+    for (int k = 0; k < 5; ++k) {  // several destinations per source
+      const int dst = node(rng);
+      added.push_back({{src, dst}, size(rng)});
+      if (k % 2 == 0) added.push_back({{src, dst}, size(rng)});  // repeat
+    }
+    added.push_back({{src, src}, size(rng)});  // self flow
+    added.push_back({{src, node(rng)}, 0});    // zero bytes
+  }
+  FlowList reversed(added.rbegin(), added.rend());
+  FlowList shuffled = added;
+  std::shuffle(shuffled.begin(), shuffled.end(), rng);
+
+  const ContentionRecount r = recount_contention(t, added);
+  ASSERT_GT(r.max_load, 0u);
+  std::size_t contended = 0;
+  for (const auto& [pair, foreign] : r.foreign) {
+    if (foreign > 0) ++contended;
+  }
+  ASSERT_GT(contended, 0u) << "no pair shares a link: the test proves nothing";
+
+  std::vector<std::uint64_t> first;
+  for (const FlowList* order : {&added, &reversed, &shuffled}) {
+    LinkContention c(&t);
+    for (const auto& [pair, bytes] : *order) {
+      c.add_flow(pair.first, pair.second, bytes);
+    }
+    c.seal();
+    EXPECT_EQ(c.max_link_load(), r.max_load);
+    std::vector<std::uint64_t> answers;
+    for (int a = 0; a < t.nodes(); ++a) {
+      for (int b = 0; b < t.nodes(); ++b) {
+        answers.push_back(c.foreign_bytes(a, b));
+        EXPECT_EQ(answers.back(), r.foreign_of({a, b}))
+            << "pair " << a << " -> " << b;
+      }
+    }
+    if (first.empty()) first = answers;
+    EXPECT_EQ(answers, first);
+  }
 }
 
 TEST(CommModel, RemoteLatencyIsExactPerHop) {
