@@ -150,10 +150,10 @@ WorkEval ExecModel::evaluate_work(const isa::WorkEstimate& w) const {
 
 PhaseTime ExecModel::evaluate_phase(const std::vector<ThreadWork>& threads) const {
   // The naive path is the reference semantics: evaluate every thread's work
-  // individually, in order, then accumulate. The canonical prediction path
-  // reaches evaluate_phase_refs with shared (memoized) WorkEvals instead;
-  // because evaluate_work is a pure function and the accumulation below
-  // replays the same operations in the same order, both paths produce
+  // individually, in order, then accumulate. The class-replay prediction
+  // engine streams shared (memoized) WorkEvals into a PhaseAccumulator
+  // instead; because evaluate_work is a pure function and both accumulate
+  // through PhaseAccumulator::add in the same order, both paths produce
   // bit-identical PhaseTimes.
   std::vector<WorkEval> evals;
   evals.reserve(threads.size());
@@ -170,76 +170,63 @@ PhaseTime ExecModel::evaluate_phase(const std::vector<ThreadWork>& threads) cons
 PhaseTime ExecModel::evaluate_phase_refs(
     const std::vector<ThreadRef>& threads) const {
   FS_REQUIRE(!threads.empty(), "phase needs at least one thread");
-  PhaseTime out;
-
-  // Channel loads: DRAM bytes per home domain, remote bytes arriving per
-  // domain (these cross the on-chip / socket interconnect as well). Flat
-  // per-domain sums, reused across calls on this thread: each domain gets
-  // its += in thread order, an untouched domain stays 0.0, and the closing
-  // max does not depend on order, so the result is bit-identical to summing
-  // only the domains that occur.
   int domains = 0;
   for (const ThreadRef& t : threads) {
     FS_REQUIRE(t.numa >= 0 && t.home_numa >= 0,
                "NUMA domain ids must be non-negative");
     domains = std::max({domains, t.numa + 1, t.home_numa + 1});
   }
-  thread_local std::vector<double> dram_bytes_by_domain;
-  thread_local std::vector<double> remote_in_by_domain;
-  dram_bytes_by_domain.assign(static_cast<std::size_t>(domains), 0.0);
-  remote_in_by_domain.assign(static_cast<std::size_t>(domains), 0.0);
-
-  double worst_compute_s = 0.0;
-  double worst_chain_s = 0.0;
-  double worst_barrier_s = 0.0;
-
+  PhaseAccumulator acc(*this, domains);
   for (const ThreadRef& t : threads) {
-    const WorkEval& e = *t.eval;
-    out.flops += e.flops;
-
-    dram_bytes_by_domain[static_cast<std::size_t>(t.numa)] += e.local_bytes;
-    dram_bytes_by_domain[static_cast<std::size_t>(t.home_numa)] += e.home_bytes;
-    if (t.home_numa != t.numa) {
-      remote_in_by_domain[static_cast<std::size_t>(t.home_numa)] +=
-          e.home_bytes;
-      out.remote_bytes += e.home_bytes;
-    }
-    out.dram_bytes += e.dram_bytes;
-
-    worst_compute_s = std::max(worst_compute_s, e.compute_s);
-    worst_chain_s = std::max(worst_chain_s, e.chain_s);
-    worst_barrier_s = std::max(worst_barrier_s, t.barrier_s);
+    acc.add(*t.eval, t.numa, t.home_numa, t.barrier_s);
   }
+  return acc.finish();
+}
+
+ExecModel::PhaseAccumulator::PhaseAccumulator(const ExecModel& model,
+                                              int domains)
+    : cfg_(&model.cfg_),
+      dram_by_domain_(static_cast<std::size_t>(domains), 0.0),
+      remote_in_by_domain_(static_cast<std::size_t>(domains), 0.0) {}
+
+PhaseTime ExecModel::PhaseAccumulator::finish() {
+  PhaseTime out = out_;
 
   // Memory time: the most loaded channel paces the phase.
   double memory_s = 0.0;
-  for (const double bytes : dram_bytes_by_domain) {
-    memory_s = std::max(memory_s, bytes / cfg_.numa_mem_bw);
+  for (const double bytes : dram_by_domain_) {
+    memory_s = std::max(memory_s, bytes / cfg_->numa_mem_bw);
   }
-  if (cfg_.inter_numa_bw > 0.0) {
-    for (const double bytes : remote_in_by_domain) {
-      memory_s = std::max(memory_s, bytes / cfg_.inter_numa_bw);
+  if (cfg_->inter_numa_bw > 0.0) {
+    for (const double bytes : remote_in_by_domain_) {
+      memory_s = std::max(memory_s, bytes / cfg_->inter_numa_bw);
     }
   }
 
-  out.compute_s = worst_compute_s;
+  out.compute_s = worst_compute_s_;
   out.memory_s = memory_s;
-  out.chain_s = worst_chain_s;
-  out.barrier_s = worst_barrier_s;
+  out.chain_s = worst_chain_s_;
+  out.barrier_s = worst_barrier_s_;
 
-  const double hi = std::max(worst_compute_s, memory_s);
-  const double lo = std::min(worst_compute_s, memory_s);
-  out.total_s = hi + (1.0 - cfg_.mem_overlap) * lo + worst_barrier_s;
+  const double hi = std::max(worst_compute_s_, memory_s);
+  const double lo = std::min(worst_compute_s_, memory_s);
+  out.total_s = hi + (1.0 - cfg_->mem_overlap) * lo + worst_barrier_s_;
 
-  if (worst_barrier_s > 0.5 * out.total_s) {
+  if (worst_barrier_s_ > 0.5 * out.total_s) {
     out.limiter = Limiter::kBarrier;
-  } else if (memory_s > worst_compute_s) {
+  } else if (memory_s > worst_compute_s_) {
     out.limiter = Limiter::kMemory;
-  } else if (worst_chain_s >= 0.95 * worst_compute_s && worst_chain_s > 0.0) {
+  } else if (worst_chain_s_ >= 0.95 * worst_compute_s_ &&
+             worst_chain_s_ > 0.0) {
     out.limiter = Limiter::kChain;
   } else {
     out.limiter = Limiter::kCompute;
   }
+
+  std::fill(dram_by_domain_.begin(), dram_by_domain_.end(), 0.0);
+  std::fill(remote_in_by_domain_.begin(), remote_in_by_domain_.end(), 0.0);
+  out_ = PhaseTime{};
+  worst_compute_s_ = worst_chain_s_ = worst_barrier_s_ = 0.0;
   return out;
 }
 

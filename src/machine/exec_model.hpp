@@ -18,6 +18,7 @@
 // dependency-chain term.
 #pragma once
 
+#include <algorithm>
 #include <vector>
 
 #include "isa/work_estimate.hpp"
@@ -76,10 +77,8 @@ struct WorkEval {
   double chain_s = 0.0;      ///< dependency-chain bound alone
 };
 
-/// One thread of a phase, referencing its (shared) work evaluation. The
-/// canonical prediction path materializes these instead of ranks x threads
-/// full ThreadWork records: per-thread state shrinks to placement plus a
-/// pointer into the per-equivalence-class evaluations.
+/// One thread of a phase, referencing its (shared) work evaluation: the
+/// input of evaluate_phase_refs (the naive path builds one per thread).
 struct ThreadRef {
   const WorkEval* eval = nullptr;
   int numa = 0;
@@ -113,8 +112,50 @@ class ExecModel {
   /// The same evaluation from pre-computed work evaluations; `threads` must
   /// be in the naive order (rank-major, thread-minor) for bit-identical
   /// accumulation. evaluate_phase() is exactly this after an evaluate_work
-  /// per thread.
+  /// per thread: one PhaseAccumulator fed every entry in order.
   PhaseTime evaluate_phase_refs(const std::vector<ThreadRef>& threads) const;
+
+  /// Streaming phase evaluation: add() every thread of the phase in the
+  /// naive order (rank-major, thread-minor), then finish(). The sequence of
+  /// floating-point operations is evaluate_phase_refs' own, so a phase
+  /// streamed here is bit-identical to one evaluated from a ThreadRef list,
+  /// with no per-thread record in between. DRAM and remote-in bytes are
+  /// summed into flat per-domain arrays indexed by NUMA id: each domain
+  /// gets its += in thread order, an untouched domain stays 0.0, and the
+  /// closing max over domains does not depend on order.
+  class PhaseAccumulator {
+   public:
+    /// Domain ids passed to add() must lie in [0, domains). Reads `model`'s
+    /// processor at finish(), so it must not outlive `model`.
+    PhaseAccumulator(const ExecModel& model, int domains);
+
+    void add(const WorkEval& e, int numa, int home_numa, double barrier_s) {
+      out_.flops += e.flops;
+      dram_by_domain_[static_cast<std::size_t>(numa)] += e.local_bytes;
+      dram_by_domain_[static_cast<std::size_t>(home_numa)] += e.home_bytes;
+      if (home_numa != numa) {
+        remote_in_by_domain_[static_cast<std::size_t>(home_numa)] +=
+            e.home_bytes;
+        out_.remote_bytes += e.home_bytes;
+      }
+      out_.dram_bytes += e.dram_bytes;
+      worst_compute_s_ = std::max(worst_compute_s_, e.compute_s);
+      worst_chain_s_ = std::max(worst_chain_s_, e.chain_s);
+      worst_barrier_s_ = std::max(worst_barrier_s_, barrier_s);
+    }
+
+    /// The phase's time; resets the accumulator for the next phase.
+    PhaseTime finish();
+
+   private:
+    const ProcessorConfig* cfg_;
+    std::vector<double> dram_by_domain_;
+    std::vector<double> remote_in_by_domain_;
+    PhaseTime out_;
+    double worst_compute_s_ = 0.0;
+    double worst_chain_s_ = 0.0;
+    double worst_barrier_s_ = 0.0;
+  };
 
  private:
   ProcessorConfig cfg_;

@@ -90,26 +90,46 @@ void TorusMap::route_links(int a, int b, std::vector<int>* out) const {
   }
 }
 
-void LinkContention::add_flow(int src_node, int dst_node,
-                              std::uint64_t bytes) {
+void LinkContention::check_flow(int src_node, int dst_node) const {
   FS_REQUIRE(!sealed_, "contention map is sealed");
   const int nodes = torus_->nodes();
   FS_REQUIRE(src_node >= 0 && src_node < nodes && dst_node >= 0 &&
                  dst_node < nodes,
              "contention flow node out of range");
+}
+
+void LinkContention::add_flow(int src_node, int dst_node,
+                              std::uint64_t bytes) {
+  check_flow(src_node, dst_node);
   if (src_node == dst_node || bytes == 0) return;
-  if (head_.empty()) head_.assign(static_cast<std::size_t>(nodes), -1);
+  find_or_add(src_node, dst_node, bytes);
+}
+
+int LinkContention::add_flow_index(int src_node, int dst_node,
+                                   std::uint64_t bytes) {
+  check_flow(src_node, dst_node);
+  FS_REQUIRE(src_node != dst_node, "a flow needs two distinct nodes");
+  return find_or_add(src_node, dst_node, bytes);
+}
+
+int LinkContention::find_or_add(int src_node, int dst_node,
+                                std::uint64_t bytes) {
+  if (head_.empty()) {
+    head_.assign(static_cast<std::size_t>(torus_->nodes()), -1);
+  }
   int* link = &head_[static_cast<std::size_t>(src_node)];
   while (*link >= 0) {
     Flow& flow = flows_[static_cast<std::size_t>(*link)];
     if (flow.dst == dst_node) {
       flow.bytes += bytes;
-      return;
+      return *link;
     }
     link = &flow.next;
   }
-  *link = static_cast<int>(flows_.size());
-  flows_.push_back(Flow{src_node, dst_node, -1, bytes, 0});
+  const int index = static_cast<int>(flows_.size());
+  *link = index;  // before push_back: `link` may point into flows_
+  flows_.push_back(Flow{src_node, dst_node, -1, 0, bytes, 0});
+  return index;
 }
 
 void LinkContention::seal() {
@@ -118,30 +138,37 @@ void LinkContention::seal() {
   if (flows_.empty()) return;
   // Every pair's route back to back in one buffer (route_end[i] closes
   // flows_[i]'s route), reused across phases on this thread. Link loads are
-  // integer sums, so the order flows were added in does not matter.
+  // integer sums, so the order flows were added in does not matter. A pair
+  // that carries no byte is routed for its hop count only: it loads no link
+  // and keeps zero foreign bytes.
   thread_local std::vector<int> links;
   thread_local std::vector<std::size_t> route_end;
   thread_local std::vector<std::uint64_t> link_load;
   links.clear();
   route_end.clear();
   link_load.assign(static_cast<std::size_t>(torus_->link_count()), 0);
-  for (const Flow& flow : flows_) {
+  for (Flow& flow : flows_) {
     const std::size_t begin = links.size();
     torus_->route_links(flow.src, flow.dst, &links);
-    for (std::size_t k = begin; k < links.size(); ++k) {
-      std::uint64_t& load = link_load[static_cast<std::size_t>(links[k])];
-      load += flow.bytes;
-      max_link_load_ = std::max(max_link_load_, load);
+    flow.hops = static_cast<int>(links.size() - begin);
+    if (flow.bytes > 0) {
+      for (std::size_t k = begin; k < links.size(); ++k) {
+        std::uint64_t& load = link_load[static_cast<std::size_t>(links[k])];
+        load += flow.bytes;
+        max_link_load_ = std::max(max_link_load_, load);
+      }
     }
     route_end.push_back(links.size());
   }
   std::size_t begin = 0;
   for (std::size_t i = 0; i < flows_.size(); ++i) {
     Flow& flow = flows_[i];
-    for (std::size_t k = begin; k < route_end[i]; ++k) {
-      const std::uint64_t load =
-          link_load[static_cast<std::size_t>(links[k])];
-      flow.foreign = std::max(flow.foreign, load - flow.bytes);
+    if (flow.bytes > 0) {
+      for (std::size_t k = begin; k < route_end[i]; ++k) {
+        const std::uint64_t load =
+            link_load[static_cast<std::size_t>(links[k])];
+        flow.foreign = std::max(flow.foreign, load - flow.bytes);
+      }
     }
     begin = route_end[i];
   }

@@ -13,8 +13,9 @@
 // inter-node flow of the phase, and at seal time routes each distinct node
 // pair once and computes the *foreign* bytes sharing the pair's busiest
 // link — the bottleneck-link approximation — which every send of that pair
-// is charged. Flows live in a flat table chained per source node (a node
-// talks to a handful of others per phase, so a chain is a few entries).
+// is charged, and the pair's hop count (its route length). Flows live in a
+// flat table chained per source node (a node talks to a handful of others
+// per phase, so a chain is a few entries).
 // Every load is a uint64_t sum, so the order flows arrive in cannot change
 // a bit of any answer. More traffic on a shared link can only raise (never
 // lower) a flow's cost; a monotonicity test in tests/test_machine.cpp pins
@@ -71,8 +72,15 @@ class LinkContention {
   /// Accumulate `bytes` flowing src_node -> dst_node (ignored when equal or
   /// zero). Both nodes must lie in [0, torus nodes).
   void add_flow(int src_node, int dst_node, std::uint64_t bytes);
+  /// add_flow for two distinct nodes that also registers the pair when
+  /// `bytes` is zero, and returns the pair's flow index: after seal(),
+  /// flow_foreign() and flow_hops() answer for every send of the pair with
+  /// no chain walk. A pair that never carries a byte loads no link and has
+  /// zero foreign bytes, exactly as foreign_bytes() answers for a pair it
+  /// never saw.
+  int add_flow_index(int src_node, int dst_node, std::uint64_t bytes);
   /// Route every distinct pair once, build per-link loads and store each
-  /// pair's foreign bytes.
+  /// pair's foreign bytes and route length.
   void seal();
   bool sealed() const { return sealed_; }
 
@@ -82,18 +90,34 @@ class LinkContention {
   /// tori.
   std::uint64_t foreign_bytes(int src_node, int dst_node) const;
 
+  /// foreign_bytes() of the pair add_flow_index() returned `flow` for
+  /// (valid once sealed).
+  std::uint64_t flow_foreign(int flow) const {
+    return flows_[static_cast<std::size_t>(flow)].foreign;
+  }
+  /// Route length of flow `flow`: TorusMap::hops of its pair (valid once
+  /// sealed).
+  int flow_hops(int flow) const {
+    return flows_[static_cast<std::size_t>(flow)].hops;
+  }
+
   /// Total load of the most loaded directed link (diagnostics).
   std::uint64_t max_link_load() const { return max_link_load_; }
 
  private:
-  /// A pair's aggregated bytes; seal() fills in its foreign bytes.
+  /// A pair's aggregated bytes; seal() fills in its foreign bytes and hops.
   struct Flow {
     int src = 0;
     int dst = 0;
     int next = -1;  // the source's next flow in flows_, -1 ends the chain
+    int hops = 0;
     std::uint64_t bytes = 0;
     std::uint64_t foreign = 0;
   };
+
+  void check_flow(int src_node, int dst_node) const;
+  /// Index of the (src, dst) entry, appended when new; adds `bytes`.
+  int find_or_add(int src_node, int dst_node, std::uint64_t bytes);
 
   const TorusMap* torus_;
   /// First flow of each source node (-1: none). Sized on the first flow, so

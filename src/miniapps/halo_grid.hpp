@@ -38,7 +38,7 @@ class HaloGrid {
       : grid_(grid), rank_(rank), ghost_(ghost) {
     FS_REQUIRE(grid.ndims() == N, "grid dimensionality mismatch");
     FS_REQUIRE(ghost >= 0, "ghost width must be non-negative");
-    const std::vector<int> coords = grid.coords_of(rank);
+    const mp::CartCoords coords = grid.coords_of(rank);
     for (int d = 0; d < N; ++d) {
       const int parts = grid.dims()[static_cast<std::size_t>(d)];
       FS_REQUIRE(global[static_cast<std::size_t>(d)] >= parts,

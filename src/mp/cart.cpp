@@ -8,7 +8,7 @@ namespace fibersim::mp {
 
 std::vector<int> dims_create(int size, int ndims) {
   FS_REQUIRE(size >= 1, "grid size must be >= 1");
-  FS_REQUIRE(ndims >= 1 && ndims <= 8, "ndims out of range");
+  FS_REQUIRE(ndims >= 1 && ndims <= kMaxCartDims, "ndims out of range");
   std::vector<int> dims(static_cast<std::size_t>(ndims), 1);
   // Greedy: repeatedly assign the largest remaining prime factor to the
   // currently smallest dimension, then sort descending.
@@ -33,15 +33,17 @@ std::vector<int> dims_create(int size, int ndims) {
 CartGrid::CartGrid(std::vector<int> dims, bool periodic)
     : dims_(std::move(dims)), periodic_(periodic), size_(1) {
   FS_REQUIRE(!dims_.empty(), "grid needs at least one dimension");
+  FS_REQUIRE(dims_.size() <= static_cast<std::size_t>(kMaxCartDims),
+             "grid has too many dimensions");
   for (int d : dims_) {
     FS_REQUIRE(d >= 1, "grid dimensions must be >= 1");
     size_ *= d;
   }
 }
 
-std::vector<int> CartGrid::coords_of(int rank) const {
+CartCoords CartGrid::coords_of(int rank) const {
   FS_REQUIRE(rank >= 0 && rank < size_, "rank outside the grid");
-  std::vector<int> coords(dims_.size());
+  CartCoords coords(dims_.size());
   int rem = rank;
   for (int d = ndims() - 1; d >= 0; --d) {
     coords[static_cast<std::size_t>(d)] = rem % dims_[static_cast<std::size_t>(d)];
@@ -69,7 +71,7 @@ int CartGrid::rank_of(std::span<const int> coords) const {
 int CartGrid::neighbor(int rank, int dim, int dir) const {
   FS_REQUIRE(dim >= 0 && dim < ndims(), "dimension out of range");
   FS_REQUIRE(dir == 1 || dir == -1, "direction must be +1 or -1");
-  std::vector<int> coords = coords_of(rank);
+  CartCoords coords = coords_of(rank);
   coords[static_cast<std::size_t>(dim)] += dir;
   return rank_of(coords);
 }

@@ -93,6 +93,20 @@ class RankSymmetry {
   std::optional<std::pair<int, int>> factor_dst(int cls, int dst) const;
   /// Grid neighbour of `rank` along (dim, dir); requires a kCart spec.
   int neighbor_of(int rank, int dim, int dir) const;
+  /// Rank offset of a (dim, dir) grid step that does not wrap:
+  /// neighbor_of(rank, dim, dir) == rank + step_offset(dim, dir) whenever
+  /// edge_mask(rank) lacks step_bit(dim, dir). Requires a kCart spec.
+  int step_offset(int dim, int dir) const;
+  /// The edge_mask() bit of a (dim, dir) step (dim < 4).
+  static std::uint8_t step_bit(int dim, int dir) {
+    return static_cast<std::uint8_t>(1u << (2 * dim + (dir > 0 ? 0 : 1)));
+  }
+  /// step_bit(dim, dir) is set for every step that would leave (or, on a
+  /// periodic grid, wrap around) the grid from `rank`: +1 from the last
+  /// coordinate of a dimension, -1 from the first. Zero without a grid.
+  std::uint8_t edge_mask(int rank) const {
+    return edge_.empty() ? 0 : edge_[static_cast<std::size_t>(rank)];
+  }
 
   const CollapseSpec& spec() const { return spec_; }
   /// FNV-1a over the spec, size and the class partition.
@@ -103,6 +117,7 @@ class RankSymmetry {
   int size_ = 0;
   std::optional<CartGrid> grid_;  // kCart only
   std::vector<int> class_of_;
+  std::vector<std::uint8_t> edge_;  // kCart only: edge_mask per rank
   std::vector<int> reps_;
   std::vector<std::vector<int>> members_;
 };

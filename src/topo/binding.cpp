@@ -95,40 +95,78 @@ Binding Binding::make(const Topology& topology, int ranks, int threads_per_rank,
 
   const std::vector<int> order = binding_order(topology.shape(), bind);
 
-  Binding binding(topology, ranks, threads_per_rank);
-  binding.cores_.resize(static_cast<std::size_t>(ranks) *
-                        static_cast<std::size_t>(threads_per_rank));
-
-  int rank = 0;
-  for (int node = 0; node < nodes; ++node) {
-    const int local_ranks = base + (node < extra ? 1 : 0);
+  // Every node hosting the same number of ranks gets the same layout, so
+  // the layout is worked out once per distinct count (base and base + 1)
+  // and stamped onto each node. Node 0 hosts the larger count, so it is
+  // the first node that can fail to fit.
+  const std::size_t threads = static_cast<std::size_t>(threads_per_rank);
+  struct NodeLayout {
+    std::vector<int> cores;        // [local rank * threads + thread]
+    std::vector<int> numa;         // node-local domain of each core
+    std::vector<Distance> spans;   // team span of each local rank
+  };
+  auto layout_of = [&](int local_ranks) {
     FS_REQUIRE(local_ranks * threads_per_rank <= cores_per_node,
-               strfmt("node %d cannot host %d ranks x %d threads", node,
+               strfmt("node 0 cannot host %d ranks x %d threads",
                       local_ranks, threads_per_rank));
-    for (int lr = 0; lr < local_ranks; ++lr, ++rank) {
+    NodeLayout layout;
+    // A placement is only valid if no two threads share a core.
+    std::vector<char> seen(static_cast<std::size_t>(cores_per_node), 0);
+    for (int lr = 0; lr < local_ranks; ++lr) {
       const int chunk = chunk_of(alloc, local_ranks, topology.shape(), lr);
+      const std::size_t first = layout.cores.size();
+      Distance widest = Distance::kSameCore;
       for (int t = 0; t < threads_per_rank; ++t) {
         const int slot = chunk * threads_per_rank + t;
         FS_ASSERT(slot >= 0 && slot < cores_per_node, "slot out of range");
-        binding.cores_[binding.index(rank, t)] =
-            CoreId{node, order[static_cast<std::size_t>(slot)]};
+        const int core = order[static_cast<std::size_t>(slot)];
+        char& used = seen[static_cast<std::size_t>(core)];
+        FS_ASSERT(used == 0, "binding assigned two threads to one core");
+        used = 1;
+        layout.cores.push_back(core);
+        layout.numa.push_back(topology.numa_of(core));
+        const CoreId master{0, layout.cores[first]};
+        widest = std::max(widest, topology.distance(master, CoreId{0, core}));
       }
+      // A single-thread team still synchronises within its own NUMA domain.
+      layout.spans.push_back(std::max(widest, Distance::kSameNuma));
+    }
+    return layout;
+  };
+  const NodeLayout wide = layout_of(base + (extra > 0 ? 1 : 0));
+  const NodeLayout narrow = extra > 0 ? layout_of(base) : NodeLayout{};
+
+  // Flat per-rank and per-thread placement: every query the prediction
+  // engine makes per rank or per thread becomes one array read.
+  Binding binding(topology, ranks, threads_per_rank);
+  const std::size_t r_count = static_cast<std::size_t>(ranks);
+  binding.cores_.resize(r_count * threads);
+  binding.thread_numa_.resize(r_count * threads);
+  binding.rank_nodes_.resize(r_count);
+  binding.master_core_.resize(r_count);
+  binding.home_numa_.resize(r_count);
+  binding.team_span_.resize(r_count);
+  const int numa_per_node = topology.numa_per_node();
+  std::size_t r = 0;
+  for (int node = 0; node < nodes; ++node) {
+    const NodeLayout& layout = node < extra || extra == 0 ? wide : narrow;
+    for (std::size_t lr = 0; lr < layout.spans.size(); ++lr, ++r) {
+      for (std::size_t t = 0; t < threads; ++t) {
+        const std::size_t k = lr * threads + t;
+        binding.cores_[r * threads + t] = CoreId{node, layout.cores[k]};
+        binding.thread_numa_[r * threads + t] =
+            node * numa_per_node + layout.numa[k];
+      }
+      binding.rank_nodes_[r] = node;
+      binding.master_core_[r] = layout.cores[lr * threads];
+      binding.home_numa_[r] = binding.thread_numa_[r * threads];
+      binding.team_span_[r] = layout.spans[lr];
     }
   }
-  FS_ASSERT(rank == ranks, "rank distribution mismatch");
-
-  // A placement is only valid if no two threads share a core. Flat bitmap
-  // over all cores: placements reach 10^6+ ranks under collapsed
-  // simulation, where a node-by-node tree set dominated make() time.
-  std::vector<char> seen(static_cast<std::size_t>(nodes) *
-                             static_cast<std::size_t>(cores_per_node),
-                         0);
-  for (const CoreId& c : binding.cores_) {
-    char& slot = seen[static_cast<std::size_t>(c.node) *
-                          static_cast<std::size_t>(cores_per_node) +
-                      static_cast<std::size_t>(c.core)];
-    FS_ASSERT(slot == 0, "binding assigned two threads to one core");
-    slot = 1;
+  FS_ASSERT(r == r_count, "rank distribution mismatch");
+  for (std::size_t other = 1; other < r_count; ++other) {
+    binding.job_span_ =
+        std::max(binding.job_span_, binding.master_distance(0, other));
   }
   return binding;
 }
@@ -144,10 +182,13 @@ CoreId Binding::core_of(int rank, int thread) const {
   return cores_[index(rank, thread)];
 }
 
-int Binding::node_of(int rank) const { return core_of(rank, 0).node; }
+std::size_t Binding::checked(int rank) const {
+  FS_REQUIRE(rank >= 0 && rank < ranks_, "rank out of range");
+  return static_cast<std::size_t>(rank);
+}
 
 int Binding::thread_numa(int rank, int thread) const {
-  return topology_.global_numa(core_of(rank, thread));
+  return thread_numa_[index(rank, thread)];
 }
 
 int Binding::numa_span(int rank) const {
@@ -156,27 +197,6 @@ int Binding::numa_span(int rank) const {
     domains.insert(thread_numa(rank, t));
   }
   return static_cast<int>(domains.size());
-}
-
-Distance Binding::rank_distance(int a, int b) const {
-  return topology_.distance(core_of(a, 0), core_of(b, 0));
-}
-
-Distance Binding::team_span(int rank) const {
-  Distance widest = Distance::kSameCore;
-  for (int t = 1; t < threads_per_rank_; ++t) {
-    widest = std::max(widest, topology_.distance(core_of(rank, 0), core_of(rank, t)));
-  }
-  // A single-thread team still synchronises within its own NUMA domain.
-  return std::max(widest, Distance::kSameNuma);
-}
-
-Distance Binding::job_span() const {
-  Distance widest = Distance::kSameNuma;
-  for (int r = 1; r < ranks_; ++r) {
-    widest = std::max(widest, rank_distance(0, r));
-  }
-  return widest;
 }
 
 }  // namespace fibersim::topo

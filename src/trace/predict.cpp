@@ -1,6 +1,7 @@
 #include "trace/predict.hpp"
 
 #include <algorithm>
+#include <array>
 #include <utility>
 
 #include "cg/codegen_model.hpp"
@@ -12,70 +13,69 @@ namespace fibersim::trace {
 
 namespace {
 
-/// Per-phase point-to-point communication model. Two passes: add_flow()
-/// aggregates every inter-node flow of the phase onto the torus (per
-/// node-pair; LinkContention routes each pair once and computes its foreign
-/// bytes at seal()), then each send is costed with its distance class —
-/// torus hop latency + injection bandwidth + contended-link share (a walk of
-/// the source node's short flow chain) for remote sends, CMG-ring hop
-/// latency within a socket, the flat class latencies otherwise. Callers pass
-/// each send's rank distance in, so a caller that lists the phase's sends
-/// once classifies each send once, and may pass a remote send's node pair
-/// in too.
+/// Seconds of one remote send over a route of `hops` whose busiest link
+/// carries `foreign` bytes of other pairs: torus hop latency + injection
+/// bandwidth + contended-link share.
+double remote_send_seconds(const machine::CommCostModel& model, int hops,
+                           std::uint64_t foreign, std::uint64_t messages,
+                           std::uint64_t bytes) {
+  return static_cast<double>(messages) * model.remote_latency_seconds(hops) +
+         static_cast<double>(bytes) /
+             model.bandwidth(topo::Distance::kRemoteNode) +
+         static_cast<double>(foreign) / model.link_bandwidth();
+}
+
+/// Seconds of one send within a node, between ranks whose master cores lie
+/// in NUMA domains `numa_a` and `numa_b`: CMG-ring hop latency within a
+/// socket, the flat class latencies otherwise.
+double local_send_seconds(const machine::CommCostModel& model,
+                          topo::Distance d, int numa_a, int numa_b,
+                          std::uint64_t messages, std::uint64_t bytes) {
+  const double latency =
+      d == topo::Distance::kSameSocket
+          ? model.intra_socket_latency_seconds(numa_a, numa_b)
+          : model.latency_seconds(d);
+  return static_cast<double>(messages) * latency +
+         static_cast<double>(bytes) / model.bandwidth(d);
+}
+
+/// Per-phase point-to-point communication model of the naive path. Two
+/// passes: add_rank_flows() aggregates every inter-node flow of the phase
+/// onto the torus (per node-pair; LinkContention routes each pair once and
+/// computes its foreign bytes at seal()), then each send is costed with its
+/// distance class, looking its pair's hops and foreign bytes up per send.
 class PhaseComm {
  public:
   PhaseComm(const machine::CommCostModel& model, const topo::Binding& binding)
       : model_(model), binding_(binding), contention_(&model.torus()) {}
 
-  void add_flow(int src_node, int dst_node, std::uint64_t bytes) {
-    contention_.add_flow(src_node, dst_node, bytes);
-  }
   void add_rank_flows(int rank, const mp::CommLog& comm) {
     for (const auto& [dst, traffic] : comm.sends) {
       if (binding_.rank_distance(rank, dst) == topo::Distance::kRemoteNode) {
-        add_flow(binding_.node_of(rank), binding_.node_of(dst), traffic.bytes);
+        contention_.add_flow(binding_.node_of(rank), binding_.node_of(dst),
+                             traffic.bytes);
       }
     }
   }
   void seal() { contention_.seal(); }
 
-  /// Seconds of one send between two nodes.
-  double remote_seconds(int src_node, int dst_node, std::uint64_t messages,
-                        std::uint64_t bytes) const {
-    const int hops = model_.torus().hops(src_node, dst_node);
-    const double foreign =
-        static_cast<double>(contention_.foreign_bytes(src_node, dst_node));
-    return static_cast<double>(messages) *
-               model_.remote_latency_seconds(hops) +
-           static_cast<double>(bytes) /
-               model_.bandwidth(topo::Distance::kRemoteNode) +
-           foreign / model_.link_bandwidth();
-  }
-
-  double send_seconds(int rank, int dst, topo::Distance d,
-                      std::uint64_t messages, std::uint64_t bytes) const {
-    switch (d) {
-      case topo::Distance::kRemoteNode:
-        return remote_seconds(binding_.node_of(rank), binding_.node_of(dst),
-                              messages, bytes);
-      case topo::Distance::kSameSocket:
-        return static_cast<double>(messages) *
-                   model_.intra_socket_latency_seconds(
-                       binding_.thread_numa(rank, 0),
-                       binding_.thread_numa(dst, 0)) +
-               static_cast<double>(bytes) / model_.bandwidth(d);
-      default:
-        return static_cast<double>(messages) * model_.latency_seconds(d) +
-               static_cast<double>(bytes) / model_.bandwidth(d);
-    }
-  }
-
   /// Point-to-point seconds of one rank (map iteration: ascending dst).
   double rank_p2p_seconds(int rank, const mp::CommLog& comm) const {
     double seconds = 0.0;
     for (const auto& [dst, traffic] : comm.sends) {
-      seconds += send_seconds(rank, dst, binding_.rank_distance(rank, dst),
-                              traffic.messages, traffic.bytes);
+      const topo::Distance d = binding_.rank_distance(rank, dst);
+      if (d == topo::Distance::kRemoteNode) {
+        const int src_node = binding_.node_of(rank);
+        const int dst_node = binding_.node_of(dst);
+        seconds += remote_send_seconds(
+            model_, model_.torus().hops(src_node, dst_node),
+            contention_.foreign_bytes(src_node, dst_node), traffic.messages,
+            traffic.bytes);
+      } else {
+        seconds += local_send_seconds(model_, d, binding_.home_numa(rank),
+                                      binding_.home_numa(dst),
+                                      traffic.messages, traffic.bytes);
+      }
     }
     return seconds;
   }
@@ -269,17 +269,18 @@ void for_each_send(const CanonicalTrace& trace, std::size_t p, int rank,
 template <typename Fn>
 void for_each_send(const CollapsedTrace& trace, std::size_t p, int rank,
                    Fn&& fn) {
-  // One scratch buffer per thread keeps the per-rank call allocation-free.
-  thread_local std::vector<CollapsedTrace::RankSend> sends;
-  trace.rank_sends(p, rank, &sends);
-  for (const CollapsedTrace::RankSend& s : sends) {
-    fn(s.dst, s.messages, s.bytes);
+  // Only members on the edge of a periodic grid fill the scratch buffer; one
+  // per thread keeps them allocation-free too.
+  thread_local std::vector<CollapsedTrace::RankSend> scratch;
+  const CollapsedTrace::SendView view = trace.send_view(p, rank, &scratch);
+  for (const CollapsedTrace::RankSend& s : view.sends) {
+    fn(view.base + s.dst, s.messages, s.bytes);
   }
 }
 
 /// The class-replay engine behind both class-compressed predict_job
 /// overloads. Stage 1 costs each equivalence class once (codegen, thread
-/// share, exec-model work evaluation, collective terms); stage 2 replays
+/// share, exec-model work evaluation, collective terms); stage 2 streams
 /// placement and point-to-point costs rank-major in the naive path's order,
 /// so every output bit matches predict_job(JobTrace) on the expanded trace.
 template <typename Trace>
@@ -301,53 +302,36 @@ JobPrediction replay_classes(const machine::ProcessorConfig& cfg,
     memo.stage1->count_lookups(lookups);
   }
 
-  // Placement tables: computed once per sweep point and reused by every
-  // phase (the naive path re-derives them per thread entry per phase).
-  const std::size_t nt = static_cast<std::size_t>(ranks) *
-                         static_cast<std::size_t>(threads);
-  std::vector<int> numa_of(nt);
-  std::vector<int> home_of(ranks);
-  std::vector<double> team_barrier(ranks);
-  topo::Distance widest = topo::Distance::kSameNuma;
-  for (int rank = 0; rank < ranks; ++rank) {
-    for (int t = 0; t < threads; ++t) {
-      numa_of[static_cast<std::size_t>(rank) * threads + t] =
-          binding.thread_numa(rank, t);
-    }
-    home_of[static_cast<std::size_t>(rank)] = binding.home_numa(rank);
-    const topo::Distance span = binding.team_span(rank);
-    team_barrier[static_cast<std::size_t>(rank)] =
-        exec.barrier_seconds(threads, span);
-    widest = std::max(widest, span);
+  // Placement: the binding's flat per-rank and per-thread arrays, and the
+  // barrier of a fanned-out team per team span (a pure function of the two,
+  // so one value per distance class stands for every rank).
+  const std::vector<int>& node_of = binding.rank_nodes();
+  const std::vector<int>& home_of = binding.home_numas();
+  const std::vector<int>& numa_of = binding.thread_numas();
+  const std::vector<topo::Distance>& span_of = binding.team_spans();
+  std::array<double, static_cast<std::size_t>(topo::Distance::kRemoteNode) + 1>
+      team_barrier{};
+  for (std::size_t d = 0; d < team_barrier.size(); ++d) {
+    team_barrier[d] =
+        exec.barrier_seconds(threads, static_cast<topo::Distance>(d));
   }
+  topo::Distance widest = topo::Distance::kSameNuma;
+  for (const topo::Distance span : span_of) widest = std::max(widest, span);
   const topo::Distance job_span = binding.job_span();
+  const std::size_t t_count = static_cast<std::size_t>(threads);
 
   JobPrediction out;
   out.phases.reserve(trace.phase_count());
-  std::vector<machine::ThreadRef> refs;
-  refs.reserve(nt);
+  machine::ExecModel::PhaseAccumulator phase_acc(
+      exec, binding.topology().total_numa_domains());
 
   struct ClassEval {
     machine::WorkEval eval;
     std::vector<double> coll_terms;
   };
   std::vector<ClassEval> class_evals;
-
-  // The phase's sends, rank-major and ascending by dst within a rank; rank
-  // r's run is [send_offsets[r], send_offsets[r + 1]). A remote send also
-  // carries its node pair, looked up once here. Reused across phases and
-  // predictions on this thread.
-  struct Send {
-    int dst;
-    topo::Distance distance;
-    int src_node;  // remote sends only
-    int dst_node;  // remote sends only
-    std::uint64_t messages;
-    std::uint64_t bytes;
-  };
-  thread_local std::vector<Send> sends;
-  thread_local std::vector<std::size_t> send_offsets;
-  send_offsets.assign(static_cast<std::size_t>(ranks) + 1, 0);
+  // Pass A's flow index of every remote send, in send order.
+  std::vector<int> flow_of_send;
 
   for (std::size_t p = 0; p < trace.phase_count(); ++p) {
     cancel::checkpoint();  // deadline shed between phases, not mid-phase
@@ -364,6 +348,13 @@ JobPrediction replay_classes(const machine::ProcessorConfig& cfg,
     class_evals.clear();
     class_evals.reserve(ph.classes.size());
     for (const auto& cls : ph.classes) {
+      // The stream below indexes the placement arrays by destination rank
+      // unchecked; a canonical class lists its members' destinations, and a
+      // collapsed member's are grid steps from its representative's.
+      for (const auto& [dst, traffic] : cls.record.comm.sends) {
+        FS_REQUIRE(dst >= 0 && dst < ranks,
+                   "send destination outside the job in phase " + ph.name);
+      }
       ClassEval ce;
       ce.eval = memo.stage1 != nullptr
                     ? memo.stage1->work_eval(exec, phase_context,
@@ -375,56 +366,61 @@ JobPrediction replay_classes(const machine::ProcessorConfig& cfg,
       class_evals.push_back(std::move(ce));
     }
 
-    // Pass A: list every rank's sends once (with their rank distance) and
-    // aggregate the phase's inter-node traffic for contention, in the same
-    // rank-major order as the naive path (integer accumulation, so the order
-    // only matters for auditability).
-    PhaseComm phase_comm(comm_model, binding);
-    sends.clear();
+    // Pass A: aggregate the phase's inter-node traffic for contention,
+    // rank-major like the naive path (integer sums, so the order only
+    // matters for auditability), keeping each remote send's flow index.
+    machine::LinkContention contention(&comm_model.torus());
+    flow_of_send.clear();
     for (int rank = 0; rank < ranks; ++rank) {
-      const int src_node = binding.node_of(rank);
+      const int src_node = node_of[static_cast<std::size_t>(rank)];
       for_each_send(trace, p, rank,
-                    [&](int dst, std::uint64_t messages, std::uint64_t bytes) {
-                      const topo::Distance d = binding.rank_distance(rank, dst);
-                      Send s{dst, d, src_node, src_node, messages, bytes};
-                      if (d == topo::Distance::kRemoteNode) {
-                        s.dst_node = binding.node_of(dst);
-                        phase_comm.add_flow(src_node, s.dst_node, bytes);
+                    [&](int dst, std::uint64_t, std::uint64_t bytes) {
+                      const int dst_node =
+                          node_of[static_cast<std::size_t>(dst)];
+                      if (dst_node != src_node) {
+                        flow_of_send.push_back(contention.add_flow_index(
+                            src_node, dst_node, bytes));
                       }
-                      sends.push_back(s);
                     });
-      send_offsets[static_cast<std::size_t>(rank) + 1] = sends.size();
     }
-    phase_comm.seal();
+    contention.seal();
 
-    // Stage 2 — cheap placement replay in the naive rank-major order, so the
-    // accumulation sequence (and therefore every output bit) matches the
-    // naive path exactly.
-    refs.clear();
+    // Stage 2 — stream placement and sends in the naive rank-major order,
+    // so the accumulation sequence (and therefore every output bit) matches
+    // the naive path exactly. A remote send reads its pair's hops and
+    // foreign bytes straight from its flow.
+    std::size_t next_flow = 0;
     double worst_comm_s = 0.0;
     for (int rank = 0; rank < ranks; ++rank) {
       const ClassEval& ce =
           class_evals[static_cast<std::size_t>(class_of(trace, p, rank))];
       const std::size_t r = static_cast<std::size_t>(rank);
       if (fan_out) {
-        for (int t = 0; t < threads; ++t) {
-          refs.push_back(machine::ThreadRef{&ce.eval,
-                                            numa_of[r * threads + t],
-                                            home_of[r], team_barrier[r]});
+        const double barrier_s =
+            team_barrier[static_cast<std::size_t>(span_of[r])];
+        for (std::size_t t = 0; t < t_count; ++t) {
+          phase_acc.add(ce.eval, numa_of[r * t_count + t], home_of[r],
+                        barrier_s);
         }
       } else {
-        refs.push_back(machine::ThreadRef{&ce.eval, numa_of[r * threads],
-                                          home_of[r], 0.0});
+        phase_acc.add(ce.eval, numa_of[r * t_count], home_of[r], 0.0);
       }
       double comm_s = 0.0;
-      for (std::size_t k = send_offsets[r]; k < send_offsets[r + 1]; ++k) {
-        const Send& s = sends[k];
-        comm_s += s.distance == topo::Distance::kRemoteNode
-                      ? phase_comm.remote_seconds(s.src_node, s.dst_node,
-                                                  s.messages, s.bytes)
-                      : phase_comm.send_seconds(rank, s.dst, s.distance,
-                                                s.messages, s.bytes);
-      }
+      for_each_send(
+          trace, p, rank,
+          [&](int dst, std::uint64_t messages, std::uint64_t bytes) {
+            const std::size_t d = static_cast<std::size_t>(dst);
+            const topo::Distance distance = binding.master_distance(r, d);
+            if (distance == topo::Distance::kRemoteNode) {
+              const int flow = flow_of_send[next_flow++];
+              comm_s += remote_send_seconds(
+                  comm_model, contention.flow_hops(flow),
+                  contention.flow_foreign(flow), messages, bytes);
+            } else {
+              comm_s += local_send_seconds(comm_model, distance, home_of[r],
+                                           home_of[d], messages, bytes);
+            }
+          });
       for (const double term : ce.coll_terms) comm_s += term;
       worst_comm_s = std::max(worst_comm_s, comm_s);
     }
@@ -432,8 +428,8 @@ JobPrediction replay_classes(const machine::ProcessorConfig& cfg,
     PhasePrediction phase;
     phase.name = ph.name;
     phase.timed = ph.timed;
-    phase.time = exec.evaluate_phase_refs(refs);
-    // Per-entry team barriers: evaluate_phase_refs charged one fork-join;
+    phase.time = phase_acc.finish();
+    // Per-entry team barriers: the accumulator charged one fork-join;
     // charge the remaining entries.
     if (fan_out && ph.entries > 1) {
       const double extra = static_cast<double>(ph.entries - 1) *

@@ -10,6 +10,7 @@
 #include <fstream>
 #include <map>
 #include <random>
+#include <set>
 #include <sstream>
 #include <string>
 #include <type_traits>
@@ -736,6 +737,88 @@ TEST(Contention, AnswersDoNotDependOnFlowOrder) {
     if (first.empty()) first = answers;
     EXPECT_EQ(answers, first);
   }
+}
+
+// The class-replay engine's path: flow indices from add_flow_index, hops
+// and foreign bytes read per flow after seal(). Every sealed flow's hops
+// are its pair's TorusMap::hops, and its foreign bytes are what the pair
+// lookup answers for the same sends — zero-byte sends included, which
+// register their pair without loading a link.
+TEST(Contention, FlowIndexAnswersMatchThePairLookup) {
+  const TorusMap t(48);
+  std::mt19937 rng(20261018);
+  std::uniform_int_distribution<int> node(0, t.nodes() - 1);
+  std::uniform_int_distribution<std::uint64_t> size(1, 1u << 16);
+  FlowList added;
+  for (int src = 0; src < t.nodes(); ++src) {
+    for (int k = 0; k < 4; ++k) {
+      int dst = node(rng);
+      if (dst == src) dst = (src + 1) % t.nodes();
+      added.push_back({{src, dst}, size(rng)});
+      if (k == 0) added.push_back({{src, dst}, 0});  // beside a loaded send
+    }
+    int idle = node(rng);  // a pair that may carry only zero-byte sends
+    if (idle == src) idle = (src + 2) % t.nodes();
+    added.push_back({{src, idle}, 0});
+  }
+  std::shuffle(added.begin(), added.end(), rng);
+
+  LinkContention indexed(&t);
+  LinkContention lookup(&t);
+  std::vector<int> flows;
+  for (const auto& [pair, bytes] : added) {
+    flows.push_back(indexed.add_flow_index(pair.first, pair.second, bytes));
+    lookup.add_flow(pair.first, pair.second, bytes);
+  }
+  indexed.seal();
+  lookup.seal();
+  EXPECT_EQ(indexed.max_link_load(), lookup.max_link_load());
+
+  std::map<std::pair<int, int>, int> flow_of_pair;
+  std::size_t charged_zero_sends = 0;
+  for (std::size_t i = 0; i < added.size(); ++i) {
+    const auto& [pair, bytes] = added[i];
+    const int flow = flows[i];
+    // One index per pair, however many sends it carries.
+    const auto [it, inserted] = flow_of_pair.emplace(pair, flow);
+    EXPECT_EQ(it->second, flow);
+    EXPECT_EQ(indexed.flow_hops(flow), t.hops(pair.first, pair.second));
+    EXPECT_EQ(indexed.flow_foreign(flow),
+              lookup.foreign_bytes(pair.first, pair.second))
+        << "pair " << pair.first << " -> " << pair.second;
+    if (bytes == 0 && indexed.flow_foreign(flow) > 0) ++charged_zero_sends;
+  }
+  // Pairs are numbered densely in order of first appearance.
+  std::set<int> indices(flows.begin(), flows.end());
+  EXPECT_EQ(indices.size(), flow_of_pair.size());
+  EXPECT_EQ(*indices.begin(), 0);
+  EXPECT_EQ(*indices.rbegin(), static_cast<int>(indices.size()) - 1);
+  EXPECT_GT(charged_zero_sends, 0u)
+      << "no zero-byte send shares a loaded pair: the test proves nothing";
+}
+
+TEST(Contention, ZeroByteSendOnALoadedPairPaysItsForeignBytes) {
+  const TorusMap t(8);
+  LinkContention c(&t);
+  const int zero = c.add_flow_index(0, 1, 0);  // before the pair's bytes
+  const int loaded = c.add_flow_index(0, 1, 1000);
+  const int rival = c.add_flow_index(4, 1, 700);
+  const int idle = c.add_flow_index(2, 3, 0);  // never carries a byte
+  EXPECT_THROW(c.add_flow_index(5, 5, 100), Error);  // self flow
+  EXPECT_THROW(c.add_flow_index(0, 8, 100), Error);  // off the torus
+  c.seal();
+  EXPECT_THROW(c.add_flow_index(0, 1, 1), Error);  // sealed
+  EXPECT_EQ(zero, loaded);
+  EXPECT_EQ(rival, 1);
+  EXPECT_EQ(idle, 2);
+  EXPECT_EQ(c.flow_foreign(zero), 700u);  // as foreign_bytes(0, 1) answers
+  EXPECT_EQ(c.flow_foreign(zero), c.foreign_bytes(0, 1));
+  EXPECT_EQ(c.flow_foreign(rival), 1000u);
+  EXPECT_EQ(c.flow_foreign(idle), 0u);  // as for a pair never seen
+  EXPECT_EQ(c.foreign_bytes(2, 3), 0u);
+  EXPECT_EQ(c.flow_hops(idle), t.hops(2, 3));
+  EXPECT_EQ(c.flow_hops(rival), 2);
+  EXPECT_EQ(c.max_link_load(), 1700u);  // the idle pair loads no link
 }
 
 TEST(CommModel, RemoteLatencyIsExactPerHop) {

@@ -559,6 +559,16 @@ TEST(Cart, NeighborsAreMutual) {
   }
 }
 
+TEST(Cart, CoordsAreFixedSizeUpToEightDims) {
+  const CartGrid grid(std::vector<int>(8, 2), true);
+  const CartCoords coords = grid.coords_of(grid.size() - 1);
+  ASSERT_EQ(coords.size(), 8u);
+  for (const int c : coords) EXPECT_EQ(c, 1);
+  EXPECT_EQ(grid.rank_of(coords), grid.size() - 1);
+  EXPECT_EQ(grid.neighbor(0, 7, -1), 1);
+  EXPECT_THROW(CartGrid(std::vector<int>(9, 1), false), Error);
+}
+
 TEST(Cart, Validation) {
   EXPECT_THROW(CartGrid({0}, false), Error);
   EXPECT_THROW(dims_create(0, 2), Error);
