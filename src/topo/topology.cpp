@@ -41,11 +41,10 @@ int Topology::global_numa(CoreId core) const {
 Distance Topology::distance(CoreId a, CoreId b) const {
   FS_REQUIRE(a.node >= 0 && a.node < nodes_ && b.node >= 0 && b.node < nodes_,
              "node index out of range");
-  if (a.node != b.node) return Distance::kRemoteNode;
-  if (a.core == b.core) return Distance::kSameCore;
-  if (numa_of(a.core) == numa_of(b.core)) return Distance::kSameNuma;
-  if (socket_of(a.core) == socket_of(b.core)) return Distance::kSameSocket;
-  return Distance::kSameNode;
+  const int cores = cores_per_node();
+  FS_REQUIRE(a.core >= 0 && a.core < cores && b.core >= 0 && b.core < cores,
+             "core index out of range");
+  return distance_unchecked(a, b);
 }
 
 std::string Topology::describe() const {

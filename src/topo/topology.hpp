@@ -64,6 +64,19 @@ class Topology {
   int global_numa(CoreId core) const;
 
   Distance distance(CoreId a, CoreId b) const;
+  /// distance() without the range checks; both cores must be valid. This
+  /// is the one place the rule turning two cores into a class is written.
+  Distance distance_unchecked(CoreId a, CoreId b) const {
+    if (a.node != b.node) return Distance::kRemoteNode;
+    if (a.core == b.core) return Distance::kSameCore;
+    const int numa_a = a.core / shape_.cores_per_numa;
+    const int numa_b = b.core / shape_.cores_per_numa;
+    if (numa_a == numa_b) return Distance::kSameNuma;
+    if (numa_a / shape_.numa_per_socket == numa_b / shape_.numa_per_socket) {
+      return Distance::kSameSocket;
+    }
+    return Distance::kSameNode;
+  }
 
   /// e.g. "1 node x 1 socket x 4 numa x 12 cores".
   std::string describe() const;

@@ -92,7 +92,7 @@ JobPrediction predict_job(const machine::ProcessorConfig& cfg,
 /// O(symmetry classes) while placement replay stays O(ranks x threads) —
 /// the path that makes 10^5-10^6-rank weak-scaling sweeps feasible. Runs the
 /// same class-replay engine as the CanonicalTrace overload, with each
-/// member's sends remapped by CollapsedTrace::rank_sends().
+/// member's sends read through CollapsedTrace::send_view().
 JobPrediction predict_job(const machine::ProcessorConfig& cfg,
                           const cg::CompileOptions& opts,
                           const topo::Binding& binding,

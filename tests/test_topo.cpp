@@ -152,6 +152,91 @@ INSTANTIATE_TEST_SUITE_P(
         BindingCase{2, 24, RankAllocPolicy::kScatter,
                     ThreadBindPolicy::strided(12)}));
 
+// make() stamps one layout per ranks-per-node count and the flat per-rank
+// arrays are read without going back to core_of(); every node must hold a
+// one-node job of its rank count, and every flat value must equal what the
+// Topology primitives give on core_of(). Uneven rank counts
+// (5 on 3 nodes, 10 and 14 on 4, 15 on 2) mix the wide and narrow layouts,
+// whose round-robin chunk assignments differ (14 on 4 for two sockets, 15
+// on 2 for four CMGs); the 2x2x6 shape makes every distance class live
+// between masters.
+TEST(Binding, FlatPlacementMatchesTopologyPrimitives) {
+  const NodeShape shapes[] = {a64fx_shape(), machine::skylake8168_dual().shape,
+                              NodeShape{2, 2, 6}};
+  const RankAllocPolicy allocs[] = {RankAllocPolicy::kBlock,
+                                    RankAllocPolicy::kCyclic,
+                                    RankAllocPolicy::kScatter};
+  const ThreadBindPolicy binds[] = {ThreadBindPolicy::compact(),
+                                    ThreadBindPolicy::scatter()};
+  struct Layout {
+    int ranks;
+    int nodes;
+  };
+  const Layout layouts[] = {{8, 2},  {16, 4}, {5, 3},
+                            {10, 4}, {14, 4}, {15, 2}};
+  for (const NodeShape& shape : shapes) {
+    for (const Layout& layout : layouts) {
+      const Topology t(shape, layout.nodes);
+      for (const int threads : {1, 3}) {
+        for (const RankAllocPolicy alloc : allocs) {
+          for (const ThreadBindPolicy bind : binds) {
+            SCOPED_TRACE(t.describe() + " " + std::to_string(layout.ranks) +
+                         " ranks x " + std::to_string(threads) + " " +
+                         rank_alloc_name(alloc) + " " + bind.name());
+            const Binding b =
+                Binding::make(t, layout.ranks, threads, alloc, bind);
+            const std::size_t tpr = static_cast<std::size_t>(threads);
+            // Each node holds what a one-node job of its rank count holds.
+            const Topology one_node(shape);
+            int first = 0;
+            for (int node = 0; node < layout.nodes; ++node) {
+              const int local = layout.ranks / layout.nodes +
+                                (node < layout.ranks % layout.nodes ? 1 : 0);
+              const Binding alone =
+                  Binding::make(one_node, local, threads, alloc, bind);
+              for (int lr = 0; lr < local; ++lr) {
+                for (int th = 0; th < threads; ++th) {
+                  EXPECT_EQ(b.core_of(first + lr, th),
+                            (CoreId{node, alone.core_of(lr, th).core}));
+                }
+              }
+              first += local;
+            }
+            Distance job_span = Distance::kSameNuma;
+            for (int r = 0; r < layout.ranks; ++r) {
+              const std::size_t ri = static_cast<std::size_t>(r);
+              const CoreId master = b.core_of(r, 0);
+              EXPECT_EQ(b.node_of(r), master.node);
+              EXPECT_EQ(b.rank_nodes()[ri], master.node);
+              EXPECT_EQ(b.home_numa(r), t.global_numa(master));
+              EXPECT_EQ(b.home_numas()[ri], t.global_numa(master));
+              Distance team_span = Distance::kSameCore;
+              for (int th = 0; th < threads; ++th) {
+                const CoreId core = b.core_of(r, th);
+                EXPECT_EQ(b.thread_numa(r, th), t.global_numa(core));
+                EXPECT_EQ(b.thread_numas()[ri * tpr +
+                                           static_cast<std::size_t>(th)],
+                          t.global_numa(core));
+                team_span = std::max(team_span, t.distance(master, core));
+              }
+              team_span = std::max(team_span, Distance::kSameNuma);
+              EXPECT_EQ(b.team_span(r), team_span);
+              EXPECT_EQ(b.team_spans()[ri], team_span);
+              for (int other = 0; other < layout.ranks; ++other) {
+                ASSERT_EQ(b.rank_distance(r, other),
+                          t.distance(master, b.core_of(other, 0)))
+                    << "ranks " << r << ", " << other;
+              }
+              if (r > 0) job_span = std::max(job_span, b.rank_distance(0, r));
+            }
+            EXPECT_EQ(b.job_span(), job_span);
+          }
+        }
+      }
+    }
+  }
+}
+
 TEST(Binding, CompactTeamsStayInOneCmg) {
   const Topology t(a64fx_shape());
   const Binding b = Binding::make(t, 4, 12, RankAllocPolicy::kBlock,
