@@ -49,48 +49,14 @@
 #include "core/runner.hpp"
 #include "core/serve.hpp"
 #include "fault/fault.hpp"
+#include "serve_targets.hpp"
 #include "trace/serialize.hpp"
 
 namespace {
 
 using namespace fibersim;
 namespace fs = std::filesystem;
-
-struct Target {
-  std::string app;
-  int ranks;
-  int threads;
-};
-const std::vector<Target> kTargets = {
-    {"ffvc", 2, 2}, {"ffvc", 4, 2}, {"ffb", 2, 2}, {"ffb", 4, 2}};
-
-std::string predict_line(const Target& t, const std::string& id) {
-  return strfmt("{\"verb\":\"predict\",\"id\":\"%s\",\"app\":\"%s\","
-                "\"dataset\":\"small\",\"ranks\":%d,\"threads\":%d,"
-                "\"iterations\":1}",
-                id.c_str(), t.app.c_str(), t.ranks, t.threads);
-}
-
-core::ExperimentConfig config_of(const Target& t) {
-  core::ExperimentConfig cfg;
-  cfg.app = t.app;
-  cfg.dataset = apps::Dataset::kSmall;
-  cfg.ranks = t.ranks;
-  cfg.threads = t.threads;
-  cfg.iterations = 1;
-  return cfg;
-}
-
-std::string payload_of(const std::string& response) {
-  const std::string marker = "\"payload\":";
-  const std::size_t pos = response.find(marker);
-  if (pos == std::string::npos || response.empty() ||
-      response.back() != '}') {
-    return "";
-  }
-  return response.substr(pos + marker.size(),
-                         response.size() - pos - marker.size() - 1);
-}
+using namespace fibersim::bench;  // the shared predict mix
 
 bool has_code(const std::string& response, const char* code) {
   return response.find(std::string("\"code\":\"") + code + "\"") !=

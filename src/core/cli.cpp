@@ -25,7 +25,7 @@ namespace fibersim::core {
 
 namespace {
 
-constexpr const char* kUsage =
+constexpr const char* kUsageHead =
     "usage: fibersim <command> [options]\n"
     "\n"
     "commands:\n"
@@ -33,22 +33,24 @@ constexpr const char* kUsage =
     "  describe <app|processor>  one miniapp's description, or a registered\n"
     "                            processor dumped as a canonical descriptor\n"
     "                            (round-trips bit-exactly through --processor)\n"
-    "  run [--key value ...]     run one experiment; keys: --app --dataset\n"
-    "                            --ranks --threads --nodes --bind --alloc\n"
-    "                            --compile --processor (a registered name or\n"
-    "                            a descriptor .json path, loaded and\n"
-    "                            registered on first use) --iterations --seed\n"
-    "                            --weak-scale; --collapse-ranks executes one\n"
+    "  run [--key value ...]     run one experiment; keys are the config-\n"
+    "                            file keys with '_' written '-':\n";
+
+/// Follows run's key list.
+constexpr const char* kUsageTail =
+    "                            --processor also takes a descriptor .json\n"
+    "                            path, loaded and registered on first use;\n"
+    "                            --collapse-ranks [on|off] executes one\n"
     "                            representative rank per symmetry class and\n"
     "                            replicates the rest analytically (byte-\n"
     "                            identical results, feasible to 10^6 ranks)\n"
     "                            (--config <file> loads key=value settings\n"
-    "                            first, flags override; --json emits the\n"
-    "                            prediction as JSON; --dump-trace <file>\n"
-    "                            writes the recorded trace as JSON;\n"
-    "                            --trace-cache <dir> reuses native runs from\n"
-    "                            a persistent trace store, also read from\n"
-    "                            env FIBERSIM_TRACE_CACHE)\n"
+    "                            first, wherever it appears; flags override;\n"
+    "                            --json emits the prediction as JSON;\n"
+    "                            --dump-trace <file> writes the recorded\n"
+    "                            trace as JSON; --trace-cache <dir> reuses\n"
+    "                            native runs from a persistent trace store,\n"
+    "                            also read from env FIBERSIM_TRACE_CACHE)\n"
     "  report <id> [--apps a,b] [--dataset small|large] [--iterations N]\n"
     "         [--ranks N] [--threads N]  override the placement-report\n"
     "                            MPI x OMP split (checked integers)\n"
@@ -117,6 +119,23 @@ constexpr const char* kUsage =
     "                on resume, record fresh completions\n"
     "                [--keep-going] render failed slots as FAILED(class)\n"
     "                [--fail-fast] abort on the first failed slot (default)\n";
+
+/// The usage text; `run`'s key list prints from config_keys().
+std::string usage() {
+  constexpr std::size_t kIndent = 28;
+  constexpr std::size_t kWidth = 76;
+  std::string text = kUsageHead;
+  std::string line(kIndent - 1, ' ');
+  for (const ConfigKey& row : config_keys()) {
+    const std::string flag = row.flag();
+    if (line.size() + 1 + flag.size() > kWidth) {
+      text += line + "\n";
+      line.assign(kIndent - 1, ' ');
+    }
+    line += " " + flag;
+  }
+  return text + line + "\n" + kUsageTail;
+}
 
 int cmd_list(std::ostream& out) {
   out << "miniapps:\n";
@@ -260,64 +279,17 @@ int cmd_calibrate(const std::vector<std::string>& args, std::ostream& out,
   return 0;
 }
 
-/// Applies --key value pairs onto a config; returns unconsumed error or "".
-/// Numeric values go through the checked flag_* parsers: a malformed value
-/// is an error message, never an uncaught std::sto* exception.
-std::string apply_flags(const std::vector<std::string>& args,
-                        ExperimentConfig& cfg) {
-  std::string problem;
-  for (std::size_t i = 0; i < args.size(); i += 2) {
-    const std::string& key = args[i];
-    if (i + 1 >= args.size()) return "missing value for " + key;
-    const std::string& value = args[i + 1];
-    if (key == "--app") {
-      cfg.app = value;
-    } else if (key == "--dataset") {
-      cfg.dataset = parse_dataset(value);
-    } else if (key == "--ranks") {
-      problem = flag_int(key, value, 1, &cfg.ranks);
-    } else if (key == "--threads") {
-      problem = flag_int(key, value, 1, &cfg.threads);
-    } else if (key == "--nodes") {
-      problem = flag_int(key, value, 1, &cfg.nodes);
-    } else if (key == "--bind") {
-      cfg.bind = parse_bind(value);
-    } else if (key == "--alloc") {
-      cfg.alloc = parse_alloc(value);
-    } else if (key == "--compile") {
-      cfg.compile = parse_compile(value);
-    } else if (key == "--processor") {
-      cfg.processor = parse_processor(value);
-    } else if (key == "--iterations") {
-      problem = flag_int(key, value, 1, &cfg.iterations);
-    } else if (key == "--seed") {
-      problem = flag_u64(key, value, &cfg.seed);
-    } else if (key == "--weak-scale") {
-      problem = flag_int(key, value, 1, &cfg.weak_scale);
-    } else if (key == "--config") {
-      cfg = load_experiment_config(value);
-    } else {
-      return "unknown flag: " + key;
-    }
-    if (!problem.empty()) return problem;
-  }
-  return "";
-}
-
 int cmd_run(const std::vector<std::string>& args, std::ostream& out,
             std::ostream& err) {
   ExperimentConfig cfg;
   bool json = false;
-  bool collapse = false;
   std::string dump_trace_path;
   std::string trace_cache_dir;
-  // Pull out the output-control flags, leave the rest for apply_flags.
+  // Pull out the output-control flags, leave the rest for parse_run_flags.
   std::vector<std::string> config_args;
   for (std::size_t i = 0; i < args.size(); ++i) {
     if (args[i] == "--json") {
       json = true;
-    } else if (args[i] == "--collapse-ranks") {
-      collapse = true;
     } else if (args[i] == "--dump-trace") {
       if (i + 1 >= args.size()) {
         err << "missing value for --dump-trace\n";
@@ -334,13 +306,11 @@ int cmd_run(const std::vector<std::string>& args, std::ostream& out,
       config_args.push_back(args[i]);
     }
   }
-  const std::string problem = apply_flags(config_args, cfg);
+  const std::string problem = parse_run_flags(config_args, cfg);
   if (!problem.empty()) {
     err << problem << "\n";
     return 2;
   }
-  // The flag forces collapse on; a config file's collapse_ranks=true stays.
-  if (collapse) cfg.collapse = true;
   Runner runner;
   attach_trace_store(runner, trace_cache_dir);
   const ExperimentResult res = runner.run(cfg);
@@ -611,6 +581,40 @@ int cmd_serve(const std::vector<std::string>& args, std::ostream& out,
 
 }  // namespace
 
+std::string parse_run_flags(const std::vector<std::string>& args,
+                            ExperimentConfig& cfg) {
+  struct Setting {
+    const ConfigKey* row;
+    std::string flag, value;
+  };
+  std::vector<Setting> settings;
+  std::string config_path;
+  for (std::size_t i = 0; i < args.size();) {
+    const std::string& flag = args[i];
+    // A bare --collapse-ranks (last, or followed by another flag) means on.
+    const bool bare = flag == "--collapse-ranks" &&
+                      (i + 1 == args.size() || args[i + 1].starts_with("--"));
+    if (!bare && i + 1 >= args.size()) return "missing value for " + flag;
+    const std::string value = bare ? "on" : args[i + 1];
+    i += bare ? 1 : 2;
+    if (flag == "--config") {
+      config_path = value;
+      continue;
+    }
+    const ConfigKey* row = find_config_flag(flag);
+    if (row == nullptr) return "unknown flag: " + flag;
+    settings.push_back({row, flag, value});
+  }
+  // The file loads first wherever --config appears, so flags override it.
+  if (!config_path.empty()) cfg = load_experiment_config(config_path);
+  for (const Setting& s : settings) {
+    const std::string problem =
+        s.row->set(cfg, s.flag, s.value, KeySource::kLocal);
+    if (!problem.empty()) return problem;
+  }
+  return "";
+}
+
 std::vector<std::string> cli_report_ids() {
   return ExperimentRegistry::instance().ids();
 }
@@ -618,7 +622,7 @@ std::vector<std::string> cli_report_ids() {
 int cli_main(const std::vector<std::string>& args, std::ostream& out,
              std::ostream& err) {
   if (args.size() < 2) {
-    err << kUsage;
+    err << usage();
     return 2;
   }
   const std::string command = args[1];
@@ -635,7 +639,7 @@ int cli_main(const std::vector<std::string>& args, std::ostream& out,
     if (command == "tune") return cmd_tune(rest, out, err);
     if (command == "serve") return cmd_serve(rest, out, err);
     if (command == "help" || command == "--help" || command == "-h") {
-      out << kUsage;
+      out << usage();
       return 0;
     }
   } catch (const Error& e) {
@@ -645,7 +649,7 @@ int cli_main(const std::vector<std::string>& args, std::ostream& out,
     err << "error: " << e.what() << "\n";
     return 2;
   }
-  err << "unknown command: " << command << "\n" << kUsage;
+  err << "unknown command: " << command << "\n" << usage();
   return 2;
 }
 

@@ -1,11 +1,14 @@
 #include "core/config_parse.hpp"
 
+#include <algorithm>
 #include <fstream>
 #include <sstream>
+#include <utility>
 
 #include "common/error.hpp"
 #include "common/parse_num.hpp"
 #include "common/string_util.hpp"
+#include "core/report_flags.hpp"
 #include "machine/registry.hpp"
 
 namespace fibersim::core {
@@ -79,33 +82,101 @@ apps::Dataset parse_dataset(std::string_view text) {
 
 namespace {
 
-int parse_int(const std::string& key, std::string_view value) {
-  const std::optional<int> v = fibersim::parse_i32(value);
-  if (!v) {
-    throw Error("value of '" + key + "' is not an integer: '" +
-                std::string(value) + "'");
-  }
-  return *v;
+using Label = const std::string&;
+using Token = const std::string&;
+
+template <typename T>
+std::string assign(T& field, T value) {
+  field = std::move(value);
+  return "";
 }
 
-std::uint64_t parse_u64_value(const std::string& key, std::string_view value) {
-  const std::optional<std::uint64_t> v = fibersim::parse_u64(value);
-  if (!v) {
-    throw Error("value of '" + key + "' is not a non-negative integer: '" +
-                std::string(value) + "'");
-  }
-  return *v;
-}
-
-bool parse_bool(const std::string& key, std::string_view value) {
-  const std::string t = to_lower(trim(value));
-  if (t == "true" || t == "1" || t == "yes" || t == "on") return true;
-  if (t == "false" || t == "0" || t == "no" || t == "off") return false;
-  throw Error("value of '" + key + "' is not a boolean: '" +
-              std::string(value) + "'");
-}
+constexpr ConfigKey kConfigKeys[] = {
+    {"app", [](ExperimentConfig& c, Label, Token t, KeySource) {
+       return assign(c.app, t);
+     }},
+    {"dataset", [](ExperimentConfig& c, Label, Token t, KeySource) {
+       return assign(c.dataset, parse_dataset(t));
+     }},
+    {"ranks", [](ExperimentConfig& c, Label l, Token t, KeySource) {
+       return flag_int(l, t, 1, &c.ranks);
+     }},
+    {"threads", [](ExperimentConfig& c, Label l, Token t, KeySource) {
+       return flag_int(l, t, 1, &c.threads);
+     }},
+    {"nodes", [](ExperimentConfig& c, Label l, Token t, KeySource) {
+       return flag_int(l, t, 1, &c.nodes);
+     }},
+    {"bind", [](ExperimentConfig& c, Label, Token t, KeySource) {
+       return assign(c.bind, parse_bind(t));
+     }},
+    {"alloc", [](ExperimentConfig& c, Label, Token t, KeySource) {
+       return assign(c.alloc, parse_alloc(t));
+     }},
+    {"compile", [](ExperimentConfig& c, Label, Token t, KeySource) {
+       return assign(c.compile, parse_compile(t));
+     }},
+    {"unroll", [](ExperimentConfig& c, Label l, Token t, KeySource) {
+       return flag_int(l, t, 1, &c.compile.unroll);
+     }},
+    {"fission", [](ExperimentConfig& c, Label l, Token t, KeySource) {
+       return flag_bool(l, t, &c.compile.loop_fission);
+     }},
+    {"compiler", [](ExperimentConfig& c, Label, Token t, KeySource) {
+       return assign(c.compile.compiler, parse_compiler_profile(t));
+     }},
+    {"processor", [](ExperimentConfig& c, Label, Token t, KeySource s) {
+       const auto& registry = machine::ProcessorRegistry::instance();
+       return assign(c.processor, s == KeySource::kLocal
+                                      ? parse_processor(t)
+                                      : registry.resolve_name(t));
+     }},
+    {"iterations", [](ExperimentConfig& c, Label l, Token t, KeySource) {
+       return flag_int(l, t, 1, &c.iterations);
+     }},
+    {"seed", [](ExperimentConfig& c, Label l, Token t, KeySource) {
+       return flag_u64(l, t, &c.seed);
+     }},
+    {"weak_scale", [](ExperimentConfig& c, Label l, Token t, KeySource) {
+       return flag_int(l, t, 1, &c.weak_scale);
+     }},
+    {"collapse_ranks", [](ExperimentConfig& c, Label l, Token t, KeySource) {
+       return flag_bool(l, t, &c.collapse);
+     }},
+};
 
 }  // namespace
+
+std::string ConfigKey::set(ExperimentConfig& cfg, const std::string& label,
+                           const std::string& token, KeySource source) const {
+  try {
+    return parse(cfg, label, token, source);
+  } catch (const Error& e) {
+    return e.what();
+  }
+}
+
+std::string ConfigKey::flag() const {
+  std::string out = std::string("--") + name;
+  std::replace(out.begin(), out.end(), '_', '-');
+  return out;
+}
+
+std::span<const ConfigKey> config_keys() { return kConfigKeys; }
+
+const ConfigKey* find_config_key(std::string_view name) {
+  for (const ConfigKey& row : kConfigKeys) {
+    if (name == row.name) return &row;
+  }
+  return nullptr;
+}
+
+const ConfigKey* find_config_flag(std::string_view flag) {
+  for (const ConfigKey& row : kConfigKeys) {
+    if (flag == row.flag()) return &row;
+  }
+  return nullptr;
+}
 
 ExperimentConfig parse_experiment_config(std::string_view text) {
   ExperimentConfig cfg;
@@ -125,44 +196,17 @@ ExperimentConfig parse_experiment_config(std::string_view text) {
                strfmt("config line %d has no '=': '%s'", line_no,
                       std::string(body).c_str()));
     const std::string key = to_lower(trim(body.substr(0, eq)));
-    const std::string_view value = trim(body.substr(eq + 1));
+    const std::string value(trim(body.substr(eq + 1)));
     FS_REQUIRE(!value.empty(), "config key '" + key + "' has no value");
 
-    if (key == "app") {
-      cfg.app = std::string(value);
-    } else if (key == "dataset") {
-      cfg.dataset = parse_dataset(value);
-    } else if (key == "ranks") {
-      cfg.ranks = parse_int(key, value);
-    } else if (key == "threads") {
-      cfg.threads = parse_int(key, value);
-    } else if (key == "nodes") {
-      cfg.nodes = parse_int(key, value);
-    } else if (key == "bind") {
-      cfg.bind = parse_bind(value);
-    } else if (key == "alloc") {
-      cfg.alloc = parse_alloc(value);
-    } else if (key == "compile") {
-      cfg.compile = parse_compile(value);
-    } else if (key == "unroll") {
-      cfg.compile.unroll = parse_int(key, value);
-    } else if (key == "fission") {
-      cfg.compile.loop_fission = parse_bool(key, value);
-    } else if (key == "compiler") {
-      cfg.compile.compiler = parse_compiler_profile(value);
-    } else if (key == "processor") {
-      cfg.processor = parse_processor(value);
-    } else if (key == "iterations") {
-      cfg.iterations = parse_int(key, value);
-    } else if (key == "seed") {
-      cfg.seed = parse_u64_value(key, value);
-    } else if (key == "weak_scale") {
-      cfg.weak_scale = parse_int(key, value);
-    } else if (key == "collapse_ranks") {
-      cfg.collapse = parse_bool(key, value);
-    } else {
+    const ConfigKey* row = find_config_key(key);
+    if (row == nullptr) {
       throw Error(strfmt("unknown config key '%s' on line %d", key.c_str(),
                          line_no));
+    }
+    const std::string problem = row->set(cfg, key, value, KeySource::kLocal);
+    if (!problem.empty()) {
+      throw Error(strfmt("%s (config line %d)", problem.c_str(), line_no));
     }
   }
   cfg.validate();

@@ -73,35 +73,11 @@ std::string parse_serve_request(std::string_view line, ServeRequest& req) {
         continue;
       }
       if (predict) {
-        if (key == "app") {
-          req.config.app = token;
-        } else if (key == "dataset") {
-          req.config.dataset = parse_dataset(token);
-        } else if (key == "ranks") {
-          problem = flag_int(key, token, 1, &req.config.ranks);
-        } else if (key == "threads") {
-          problem = flag_int(key, token, 1, &req.config.threads);
-        } else if (key == "nodes") {
-          problem = flag_int(key, token, 1, &req.config.nodes);
-        } else if (key == "bind") {
-          req.config.bind = parse_bind(token);
-        } else if (key == "alloc") {
-          req.config.alloc = parse_alloc(token);
-        } else if (key == "compile") {
-          req.config.compile = parse_compile(token);
-        } else if (key == "processor") {
-          req.config.processor = parse_processor(token);
-        } else if (key == "iterations") {
-          problem = flag_int(key, token, 1, &req.config.iterations);
-        } else if (key == "seed") {
-          problem = flag_u64(key, token, &req.config.seed);
-        } else if (key == "weak_scale") {
-          problem = flag_int(key, token, 1, &req.config.weak_scale);
-        } else if (key == "collapse") {
-          problem = flag_bool(key, token, &req.config.collapse);
-        } else {
-          return "unknown predict field: '" + key + "'";
-        }
+        // "collapse" is the serve spelling of collapse_ranks.
+        const ConfigKey* row = find_config_key(
+            key == "collapse" ? std::string_view("collapse_ranks") : key);
+        if (row == nullptr) return "unknown predict field: '" + key + "'";
+        problem = row->set(req.config, key, token, KeySource::kRemote);
       } else if (report) {
         if (key == "report") {
           req.report_id = token;

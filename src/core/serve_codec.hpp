@@ -14,8 +14,12 @@
 //   {"verb":"report","report":"T1","apps":"ffvc","dataset":"small",
 //    "iterations":1,"format":"json"}
 //
-// The optional "collapse" field ("on"/"off") mirrors --collapse-ranks: the
-// execution collapses symmetric ranks, the payload stays byte-identical.
+// The predict fields are core::config_keys(), the same table behind the
+// config file and the `fibersim run` flags; "collapse" ("on"/"off") is
+// accepted as the spelling of collapse_ranks: the execution collapses
+// symmetric ranks, the payload stays byte-identical. A predict "processor"
+// must name a registered machine: a descriptor path is rejected, because
+// loading it would read a file and change the registry for every client.
 //
 // All field values pass through the same checked parsers as the CLI flags
 // (core::flag_int / parse_dataset / ...): non-numeric, trailing-garbage and

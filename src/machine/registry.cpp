@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <filesystem>
+#include <optional>
 #include <utility>
 
 #include "common/error.hpp"
@@ -84,54 +85,67 @@ bool ProcessorRegistry::find(std::string_view token,
   return true;
 }
 
+std::optional<ProcessorConfig> ProcessorRegistry::lookup_locked(
+    std::string_view lower) const {
+  if (const Entry* e = find_locked(lower)) return e->config;
+  // "-boost" / "-eco" variants of any registered processor.
+  for (const auto& [suffix, mode] :
+       {std::pair{std::string_view("-boost"), PowerMode::kBoost},
+        std::pair{std::string_view("-eco"), PowerMode::kEco}}) {
+    if (lower.size() <= suffix.size() || !lower.ends_with(suffix)) continue;
+    if (const Entry* e = find_locked(lower.substr(0, lower.size() -
+                                                         suffix.size()))) {
+      const ProcessorConfig modal = with_power_mode(e->config, mode);
+      FS_REQUIRE(!(modal == e->config),
+                 "processor '" + e->config.name + "' declares no " +
+                     power_mode_name(mode) + " mode");
+      return modal;
+    }
+  }
+  return std::nullopt;
+}
+
+void ProcessorRegistry::throw_unknown_locked(std::string_view token,
+                                             bool paths) const {
+  std::string known;
+  for (const Entry& e : entries_) {
+    if (!known.empty()) known += ", ";
+    known += e.key;
+  }
+  throw Error("unknown processor '" + std::string(token) + "' (known: " +
+              known + ", each with optional -boost/-eco" +
+              (paths ? "; or a descriptor path)" : ")"));
+}
+
+ProcessorConfig ProcessorRegistry::resolve_name(std::string_view token) const {
+  const std::string lower = to_lower(trim(token));
+  FS_REQUIRE(!lower.empty(), "empty processor token");
+  std::lock_guard<std::mutex> lock(mu_);
+  std::optional<ProcessorConfig> found = lookup_locked(lower);
+  if (!found) throw_unknown_locked(token, false);
+  return std::move(*found);
+}
+
 ProcessorConfig ProcessorRegistry::resolve(std::string_view token) {
   const std::string lower = to_lower(trim(token));
   FS_REQUIRE(!lower.empty(), "empty processor token");
   {
     std::lock_guard<std::mutex> lock(mu_);
-    if (const Entry* e = find_locked(lower)) return e->config;
-
-    // "-boost" / "-eco" variants of any registered processor.
-    for (const auto& [suffix, mode] :
-         {std::pair{std::string("-boost"), PowerMode::kBoost},
-          std::pair{std::string("-eco"), PowerMode::kEco}}) {
-      if (lower.size() <= suffix.size() ||
-          lower.compare(lower.size() - suffix.size(), suffix.size(), suffix) !=
-              0) {
-        continue;
-      }
-      const std::string base = lower.substr(0, lower.size() - suffix.size());
-      if (const Entry* e = find_locked(base)) {
-        const ProcessorConfig modal = with_power_mode(e->config, mode);
-        FS_REQUIRE(!(modal == e->config),
-                   "processor '" + e->config.name + "' declares no " +
-                       power_mode_name(mode) + " mode");
-        return modal;
-      }
+    if (std::optional<ProcessorConfig> found = lookup_locked(lower)) {
+      return std::move(*found);
     }
   }
 
   // A path-looking token (or an existing file) loads as a descriptor.
   const std::string path(trim(token));
-  const bool path_like = path.find('/') != std::string::npos ||
-                         (path.size() > 5 &&
-                          path.compare(path.size() - 5, 5, ".json") == 0);
   std::error_code ec;
-  if (path_like || fs::is_regular_file(path, ec)) {
+  if (path.find('/') != std::string::npos ||
+      (path.size() > 5 && path.ends_with(".json")) ||
+      fs::is_regular_file(path, ec)) {
     return load_file(path);
   }
-
-  std::string known;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    for (const Entry& e : entries_) {
-      if (!known.empty()) known += ", ";
-      known += e.key;
-    }
-  }
-  throw Error("unknown processor '" + std::string(token) +
-              "' (known: " + known +
-              ", each with optional -boost/-eco; or a descriptor path)");
+  std::lock_guard<std::mutex> lock(mu_);
+  throw_unknown_locked(token, true);
 }
 
 ProcessorConfig ProcessorRegistry::load_file(const std::string& path) {

@@ -1,7 +1,8 @@
 // Process-wide processor registry: the single authority every front end
 // (CLI, tuner, serve codec, experiment reports) consults to turn a token —
-// a built-in key, a "-boost"/"-eco" variant, or a descriptor file path —
-// into a validated ProcessorConfig.
+// a built-in key, a "-boost"/"-eco" variant, or (resolve only, never from
+// the serve socket) a descriptor file path — into a validated
+// ProcessorConfig.
 //
 // Built-ins are registered at first use by round-tripping the C++
 // constructors through the descriptor serialise/parse path, so a checked-in
@@ -18,6 +19,7 @@
 #pragma once
 
 #include <mutex>
+#include <optional>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -49,10 +51,14 @@ class ProcessorRegistry {
   /// returns false and leaves *out untouched when absent.
   bool find(std::string_view token, ProcessorConfig* out) const;
 
-  /// Full resolution: key/name, then "-boost"/"-eco" suffix on a registered
-  /// processor (rejected when the base declares no such mode), then a
-  /// descriptor file path (loaded, validated, and registered as a side
-  /// effect). Throws fibersim::Error with the known names on failure.
+  /// Name-only resolution: key/name, then a "-boost"/"-eco" suffix on a
+  /// registered processor (rejected when the base declares no such mode).
+  /// Never touches the file system or the registry, so it is the form for
+  /// untrusted input. Throws fibersim::Error with the known names on failure.
+  ProcessorConfig resolve_name(std::string_view token) const;
+
+  /// resolve_name, then a descriptor file path (loaded, validated, and
+  /// registered as a side effect). Throws fibersim::Error on failure.
   ProcessorConfig resolve(std::string_view token);
 
   /// Load one descriptor file; replaces a same-name entry (role preserved)
@@ -82,6 +88,9 @@ class ProcessorRegistry {
   void register_locked(const ProcessorConfig& cfg, Role role, std::string key,
                        std::string source);
   const Entry* find_locked(std::string_view lower_token) const;
+  std::optional<ProcessorConfig> lookup_locked(std::string_view lower) const;
+  [[noreturn]] void throw_unknown_locked(std::string_view token,
+                                         bool paths) const;
 
   mutable std::mutex mu_;
   std::vector<Entry> entries_;

@@ -3,13 +3,16 @@
 
 #include <cstdio>
 #include <fstream>
+#include <map>
 #include <sstream>
 
 #include "common/error.hpp"
 #include "common/json.hpp"
 #include "core/cli.hpp"
 #include "core/config_parse.hpp"
+#include "core/journal.hpp"
 #include "core/report_flags.hpp"
+#include "core/serve_codec.hpp"
 #include "machine/calibrate.hpp"
 #include "machine/descriptor.hpp"
 #include "machine/registry.hpp"
@@ -274,6 +277,93 @@ TEST(Cli, RunWithConfigFileAndOverride) {
   EXPECT_EQ(r.code, 0) << r.err;
   EXPECT_NE(r.out.find("Skylake"), std::string::npos);
   std::remove(path.c_str());
+}
+
+TEST(Cli, RunConfigLoadsFirstWhereverItAppears) {
+  const std::string path = ::testing::TempDir() + "/fibersim_cli_first.cfg";
+  {
+    std::ofstream out(path);
+    out << "app = ffvc\nranks = 2\nthreads = 2\niterations = 1\n"
+        << "dataset = small\nprocessor = a64fx\n";
+  }
+  // A flag before --config still overrides the file.
+  const CliResult r =
+      run_cli({"run", "--processor", "skylake", "--config", path});
+  EXPECT_EQ(r.code, 0) << r.err;
+  EXPECT_NE(r.out.find("Skylake"), std::string::npos) << r.out;
+  ExperimentConfig cfg;
+  ASSERT_EQ(parse_run_flags({"--ranks", "1", "--config", path, "--threads",
+                             "3"},
+                            cfg),
+            "");
+  EXPECT_EQ(cfg.ranks, 1);
+  EXPECT_EQ(cfg.threads, 3);
+  EXPECT_EQ(cfg.iterations, 1);
+  std::remove(path.c_str());
+}
+
+TEST(Cli, RunCollapseRanksIsBareOrTakesAValue) {
+  ExperimentConfig cfg;
+  ASSERT_EQ(parse_run_flags({"--collapse-ranks"}, cfg), "");
+  EXPECT_TRUE(cfg.collapse);
+  cfg = ExperimentConfig{};
+  ASSERT_EQ(parse_run_flags({"--collapse-ranks", "--ranks", "2"}, cfg), "");
+  EXPECT_TRUE(cfg.collapse);
+  EXPECT_EQ(cfg.ranks, 2);
+  ASSERT_EQ(parse_run_flags({"--collapse-ranks", "off"}, cfg), "");
+  EXPECT_FALSE(cfg.collapse);
+  EXPECT_NE(parse_run_flags({"--collapse-ranks", "maybe"}, cfg)
+                .find("expected on|off"),
+            std::string::npos);
+}
+
+// The one key table drives all three front ends. Each row, set alone to a
+// non-default token, must reach the same config through the config file,
+// the run flags and a serve predict, and the journal fingerprint of that
+// config must differ from the default's: every settable field is keyed.
+TEST(ConfigKeys, FrontEndsAgreeAndTheJournalKeyCoversEveryField) {
+  const std::map<std::string, std::string> tokens = {
+      {"app", "nicam"},       {"dataset", "large"},
+      {"ranks", "2"},         {"threads", "6"},
+      {"nodes", "2"},         {"bind", "scatter"},
+      {"alloc", "cyclic"},    {"compile", "simd+"},
+      {"unroll", "4"},        {"fission", "on"},
+      {"compiler", "gnu"},    {"processor", "skylake"},
+      {"iterations", "2"},    {"seed", "7"},
+      {"weak_scale", "2"},    {"collapse_ranks", "on"},
+  };
+  const std::uint64_t defaults = SweepJournal::fingerprint(ExperimentConfig{});
+  for (const ConfigKey& row : config_keys()) {
+    SCOPED_TRACE(row.name);
+    const auto it = tokens.find(row.name);
+    ASSERT_NE(it, tokens.end()) << "no test token for key " << row.name;
+    const std::string& token = it->second;
+    const ExperimentConfig file =
+        parse_experiment_config(std::string(row.name) + " = " + token + "\n");
+    ExperimentConfig flags;
+    ASSERT_EQ(parse_run_flags({row.flag(), token}, flags), "");
+    ServeRequest req;
+    ASSERT_EQ(parse_serve_request("{\"verb\":\"predict\",\"" +
+                                      std::string(row.name) + "\":\"" +
+                                      token + "\"}",
+                                  req),
+              "");
+    const std::uint64_t fingerprint = SweepJournal::fingerprint(file);
+    EXPECT_EQ(SweepJournal::fingerprint(flags), fingerprint);
+    EXPECT_EQ(SweepJournal::fingerprint(req.config), fingerprint);
+    EXPECT_NE(fingerprint, defaults);
+  }
+  EXPECT_EQ(tokens.size(), config_keys().size());
+}
+
+TEST(ConfigKeys, UsageListsEveryRunFlag) {
+  const std::string usage = run_cli({"help"}).out;
+  for (const ConfigKey& row : config_keys()) {
+    const std::string flag = " " + row.flag();
+    EXPECT_TRUE(usage.find(flag + " ") != std::string::npos ||
+                usage.find(flag + "\n") != std::string::npos)
+        << row.flag();
+  }
 }
 
 TEST(Cli, RunJsonOutput) {

@@ -13,6 +13,7 @@
 #include <csignal>
 #include <cstdio>
 #include <cstring>
+#include <fstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -23,6 +24,8 @@
 #include "core/serve.hpp"
 #include "core/serve_codec.hpp"
 #include "fault/fault.hpp"
+#include "machine/descriptor.hpp"
+#include "machine/registry.hpp"
 #include "trace/serialize.hpp"
 
 namespace fibersim::core {
@@ -250,6 +253,54 @@ TEST(Serve, PingPredictAndStats) {
   server.wait();
   EXPECT_EQ(::access(server.socket_path().c_str(), F_OK), -1)
       << "socket file must be unlinked on shutdown";
+}
+
+// Socket input may only name registered processors: a descriptor path would
+// read a file and, being registered process-wide, change what every other
+// client's "a64fx" means.
+TEST(Serve, ProcessorPathIsRejectedAndTheRegistryIsUntouched) {
+  machine::ProcessorConfig slow = machine::a64fx();  // still named A64FX
+  slow.freq_hz = 1e9;
+  const std::string path = ::testing::TempDir() + "/serve_slow_a64fx.json";
+  {
+    std::ofstream out(path, std::ios::binary);
+    out << machine::to_descriptor(slow);
+  }
+  const std::vector<machine::ProcessorRegistry::Entry> before =
+      machine::ProcessorRegistry::instance().entries();
+
+  ServeOptions opts;
+  opts.socket_path = test_socket_path();
+  opts.workers = 1;
+  Server server(std::move(opts));
+  server.start();
+  ServeClient client(server.socket_path());
+  for (const std::string& token : {path, std::string("/etc/hostname")}) {
+    const std::string response = client.request(
+        R"({"verb":"predict","app":"ffvc","processor":")" + token + "\"}");
+    EXPECT_EQ(field_of(response, "code"), kCodeBadRequest) << response;
+    EXPECT_NE(field_of(response, "error").find("unknown processor"),
+              std::string::npos)
+        << response;
+  }
+  server.stop();
+  server.wait();
+
+  const std::vector<machine::ProcessorRegistry::Entry> after =
+      machine::ProcessorRegistry::instance().entries();
+  ASSERT_EQ(after.size(), before.size());
+  for (std::size_t i = 0; i < before.size(); ++i) {
+    EXPECT_EQ(after[i].key, before[i].key);
+    EXPECT_EQ(after[i].source, before[i].source);
+    EXPECT_TRUE(after[i].config == before[i].config) << before[i].key;
+  }
+  // Names, including the power-mode variants, still resolve.
+  ServeRequest req;
+  EXPECT_EQ(parse_serve_request(
+                R"({"verb":"predict","processor":"a64fx-boost"})", req),
+            "");
+  EXPECT_EQ(req.config.processor.name, "A64FX-boost");
+  std::remove(path.c_str());
 }
 
 TEST(Serve, MalformedBytesGetTypedErrorsAndServiceContinues) {

@@ -164,6 +164,22 @@ PAYLOAD2="${RESP2#*\"payload\":}"; PAYLOAD2="${PAYLOAD2%\}}"
 CLI_JSON="$("$FIBERSIM" run --app ffvc --dataset small --ranks 4 --threads 2 --json)"
 [ "$PAYLOAD1" = "$CLI_JSON" ] || { echo "serve payload != run --json" >&2; exit 1; }
 [ "$PAYLOAD1" = "$PAYLOAD2" ] || { echo "warm payload diverged" >&2; exit 1; }
+# One key table feeds config files, run flags and predict fields: a predict
+# that sets every key must match `run --config` with the same keys, byte
+# for byte.
+KEYS_CFG="$CACHE_DIR/all-keys.cfg"
+KEYS_REQ='{"verb":"predict"'
+for kv in app=ffvc dataset=small ranks=4 threads=2 nodes=1 bind=stride-2 \
+    alloc=cyclic compile=simd+ unroll=4 fission=on compiler=gnu \
+    processor=a64fx-boost iterations=1 seed=7 weak_scale=2 collapse_ranks=on; do
+  echo "${kv%%=*} = ${kv#*=}" >> "$KEYS_CFG"
+  KEYS_REQ="$KEYS_REQ,\"${kv%%=*}\":\"${kv#*=}\""
+done
+KEYS_RESP="$("$PERF_SERVE" --connect "$SERVE_SOCK" --send "$KEYS_REQ}")"
+case "$KEYS_RESP" in '{"ok":true'*) ;; *) echo "bad response: $KEYS_RESP" >&2; exit 1;; esac
+KEYS_PAYLOAD="${KEYS_RESP#*\"payload\":}"; KEYS_PAYLOAD="${KEYS_PAYLOAD%\}}"
+"$FIBERSIM" run --config "$KEYS_CFG" --json > "$CACHE_DIR/all-keys.run.json"
+printf '%s\n' "$KEYS_PAYLOAD" | cmp - "$CACHE_DIR/all-keys.run.json"
 # A short multi-client load pass must come back with zero not-ok responses.
 "$PERF_SERVE" --connect "$SERVE_SOCK" --clients 2 --requests 8
 # Fault chaos: a plan-carrying daemon must answer with a typed FAILED
