@@ -12,6 +12,7 @@
 // components per site, sized field_size(ncomp).
 #pragma once
 
+#include <algorithm>
 #include <array>
 #include <cstdint>
 #include <numeric>
@@ -126,10 +127,13 @@ class HaloGrid {
   }
 
  private:
-  /// Iterate a hyper-slab: dims e != d run [lo_e, hi_e); dim d runs the
-  /// `depth` ghost/boundary layers starting at `start_d`.
+  /// Iterate a hyper-slab as contiguous runs along the innermost dimension:
+  /// dims e != d run [lo_e, hi_e); dim d runs the `depth` ghost/boundary
+  /// layers starting at `start_d`. `fn(first, sites)` receives the storage
+  /// index of each run's first site and the run length; the innermost
+  /// stride is 1, so a run is sites * ncomp consecutive doubles.
   template <typename Fn>
-  void for_each_slab(int d, int start_d, int depth, Fn&& fn) const {
+  void for_each_run(int d, int start_d, int depth, Fn&& fn) const {
     Coord lo{};
     Coord hi{};
     for (int e = 0; e < N; ++e) {
@@ -145,10 +149,11 @@ class HaloGrid {
         hi[static_cast<std::size_t>(e)] = local_[static_cast<std::size_t>(e)];
       }
     }
+    const std::int64_t run = hi[N - 1] - lo[N - 1];
     Coord c = lo;
     while (true) {
-      fn(c);
-      int e = N - 1;
+      fn(site_index(c), run);
+      int e = N - 2;
       while (e >= 0) {
         if (++c[static_cast<std::size_t>(e)] < hi[static_cast<std::size_t>(e)]) break;
         c[static_cast<std::size_t>(e)] = lo[static_cast<std::size_t>(e)];
@@ -160,25 +165,24 @@ class HaloGrid {
 
   void pack(std::span<const double> field, int ncomp, int d, int start_d,
             std::vector<double>& buffer) const {
-    buffer.clear();
-    for_each_slab(d, start_d, ghost_, [&](const Coord& c) {
-      const std::int64_t base = site_index(c) * ncomp;
-      for (int k = 0; k < ncomp; ++k) {
-        buffer.push_back(field[static_cast<std::size_t>(base + k)]);
-      }
+    buffer.resize(static_cast<std::size_t>(slab_doubles(d, ncomp)));
+    auto out = buffer.begin();
+    for_each_run(d, start_d, ghost_, [&](std::int64_t first, std::int64_t sites) {
+      const auto run = field.begin() + first * ncomp;
+      out = std::copy(run, run + sites * ncomp, out);
     });
+    FS_ASSERT(out == buffer.end(), "halo pack size mismatch");
   }
 
   void unpack(std::span<double> field, int ncomp, int d, int start_d,
               std::span<const double> buffer) const {
-    std::size_t pos = 0;
-    for_each_slab(d, start_d, ghost_, [&](const Coord& c) {
-      const std::int64_t base = site_index(c) * ncomp;
-      for (int k = 0; k < ncomp; ++k) {
-        field[static_cast<std::size_t>(base + k)] = buffer[pos++];
-      }
+    auto in = buffer.begin();
+    for_each_run(d, start_d, ghost_, [&](std::int64_t first, std::int64_t sites) {
+      const auto next = in + sites * ncomp;
+      std::copy(in, next, field.begin() + first * ncomp);
+      in = next;
     });
-    FS_ASSERT(pos == buffer.size(), "halo unpack size mismatch");
+    FS_ASSERT(in == buffer.end(), "halo unpack size mismatch");
   }
 
   void exchange_dim(mp::Comm& comm, std::span<double> field, int ncomp,

@@ -135,7 +135,6 @@ class NgsaMini final : public Miniapp {
                          (rank + 1) / ranks);
 
     std::vector<int> best_scores(reads.size(), 0);
-    std::vector<std::uint32_t> histogram;
     std::uint64_t hist_checksum = 0;
 
     for (int outer = 0; outer < ctx.iterations; ++outer) {
@@ -166,23 +165,8 @@ class NgsaMini final : public Miniapp {
       // --- k-mer histogram pass ---
       {
         trace::Recorder::Scoped phase(rec, "kmer");
-        const std::size_t table = std::size_t{1}
-                                  << std::min(2 * prm.kmer, 22);
-        histogram.assign(table, 0);
-        std::uint64_t code = 0;
-        const std::uint64_t mask = table - 1;
-        for (int i = slice_begin; i < slice_end; ++i) {
-          code = ((code << 2) | ref[static_cast<std::size_t>(i)]) & mask;
-          if (i - slice_begin >= prm.kmer - 1) {
-            // Fibonacci hash then scatter-increment: random access.
-            const std::uint64_t slot = (code * 0x9e3779b97f4a7c15ULL) & mask;
-            ++histogram[static_cast<std::size_t>(slot)];
-          }
-        }
-        hist_checksum = 0;
-        for (std::size_t s = 0; s < histogram.size(); ++s) {
-          hist_checksum += histogram[s] * (s % 251 + 1);
-        }
+        hist_checksum = detail::kmer_checksum(ref, slice_begin, slice_end,
+                                              prm.kmer);
         rec.add_work(kmer_work(prm, slice_end - slice_begin));
       }
       // Cross-rank aggregation of the pass results.
@@ -273,6 +257,27 @@ class NgsaMini final : public Miniapp {
 };
 
 }  // namespace
+
+namespace detail {
+
+std::uint64_t kmer_checksum(std::span<const std::uint8_t> ref, int begin,
+                            int end, int kmer) {
+  const std::uint64_t mask = (std::uint64_t{1} << std::min(2 * kmer, 22)) - 1;
+  std::uint64_t code = 0;
+  std::uint64_t checksum = 0;
+  for (int i = begin; i < end; ++i) {
+    code = ((code << 2) | ref[static_cast<std::size_t>(i)]) & mask;
+    if (i - begin >= kmer - 1) {
+      // Fibonacci hash picks the slot; its weight joins the checksum as the
+      // increment would have joined the table.
+      const std::uint64_t slot = (code * 0x9e3779b97f4a7c15ULL) & mask;
+      checksum += slot % 251 + 1;
+    }
+  }
+  return checksum;
+}
+
+}  // namespace detail
 
 std::unique_ptr<Miniapp> make_ngsa() { return std::make_unique<NgsaMini>(); }
 

@@ -211,24 +211,6 @@ void ThreadTeam::parallel_for(std::int64_t begin, std::int64_t end,
   }
 }
 
-double ThreadTeam::parallel_reduce_sum(
-    std::int64_t begin, std::int64_t end,
-    const std::function<double(std::int64_t)>& term) {
-  FS_REQUIRE(begin <= end, "parallel_reduce_sum range is inverted");
-  // Pad slots to avoid false sharing on the host.
-  struct alignas(64) Slot { double value = 0.0; };
-  std::vector<Slot> slots(static_cast<std::size_t>(size_));
-  parallel_for(begin, end, Schedule::kStatic, 0,
-               [&](std::int64_t lo, std::int64_t hi, int tid) {
-                 double acc = 0.0;
-                 for (std::int64_t i = lo; i < hi; ++i) acc += term(i);
-                 slots[static_cast<std::size_t>(tid)].value += acc;
-               });
-  double total = 0.0;
-  for (const Slot& s : slots) total += s.value;
-  return total;
-}
-
 void ThreadTeam::barrier() {
   if (size_ == 1) return;
   const int sense = barrier_sense_.load(std::memory_order_acquire);

@@ -20,6 +20,8 @@
 #include <thread>
 #include <vector>
 
+#include "common/error.hpp"
+
 namespace fibersim::fault {
 class Session;
 }
@@ -61,11 +63,27 @@ class ThreadTeam {
     parallel_for(begin, end, Schedule::kStatic, 0, body);
   }
 
-  /// Sum-reduction over [begin, end): each thread accumulates into a private
-  /// slot via `body(i, acc)`; slots are combined after the join.
-  double parallel_reduce_sum(
-      std::int64_t begin, std::int64_t end,
-      const std::function<double(std::int64_t)>& term);
+  /// Sum-reduction over [begin, end) under the default static schedule:
+  /// each thread adds `term(i)` over its block in index order into a private
+  /// slot; the slots are combined in thread-id order after the join. A
+  /// template, so `term` inlines into the per-element loop.
+  template <typename Term>
+  double parallel_reduce_sum(std::int64_t begin, std::int64_t end,
+                             const Term& term) {
+    FS_REQUIRE(begin <= end, "parallel_reduce_sum range is inverted");
+    // Pad slots to avoid false sharing on the host.
+    struct alignas(64) Slot { double value = 0.0; };
+    std::vector<Slot> slots(static_cast<std::size_t>(size_));
+    parallel_for(begin, end, Schedule::kStatic, 0,
+                 [&](std::int64_t lo, std::int64_t hi, int tid) {
+                   double acc = 0.0;
+                   for (std::int64_t i = lo; i < hi; ++i) acc += term(i);
+                   slots[static_cast<std::size_t>(tid)].value += acc;
+                 });
+    double total = 0.0;
+    for (const Slot& s : slots) total += s.value;
+    return total;
+  }
 
   /// Barrier usable inside a region (sense-reversing, all team threads must
   /// call it the same number of times).

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 #include <map>
 #include <mutex>
 #include <vector>
@@ -140,6 +141,158 @@ INSTANTIATE_TEST_SUITE_P(
                       ExchangeCase{{4, 1}, true, 1},
                       ExchangeCase{{1, 4}, false, 2},
                       ExchangeCase{{9, 1}, true, 1}));
+
+/// Per-site halo exchange: the slab walk, pack and unpack HaloGrid used
+/// before it copied whole innermost runs, kept as the oracle for exchange().
+/// Sends on its own tags so it cannot match HaloGrid's messages.
+template <int N>
+class PerSiteExchange {
+ public:
+  using Coord = typename HaloGrid<N>::Coord;
+
+  explicit PerSiteExchange(const HaloGrid<N>& hg) : hg_(hg) {}
+
+  void exchange(mp::Comm& comm, std::span<double> field, int ncomp) const {
+    const int ghost = hg_.ghost();
+    for (int d = 0; d < N; ++d) {
+      const int lo_nbr = hg_.grid().neighbor(hg_.rank(), d, -1);
+      const int hi_nbr = hg_.grid().neighbor(hg_.rank(), d, +1);
+      const int tag_lo = 300 + 2 * d;
+      const int tag_hi = 300 + 2 * d + 1;
+      std::vector<double> send_lo, send_hi, recv_lo, recv_hi;
+      if (lo_nbr >= 0) {
+        pack(field, ncomp, d, 0, send_lo);
+        comm.send(lo_nbr, tag_lo, std::span<const double>(send_lo));
+      }
+      if (hi_nbr >= 0) {
+        pack(field, ncomp, d, hg_.local(d) - ghost, send_hi);
+        comm.send(hi_nbr, tag_hi, std::span<const double>(send_hi));
+      }
+      if (hi_nbr >= 0) {
+        recv_hi.resize(slab_doubles(ncomp, d));
+        comm.recv(hi_nbr, tag_lo, std::span<double>(recv_hi));
+        unpack(field, ncomp, d, hg_.local(d), recv_hi);
+      }
+      if (lo_nbr >= 0) {
+        recv_lo.resize(slab_doubles(ncomp, d));
+        comm.recv(lo_nbr, tag_hi, std::span<double>(recv_lo));
+        unpack(field, ncomp, d, -ghost, recv_lo);
+      }
+    }
+  }
+
+ private:
+  template <typename Fn>
+  void for_each_slab(int d, int start_d, Fn&& fn) const {
+    const int ghost = hg_.ghost();
+    Coord lo{};
+    Coord hi{};
+    for (int e = 0; e < N; ++e) {
+      const auto ue = static_cast<std::size_t>(e);
+      if (e == d) {
+        lo[ue] = start_d;
+        hi[ue] = start_d + ghost;
+      } else if (e < d) {
+        lo[ue] = -ghost;
+        hi[ue] = hg_.local(e) + ghost;
+      } else {
+        lo[ue] = 0;
+        hi[ue] = hg_.local(e);
+      }
+    }
+    Coord c = lo;
+    while (true) {
+      fn(c);
+      int e = N - 1;
+      while (e >= 0) {
+        if (++c[static_cast<std::size_t>(e)] < hi[static_cast<std::size_t>(e)]) break;
+        c[static_cast<std::size_t>(e)] = lo[static_cast<std::size_t>(e)];
+        --e;
+      }
+      if (e < 0) break;
+    }
+  }
+
+  std::size_t slab_doubles(int ncomp, int d) const {
+    std::size_t count = 0;
+    for_each_slab(d, 0, [&](const Coord&) { count += static_cast<std::size_t>(ncomp); });
+    return count;
+  }
+
+  void pack(std::span<const double> field, int ncomp, int d, int start_d,
+            std::vector<double>& buffer) const {
+    buffer.clear();
+    for_each_slab(d, start_d, [&](const Coord& c) {
+      const std::int64_t base = hg_.site_index(c) * ncomp;
+      for (int k = 0; k < ncomp; ++k) {
+        buffer.push_back(field[static_cast<std::size_t>(base + k)]);
+      }
+    });
+  }
+
+  void unpack(std::span<double> field, int ncomp, int d, int start_d,
+              std::span<const double> buffer) const {
+    std::size_t pos = 0;
+    for_each_slab(d, start_d, [&](const Coord& c) {
+      const std::int64_t base = hg_.site_index(c) * ncomp;
+      for (int k = 0; k < ncomp; ++k) {
+        field[static_cast<std::size_t>(base + k)] = buffer[pos++];
+      }
+    });
+    ASSERT_EQ(pos, buffer.size());
+  }
+
+  const HaloGrid<N>& hg_;
+};
+
+/// Run exchange() and the per-site oracle on identical fields, every
+/// double (ghosts included) distinct, and require bit-identical results.
+template <int N>
+void expect_exchange_matches_per_site(const std::vector<int>& dims,
+                                      const typename HaloGrid<N>::Extent& global,
+                                      int ghost, int ncomp, bool periodic) {
+  const mp::CartGrid grid(dims, periodic);
+  mp::Job::run(grid.size(), [&](mp::Comm& comm) {
+    const HaloGrid<N> hg(grid, comm.rank(), global, ghost);
+    std::vector<double> fast(static_cast<std::size_t>(hg.field_size(ncomp)));
+    for (std::size_t i = 0; i < fast.size(); ++i) {
+      fast[i] = comm.rank() * 1e6 + static_cast<double>(i) + 0.25;
+    }
+    std::vector<double> oracle = fast;
+    hg.exchange(comm, std::span<double>(fast), ncomp);
+    PerSiteExchange<N>(hg).exchange(comm, std::span<double>(oracle), ncomp);
+    ASSERT_EQ(fast.size(), oracle.size());
+    EXPECT_EQ(std::memcmp(fast.data(), oracle.data(),
+                          fast.size() * sizeof(double)),
+              0)
+        << N << "-D, ghost " << ghost << ", ncomp " << ncomp
+        << (periodic ? ", periodic" : ", open") << ", rank " << comm.rank();
+  });
+}
+
+TEST(HaloGrid, ExchangeMatchesPerSiteOracle) {
+  for (const int ghost : {1, 2}) {
+    for (const int ncomp : {1, 3}) {
+      for (const bool periodic : {false, true}) {
+        // Even splits, then uneven ones (a remainder on some axis).
+        expect_exchange_matches_per_site<1>({3}, {12}, ghost, ncomp, periodic);
+        expect_exchange_matches_per_site<1>({3}, {13}, ghost, ncomp, periodic);
+        expect_exchange_matches_per_site<2>({2, 3}, {8, 9}, ghost, ncomp,
+                                            periodic);
+        expect_exchange_matches_per_site<2>({2, 3}, {9, 11}, ghost, ncomp,
+                                            periodic);
+        expect_exchange_matches_per_site<3>({2, 1, 2}, {6, 5, 8}, ghost, ncomp,
+                                            periodic);
+        expect_exchange_matches_per_site<3>({2, 1, 2}, {7, 5, 9}, ghost, ncomp,
+                                            periodic);
+        expect_exchange_matches_per_site<4>({2, 1, 1, 2}, {4, 3, 5, 6}, ghost,
+                                            ncomp, periodic);
+        expect_exchange_matches_per_site<4>({2, 1, 1, 2}, {5, 4, 5, 7}, ghost,
+                                            ncomp, periodic);
+      }
+    }
+  }
+}
 
 TEST(HaloGrid, Exchange4DFillsFaceGhosts) {
   const mp::CartGrid grid({2, 1, 1, 1}, true);

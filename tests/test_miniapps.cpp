@@ -3,10 +3,15 @@
 // perform a decomposition-independent amount of total work.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <vector>
 
 #include "common/error.hpp"
+#include "common/rng.hpp"
 #include "miniapps/miniapp.hpp"
+#include "miniapps/ngsa.hpp"
 #include "native_trace.hpp"
 
 namespace fibersim::apps {
@@ -205,6 +210,55 @@ INSTANTIATE_TEST_SUITE_P(Suite, WeakScaling,
                          [](const auto& param_info) {
                            return param_info.param;
                          });
+
+/// The k-mer checksum as a full histogram pass: fill the 2^min(2k, 22)-slot
+/// table, then weight every slot by (s % 251 + 1) — the oracle for
+/// detail::kmer_checksum, which never builds the table.
+std::uint64_t kmer_checksum_via_table(const std::vector<std::uint8_t>& ref,
+                                      int begin, int end, int kmer) {
+  const std::size_t table = std::size_t{1} << std::min(2 * kmer, 22);
+  std::vector<std::uint32_t> histogram(table, 0);
+  std::uint64_t code = 0;
+  const std::uint64_t mask = table - 1;
+  for (int i = begin; i < end; ++i) {
+    code = ((code << 2) | ref[static_cast<std::size_t>(i)]) & mask;
+    if (i - begin >= kmer - 1) {
+      const std::uint64_t slot = (code * 0x9e3779b97f4a7c15ULL) & mask;
+      ++histogram[static_cast<std::size_t>(slot)];
+    }
+  }
+  std::uint64_t checksum = 0;
+  for (std::size_t s = 0; s < histogram.size(); ++s) {
+    checksum += histogram[s] * (s % 251 + 1);
+  }
+  return checksum;
+}
+
+TEST(Ngsa, KmerChecksumMatchesHistogramOracle) {
+  // (reference_len, kmer) of ngsa's small and large datasets: a 2^16- and a
+  // 2^22-slot table.
+  struct Shape {
+    int reference_len;
+    int kmer;
+  };
+  for (const Shape shape : {Shape{4096, 8}, Shape{16384, 11}}) {
+    std::vector<std::uint8_t> ref(static_cast<std::size_t>(shape.reference_len));
+    Xoshiro256 rng(7, 90001);
+    for (auto& base : ref) base = static_cast<std::uint8_t>(rng.bounded(4));
+    for (const int ranks : {1, 3, 7, 48}) {
+      for (int rank = 0; rank < ranks; ++rank) {
+        const int begin = shape.reference_len * rank / ranks;
+        const int end = shape.reference_len * (rank + 1) / ranks;
+        const std::uint64_t want =
+            kmer_checksum_via_table(ref, begin, end, shape.kmer);
+        EXPECT_EQ(detail::kmer_checksum(ref, begin, end, shape.kmer), want)
+            << "reference " << shape.reference_len << ", rank " << rank
+            << " of " << ranks;
+        EXPECT_GT(want, 0u);
+      }
+    }
+  }
+}
 
 TEST(Miniapps, IterationsScaleTimedWork) {
   // ntchem's loop body is uniform: work must scale exactly with iterations.

@@ -1,7 +1,9 @@
 // Unit and property tests for the thread-team runtime.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <bit>
 #include <limits>
 #include <numeric>
 #include <set>
@@ -172,6 +174,41 @@ TEST(Reduce, NonTrivialTerms) {
   double want = 0.0;
   for (int i = 0; i < 200; ++i) want += 1.0 / (i + 1);
   EXPECT_NEAR(got, want, 1e-9);
+}
+
+TEST(Reduce, BitIdenticalToTidOrderedBlockSums) {
+  // Terms of wildly different magnitude make the sum order-sensitive:
+  // 1.0 vanishes next to 1e16 unless the ones are summed first. The
+  // reduction must be exactly the static blocks summed in index order, then
+  // combined in thread-id order.
+  const auto term = [](std::int64_t i) {
+    if (i % 5 == 0) return (i / 5) % 2 == 0 ? 1e16 : -1e16;
+    return i % 5 == 1 ? 1.0 : 0.25 * static_cast<double>(i % 7);
+  };
+  for (int size = 1; size <= 7; ++size) {
+    ThreadTeam team(size);
+    for (const std::int64_t begin : {std::int64_t{0}, std::int64_t{3}}) {
+      for (const std::int64_t len : {1, 5, 13, 64, 101, 997}) {
+        const std::int64_t end = begin + len;
+        double want = 0.0;
+        for (int tid = 0; tid < size; ++tid) {
+          const std::int64_t base = len / size;
+          const std::int64_t extra = len % size;
+          const std::int64_t lo =
+              begin + tid * base + std::min<std::int64_t>(tid, extra);
+          const std::int64_t hi = lo + base + (tid < extra ? 1 : 0);
+          double block = 0.0;
+          for (std::int64_t i = lo; i < hi; ++i) block += term(i);
+          want += block;
+        }
+        const double got = team.parallel_reduce_sum(begin, end, term);
+        EXPECT_EQ(std::bit_cast<std::uint64_t>(got),
+                  std::bit_cast<std::uint64_t>(want))
+            << "team " << size << ", range [" << begin << ", " << end
+            << "): got " << got << ", want " << want;
+      }
+    }
+  }
 }
 
 TEST(Schedule, Names) {

@@ -141,6 +141,19 @@ grep -q '"ok": true' "$CACHE_DIR/BENCH_scale.json" || {
   exit 1
 }
 
+echo "== native kernels: large-dataset T2 jobs- and collapse-invariant =="
+# The report diffs above run ffvc on the small dataset only. This sweep runs
+# the large-dataset kernels of ngsa (k-mer checksum), ccs_qcd, ffb and nicam
+# (halo runs, team reductions) and must render the same bytes serially, at
+# 4 jobs and with rank-symmetry collapse on.
+NATIVE_ARGS="report T2 --dataset large --apps ngsa,ccs_qcd,ffb,nicam \
+    --iterations 1 --format json"
+"$FIBERSIM" $NATIVE_ARGS --jobs 1 > "$CACHE_DIR/native.j1.json"
+"$FIBERSIM" $NATIVE_ARGS --jobs 4 > "$CACHE_DIR/native.j4.json"
+"$FIBERSIM" $NATIVE_ARGS --collapse-ranks on > "$CACHE_DIR/native.collapse.json"
+diff "$CACHE_DIR/native.j1.json" "$CACHE_DIR/native.j4.json"
+diff "$CACHE_DIR/native.j1.json" "$CACHE_DIR/native.collapse.json"
+
 echo "== serve: daemon smoke (predict parity, chaos, clean shutdown) =="
 SERVE_SOCK="$CACHE_DIR/serve.sock"
 SERVE_CACHE="$CACHE_DIR/serve-cache"
