@@ -43,6 +43,7 @@
 #include <vector>
 
 #include "common/error.hpp"
+#include "common/json.hpp"
 #include "common/parse_num.hpp"
 #include "common/string_util.hpp"
 #include "common/timer.hpp"
@@ -283,10 +284,8 @@ int main(int argc, char** argv) {
     // each must shed as typed DEADLINE, either still queued or at the first
     // phase-boundary checkpoint.
     for (int i = 0; i < 6; ++i) {
-      const std::string r = client.request(strfmt(
-          "{\"verb\":\"predict\",\"app\":\"ffvc\",\"dataset\":\"large\","
-          "\"ranks\":8,\"threads\":4,\"seed\":%d,\"deadline_ms\":1}",
-          7100 + i));
+      const std::string r = client.request(
+          predict_line({"ffvc", 8, 4, "large", 0}, "", 7100 + i, 1));
       ++deadline_tight_total;
       if (has_code(r, core::kCodeDeadline)) {
         ++deadline_tight_missed;
@@ -296,9 +295,8 @@ int main(int argc, char** argv) {
     }
     // Generous: 30 s deadlines must never shed.
     for (std::size_t t = 0; t < kTargets.size(); ++t) {
-      std::string line = predict_line(kTargets[t], strfmt("dl%zu", t));
-      line.insert(line.size() - 1, ",\"deadline_ms\":30000");
-      const std::string r = client.request(line);
+      const std::string r = client.request(
+          predict_line(kTargets[t], strfmt("dl%zu", t), 0, 30000));
       ++deadline_generous_total;
       if (r.find("\"ok\":true") == std::string::npos) {
         ++deadline_generous_missed;
@@ -332,9 +330,8 @@ int main(int argc, char** argv) {
     plan.mp_timeout_ms = 50.0; // ... until the recv watchdog fires
     const fault::ScopedPlan scoped(plan);
     core::ServeClient client(socket_path);
-    const std::string r = client.request(
-        "{\"verb\":\"predict\",\"app\":\"ffvc\",\"dataset\":\"small\","
-        "\"ranks\":2,\"threads\":2,\"iterations\":1,\"seed\":424242}");
+    const std::string r =
+        client.request(predict_line({"ffvc", 2, 2}, "", 424242));
     wedge_typed_timeout =
         has_code(r, core::kCodeFailed) &&
         r.find("class=timeout") != std::string::npos;
@@ -358,9 +355,7 @@ int main(int argc, char** argv) {
     opts.circuit.open_ms = 200;
     core::Server server(std::move(opts));
     server.start();
-    const std::string line =
-        "{\"verb\":\"predict\",\"app\":\"ffvc\",\"dataset\":\"small\","
-        "\"ranks\":2,\"threads\":2,\"iterations\":1,\"seed\":515151}";
+    const std::string line = predict_line({"ffvc", 2, 2}, "", 515151);
     {
       fault::Plan plan;
       plan.run_fail = 1000000;  // every attempt of every key fails
@@ -596,55 +591,48 @@ int main(int argc, char** argv) {
       kills_done, soak_acked, recovery_mean_s * 1e3, recovery_max_s * 1e3,
       zero_loss ? "yes" : "NO", soak_byte_identical ? "yes" : "NO");
 
-  std::ostringstream json;
-  json.precision(17);
-  json << "{\n"
-       << "  \"deadline\": {\n"
-       << "    \"tight_total\": " << deadline_tight_total << ",\n"
-       << "    \"tight_missed\": " << deadline_tight_missed << ",\n"
-       << "    \"tight_miss_rate\": "
-       << (deadline_tight_total > 0
-               ? static_cast<double>(deadline_tight_missed) /
-                     static_cast<double>(deadline_tight_total)
-               : 0.0)
-       << ",\n"
-       << "    \"generous_total\": " << deadline_generous_total << ",\n"
-       << "    \"generous_missed\": " << deadline_generous_missed << "\n"
-       << "  },\n"
-       << "  \"wedge\": {\n"
-       << "    \"typed_timeout\": "
-       << (wedge_typed_timeout ? "true" : "false") << "\n"
-       << "  },\n"
-       << "  \"circuit\": {\n"
-       << "    \"trips\": " << circuit_trips << ",\n"
-       << "    \"half_opens\": " << circuit_half_opens << ",\n"
-       << "    \"fast_rejections\": " << circuit_rejections << ",\n"
-       << "    \"recovered\": " << (circuit_recovered ? "true" : "false")
-       << "\n"
-       << "  },\n"
-       << "  \"soak\": {\n"
-       << "    \"kills\": " << kills_done << ",\n"
-       << "    \"acked_responses\": " << soak_acked << ",\n"
-       << "    \"terminal_errors\": " << soak_terminal_errors << ",\n"
-       << "    \"recovery_mean_ms\": " << recovery_mean_s * 1e3 << ",\n"
-       << "    \"recovery_max_ms\": " << recovery_max_s * 1e3 << ",\n"
-       << "    \"supervisor_clean_exit\": "
-       << (supervisor_clean_exit ? "true" : "false") << ",\n"
-       << "    \"journal_newline_clean\": "
-       << (journal_newline_clean ? "true" : "false") << ",\n"
-       << "    \"zero_loss\": " << (zero_loss ? "true" : "false") << ",\n"
-       << "    \"byte_identical\": "
-       << (soak_byte_identical ? "true" : "false") << "\n"
-       << "  },\n"
-       << "  \"ok\": " << (ok ? "true" : "false") << "\n"
-       << "}\n";
+  using json::Layout;
+  json::Emitter doc;
+  doc.object(Layout::kBlock);
+  doc.object("deadline", Layout::kBlock);
+  doc.u64("tight_total", deadline_tight_total);
+  doc.u64("tight_missed", deadline_tight_missed);
+  doc.num("tight_miss_rate",
+          deadline_tight_total > 0
+              ? static_cast<double>(deadline_tight_missed) /
+                    static_cast<double>(deadline_tight_total)
+              : 0.0);
+  doc.u64("generous_total", deadline_generous_total);
+  doc.u64("generous_missed", deadline_generous_missed);
+  doc.close();
+  doc.object("wedge", Layout::kBlock);
+  doc.boolean("typed_timeout", wedge_typed_timeout);
+  doc.close();
+  doc.object("circuit", Layout::kBlock);
+  doc.u64("trips", circuit_trips);
+  doc.u64("half_opens", circuit_half_opens);
+  doc.u64("fast_rejections", circuit_rejections);
+  doc.boolean("recovered", circuit_recovered);
+  doc.close();
+  doc.object("soak", Layout::kBlock);
+  doc.i64("kills", kills_done);
+  doc.u64("acked_responses", soak_acked);
+  doc.u64("terminal_errors", soak_terminal_errors);
+  doc.num("recovery_mean_ms", recovery_mean_s * 1e3);
+  doc.num("recovery_max_ms", recovery_max_s * 1e3);
+  doc.boolean("supervisor_clean_exit", supervisor_clean_exit);
+  doc.boolean("journal_newline_clean", journal_newline_clean);
+  doc.boolean("zero_loss", zero_loss);
+  doc.boolean("byte_identical", soak_byte_identical);
+  doc.close();
+  doc.boolean("ok", ok);
 
   if (own_work_root) {
     std::error_code ec;
     fs::remove_all(work_root, ec);
   }
   std::ofstream out(out_path);
-  out << json.str();
+  out << std::move(doc).finish() << '\n';
   if (!out) {
     std::cerr << "failed to write " << out_path << "\n";
     return 1;

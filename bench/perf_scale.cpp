@@ -27,10 +27,10 @@
 #include <filesystem>
 #include <fstream>
 #include <iostream>
-#include <sstream>
 #include <string>
 #include <vector>
 
+#include "common/json.hpp"
 #include "common/parse_num.hpp"
 #include "common/report_emit.hpp"
 #include "common/string_util.hpp"
@@ -268,37 +268,36 @@ int main(int argc, char** argv) {
   emit_opts.framed = true;
   emit_report(artifact, emit_opts, std::cout);
 
-  std::ostringstream json;
-  json.precision(17);
-  json << "{\n"
-       << "  \"app\": \"" << app << "\",\n"
-       << "  \"ranks_per_node\": " << kRanksPerNode << ",\n"
-       << "  \"threads\": " << kThreads << ",\n"
-       << "  \"samples\": [\n";
-  for (std::size_t i = 0; i < samples.size(); ++i) {
-    const Sample& s = samples[i];
-    json << "    {\"nodes\": " << s.nodes << ", \"ranks\": " << s.ranks
-         << ", \"full_s\": " << s.full_s
-         << ", \"collapsed_s\": " << s.collapsed_s
-         << ", \"classes\": " << s.classes
-         << ", \"native_ranks\": " << s.native_ranks
-         << ", \"byte_identical\": " << (s.bits_equal ? "true" : "false")
-         << ", \"native_equals_classes\": "
-         << (s.invariant_ok ? "true" : "false") << "}"
-         << (i + 1 < samples.size() ? "," : "") << "\n";
+  using json::Layout;
+  json::Emitter doc;
+  doc.object(Layout::kBlock);
+  doc.str("app", app);
+  doc.i64("ranks_per_node", kRanksPerNode);
+  doc.i64("threads", kThreads);
+  doc.array("samples", Layout::kBlock);
+  for (const Sample& s : samples) {
+    doc.object(Layout::kInline);
+    doc.i64("nodes", s.nodes);
+    doc.i64("ranks", s.ranks);
+    doc.num("full_s", s.full_s);
+    doc.num("collapsed_s", s.collapsed_s);
+    doc.u64("classes", s.classes);
+    doc.u64("native_ranks", s.native_ranks);
+    doc.boolean("byte_identical", s.bits_equal);
+    doc.boolean("native_equals_classes", s.invariant_ok);
+    doc.close();
   }
-  json << "  ],\n"
-       << "  \"peak_ranks\": " << peak.ranks << ",\n"
-       << "  \"trend_full_s\": " << trend_full_s << ",\n"
-       << "  \"peak_collapsed_s\": " << peak.collapsed_s << ",\n"
-       << "  \"trend_speedup\": " << trend_speedup << ",\n"
-       << "  \"trend_speedup_ok\": " << (trend_ok ? "true" : "false") << ",\n"
-       << "  \"store_cold_s\": " << cold_s << ",\n"
-       << "  \"store_warm_s\": " << warm_s << ",\n"
-       << "  \"ok\": " << (ok ? "true" : "false") << "\n"
-       << "}\n";
+  doc.close();
+  doc.i64("peak_ranks", peak.ranks);
+  doc.num("trend_full_s", trend_full_s);
+  doc.num("peak_collapsed_s", peak.collapsed_s);
+  doc.num("trend_speedup", trend_speedup);
+  doc.boolean("trend_speedup_ok", trend_ok);
+  doc.num("store_cold_s", cold_s);
+  doc.num("store_warm_s", warm_s);
+  doc.boolean("ok", ok);
   std::ofstream out(out_path);
-  out << json.str();
+  out << std::move(doc).finish() << '\n';
   std::cout << "\nwrote " << out_path << "\n";
 
   return ok ? 0 : 1;

@@ -35,11 +35,11 @@
 #include <iostream>
 #include <map>
 #include <mutex>
-#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "common/json.hpp"
 #include "common/parse_num.hpp"
 #include "common/report_emit.hpp"
 #include "common/stats.hpp"
@@ -329,10 +329,7 @@ int main(int argc, char** argv) {
       // Distinct seeds -> distinct execution keys -> every admitted request
       // is a real native run, keeping the single worker busy while the
       // reader floods the queue.
-      client.send_line(strfmt(
-          "{\"verb\":\"predict\",\"app\":\"ffvc\",\"dataset\":\"small\","
-          "\"ranks\":2,\"threads\":2,\"iterations\":1,\"seed\":%d}",
-          9000 + i));
+      client.send_line(predict_line({"ffvc", 2, 2}, "", 9000 + i));
     }
     client.shutdown_write();
     for (int i = 0; i < burst; ++i) {
@@ -374,9 +371,7 @@ int main(int argc, char** argv) {
     plan.run_fail = 1;  // first native-run attempt of every key fails
     const fault::ScopedPlan scoped(plan);
     core::ServeClient client(socket_path);
-    const std::string line =
-        "{\"verb\":\"predict\",\"app\":\"ffvc\",\"dataset\":\"small\","
-        "\"ranks\":2,\"threads\":2,\"iterations\":1,\"seed\":31337}";
+    const std::string line = predict_line({"ffvc", 2, 2}, "", 31337);
     const std::string first = client.request(line);
     chaos_failed_typed =
         first.find("\"code\":\"FAILED\"") != std::string::npos &&
@@ -455,57 +450,50 @@ int main(int argc, char** argv) {
   emit_opts.framed = true;
   emit_report(artifact, emit_opts, std::cout);
 
-  std::ostringstream json;
-  json.precision(17);
-  json << "{\n"
-       << "  \"requests_per_client\": " << requests << ",\n"
-       << "  \"unique_execution_keys\": " << kTargets.size() << ",\n"
-       << "  \"byte_identical\": " << (ok ? "true" : "false") << ",\n"
-       << "  \"legs\": [\n";
-  for (std::size_t i = 0; i < legs.size(); ++i) {
-    const Leg& leg = legs[i];
-    json << "    {\n"
-         << "      \"clients\": " << leg.clients << ",\n";
+  using json::Layout;
+  json::Emitter doc;
+  doc.object(Layout::kBlock);
+  doc.i64("requests_per_client", requests);
+  doc.u64("unique_execution_keys", kTargets.size());
+  doc.boolean("byte_identical", ok);
+  doc.array("legs", Layout::kBlock);
+  for (const Leg& leg : legs) {
+    doc.object(Layout::kBlock);
+    doc.i64("clients", leg.clients);
     for (const bool warm : {false, true}) {
       const PassStats& pass = warm ? leg.warm : leg.cold;
       const core::ServeStats& server = warm ? leg.warm_server : leg.cold_server;
-      const char* tag = warm ? "warm" : "cold";
-      json << "      \"" << tag << "\": {\n"
-           << "        \"seconds\": " << pass.seconds << ",\n"
-           << "        \"requests\": " << pass.requests << ",\n"
-           << "        \"throughput_rps\": "
-           << (pass.seconds > 0.0 ? pass.requests / pass.seconds : 0.0)
-           << ",\n"
-           << "        \"p50_us\": " << pass.p50_us << ",\n"
-           << "        \"p99_us\": " << pass.p99_us << ",\n"
-           << "        \"tier_native\": " << server.tier_native << ",\n"
-           << "        \"tier_disk\": " << server.tier_disk << ",\n"
-           << "        \"tier_memo\": " << server.tier_memo << "\n"
-           << "      }" << (warm ? "\n" : ",\n");
+      doc.object(warm ? "warm" : "cold", Layout::kBlock);
+      doc.num("seconds", pass.seconds);
+      doc.u64("requests", pass.requests);
+      doc.num("throughput_rps",
+              pass.seconds > 0.0 ? pass.requests / pass.seconds : 0.0);
+      doc.num("p50_us", pass.p50_us);
+      doc.num("p99_us", pass.p99_us);
+      doc.u64("tier_native", server.tier_native);
+      doc.u64("tier_disk", server.tier_disk);
+      doc.u64("tier_memo", server.tier_memo);
+      doc.close();
     }
-    json << "    }" << (i + 1 < legs.size() ? "," : "") << "\n";
+    doc.close();
   }
-  json << "  ],\n"
-       << "  \"admission\": {\n"
-       << "    \"burst\": 16,\n"
-       << "    \"queue_capacity\": 1,\n"
-       << "    \"busy_responses\": " << busy_responses << ",\n"
-       << "    \"served\": " << busy_ok << "\n"
-       << "  },\n"
-       << "  \"chaos\": {\n"
-       << "    \"typed_failed_response\": "
-       << (chaos_failed_typed ? "true" : "false") << ",\n"
-       << "    \"retry_succeeded\": " << (chaos_retry_ok ? "true" : "false")
-       << "\n"
-       << "  }\n"
-       << "}\n";
+  doc.close();
+  doc.object("admission", Layout::kBlock);
+  doc.i64("burst", 16);
+  doc.i64("queue_capacity", 1);
+  doc.u64("busy_responses", busy_responses);
+  doc.u64("served", busy_ok);
+  doc.close();
+  doc.object("chaos", Layout::kBlock);
+  doc.boolean("typed_failed_response", chaos_failed_typed);
+  doc.boolean("retry_succeeded", chaos_retry_ok);
 
   {
     std::error_code ec;
     fs::remove_all(cache_root, ec);
   }
   std::ofstream out(out_path);
-  out << json.str();
+  out << std::move(doc).finish() << '\n';
   if (!out) {
     std::cerr << "failed to write " << out_path << "\n";
     return 1;

@@ -4,10 +4,13 @@
 // client count.
 #pragma once
 
+#include <cstdint>
 #include <string>
+#include <string_view>
 #include <vector>
 
-#include "common/string_util.hpp"
+#include "common/json.hpp"
+#include "core/config_parse.hpp"
 #include "core/experiment.hpp"
 
 namespace fibersim::bench {
@@ -16,17 +19,29 @@ struct Target {
   std::string app;
   int ranks;
   int threads;
+  std::string dataset = "small";
+  int iterations = 1;  ///< 0 = left out (the server default)
 };
 
 inline const std::vector<Target> kTargets = {
     {"ffvc", 2, 2}, {"ffvc", 4, 2}, {"ffb", 2, 2}, {"ffb", 4, 2}};
 
-/// One predict request line for `t`, tagged with the correlation `id`.
-inline std::string predict_line(const Target& t, const std::string& id) {
-  return strfmt("{\"verb\":\"predict\",\"id\":\"%s\",\"app\":\"%s\","
-                "\"dataset\":\"small\",\"ranks\":%d,\"threads\":%d,"
-                "\"iterations\":1}",
-                id.c_str(), t.app.c_str(), t.ranks, t.threads);
+/// One predict request line for `t`. The correlation `id`, the `seed` and
+/// the `deadline_ms` are left out when empty / 0.
+inline std::string predict_line(const Target& t, std::string_view id,
+                                std::uint64_t seed = 0, int deadline_ms = 0) {
+  json::Emitter w;
+  w.object(json::Layout::kCompact);
+  w.str("verb", "predict");
+  if (!id.empty()) w.str("id", id);
+  w.str("app", t.app);
+  w.str("dataset", t.dataset);
+  w.i64("ranks", t.ranks);
+  w.i64("threads", t.threads);
+  if (t.iterations > 0) w.i64("iterations", t.iterations);
+  if (seed != 0) w.u64("seed", seed);
+  if (deadline_ms > 0) w.i64("deadline_ms", deadline_ms);
+  return std::move(w).finish();
 }
 
 /// The config predict_line asks for, built by hand rather than through the
@@ -34,10 +49,10 @@ inline std::string predict_line(const Target& t, const std::string& id) {
 inline core::ExperimentConfig config_of(const Target& t) {
   core::ExperimentConfig cfg;
   cfg.app = t.app;
-  cfg.dataset = apps::Dataset::kSmall;
+  cfg.dataset = core::parse_dataset(t.dataset);
   cfg.ranks = t.ranks;
   cfg.threads = t.threads;
-  cfg.iterations = 1;
+  if (t.iterations > 0) cfg.iterations = t.iterations;
   return cfg;
 }
 

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cerrno>
+#include <charconv>
 #include <cmath>
 #include <cstdint>
 #include <cstdlib>
@@ -372,6 +373,133 @@ std::optional<Value> parse(std::string_view text, std::string* error) {
   return Parser(text).run(error);
 }
 
+// ----- the writer ----------------------------------------------------------
+
+namespace {
+
+/// Append `text` with \" \\ and every control character escaped (the bytes
+/// json_escape returns), copying clean runs whole.
+void append_escaped(std::string& out, std::string_view text) {
+  static constexpr char kHex[] = "0123456789abcdef";
+  std::size_t run = 0;
+  for (std::size_t i = 0; i < text.size(); ++i) {
+    const auto c = static_cast<unsigned char>(text[i]);
+    if (c >= 0x20 && c != '"' && c != '\\') continue;
+    out.append(text.data() + run, i - run);
+    run = i + 1;
+    switch (c) {
+      case '"': out += "\\\""; break;
+      case '\\': out += "\\\\"; break;
+      case '\n': out += "\\n"; break;
+      case '\r': out += "\\r"; break;
+      case '\t': out += "\\t"; break;
+      default:
+        out += "\\u00";
+        out += kHex[c >> 4];
+        out += kHex[c & 0xF];
+    }
+  }
+  out.append(text.data() + run, text.size() - run);
+}
+
+template <typename... Format>
+void append_chars(std::string& out, auto v, Format... format) {
+  char buf[32];  // "-1.2345678901234567e-308" and any 64-bit integer fit
+  const std::to_chars_result r =
+      std::to_chars(buf, buf + sizeof(buf), v, format...);
+  FS_ASSERT(r.ec == std::errc(), "json::Emitter: number buffer too small");
+  out.append(buf, r.ptr);
+}
+
+void require_finite(double v) {
+  FS_REQUIRE(std::isfinite(v), "cannot serialise a non-finite number");
+}
+
+}  // namespace
+
+void Emitter::close() {
+  FS_REQUIRE(!open_.empty() && !keyed_,
+             "json::Emitter: close() without an open container");
+  const Frame frame = open_.back();
+  open_.pop_back();
+  if (frame.layout == Layout::kBlock && !frame.empty) {
+    out_ += '\n';
+    out_.append(2 * open_.size(), ' ');
+  }
+  out_ += frame.object ? '}' : ']';
+}
+
+void Emitter::str(std::string_view v) {
+  begin_value();
+  out_ += '"';
+  append_escaped(out_, v);
+  out_ += '"';
+}
+
+void Emitter::u64(std::uint64_t v) { begin_value(); append_chars(out_, v); }
+
+void Emitter::i64(std::int64_t v) { begin_value(); append_chars(out_, v); }
+
+void Emitter::num(double v) {
+  require_finite(v);
+  begin_value();
+  append_chars(out_, v, std::chars_format::general, 17);
+}
+
+void Emitter::shortest(double v) {
+  require_finite(v);
+  begin_value();
+  out_ += format_double(v);
+}
+
+void Emitter::boolean(bool v) { begin_value(); out_ += v ? "true" : "false"; }
+
+void Emitter::null() { begin_value(); out_ += "null"; }
+
+void Emitter::raw(std::string_view token) { begin_value(); out_ += token; }
+
+std::string Emitter::finish() && {
+  while (!open_.empty()) close();
+  FS_REQUIRE(!out_.empty(), "json::Emitter: empty document");
+  return std::move(out_);
+}
+
+void Emitter::key(std::string_view k) {
+  FS_REQUIRE(!open_.empty() && open_.back().object && !keyed_,
+             "json::Emitter: a key outside an object");
+  separate();
+  out_ += '"';
+  append_escaped(out_, k);
+  out_ += open_.back().layout == Layout::kCompact ? "\":" : "\": ";
+  keyed_ = true;
+}
+
+void Emitter::begin_value() {
+  if (keyed_) {
+    keyed_ = false;
+  } else if (open_.empty()) {
+    FS_REQUIRE(out_.empty(), "json::Emitter: a second root value");
+  } else {
+    FS_REQUIRE(!open_.back().object, "json::Emitter: a member without a key");
+    separate();
+  }
+}
+
+void Emitter::separate() {
+  Frame& frame = open_.back();
+  if (!frame.empty) out_ += frame.layout == Layout::kInline ? ", " : ",";
+  if (frame.layout == Layout::kBlock) {
+    out_ += '\n';
+    out_.append(2 * open_.size(), ' ');
+  }
+  frame.empty = false;
+}
+
+void Emitter::open(char bracket, Layout layout) {
+  out_ += bracket;
+  open_.push_back({layout, bracket == '{', true});
+}
+
 // ----- persisted documents -------------------------------------------------
 
 Value parse_document(std::string_view text, const std::string& error_prefix) {
@@ -379,60 +507,6 @@ Value parse_document(std::string_view text, const std::string& error_prefix) {
   std::optional<Value> root = parse(text, &err);
   if (!root) throw Error(error_prefix + ": " + err);
   return std::move(*root);
-}
-
-std::string Emitter::finish() && {
-  // Drop the final member's trailing ",\n" before closing the root object.
-  out_.erase(out_.size() - 2);
-  out_ += "\n}\n";
-  return std::move(out_);
-}
-
-void Emitter::open(std::string_view key) {
-  line_start(key);
-  out_ += "{\n";
-  ++indent_;
-}
-
-void Emitter::close() {
-  // Drop the trailing ",\n" of the last member before closing the block.
-  out_.erase(out_.size() - 2);
-  out_.push_back('\n');
-  --indent_;
-  out_.append(static_cast<std::size_t>(indent_) * 2, ' ');
-  out_ += "},\n";
-}
-
-void Emitter::str(std::string_view key, std::string_view v) {
-  line_start(key);
-  out_.push_back('"');
-  out_ += json_escape(v);
-  out_ += "\",\n";
-}
-
-void Emitter::num(std::string_view key, double v) {
-  line_start(key);
-  out_ += format_double(v);
-  out_ += ",\n";
-}
-
-void Emitter::num(std::string_view key, int v) {
-  line_start(key);
-  out_ += strfmt("%d", v);
-  out_ += ",\n";
-}
-
-void Emitter::boolean(std::string_view key, bool v) {
-  line_start(key);
-  out_ += v ? "true" : "false";
-  out_ += ",\n";
-}
-
-void Emitter::line_start(std::string_view key) {
-  out_.append(static_cast<std::size_t>(indent_) * 2, ' ');
-  out_.push_back('"');
-  out_ += key;
-  out_ += "\": ";
 }
 
 Reader::Reader(const Value& obj, std::string path, std::string error_prefix)
@@ -522,21 +596,7 @@ namespace fibersim {
 std::string json_escape(std::string_view text) {
   std::string out;
   out.reserve(text.size());
-  for (const char c : text) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\r': out += "\\r"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          out += strfmt("\\u%04x", static_cast<unsigned>(c));
-        } else {
-          out += c;
-        }
-    }
-  }
+  json::append_escaped(out, text);
   return out;
 }
 

@@ -1,8 +1,9 @@
-// Minimal hardened JSON parser for untrusted input (no dependencies).
+// JSON without dependencies: a hardened parser for untrusted input, and
+// json::Emitter, the one writer behind every document fibersim emits.
 //
-// Built for the serve daemon's request codec: every byte arriving on the
-// socket is hostile until proven otherwise, so the parser is strict and
-// bounded rather than fast or featureful.
+// The parser is built for the serve daemon's request codec: every byte
+// arriving on the socket is hostile until proven otherwise, so it is strict
+// and bounded rather than fast or featureful.
 //
 //   * strict grammar: one complete JSON value, nothing trailing; objects
 //     reject duplicate keys (a smuggling vector — "which value wins" must
@@ -20,6 +21,7 @@
 // surrogate pairs supported). Unescaped control characters are rejected.
 #pragma once
 
+#include <cstdint>
 #include <map>
 #include <memory>
 #include <optional>
@@ -94,6 +96,75 @@ inline constexpr int kMaxDepth = 32;
 /// non-null, a one-line message with the byte offset.
 std::optional<Value> parse(std::string_view text, std::string* error);
 
+// ----- the writer ----------------------------------------------------------
+
+/// The one JSON writer: every document fibersim emits is rendered here, into
+/// one std::string. Each container takes its layout at the call that opens
+/// it; the layout decides the separators between that container's children,
+/// never the children's interiors:
+///
+///   kBlock    one child per line, two spaces of indent per level:
+///             {\n  "k": 1,\n  "o": {\n    "x": true\n  }\n}
+///   kInline   one line, ", " and ": ":  ["a", "b"]  {"key": "x", "value": 1}
+///   kCompact  one line, no spaces:       {"k":1,"a":[1,2]}
+///
+/// Empty containers are {} and [] in every layout. Keys and strings go
+/// through json_escape, so any bytes come out as valid JSON. Doubles have two
+/// spellings: num() is %.17g, shortest() the shortest round-trip form
+/// (format_double); both throw fibersim::Error on NaN or infinity. The byte
+/// layout of every emitted document is a contract (DESIGN.md), so this class
+/// stays dumb: no pretty-printing options, no number modes.
+enum class Layout { kBlock, kInline, kCompact };
+
+class Emitter {
+ public:
+  // Unkeyed calls write the root value or the next array item; keyed calls
+  // write the next member of the innermost object. After a throw the
+  // document is abandoned.
+  void object(Layout layout) { begin_value(); open('{', layout); }
+  void array(Layout layout) { begin_value(); open('[', layout); }
+  void close();  ///< end the innermost open container
+  void str(std::string_view v);
+  void u64(std::uint64_t v);
+  void i64(std::int64_t v);
+  void num(double v);       ///< %.17g
+  void shortest(double v);  ///< shortest form strtod reads back bit-exact
+  void boolean(bool v);
+  void null();
+  void raw(std::string_view token);  ///< already-rendered JSON, as is
+
+  void object(std::string_view k, Layout layout) { key(k); object(layout); }
+  void array(std::string_view k, Layout layout) { key(k); array(layout); }
+  void str(std::string_view k, std::string_view v) { key(k); str(v); }
+  void u64(std::string_view k, std::uint64_t v) { key(k); u64(v); }
+  void i64(std::string_view k, std::int64_t v) { key(k); i64(v); }
+  void num(std::string_view k, double v) { key(k); num(v); }
+  void shortest(std::string_view k, double v) { key(k); shortest(v); }
+  void boolean(std::string_view k, bool v) { key(k); boolean(v); }
+  void null(std::string_view k) { key(k); null(); }
+  void raw(std::string_view k, std::string_view token) { key(k); raw(token); }
+
+  /// Close what is still open; return the document (no trailing newline).
+  std::string finish() &&;
+
+ private:
+  struct Frame {
+    Layout layout;
+    bool object;  ///< {} rather than []
+    bool empty;   ///< no child written yet
+  };
+
+  void key(std::string_view k);
+  void begin_value();
+  /// Separator and indent before a member's key or an array item.
+  void separate();
+  void open(char bracket, Layout layout);
+
+  std::string out_;
+  std::vector<Frame> open_;
+  bool keyed_ = false;  ///< a key was written; its value comes next
+};
+
 // ----- persisted documents -------------------------------------------------
 //
 // Processor descriptors and calibration measurements are config documents
@@ -103,28 +174,6 @@ std::optional<Value> parse(std::string_view text, std::string* error);
 
 /// parse(), throwing "<error_prefix>: <grammar error>" on failure.
 Value parse_document(std::string_view text, const std::string& error_prefix);
-
-/// Canonical document emitter: fixed key order, 2-space indent, one
-/// "key": value per line, doubles via format_double. Kept dumb on purpose —
-/// the byte-stability contract of every document it writes lives here.
-class Emitter {
- public:
-  /// Close the root object (trailing newline included).
-  std::string finish() &&;
-
-  void open(std::string_view key);  ///< start a nested object member
-  void close();                     ///< end the innermost nested object
-  void str(std::string_view key, std::string_view v);
-  void num(std::string_view key, double v);
-  void num(std::string_view key, int v);
-  void boolean(std::string_view key, bool v);
-
- private:
-  void line_start(std::string_view key);
-
-  std::string out_ = "{\n";
-  int indent_ = 1;
-};
 
 /// Strict object walker: typed getters that fail with the value's byte
 /// offset, plus finish(), which rejects any key the schema did not read.

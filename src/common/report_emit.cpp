@@ -30,9 +30,6 @@ const char* report_format_name(ReportFormat format) {
 
 namespace {
 
-/// %.17g round-trips every double exactly through strtod.
-std::string json_number(double v) { return strfmt("%.17g", v); }
-
 /// One bar chart per table row: the first column titles the chart, the
 /// header labels the bars, cells that parse as numbers become bars.
 void print_charts(const TextTable& table, const ChartSpec& spec,
@@ -78,40 +75,43 @@ void emit_text(const ReportArtifact& artifact, const EmitOptions& opts,
 }
 
 void emit_json(const ReportArtifact& artifact, std::ostream& os) {
-  os << "{\n  \"id\": \"" << json_escape(artifact.id) << "\",\n"
-     << "  \"sections\": [";
-  for (std::size_t s = 0; s < artifact.sections.size(); ++s) {
-    const ReportSection& section = artifact.sections[s];
-    os << (s ? "," : "") << "\n    {\n      \"title\": \""
-       << json_escape(section.title) << "\",\n";
+  using json::Layout;
+  json::Emitter w;
+  w.object(Layout::kBlock);
+  w.str("id", artifact.id);
+  w.array("sections", Layout::kBlock);
+  for (const ReportSection& section : artifact.sections) {
+    w.object(Layout::kBlock);
+    w.str("title", section.title);
     if (section.table.has_value()) {
       const TextTable& table = *section.table;
-      os << "      \"table\": {\n        \"header\": [";
-      for (std::size_t c = 0; c < table.columns(); ++c) {
-        os << (c ? ", " : "") << '"' << json_escape(table.header()[c]) << '"';
-      }
-      os << "],\n        \"rows\": [";
+      w.object("table", Layout::kBlock);
+      w.array("header", Layout::kInline);
+      for (const std::string& cell : table.header()) w.str(cell);
+      w.close();
+      w.array("rows", Layout::kBlock);
       for (std::size_t r = 0; r < table.rows(); ++r) {
-        os << (r ? "," : "") << "\n          [";
-        for (std::size_t c = 0; c < table.columns(); ++c) {
-          os << (c ? ", " : "") << '"' << json_escape(table.row(r)[c]) << '"';
-        }
-        os << ']';
+        w.array(Layout::kInline);
+        for (const std::string& cell : table.row(r)) w.str(cell);
+        w.close();
       }
-      os << (table.rows() ? "\n        " : "") << "]\n      }\n";
+      w.close();
+      w.close();
     } else {
-      os << "      \"figure\": \"" << json_escape(section.figure) << "\"\n";
+      w.str("figure", section.figure);
     }
-    os << "    }";
+    w.close();
   }
-  os << (artifact.sections.empty() ? "" : "\n  ") << "],\n  \"metrics\": [";
-  for (std::size_t m = 0; m < artifact.metrics.size(); ++m) {
-    const ScalarMetric& metric = artifact.metrics[m];
-    os << (m ? "," : "") << "\n    {\"key\": \"" << json_escape(metric.key)
-       << "\", \"value\": " << json_number(metric.value) << ", \"unit\": \""
-       << json_escape(metric.unit) << "\"}";
+  w.close();
+  w.array("metrics", Layout::kBlock);
+  for (const ScalarMetric& metric : artifact.metrics) {
+    w.object(Layout::kInline);
+    w.str("key", metric.key);
+    w.num("value", metric.value);
+    w.str("unit", metric.unit);
+    w.close();
   }
-  os << (artifact.metrics.empty() ? "" : "\n  ") << "]\n}\n";
+  os << std::move(w).finish() << '\n';
 }
 
 }  // namespace

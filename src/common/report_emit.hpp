@@ -35,7 +35,9 @@ struct EmitOptions {
 
 /// Render an artifact to `os`. Output is byte-stable for a given artifact:
 /// the determinism contract ("identical for any --jobs N") holds whenever
-/// the artifact itself is deterministic.
+/// the artifact itself is deterministic. JSON has no NaN or infinity, so a
+/// non-finite metric makes the JSON form throw fibersim::Error (before any
+/// byte reaches `os`).
 void emit_report(const ReportArtifact& artifact, const EmitOptions& opts,
                  std::ostream& os);
 

@@ -27,6 +27,11 @@ std::string hex_f64(double v) {
                                std::bit_cast<std::uint64_t>(v)));
 }
 
+/// Each of `values` as the next hex-double item of the open array.
+void write_f64s(json::Emitter& w, std::initializer_list<double> values) {
+  for (const double v : values) w.str(hex_f64(v));
+}
+
 /// A JSON string of exactly 16 lowercase hex digits, as the u64 it spells.
 std::optional<std::uint64_t> hex_u64(const json::Value* v) {
   if (v == nullptr || !v->is_string() || v->as_string().size() != 16) {
@@ -235,43 +240,38 @@ bool SweepJournal::record(const ExperimentConfig& config,
                           const ExperimentResult& result) {
   const std::uint64_t key = fingerprint(config);
 
-  std::string line = strfmt(
-      "{\"v\":1,\"key\":\"%016llx\",\"label\":\"%s\",\"verified\":%d,"
-      "\"check_value\":\"%s\",\"check_desc\":\"%s\",\"power\":[\"%s\",\"%s\","
-      "\"%s\"],\"agg\":[",
-      static_cast<unsigned long long>(key), json_escape(config.label()).c_str(),
-      result.verified ? 1 : 0, hex_f64(result.check_value).c_str(),
-      json_escape(result.check_description).c_str(),
-      hex_f64(result.power.watts).c_str(),
-      hex_f64(result.power.joules).c_str(),
-      hex_f64(result.power.gflops_per_watt).c_str());
   const trace::JobPrediction& p = result.prediction;
-  for (double v : {p.total_s, p.compute_s, p.memory_s, p.comm_s, p.barrier_s,
-                   p.flops, p.dram_bytes, p.setup_s}) {
-    if (line.back() != '[') line += ',';
-    line += '"' + hex_f64(v) + '"';
+  json::Emitter w;
+  w.object(json::Layout::kCompact);
+  w.i64("v", 1);
+  w.str("key", strfmt("%016llx", static_cast<unsigned long long>(key)));
+  w.str("label", config.label());
+  w.i64("verified", result.verified ? 1 : 0);
+  w.str("check_value", hex_f64(result.check_value));
+  w.str("check_desc", result.check_description);
+  w.array("power", json::Layout::kCompact);
+  write_f64s(w, {result.power.watts, result.power.joules,
+                 result.power.gflops_per_watt});
+  w.close();
+  w.array("agg", json::Layout::kCompact);
+  write_f64s(w, {p.total_s, p.compute_s, p.memory_s, p.comm_s, p.barrier_s,
+                 p.flops, p.dram_bytes, p.setup_s});
+  w.close();
+  w.i64("nphases", static_cast<std::int64_t>(p.phases.size()));
+  w.array("phases", json::Layout::kCompact);
+  for (const trace::PhasePrediction& phase : p.phases) {
+    const machine::PhaseTime& t = phase.time;
+    w.array(json::Layout::kCompact);
+    w.str(phase.name);
+    w.i64(phase.timed ? 1 : 0);
+    write_f64s(w, {phase.comm_s, phase.total_s, t.compute_s, t.memory_s,
+                   t.barrier_s, t.total_s});
+    w.i64(static_cast<int>(t.limiter));
+    write_f64s(w, {t.flops, t.dram_bytes, t.remote_bytes, t.chain_s});
+    w.close();
   }
-  line += strfmt("],\"nphases\":%d,\"phases\":[",
-                 static_cast<int>(p.phases.size()));
-  for (std::size_t i = 0; i < p.phases.size(); ++i) {
-    const trace::PhasePrediction& phase = p.phases[i];
-    if (i > 0) line += ',';
-    line += strfmt("[\"%s\",%d", json_escape(phase.name).c_str(),
-                   phase.timed ? 1 : 0);
-    line += ",\"" + hex_f64(phase.comm_s) + '"';
-    line += ",\"" + hex_f64(phase.total_s) + '"';
-    line += ",\"" + hex_f64(phase.time.compute_s) + '"';
-    line += ",\"" + hex_f64(phase.time.memory_s) + '"';
-    line += ",\"" + hex_f64(phase.time.barrier_s) + '"';
-    line += ",\"" + hex_f64(phase.time.total_s) + '"';
-    line += strfmt(",%d", static_cast<int>(phase.time.limiter));
-    line += ",\"" + hex_f64(phase.time.flops) + '"';
-    line += ",\"" + hex_f64(phase.time.dram_bytes) + '"';
-    line += ",\"" + hex_f64(phase.time.remote_bytes) + '"';
-    line += ",\"" + hex_f64(phase.time.chain_s) + '"';
-    line += ']';
-  }
-  line += "]}";
+  std::string line = std::move(w).finish();
+  line += '\n';
 
   Stored stored;
   stored.prediction = result.prediction;
@@ -279,8 +279,6 @@ bool SweepJournal::record(const ExperimentConfig& config,
   stored.verified = result.verified;
   stored.check_value = result.check_value;
   stored.check_description = result.check_description;
-
-  line += '\n';
 
   std::lock_guard<std::mutex> lock(mutex_);
   if (!entries_.emplace(key, std::move(stored)).second) {

@@ -10,7 +10,9 @@
 #include <chrono>
 #include <cstring>
 #include <deque>
+#include <initializer_list>
 #include <sstream>
+#include <utility>
 
 #include "common/error.hpp"
 #include "common/json.hpp"
@@ -64,16 +66,22 @@ bool send_all(int fd, std::string_view bytes) {
   return true;
 }
 
+constexpr auto kCompact = json::Layout::kCompact;
+
+/// `key`: an object of counters, in the order given.
+void counters(
+    json::Emitter& w, std::string_view key,
+    std::initializer_list<std::pair<std::string_view, std::uint64_t>> fields) {
+  w.object(key, kCompact);
+  for (const auto& [name, value] : fields) w.u64(name, value);
+  w.close();
+}
+
 void ignore_sigpipe() {
   struct sigaction sa;
   std::memset(&sa, 0, sizeof(sa));
   sa.sa_handler = SIG_IGN;
   ::sigaction(SIGPIPE, &sa, nullptr);
-}
-
-std::string u64_field(const char* key, std::uint64_t value) {
-  return strfmt("\"%s\":%llu", key,
-                static_cast<unsigned long long>(value));
 }
 
 }  // namespace
@@ -481,16 +489,20 @@ void Server::dispatch_line(const std::shared_ptr<Conn>& conn,
     return;
   }
   switch (req.verb) {
-    case ServeRequest::Verb::kPing:
+    case ServeRequest::Verb::kPing: {
       counters_->ping.fetch_add(1, std::memory_order_relaxed);
-      write_response(conn, serve_ok_prefix("ping", req.id) +
-                               ",\"payload\":\"pong\"}");
+      json::Emitter ok = serve_ok_envelope("ping", req.id);
+      ok.str("payload", "pong");
+      write_response(conn, std::move(ok).finish());
       return;
-    case ServeRequest::Verb::kStats:
+    }
+    case ServeRequest::Verb::kStats: {
       counters_->stats.fetch_add(1, std::memory_order_relaxed);
-      write_response(conn, serve_ok_prefix("stats", req.id) +
-                               ",\"payload\":" + stats_json() + "}");
+      json::Emitter ok = serve_ok_envelope("stats", req.id);
+      ok.raw("payload", stats_json());
+      write_response(conn, std::move(ok).finish());
       return;
+    }
     case ServeRequest::Verb::kPredict:
     case ServeRequest::Verb::kReport:
       break;
@@ -561,6 +573,11 @@ void Server::dispatch_line(const std::shared_ptr<Conn>& conn,
 void Server::execute(Task task) {
   enum class Outcome { kOk, kDeadline, kFailed, kInternal };
   Outcome outcome = Outcome::kOk;
+  const bool predict = task.req.verb == ServeRequest::Verb::kPredict;
+  // kOk fills `ok` and `payload`; every other outcome is a whole `response`.
+  json::Emitter ok =
+      serve_ok_envelope(predict ? "predict" : "report", task.req.id);
+  std::string payload;
   std::string response;
   if (task.token != nullptr && task.token->expired()) {
     // Already-expired queued work is shed without executing: the client has
@@ -575,12 +592,12 @@ void Server::execute(Task task) {
     // Runner and predict path checkpoint it at phase boundaries.
     cancel::Scope scope(task.token);
     try {
-      if (task.req.verb == ServeRequest::Verb::kPredict) {
+      if (predict) {
         counters_->predict.fetch_add(1, std::memory_order_relaxed);
-        response = execute_predict(task.req);
+        payload = execute_predict(task.req, ok);
       } else {
         counters_->report.fetch_add(1, std::memory_order_relaxed);
-        response = execute_report(task.req);
+        payload = execute_report(task.req, ok);
       }
     } catch (const Error& e) {
       if (cancel::is_cancelled(e.what())) {
@@ -631,15 +648,11 @@ void Server::execute(Task task) {
           std::chrono::steady_clock::now() - task.t0)
           .count();
   record_latency(micros);
-  // Splice the latency in just before the payload key (the first occurrence
-  // is always the real key: inside the payload, a double quote can only
-  // appear escaped, never after a bare comma). Error responses carry no
-  // payload and stay schema-minimal.
-  if (response.compare(0, 10, "{\"ok\":true") == 0) {
-    const std::size_t pos = response.find(",\"payload\":");
-    if (pos != std::string::npos) {
-      response.insert(pos, strfmt(",\"latency_us\":%.0f", micros));
-    }
+  // Error responses carry no payload and stay schema-minimal.
+  if (outcome == Outcome::kOk) {
+    ok.raw("latency_us", strfmt("%.0f", micros));
+    ok.raw("payload", payload);
+    response = std::move(ok).finish();
   }
   write_response(task.conn, response);
 
@@ -655,7 +668,8 @@ void Server::execute(Task task) {
   if (left == 0) pending_cv_.notify_all();
 }
 
-std::string Server::execute_predict(const ServeRequest& req) {
+std::string Server::execute_predict(const ServeRequest& req,
+                                    json::Emitter& reply) {
   const char* tier_name = nullptr;
   ExperimentResult res;
   if (journal_ != nullptr && journal_->lookup(req.config, &res)) {
@@ -687,11 +701,11 @@ std::string Server::execute_predict(const ServeRequest& req) {
     }
     tier_name = run_tier_name(tier);
   }
+  reply.str("tier", tier_name);
+  reply.boolean("verified", res.verified);
   // Payload contract: the raw prediction JSON, byte-identical to the line
   // `fibersim run --json` prints for the same config.
-  return serve_ok_prefix("predict", req.id) + ",\"tier\":\"" + tier_name +
-         "\",\"verified\":" + (res.verified ? "true" : "false") +
-         ",\"payload\":" + trace::to_json(res.prediction) + "}";
+  return trace::to_json(res.prediction);
 }
 
 std::string Server::breaker_key_of(const ServeRequest& req) {
@@ -703,7 +717,8 @@ std::string Server::breaker_key_of(const ServeRequest& req) {
                 req.config.threads);
 }
 
-std::string Server::execute_report(const ServeRequest& req) {
+std::string Server::execute_report(const ServeRequest& req,
+                                   json::Emitter& reply) {
   const ExperimentRegistry& registry = ExperimentRegistry::instance();
   const Experiment& entry = registry.get(req.report_id);
   ReportContext ctx;
@@ -722,11 +737,12 @@ std::string Server::execute_report(const ServeRequest& req) {
   opts.framed = false;
   std::ostringstream text;
   emit_report(registry.build(entry.id, ctx), opts, text);
+  reply.str("format", report_format_name(req.format));
   // Payload contract: a JSON string holding exactly the bytes `fibersim
   // report <id>` would print.
-  return serve_ok_prefix("report", req.id) + ",\"format\":\"" +
-         report_format_name(req.format) + "\",\"payload\":\"" +
-         json_escape(text.str()) + "\"}";
+  json::Emitter payload;
+  payload.str(text.str());
+  return std::move(payload).finish();
 }
 
 bool Server::write_response(const std::shared_ptr<Conn>& conn,
@@ -796,68 +812,58 @@ ServeStats Server::stats_snapshot() const {
 
 std::string Server::stats_json() const {
   const ServeStats s = stats_snapshot();
-  std::string out = "{";
-  out += u64_field("connections", s.connections) + ",";
-  out += u64_field("requests", s.requests) + ",";
-  out += u64_field("responses", s.responses) + ",";
-  out += "\"verbs\":{" + u64_field("ping", s.ping) + "," +
-         u64_field("stats", s.stats) + "," +
-         u64_field("predict", s.predict) + "," +
-         u64_field("report", s.report) + "},";
-  out += "\"errors\":{" + u64_field("bad_request", s.bad_request) + "," +
-         u64_field("busy", s.busy) + "," +
-         u64_field("shutdown", s.shutdown) + "," +
-         u64_field("failed", s.failed) + "," +
-         u64_field("internal", s.internal) + "," +
-         u64_field("deadline", s.deadline) + "," +
-         u64_field("circuit_open", s.circuit_open) + "," +
-         u64_field("dropped_responses", s.dropped_responses) + "},";
-  out += "\"tiers\":{" + u64_field("memo", s.tier_memo) + "," +
-         u64_field("disk", s.tier_disk) + "," +
-         u64_field("native", s.tier_native) + "," +
-         u64_field("journal", s.tier_journal) + "},";
-  out += "\"breaker\":{" + u64_field("trips", s.breaker_trips) + "," +
-         u64_field("half_opens", s.breaker_half_opens) + "," +
-         u64_field("open_now", s.breaker_open_now) + "},";
+  json::Emitter w;
+  w.object(kCompact);
+  w.u64("connections", s.connections);
+  w.u64("requests", s.requests);
+  w.u64("responses", s.responses);
+  counters(w, "verbs", {{"ping", s.ping}, {"stats", s.stats},
+                        {"predict", s.predict}, {"report", s.report}});
+  counters(w, "errors",
+           {{"bad_request", s.bad_request}, {"busy", s.busy},
+            {"shutdown", s.shutdown}, {"failed", s.failed},
+            {"internal", s.internal}, {"deadline", s.deadline},
+            {"circuit_open", s.circuit_open},
+            {"dropped_responses", s.dropped_responses}});
+  counters(w, "tiers", {{"memo", s.tier_memo}, {"disk", s.tier_disk},
+                        {"native", s.tier_native},
+                        {"journal", s.tier_journal}});
+  counters(w, "breaker", {{"trips", s.breaker_trips},
+                          {"half_opens", s.breaker_half_opens},
+                          {"open_now", s.breaker_open_now}});
   if (journal_ != nullptr) {
-    out += "\"journal\":{" +
-           u64_field("loaded", journal_->loaded()) + "," +
-           u64_field("hits",
-                     journal_hits_.load(std::memory_order_relaxed)) + "," +
-           u64_field("recovered_tail_bytes",
-                     journal_->recovered_tail_bytes()) + "},";
+    counters(w, "journal",
+             {{"loaded", journal_->loaded()},
+              {"hits", journal_hits_.load(std::memory_order_relaxed)},
+              {"recovered_tail_bytes", journal_->recovered_tail_bytes()}});
   } else {
-    out += "\"journal\":null,";
+    w.null("journal");
   }
-  out += "\"latency_us\":{" + u64_field("samples", s.latency_samples) +
-         strfmt(",\"p50\":%.1f,\"p99\":%.1f", s.latency_p50_us,
-                s.latency_p99_us) +
-         "},";
-  out += "\"runner\":{" +
-         u64_field("native_runs", runner_.native_runs()) + "," +
-         u64_field("disk_hits", runner_.disk_hits()) + "," +
-         u64_field("disk_writes", runner_.disk_writes()) + "," +
-         u64_field("codegen_lookups", runner_.codegen_lookups()) + "," +
-         u64_field("codegen_hits", runner_.codegen_hits()) + "," +
-         u64_field("exec_lookups", runner_.exec_lookups()) + "," +
-         u64_field("exec_hits", runner_.exec_hits()) + "},";
-  out += "\"collapse\":{" +
-         u64_field("classes", runner_.collapse_classes()) + "," +
-         u64_field("native_ranks", runner_.collapse_native_ranks()) + "," +
-         u64_field("replicated_ranks",
-                   runner_.collapse_replicated_ranks()) + "},";
+  w.object("latency_us", kCompact);
+  w.u64("samples", s.latency_samples);
+  w.raw("p50", strfmt("%.1f", s.latency_p50_us));
+  w.raw("p99", strfmt("%.1f", s.latency_p99_us));
+  w.close();
+  counters(w, "runner", {{"native_runs", runner_.native_runs()},
+                         {"disk_hits", runner_.disk_hits()},
+                         {"disk_writes", runner_.disk_writes()},
+                         {"codegen_lookups", runner_.codegen_lookups()},
+                         {"codegen_hits", runner_.codegen_hits()},
+                         {"exec_lookups", runner_.exec_lookups()},
+                         {"exec_hits", runner_.exec_hits()}});
+  counters(w, "collapse",
+           {{"classes", runner_.collapse_classes()},
+            {"native_ranks", runner_.collapse_native_ranks()},
+            {"replicated_ranks", runner_.collapse_replicated_ranks()}});
   const std::shared_ptr<trace::TraceStore>& store = runner_.trace_store();
   if (store != nullptr) {
     const trace::TraceStore::Stats ts = store->stats();
-    out += "\"store\":{" + u64_field("loads", ts.loads) + "," +
-           u64_field("hits", ts.hits) + "," +
-           u64_field("writes", ts.writes) + "," +
-           u64_field("evictions", ts.evictions) + "}";
+    counters(w, "store", {{"loads", ts.loads}, {"hits", ts.hits},
+                          {"writes", ts.writes}, {"evictions", ts.evictions}});
   } else {
-    out += "\"store\":null";
+    w.null("store");
   }
-  out += "}";
-  return out;
+  return std::move(w).finish();
 }
 
 // ---------------------------------------------------------------------------

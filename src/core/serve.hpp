@@ -159,10 +159,11 @@ class Server {
   void dispatch_line(const std::shared_ptr<Conn>& conn,
                      const std::string& line);
   void execute(Task task);
-  /// Executes one predict (journal fast path included) and bumps the tier
-  /// counter for the tier that answered.
-  std::string execute_predict(const ServeRequest& req);
-  std::string execute_report(const ServeRequest& req);
+  /// Execute one predict (journal fast path included), bump the tier
+  /// counter for the tier that answered, write the verb's fields into the
+  /// opened ok envelope `reply`, and return the rendered payload value.
+  std::string execute_predict(const ServeRequest& req, json::Emitter& reply);
+  std::string execute_report(const ServeRequest& req, json::Emitter& reply);
   /// Breaker key for a request: its config class, not the exact config —
   /// "predict/<app>/<dataset>/<ranks>x<threads>" or "report/<id>".
   static std::string breaker_key_of(const ServeRequest& req);

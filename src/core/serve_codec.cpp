@@ -115,30 +115,23 @@ std::string parse_serve_request(std::string_view line, ServeRequest& req) {
 std::string serve_error_response(std::string_view code, std::string_view id,
                                  std::string_view message,
                                  std::int64_t retry_after_ms) {
-  std::string out = "{\"ok\":false";
-  if (!id.empty()) {
-    out += ",\"id\":\"" + json_escape(id) + "\"";
-  }
-  out += ",\"code\":\"";
-  out += code;
-  out += "\",\"error\":\"" + json_escape(message) + "\"";
-  if (retry_after_ms > 0) {
-    out += strfmt(",\"retry_after_ms\":%lld",
-                  static_cast<long long>(retry_after_ms));
-  }
-  out += "}";
-  return out;
+  json::Emitter w;
+  w.object(json::Layout::kCompact);
+  w.boolean("ok", false);
+  if (!id.empty()) w.str("id", id);
+  w.str("code", code);
+  w.str("error", message);
+  if (retry_after_ms > 0) w.i64("retry_after_ms", retry_after_ms);
+  return std::move(w).finish();
 }
 
-std::string serve_ok_prefix(std::string_view verb, std::string_view id) {
-  std::string out = "{\"ok\":true";
-  if (!id.empty()) {
-    out += ",\"id\":\"" + json_escape(id) + "\"";
-  }
-  out += ",\"verb\":\"";
-  out += verb;
-  out += "\"";
-  return out;
+json::Emitter serve_ok_envelope(std::string_view verb, std::string_view id) {
+  json::Emitter w;
+  w.object(json::Layout::kCompact);
+  w.boolean("ok", true);
+  if (!id.empty()) w.str("id", id);
+  w.str("verb", verb);
+  return w;
 }
 
 }  // namespace fibersim::core

@@ -39,6 +39,7 @@
 #include <string_view>
 #include <vector>
 
+#include "common/json.hpp"
 #include "common/report_emit.hpp"
 #include "core/experiment.hpp"
 
@@ -98,10 +99,10 @@ std::string serve_error_response(std::string_view code, std::string_view id,
                                  std::string_view message,
                                  std::int64_t retry_after_ms = 0);
 
-/// Prefix of an ok:true response up to and excluding the final
-/// `"payload":...}` — callers append the payload (raw JSON for predict,
-/// quoted string for report) and the closing brace so the payload is always
-/// the last key (clients can split on `"payload":` exactly once).
-std::string serve_ok_prefix(std::string_view verb, std::string_view id);
+/// An ok:true response, opened: {"ok":true[,"id":...],"verb":... (id
+/// omitted when empty). The caller writes the verb's fields, then
+/// "payload" last — clients may split on `"payload":` exactly once — and
+/// finish()es it. No trailing newline.
+json::Emitter serve_ok_envelope(std::string_view verb, std::string_view id);
 
 }  // namespace fibersim::core

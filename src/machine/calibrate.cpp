@@ -277,18 +277,19 @@ void CalibrationOptions::validate() const {
 
 std::string measurements_to_json(const CalibrationMeasurements& m) {
   json::Emitter e;
+  e.object(json::Layout::kBlock);
   e.str("format", kMeasurementsFormat);
-  e.num("freq_hz", m.freq_hz);
-  e.num("l1_bw", m.l1_bw);
-  e.num("l2_bw", m.l2_bw);
-  e.num("dram_bw", m.dram_bw);
-  e.num("fma_flops", m.fma_flops);
-  e.num("numa_remote_penalty", m.numa_remote_penalty);
-  e.num("barrier_ns", m.barrier_ns);
-  e.num("threads", m.threads);
-  e.num("numa_domains", m.numa_domains);
-  e.num("wall_s", m.wall_s);
-  return std::move(e).finish();
+  e.shortest("freq_hz", m.freq_hz);
+  e.shortest("l1_bw", m.l1_bw);
+  e.shortest("l2_bw", m.l2_bw);
+  e.shortest("dram_bw", m.dram_bw);
+  e.shortest("fma_flops", m.fma_flops);
+  e.shortest("numa_remote_penalty", m.numa_remote_penalty);
+  e.shortest("barrier_ns", m.barrier_ns);
+  e.i64("threads", m.threads);
+  e.i64("numa_domains", m.numa_domains);
+  e.shortest("wall_s", m.wall_s);
+  return std::move(e).finish() + "\n";
 }
 
 CalibrationMeasurements parse_measurements(std::string_view text) {

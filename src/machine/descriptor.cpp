@@ -24,14 +24,15 @@ std::pair<std::string_view, std::string_view> split_path(std::string_view path) 
 void emit(json::Emitter& e, std::string_view key, const std::string& v) {
   e.str(key, v);
 }
-void emit(json::Emitter& e, std::string_view key, double v) { e.num(key, v); }
-void emit(json::Emitter& e, std::string_view key, int v) { e.num(key, v); }
+void emit(json::Emitter& e, std::string_view k, double v) { e.shortest(k, v); }
+void emit(json::Emitter& e, std::string_view key, int v) { e.i64(key, v); }
 void emit(json::Emitter& e, std::string_view key, bool v) { e.boolean(key, v); }
 
 }  // namespace
 
 std::string to_descriptor(const ProcessorConfig& cfg) {
   json::Emitter e;
+  e.object(json::Layout::kBlock);
   e.str("format", kDescriptorFormat);
   std::string_view group;  // nested object currently open ("" = root)
   for_each_field(cfg, [&](const char* path, const auto& value, const Bound&,
@@ -39,13 +40,12 @@ std::string to_descriptor(const ProcessorConfig& cfg) {
     const auto [field_group, key] = split_path(path);
     if (field_group != group) {
       if (!group.empty()) e.close();
-      if (!field_group.empty()) e.open(field_group);
+      if (!field_group.empty()) e.object(field_group, json::Layout::kBlock);
       group = field_group;
     }
     emit(e, key, value);
   });
-  if (!group.empty()) e.close();
-  return std::move(e).finish();
+  return std::move(e).finish() + "\n";
 }
 
 ProcessorConfig parse_descriptor(std::string_view text) {

@@ -1,212 +1,104 @@
 #include "trace/serialize.hpp"
 
-#include <cmath>
-#include <sstream>
-
-#include "common/error.hpp"
 #include "common/json.hpp"
 
 namespace fibersim::trace {
 
 namespace {
 
-/// Minimal compact JSON writer.
-class JsonWriter {
- public:
-  JsonWriter() = default;
+constexpr auto kCompact = json::Layout::kCompact;
 
-  void open(char bracket) {
-    maybe_comma();
-    os_ << bracket;
-    fresh_ = true;
-  }
-  void close(char bracket) {
-    os_ << bracket;
-    fresh_ = false;
-  }
-  void key(const std::string& name) {
-    maybe_comma();
-    os_ << '"' << name << "\":";
-    fresh_ = true;  // value follows immediately, no comma
-  }
-  void value(double v) {
-    maybe_comma();
-    FS_REQUIRE(std::isfinite(v), "cannot serialise a non-finite number");
-    std::ostringstream tmp;
-    tmp.precision(17);
-    tmp << v;
-    os_ << tmp.str();
-  }
-  void value(std::uint64_t v) {
-    maybe_comma();
-    os_ << v;
-  }
-  void value(int v) {
-    maybe_comma();
-    os_ << v;
-  }
-  void value(bool v) {
-    maybe_comma();
-    os_ << (v ? "true" : "false");
-  }
-  void value(const std::string& v) {
-    maybe_comma();
-    os_ << '"' << json_escape(v) << '"';
-  }
-
-  std::string str() const { return os_.str(); }
-
- private:
-  void maybe_comma() {
-    if (!fresh_) os_ << ',';
-    fresh_ = false;
-  }
-
-  std::ostringstream os_;
-  bool fresh_ = true;
-};
-
-void write_work(JsonWriter& w, const isa::WorkEstimate& work) {
-  w.open('{');
-  w.key("flops");
-  w.value(work.flops);
-  w.key("load_bytes");
-  w.value(work.load_bytes);
-  w.key("store_bytes");
-  w.value(work.store_bytes);
-  w.key("int_ops");
-  w.value(work.int_ops);
-  w.key("branches");
-  w.value(work.branches);
-  w.key("iterations");
-  w.value(work.iterations);
-  w.key("vectorizable_fraction");
-  w.value(work.vectorizable_fraction);
-  w.key("fma_fraction");
-  w.value(work.fma_fraction);
-  w.key("dep_chain_ops");
-  w.value(work.dep_chain_ops);
-  w.key("gather_fraction");
-  w.value(work.gather_fraction);
-  w.key("branch_miss_rate");
-  w.value(work.branch_miss_rate);
-  w.key("shared_access_fraction");
-  w.value(work.shared_access_fraction);
-  w.key("working_set_bytes");
-  w.value(work.working_set_bytes);
-  w.key("dram_traffic_bytes");
-  w.value(work.dram_traffic_bytes);
-  w.key("inner_trip_count");
-  w.value(work.inner_trip_count);
-  w.close('}');
+void write_work(json::Emitter& w, const isa::WorkEstimate& work) {
+  w.object("work", kCompact);
+  w.num("flops", work.flops);
+  w.num("load_bytes", work.load_bytes);
+  w.num("store_bytes", work.store_bytes);
+  w.num("int_ops", work.int_ops);
+  w.num("branches", work.branches);
+  w.num("iterations", work.iterations);
+  w.num("vectorizable_fraction", work.vectorizable_fraction);
+  w.num("fma_fraction", work.fma_fraction);
+  w.num("dep_chain_ops", work.dep_chain_ops);
+  w.num("gather_fraction", work.gather_fraction);
+  w.num("branch_miss_rate", work.branch_miss_rate);
+  w.num("shared_access_fraction", work.shared_access_fraction);
+  w.num("working_set_bytes", work.working_set_bytes);
+  w.num("dram_traffic_bytes", work.dram_traffic_bytes);
+  w.num("inner_trip_count", work.inner_trip_count);
+  w.close();
 }
 
-void write_comm(JsonWriter& w, const mp::CommLog& comm) {
-  w.open('{');
-  w.key("p2p");
-  w.open('[');
+void write_comm(json::Emitter& w, const mp::CommLog& comm) {
+  w.object("comm", kCompact);
+  w.array("p2p", kCompact);
   for (const auto& [dst, traffic] : comm.sends) {
-    w.open('{');
-    w.key("dst");
-    w.value(dst);
-    w.key("messages");
-    w.value(traffic.messages);
-    w.key("bytes");
-    w.value(traffic.bytes);
-    w.close('}');
+    w.object(kCompact);
+    w.i64("dst", dst);
+    w.u64("messages", traffic.messages);
+    w.u64("bytes", traffic.bytes);
+    w.close();
   }
-  w.close(']');
-  w.key("collectives");
-  w.open('[');
+  w.close();
+  w.array("collectives", kCompact);
   for (const auto& [kind, traffic] : comm.collectives) {
-    w.open('{');
-    w.key("kind");
-    w.value(std::string(mp::collective_name(kind)));
-    w.key("calls");
-    w.value(traffic.calls);
-    w.key("bytes");
-    w.value(traffic.bytes);
-    w.close('}');
+    w.object(kCompact);
+    w.str("kind", mp::collective_name(kind));
+    w.u64("calls", traffic.calls);
+    w.u64("bytes", traffic.bytes);
+    w.close();
   }
-  w.close(']');
-  w.close('}');
+  w.close();
+  w.close();
 }
 
 }  // namespace
 
 std::string to_json(const JobTrace& trace) {
-  JsonWriter w;
-  w.open('[');
+  json::Emitter w;
+  w.array(kCompact);
   for (const RankTrace& rank_trace : trace) {
-    w.open('[');
+    w.array(kCompact);
     for (const PhaseRecord& phase : rank_trace) {
-      w.open('{');
-      w.key("name");
-      w.value(phase.name);
-      w.key("parallel");
-      w.value(phase.parallel);
-      w.key("timed");
-      w.value(phase.timed);
-      w.key("entries");
-      w.value(phase.entries);
-      w.key("work");
+      w.object(kCompact);
+      w.str("name", phase.name);
+      w.boolean("parallel", phase.parallel);
+      w.boolean("timed", phase.timed);
+      w.u64("entries", phase.entries);
       write_work(w, phase.work);
-      w.key("comm");
       write_comm(w, phase.comm);
-      w.close('}');
+      w.close();
     }
-    w.close(']');
+    w.close();
   }
-  w.close(']');
-  return w.str();
+  return std::move(w).finish();
 }
 
 std::string to_json(const JobPrediction& prediction) {
-  JsonWriter w;
-  w.open('{');
-  w.key("total_s");
-  w.value(prediction.total_s);
-  w.key("compute_s");
-  w.value(prediction.compute_s);
-  w.key("memory_s");
-  w.value(prediction.memory_s);
-  w.key("comm_s");
-  w.value(prediction.comm_s);
-  w.key("barrier_s");
-  w.value(prediction.barrier_s);
-  w.key("setup_s");
-  w.value(prediction.setup_s);
-  w.key("flops");
-  w.value(prediction.flops);
-  w.key("dram_bytes");
-  w.value(prediction.dram_bytes);
-  w.key("gflops");
-  w.value(prediction.gflops());
-  w.key("phases");
-  w.open('[');
+  json::Emitter w;
+  w.object(kCompact);
+  w.num("total_s", prediction.total_s);
+  w.num("compute_s", prediction.compute_s);
+  w.num("memory_s", prediction.memory_s);
+  w.num("comm_s", prediction.comm_s);
+  w.num("barrier_s", prediction.barrier_s);
+  w.num("setup_s", prediction.setup_s);
+  w.num("flops", prediction.flops);
+  w.num("dram_bytes", prediction.dram_bytes);
+  w.num("gflops", prediction.gflops());
+  w.array("phases", kCompact);
   for (const PhasePrediction& phase : prediction.phases) {
-    w.open('{');
-    w.key("name");
-    w.value(phase.name);
-    w.key("timed");
-    w.value(phase.timed);
-    w.key("total_s");
-    w.value(phase.total_s);
-    w.key("compute_s");
-    w.value(phase.time.compute_s);
-    w.key("memory_s");
-    w.value(phase.time.memory_s);
-    w.key("barrier_s");
-    w.value(phase.time.barrier_s);
-    w.key("comm_s");
-    w.value(phase.comm_s);
-    w.key("limiter");
-    w.value(std::string(machine::limiter_name(phase.time.limiter)));
-    w.close('}');
+    w.object(kCompact);
+    w.str("name", phase.name);
+    w.boolean("timed", phase.timed);
+    w.num("total_s", phase.total_s);
+    w.num("compute_s", phase.time.compute_s);
+    w.num("memory_s", phase.time.memory_s);
+    w.num("barrier_s", phase.time.barrier_s);
+    w.num("comm_s", phase.comm_s);
+    w.str("limiter", machine::limiter_name(phase.time.limiter));
+    w.close();
   }
-  w.close(']');
-  w.close('}');
-  return w.str();
+  return std::move(w).finish();
 }
 
 }  // namespace fibersim::trace

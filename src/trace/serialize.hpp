@@ -1,7 +1,7 @@
-// Serialization of traces and predictions to JSON (hand-rolled, no
-// dependencies) so external tooling — plotting scripts, regression diffing —
-// can consume the framework's raw data. `fibersim run --json` and
-// `--dump-trace` are built on these.
+// Serialization of traces and predictions to compact JSON (json::Emitter,
+// %.17g doubles) so external tooling — plotting scripts, regression diffing —
+// can consume the framework's raw data. `fibersim run --json`, serve predict
+// payloads and `--dump-trace` are built on these; their bytes are a contract.
 #pragma once
 
 #include <string>

@@ -1,6 +1,7 @@
 // Unit tests for the common utilities: error handling, RNG, statistics,
 // strings, tables, aligned buffers.
 #include <gtest/gtest.h>
+#include <bit>
 
 #include <cmath>
 #include <cstdint>
@@ -368,6 +369,25 @@ TEST(ReportEmit, JsonCarriesIdSectionsAndMetrics) {
   EXPECT_NE(out.find("\"key\": \"best_ms\""), std::string::npos);
 }
 
+TEST(ReportEmit, JsonRejectsANanMetric) {
+  ReportArtifact artifact = sample_artifact();
+  artifact.metrics.push_back(
+      {"broken", std::numeric_limits<double>::quiet_NaN(), "ms"});
+  std::ostringstream os;
+  EXPECT_THROW(emit_report(artifact, {ReportFormat::kJson, false}, os), Error);
+  EXPECT_EQ(os.str(), "");  // nothing half-written
+}
+
+TEST(ReportEmit, JsonRejectsAnInfiniteMetric) {
+  ReportArtifact artifact = sample_artifact();
+  artifact.metrics.push_back(
+      {"broken", std::numeric_limits<double>::infinity(), "ms"});
+  std::ostringstream os;
+  EXPECT_THROW(emit_report(artifact, {ReportFormat::kJson, false}, os), Error);
+  // Text and CSV carry no metrics and still render.
+  EXPECT_NO_THROW(emit_report(artifact, {ReportFormat::kText, false}, os));
+}
+
 TEST(ReportEmit, ParseFormatNamesRoundTrip) {
   EXPECT_EQ(parse_report_format("text"), ReportFormat::kText);
   EXPECT_EQ(parse_report_format("CSV"), ReportFormat::kCsv);
@@ -542,6 +562,175 @@ TEST(Json, DecodesEscapesIncludingSurrogatePairs) {
   EXPECT_EQ(escaped->as_string(), "\xC3\xA9 \xF0\x9F\x98\x80");
   EXPECT_FALSE(json::parse(R"("\ud83d")", &error));  // lone high surrogate
   EXPECT_FALSE(json::parse(R"("\ud83dx")", &error));
+}
+
+// ----- the writer -----
+
+using json::Layout;
+
+/// One nested document, every container in `layout`.
+std::string sample_document(Layout layout) {
+  json::Emitter w;
+  w.object(layout);
+  w.str("s", "x");
+  w.num("n", 1.5);
+  w.i64("i", -3);
+  w.u64("u", 18446744073709551615ULL);
+  w.boolean("b", true);
+  w.null("z");
+  w.object("e", layout);
+  w.close();
+  w.array("a", layout);
+  w.close();
+  w.object("o", layout);
+  w.array("k", layout);
+  w.shortest(0.1);
+  w.raw("2.0");
+  w.close();
+  w.close();
+  return std::move(w).finish();
+}
+
+TEST(Json, BlockLayoutIsOneChildPerLine) {
+  EXPECT_EQ(sample_document(Layout::kBlock),
+            "{\n"
+            "  \"s\": \"x\",\n"
+            "  \"n\": 1.5,\n"
+            "  \"i\": -3,\n"
+            "  \"u\": 18446744073709551615,\n"
+            "  \"b\": true,\n"
+            "  \"z\": null,\n"
+            "  \"e\": {},\n"
+            "  \"a\": [],\n"
+            "  \"o\": {\n"
+            "    \"k\": [\n"
+            "      0.1,\n"
+            "      2.0\n"
+            "    ]\n"
+            "  }\n"
+            "}");
+}
+
+TEST(Json, InlineLayoutIsOneSpacedLine) {
+  EXPECT_EQ(sample_document(Layout::kInline),
+            R"({"s": "x", "n": 1.5, "i": -3, "u": 18446744073709551615, )"
+            R"("b": true, "z": null, "e": {}, "a": [], "o": {"k": [0.1, 2.0]}})");
+}
+
+TEST(Json, CompactLayoutHasNoSpaces) {
+  EXPECT_EQ(sample_document(Layout::kCompact),
+            R"({"s":"x","n":1.5,"i":-3,"u":18446744073709551615,)"
+            R"("b":true,"z":null,"e":{},"a":[],"o":{"k":[0.1,2.0]}})");
+}
+
+TEST(Json, BlockContainerHoldsInlineChildrenOnePerLine) {
+  json::Emitter w;
+  w.object(Layout::kBlock);
+  w.array("rows", Layout::kBlock);
+  w.array(Layout::kInline);
+  w.str("a");
+  w.str("b");
+  w.close();
+  w.array(Layout::kInline);
+  w.close();
+  w.close();
+  w.object("m", Layout::kInline);
+  w.i64("k", 1);
+  w.array("c", Layout::kCompact);
+  w.i64(1);
+  w.i64(2);
+  EXPECT_EQ(std::move(w).finish(),
+            "{\n"
+            "  \"rows\": [\n"
+            "    [\"a\", \"b\"],\n"
+            "    []\n"
+            "  ],\n"
+            "  \"m\": {\"k\": 1, \"c\": [1,2]}\n"
+            "}");
+}
+
+TEST(Json, EveryByteRoundTripsInKeysAndStringsInEveryLayout) {
+  for (const Layout layout :
+       {Layout::kBlock, Layout::kInline, Layout::kCompact}) {
+    json::Emitter w;
+    w.object(layout);
+    for (int b = 0; b < 256; ++b) {
+      const char c = static_cast<char>(b);
+      w.str(std::string("k") + c, std::string("v") + c + "w");
+    }
+    w.array("all", layout);
+    for (int b = 0; b < 256; ++b) w.str(std::string(1, static_cast<char>(b)));
+    const std::string text = std::move(w).finish();
+    std::string error;
+    const auto v = json::parse(text, &error);
+    ASSERT_TRUE(v) << error;
+    ASSERT_EQ(v->members().size(), 257u);
+    for (int b = 0; b < 256; ++b) {
+      const char c = static_cast<char>(b);
+      const auto& [key, value] = v->members()[static_cast<std::size_t>(b)];
+      EXPECT_EQ(key, std::string("k") + c) << b;
+      EXPECT_EQ(value.as_string(), std::string("v") + c + "w") << b;
+      const json::Items& all = v->find("all")->items();
+      EXPECT_EQ(all[static_cast<std::size_t>(b)].as_string(), std::string(1, c))
+          << b;
+    }
+  }
+}
+
+TEST(Json, NonFiniteDoublesAreRejected) {
+  for (const double bad : {std::numeric_limits<double>::quiet_NaN(),
+                           std::numeric_limits<double>::infinity(),
+                           -std::numeric_limits<double>::infinity()}) {
+    json::Emitter w;
+    w.array(Layout::kCompact);
+    EXPECT_THROW(w.num(bad), Error);
+    EXPECT_THROW(w.shortest(bad), Error);
+    w.num(1.0);
+    EXPECT_EQ(std::move(w).finish(), "[1]");  // nothing half-written
+  }
+}
+
+TEST(Json, MisuseThrowsInsteadOfWritingBadJson) {
+  json::Emitter w;
+  w.object(Layout::kCompact);
+  EXPECT_THROW(w.i64(1), Error);  // a member needs a key
+  w.close();
+  EXPECT_THROW(w.i64(1), Error);  // a second root
+  EXPECT_THROW(w.close(), Error);
+  EXPECT_THROW(std::move(json::Emitter{}).finish(), Error);
+}
+
+std::string emitted(double v) {
+  json::Emitter w;
+  w.num(v);
+  return std::move(w).finish();
+}
+
+TEST(Json, NumMatchesPrintfPercent17g) {
+  const auto printf17 = [](double v) { return strfmt("%.17g", v); };
+  for (const double v :
+       {0.0, -0.0, 1.0, -1.0, 0.1, 1e300, -1e-300,
+        std::numeric_limits<double>::denorm_min(),
+        -std::numeric_limits<double>::denorm_min(),
+        std::numeric_limits<double>::min() / 3.0,
+        std::numeric_limits<double>::min(),
+        std::numeric_limits<double>::max(),
+        -std::numeric_limits<double>::max()}) {
+    EXPECT_EQ(emitted(v), printf17(v)) << printf17(v);
+  }
+  // Random bit patterns cover every exponent and mantissa shape.
+  Xoshiro256 rng(20240917);
+  int checked = 0;
+  int mismatches = 0;
+  while (checked < 1000000) {
+    const double v = std::bit_cast<double>(rng.next());
+    if (!std::isfinite(v)) continue;
+    ++checked;
+    if (emitted(v) != printf17(v) && ++mismatches <= 5) {
+      ADD_FAILURE() << printf17(v) << " emitted as " << emitted(v);
+    }
+  }
+  EXPECT_EQ(mismatches, 0);
 }
 
 TEST(Json, ReportsByteOffsets) {

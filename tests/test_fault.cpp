@@ -691,6 +691,47 @@ TEST(Journal, LoadsALineInTheVersionOneFormat) {
   EXPECT_EQ(journal.recovered_tail_bytes(), 0u);
 }
 
+TEST(Journal, RecordWritesTheVersionOneLineByteForByte) {
+  // The line an earlier build's record() wrote for this config: the byte
+  // layout is a contract (resumed sweeps and external tools read it).
+  const std::string expected =
+      R"({"v":1,"key":"c45c6a06e642f723",)"
+      R"("label":"ffvc/small 2x2 block/compact [simd+,swp] on A64FX",)"
+      R"("verified":1,"check_value":"c0b7a10adde70f36",)"
+      R"j("check_desc":"SOR energy functional (must decrease)",)j"
+      R"("power":["404f9c70f122ad63","3f4e04c158373558",)"
+      R"("3fe350bd9cba0a06"],"agg":["3eee634c666f249a","3ee355aa22f61b9e",)"
+      R"("3ed95dfd94c958d8","3ec04efa058c7e4b","3e8828c0be769dc2",)"
+      R"("4120e00000000000","4137a00000000000","3ee5331ee4925366"],)"
+      R"("nphases":4,"phases":[["init",0,"0000000000000000",)"
+      R"("3ee5331ee4925366","3ee4d65971131b46","3e9cfdb417c18a1b",)"
+      R"("0000000000000000","3ee5331ee4925366",0,"4104400000000000",)"
+      R"("40fb000000000000","0000000000000000","0000000000000000"],)"
+      R"(["diagnose",1,"3eb557bc3abf7fc4","3ed9d73e2b3907c4",)"
+      R"("3ed13a807d958c58","3ebcfdb417c18a1b","3e7828c0be769dc2",)"
+      R"("3ed4814f1c8927d3",0,"4110e00000000000","411b000000000000",)"
+      R"("0000000000000000","3e9a56fd1bad23b6"],["sor",1,)"
+      R"("3ea68c6fa0b2f9a4","3ed305d94257e794","3ecbaeb22f9294c3",)"
+      R"("3eb5be4711d12794","3e6828c0be769dc2","3ed0344b4e418860",0,)"
+      R"("4102900000000000","4114400000000000","0000000000000000",)"
+      R"("0000000000000000"],["project",1,"0000000000000000",)"
+      R"("3ecfd302be9ab3b7","3ebe65eac235820a","3ec95dfd94c958d8",)"
+      R"("3e6828c0be769dc2","3ecfd302be9ab3b7",1,"40fe600000000000",)"
+      R"("4127a00000000000","0000000000000000","0000000000000000"]]})";
+  const std::string path = temp_journal_path("version_one_bytes");
+  std::remove(path.c_str());
+  Runner runner;
+  const ExperimentConfig cfg = small_ffvc(2, 2);
+  {
+    SweepJournal journal(path);
+    ASSERT_TRUE(journal.record(cfg, runner.run(cfg)));
+  }
+  std::ifstream in(path, std::ios::binary);
+  std::ostringstream written;
+  written << in.rdbuf();
+  EXPECT_EQ(written.str(), expected + "\n");
+}
+
 TEST(Journal, ReportBytesSurviveKillAndResume) {
   const std::string path = temp_journal_path("report_resume");
   std::remove(path.c_str());

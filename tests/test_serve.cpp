@@ -155,7 +155,9 @@ TEST(ServeCodec, ResponseShapes) {
             R"({"ok":false,"code":"BUSY","error":"full"})");
   EXPECT_EQ(serve_error_response(kCodeBadRequest, "a\"b", "x\ny"),
             R"({"ok":false,"id":"a\"b","code":"BAD_REQUEST","error":"x\ny"})");
-  EXPECT_EQ(serve_ok_prefix("ping", "7") + ",\"payload\":\"pong\"}",
+  json::Emitter ok = serve_ok_envelope("ping", "7");
+  ok.str("payload", "pong");
+  EXPECT_EQ(std::move(ok).finish(),
             R"({"ok":true,"id":"7","verb":"ping","payload":"pong"})");
 }
 

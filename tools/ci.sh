@@ -28,6 +28,9 @@ RUN_ARGS="run --app ffvc --dataset small --ranks 4 --threads 2 --json"
 "$FIBERSIM" $RUN_ARGS --trace-cache "$CACHE_DIR" > "$CACHE_DIR/cold.json"
 "$FIBERSIM" $RUN_ARGS --trace-cache "$CACHE_DIR" > "$CACHE_DIR/warm.json"
 diff "$CACHE_DIR/cold.json" "$CACHE_DIR/warm.json"
+# Every JSON file this script writes goes through the repo's strict parser.
+JSON_CHECK="$BUILD_DIR/tools/json_check"
+"$JSON_CHECK" "$CACHE_DIR/cold.json" "$CACHE_DIR/warm.json"
 # The warm pass must replay from disk: a second cache dir would have forced
 # a native run, so assert the store actually holds the published trace.
 [ "$(ls "$CACHE_DIR" | grep -c '\.fstrace$')" -eq 1 ]
@@ -46,6 +49,7 @@ DUMP_CACHE="$CACHE_DIR/dump-cache"
     --dump-trace "$CACHE_DIR/dump.warm.json" > /dev/null
 cmp "$CACHE_DIR/dump.full.json" "$CACHE_DIR/dump.collapsed.json"
 cmp "$CACHE_DIR/dump.full.json" "$CACHE_DIR/dump.warm.json"
+"$JSON_CHECK" "$CACHE_DIR/dump.full.json"
 
 echo "== report registry: --all must be jobs-invariant and documented =="
 REPORT_ARGS="report --all --apps ffvc --dataset small --iterations 1"
@@ -84,6 +88,7 @@ for pair in "a64fx a64fx.json" "skylake skylake8168x2.json" \
   set -- $pair
   "$FIBERSIM" describe "$1" > "$CACHE_DIR/describe.$1.json"
   diff "$CACHE_DIR/describe.$1.json" "descriptors/$2"
+  "$JSON_CHECK" "$CACHE_DIR/describe.$1.json"
 done
 # Parse -> emit is the identity on every checked-in file, not only on the
 # compiled-in machines.
@@ -92,7 +97,7 @@ for file in descriptors/*.json; do
   diff "$CACHE_DIR/describe.file.json" "$file"
 done
 # Every descriptor passes the deep field-range check.
-"$BUILD_DIR/tools/json_check" descriptors/*.json
+"$JSON_CHECK" descriptors/*.json
 # Swapping the built-ins for the checked-in descriptors must not move a
 # single byte of any report, at any job count (report.cold.txt ran with the
 # compiled-in registry at jobs 1).
@@ -106,8 +111,7 @@ echo "== calibrate: host micro-kernels -> valid, loadable descriptor =="
 # a single core).
 "$FIBERSIM" calibrate --quick --out "$CACHE_DIR/host.json" \
     --measurements "$CACHE_DIR/host-measurements.json" > /dev/null
-"$BUILD_DIR/tools/json_check" "$CACHE_DIR/host.json" \
-    "$CACHE_DIR/host-measurements.json"
+"$JSON_CHECK" "$CACHE_DIR/host.json" "$CACHE_DIR/host-measurements.json"
 "$FIBERSIM" run --app ffvc --dataset small --ranks 1 --threads 1 \
     --processor "$CACHE_DIR/host.json" --json > /dev/null
 # Refitting the same measurements must reproduce the descriptor bytes.
@@ -116,6 +120,7 @@ echo "== calibrate: host micro-kernels -> valid, loadable descriptor =="
 "$FIBERSIM" calibrate --from-measurements "$CACHE_DIR/host-measurements.json" \
     > "$CACHE_DIR/host.refit2.json"
 diff "$CACHE_DIR/host.refit.json" "$CACHE_DIR/host.refit2.json"
+"$JSON_CHECK" "$CACHE_DIR/host.refit.json"
 # Parse -> emit is the identity on the host-fitted descriptor too.
 "$FIBERSIM" describe "$CACHE_DIR/host.json" > "$CACHE_DIR/describe.host.json"
 diff "$CACHE_DIR/describe.host.json" "$CACHE_DIR/host.json"
@@ -132,6 +137,7 @@ diff "$CACHE_DIR/report.cold.txt" "$CACHE_DIR/report.collapse.txt"
 # symmetry class at every point, up to the 102400-rank peak) and the >= 20x
 # trend bar, and exits nonzero on any violation.
 "$BUILD_DIR/bench/perf_scale" --out "$CACHE_DIR/BENCH_scale.json"
+"$JSON_CHECK" "$CACHE_DIR/BENCH_scale.json"
 if grep -q '"native_equals_classes": false' "$CACHE_DIR/BENCH_scale.json"; then
   echo "BENCH_scale.json: a collapsed pass ran native ranks != classes" >&2
   exit 1
@@ -153,6 +159,8 @@ NATIVE_ARGS="report T2 --dataset large --apps ngsa,ccs_qcd,ffb,nicam \
 "$FIBERSIM" $NATIVE_ARGS --collapse-ranks on > "$CACHE_DIR/native.collapse.json"
 diff "$CACHE_DIR/native.j1.json" "$CACHE_DIR/native.j4.json"
 diff "$CACHE_DIR/native.j1.json" "$CACHE_DIR/native.collapse.json"
+"$JSON_CHECK" "$CACHE_DIR/native.j1.json" "$CACHE_DIR/native.j4.json" \
+    "$CACHE_DIR/native.collapse.json"
 
 echo "== serve: daemon smoke (predict parity, chaos, clean shutdown) =="
 SERVE_SOCK="$CACHE_DIR/serve.sock"
@@ -192,6 +200,7 @@ KEYS_RESP="$("$PERF_SERVE" --connect "$SERVE_SOCK" --send "$KEYS_REQ}")"
 case "$KEYS_RESP" in '{"ok":true'*) ;; *) echo "bad response: $KEYS_RESP" >&2; exit 1;; esac
 KEYS_PAYLOAD="${KEYS_RESP#*\"payload\":}"; KEYS_PAYLOAD="${KEYS_PAYLOAD%\}}"
 "$FIBERSIM" run --config "$KEYS_CFG" --json > "$CACHE_DIR/all-keys.run.json"
+"$JSON_CHECK" "$CACHE_DIR/all-keys.run.json"
 printf '%s\n' "$KEYS_PAYLOAD" | cmp - "$CACHE_DIR/all-keys.run.json"
 # A short multi-client load pass must come back with zero not-ok responses.
 "$PERF_SERVE" --connect "$SERVE_SOCK" --clients 2 --requests 8
@@ -236,9 +245,10 @@ grep -q 'best beats as-is baseline: yes' "$CACHE_DIR/tune.ffvc.j1.txt" || {
 }
 
 echo "== bench artifacts: every committed BENCH_*.json must parse =="
-# Hand-rolled JSON writers drift; gate every repo-root artifact through the
-# repo's own strict parser (duplicate keys, grammar, depth all enforced).
-"$BUILD_DIR/tools/json_check" BENCH_*.json
+# A committed artifact may predate the current writer or be edited by hand;
+# gate every repo-root artifact through the repo's own strict parser
+# (duplicate keys, grammar, depth all enforced).
+"$JSON_CHECK" BENCH_*.json
 
 echo "== resilience: chaos soak (SIGKILL + supervised recovery, zero loss) =="
 # The soak harness runs a supervised external server under live load while
@@ -248,6 +258,7 @@ RES_DIR="$CACHE_DIR/resilience"
 RES_JSON="$CACHE_DIR/BENCH_resilience.json"
 "$BUILD_DIR/bench/perf_resilience" --server "$FIBERSIM" --out "$RES_JSON" \
     --work-dir "$RES_DIR" --kills 2 --clients 2 --requests 24
+"$JSON_CHECK" "$RES_JSON"
 for invariant in '"zero_loss": true' '"byte_identical": true' \
     '"supervisor_clean_exit": true' '"journal_newline_clean": true' \
     '"typed_timeout": true' '"recovered": true' '"terminal_errors": 0' \

@@ -1,11 +1,13 @@
 // json_check — validate files against the repo's own strict JSON parser.
 //
-// CI runs this over every repo-root BENCH_*.json so a bench that emits a
-// malformed artifact (hand-rolled writers, precision(17) doubles, trailing
-// commas) fails the gate with a position-stamped message instead of
-// shipping a file downstream tooling cannot read. The parser is the same
-// hardened common/json used by the serve daemon: strict grammar, duplicate
-// keys rejected, depth-capped.
+// CI runs this over every repo-root BENCH_*.json and over every JSON file
+// tools/ci.sh itself writes (run --json, --dump-trace, report --format
+// json, describe, calibrate, fresh BENCH files), so a document that leaves
+// json::Emitter malformed — or a committed artifact edited by hand — fails
+// the gate with a position-stamped message instead of shipping a file
+// downstream tooling cannot read. The parser is the same hardened
+// common/json used by the serve daemon: strict grammar, duplicate keys
+// rejected, depth-capped.
 //
 // Files carrying a recognised `"format"` tag get the matching deep check on
 // top of the grammar pass: processor descriptors go through
