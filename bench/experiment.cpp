@@ -6,7 +6,8 @@
 //              [--list] [resilience and --trace-cache flags]
 //   experiment --list
 //
-// The flags are core::parse_report_flags, shared with `fibersim report`.
+// The flags are core::report_keys() through core::parse_report_flags,
+// shared with `fibersim report` and the serve `report` verb.
 // Unlike `fibersim report`, the output is framed and carries the
 // supplementary sections, the dataset defaults to the experiment's
 // registered bench default (T3 honours --dataset; the CLI pins it to

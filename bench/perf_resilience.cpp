@@ -34,7 +34,6 @@
 #include <filesystem>
 #include <fstream>
 #include <iostream>
-#include <map>
 #include <mutex>
 #include <optional>
 #include <sstream>
@@ -47,22 +46,16 @@
 #include "common/parse_num.hpp"
 #include "common/string_util.hpp"
 #include "common/timer.hpp"
-#include "core/runner.hpp"
+#include "core/config_parse.hpp"
 #include "core/serve.hpp"
 #include "fault/fault.hpp"
 #include "serve_targets.hpp"
-#include "trace/serialize.hpp"
 
 namespace {
 
 using namespace fibersim;
 namespace fs = std::filesystem;
 using namespace fibersim::bench;  // the shared predict mix
-
-bool has_code(const std::string& response, const char* code) {
-  return response.find(std::string("\"code\":\"") + code + "\"") !=
-         std::string::npos;
-}
 
 // ---- supervised external server -------------------------------------------
 
@@ -194,51 +187,36 @@ double await_ready(const std::string& socket, double timeout_s) {
   return -1.0;
 }
 
+struct Flags {
+  std::string out_path = "BENCH_resilience.json";
+  std::string server_binary = "build/tools/fibersim";
+  std::string work_dir;
+  int kills = 3;
+  int clients = 2;
+  int requests = 48;  // per client, spread over the kill cycles
+};
+
+constexpr core::KeyRow<Flags> kKeys[] = {
+    {"out", core::set_text<&Flags::out_path>},
+    {"server", core::set_text<&Flags::server_binary>},
+    {"work_dir", core::set_text<&Flags::work_dir>},
+    {"kills", core::set_int<1, &Flags::kills>},
+    {"clients", core::set_int<1, &Flags::clients>},
+    {"requests", core::set_int<1, &Flags::requests>},
+};
+
 }  // namespace
 
 int main(int argc, char** argv) {
-  std::string out_path = "BENCH_resilience.json";
-  std::string server_binary = "build/tools/fibersim";
-  std::string work_root;
-  int kills = 3;
-  int clients = 2;
-  int soak_requests = 48;  // per client, spread over the kill cycles
-  for (int i = 1; i < argc; ++i) {
-    const std::string a = argv[i];
-    auto value = [&]() -> std::string {
-      if (i + 1 >= argc) {
-        std::cerr << "missing value for " << a << "\n";
-        std::exit(2);
-      }
-      return argv[++i];
-    };
-    auto int_value = [&](int min) -> int {
-      const std::string v = value();
-      const std::optional<int> n = parse_i32(v);
-      if (!n || *n < min) {
-        std::cerr << a << ": expected an integer >= " << min << ", got '"
-                  << v << "'\n";
-        std::exit(2);
-      }
-      return *n;
-    };
-    if (a == "--out") {
-      out_path = value();
-    } else if (a == "--server") {
-      server_binary = value();
-    } else if (a == "--work-dir") {
-      work_root = value();
-    } else if (a == "--kills") {
-      kills = int_value(1);
-    } else if (a == "--clients") {
-      clients = int_value(1);
-    } else if (a == "--requests") {
-      soak_requests = int_value(1);
-    } else {
-      std::cerr << "unknown argument: " << a << "\n";
-      std::exit(2);
-    }
+  Flags flags;
+  const std::vector<std::string> args(argv + 1, argv + argc);
+  const std::string problem = core::parse_flags(args, "perf_resilience",
+                                                core::KeyTable{kKeys, flags});
+  if (!problem.empty()) {
+    std::cerr << problem << "\n";
+    return 2;
   }
+  std::string work_root = flags.work_dir;
 
   const std::string run_tag = std::to_string(static_cast<long>(::getpid()));
   // A caller-provided work dir is left in place afterwards so CI can assert
@@ -259,14 +237,7 @@ int main(int argc, char** argv) {
   };
 
   // Quiet-server baseline: the `run --json` payload for every target.
-  std::map<std::size_t, std::string> expected;
-  {
-    core::Runner reference;
-    for (std::size_t t = 0; t < kTargets.size(); ++t) {
-      expected[t] =
-          trace::to_json(reference.run(config_of(kTargets[t])).prediction);
-    }
-  }
+  const std::vector<std::string> expected = expected_payloads();
 
   // ---- deadline leg --------------------------------------------------------
   std::size_t deadline_tight_missed = 0;
@@ -405,12 +376,12 @@ int main(int argc, char** argv) {
       (fs::path(work_root) / "resilience.journal").string();
   const std::string cache_dir =
       (fs::path(work_root) / "resilience-cache").string();
-  if (!fs::exists(server_binary)) {
-    fail("server binary not found: " + server_binary +
+  if (!fs::exists(flags.server_binary)) {
+    fail("server binary not found: " + flags.server_binary +
          " (pass --server <path to fibersim>)");
   } else {
     SupervisedServer server(
-        server_binary,
+        flags.server_binary,
         {"serve", "--socket", socket_path, "--workers", "2", "--journal",
          journal_path, "--trace-cache", cache_dir, "--supervise",
          "--max-restarts", "50", "--restart-backoff-ms", "50"});
@@ -428,14 +399,14 @@ int main(int argc, char** argv) {
     std::atomic<std::size_t> acked_count{0};
     std::atomic<std::size_t> terminal_errors{0};
     std::atomic<bool> byte_identical{true};
-    for (int c = 0; c < clients; ++c) {
+    for (int c = 0; c < flags.clients; ++c) {
       load_threads.emplace_back([&, c] {
         core::RetryPolicy policy;
         policy.attempts = 12;
         policy.backoff_ms = 25;
         policy.max_backoff_ms = 400;
         policy.seed = static_cast<std::uint64_t>(c + 1);
-        for (int r = 0; r < soak_requests && !stop_load.load(); ++r) {
+        for (int r = 0; r < flags.requests && !stop_load.load(); ++r) {
           const std::size_t t =
               static_cast<std::size_t>(c + r) % kTargets.size();
           try {
@@ -469,7 +440,7 @@ int main(int argc, char** argv) {
 
     // Chaos: SIGKILL the serving child mid-load, wait for the supervisor to
     // bring it back, measure time-to-ready.
-    for (int k = 0; k < kills; ++k) {
+    for (int k = 0; k < flags.kills; ++k) {
       std::this_thread::sleep_for(std::chrono::milliseconds(150));
       const pid_t victim = server.worker_pid();
       if (victim <= 0) {
@@ -555,11 +526,8 @@ int main(int argc, char** argv) {
     }
   }
   {
-    std::error_code ec;
-    for (const auto& entry : fs::directory_iterator(cache_dir, ec)) {
-      if (entry.path().filename().string().rfind(".tmp-", 0) == 0) {
-        fail("trace store holds a half-published .tmp entry after the soak");
-      }
+    if (has_staged_files(cache_dir)) {
+      fail("trace store holds a half-published .tmp entry after the soak");
     }
   }
 
@@ -631,12 +599,12 @@ int main(int argc, char** argv) {
     std::error_code ec;
     fs::remove_all(work_root, ec);
   }
-  std::ofstream out(out_path);
+  std::ofstream out(flags.out_path);
   out << std::move(doc).finish() << '\n';
   if (!out) {
-    std::cerr << "failed to write " << out_path << "\n";
+    std::cerr << "failed to write " << flags.out_path << "\n";
     return 1;
   }
-  std::cout << "wrote " << out_path << "\n";
+  std::cout << "wrote " << flags.out_path << "\n";
   return ok ? 0 : 1;
 }

@@ -31,10 +31,10 @@
 #include <vector>
 
 #include "common/json.hpp"
-#include "common/parse_num.hpp"
 #include "common/report_emit.hpp"
 #include "common/string_util.hpp"
 #include "common/timer.hpp"
+#include "core/config_parse.hpp"
 #include "core/runner.hpp"
 #include "trace/serialize.hpp"
 #include "trace/trace_store.hpp"
@@ -74,43 +74,36 @@ struct Sample {
 
 std::uint64_t bits(double v) { return std::bit_cast<std::uint64_t>(v); }
 
+struct Flags {
+  std::string app = "ffvc";
+  std::string out_path = "BENCH_scale.json";
+  int max_nodes = 25600;  ///< drops the weak-scale points beyond it
+};
+
+constexpr core::KeyRow<Flags> kKeys[] = {
+    {"app", core::set_text<&Flags::app>},
+    {"out", core::set_text<&Flags::out_path>},
+    {"max_nodes", core::set_int<1, &Flags::max_nodes>},
+};
+
 }  // namespace
 
 int main(int argc, char** argv) {
-  std::string app = "ffvc";
-  std::string out_path = "BENCH_scale.json";
+  Flags flags;
+  const std::vector<std::string> args(argv + 1, argv + argc);
+  const std::string problem =
+      core::parse_flags(args, "perf_scale", core::KeyTable{kKeys, flags});
+  if (!problem.empty()) {
+    std::cerr << problem << "\n";
+    return 2;
+  }
+  const std::string& app = flags.app;
   // Overlap points stay within the native thread budget (ranks x threads
   // OS threads per full run); weak-scale points are collapsed-only.
-  std::vector<int> overlap_nodes = {4, 16, 64};
+  const std::vector<int> overlap_nodes = {4, 16, 64};
   std::vector<int> weak_nodes = {256, 4096, 25600};
-  for (int i = 1; i < argc; ++i) {
-    const std::string a = argv[i];
-    auto value = [&]() -> std::string {
-      if (i + 1 >= argc) {
-        std::cerr << "missing value for " << a << "\n";
-        std::exit(2);
-      }
-      return argv[++i];
-    };
-    if (a == "--app") {
-      app = value();
-    } else if (a == "--out") {
-      out_path = value();
-    } else if (a == "--max-nodes") {
-      const std::string v = value();
-      const std::optional<int> n = fibersim::parse_i32(v);
-      if (!n || *n < 1) {
-        std::cerr << "--max-nodes: expected an integer >= 1, got '" << v
-                  << "'\n";
-        std::exit(2);
-      }
-      while (!weak_nodes.empty() && weak_nodes.back() > *n) {
-        weak_nodes.pop_back();
-      }
-    } else {
-      std::cerr << "unknown argument: " << a << "\n";
-      std::exit(2);
-    }
+  while (!weak_nodes.empty() && weak_nodes.back() > flags.max_nodes) {
+    weak_nodes.pop_back();
   }
 
   bool ok = true;
@@ -296,9 +289,9 @@ int main(int argc, char** argv) {
   doc.num("store_cold_s", cold_s);
   doc.num("store_warm_s", warm_s);
   doc.boolean("ok", ok);
-  std::ofstream out(out_path);
+  std::ofstream out(flags.out_path);
   out << std::move(doc).finish() << '\n';
-  std::cout << "\nwrote " << out_path << "\n";
+  std::cout << "\nwrote " << flags.out_path << "\n";
 
   return ok ? 0 : 1;
 }

@@ -40,16 +40,14 @@
 #include <vector>
 
 #include "common/json.hpp"
-#include "common/parse_num.hpp"
 #include "common/report_emit.hpp"
 #include "common/stats.hpp"
 #include "common/string_util.hpp"
 #include "common/timer.hpp"
-#include "core/runner.hpp"
+#include "core/config_parse.hpp"
 #include "core/serve.hpp"
 #include "fault/fault.hpp"
 #include "serve_targets.hpp"
-#include "trace/serialize.hpp"
 
 namespace {
 
@@ -113,17 +111,7 @@ PassStats run_load(const std::string& socket_path, int clients,
   return stats;
 }
 
-bool cache_dir_has_tmp_files(const fs::path& dir) {
-  std::error_code ec;
-  for (const auto& entry : fs::directory_iterator(dir, ec)) {
-    if (entry.path().extension() == ".tmp") return true;
-  }
-  return false;
-}
-
-}  // namespace
-
-int main(int argc, char** argv) {
+struct Flags {
   int requests = 24;
   int clients = 2;  // connect-mode load only; bench mode sweeps {1, 2, 4}
   std::string out_path = "BENCH_serve.json";
@@ -131,91 +119,56 @@ int main(int argc, char** argv) {
   std::string cache_root;
   std::string connect_path;
   std::string send_line;
-  int retries = 1;          // --send attempts; > 1 rides through restarts
-  int retry_backoff_ms = 50;
-  for (int i = 1; i < argc; ++i) {
-    const std::string a = argv[i];
-    auto value = [&]() -> std::string {
-      if (i + 1 >= argc) {
-        std::cerr << "missing value for " << a << "\n";
-        std::exit(2);
-      }
-      return argv[++i];
-    };
-    if (a == "--requests") {
-      const std::string v = value();
-      const std::optional<int> n = fibersim::parse_i32(v);
-      if (!n || *n < 1) {
-        std::cerr << "--requests: expected an integer >= 1, got '" << v
-                  << "'\n";
-        std::exit(2);
-      }
-      requests = *n;
-    } else if (a == "--clients") {
-      const std::string v = value();
-      const std::optional<int> n = fibersim::parse_i32(v);
-      if (!n || *n < 1) {
-        std::cerr << "--clients: expected an integer >= 1, got '" << v
-                  << "'\n";
-        std::exit(2);
-      }
-      clients = *n;
-    } else if (a == "--out") {
-      out_path = value();
-    } else if (a == "--socket") {
-      socket_path = value();
-    } else if (a == "--cache-dir") {
-      cache_root = value();
-    } else if (a == "--connect") {
-      connect_path = value();
-    } else if (a == "--send") {
-      send_line = value();
-    } else if (a == "--retries") {
-      const std::string v = value();
-      const std::optional<int> n = fibersim::parse_i32(v);
-      if (!n || *n < 1) {
-        std::cerr << "--retries: expected an integer >= 1, got '" << v
-                  << "'\n";
-        std::exit(2);
-      }
-      retries = *n;
-    } else if (a == "--backoff-ms") {
-      const std::string v = value();
-      const std::optional<int> n = fibersim::parse_i32(v);
-      if (!n || *n < 1) {
-        std::cerr << "--backoff-ms: expected an integer >= 1, got '" << v
-                  << "'\n";
-        std::exit(2);
-      }
-      retry_backoff_ms = *n;
-    } else {
-      std::cerr << "unknown argument: " << a << "\n";
-      std::exit(2);
-    }
-  }
+  int retries = 1;  // --send attempts; > 1 rides through restarts
+  int backoff_ms = 50;
+};
 
+constexpr core::KeyRow<Flags> kKeys[] = {
+    {"requests", core::set_int<1, &Flags::requests>},
+    {"clients", core::set_int<1, &Flags::clients>},
+    {"out", core::set_text<&Flags::out_path>},
+    {"socket", core::set_text<&Flags::socket_path>},
+    {"cache_dir", core::set_text<&Flags::cache_root>},
+    {"connect", core::set_text<&Flags::connect_path>},
+    {"send", core::set_text<&Flags::send_line>},
+    {"retries", core::set_int<1, &Flags::retries>},
+    {"backoff_ms", core::set_int<1, &Flags::backoff_ms>},
+};
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  Flags flags;
+  const std::vector<std::string> args(argv + 1, argv + argc);
+  const std::string problem =
+      core::parse_flags(args, "perf_serve", core::KeyTable{kKeys, flags});
+  if (!problem.empty()) {
+    std::cerr << problem << "\n";
+    return 2;
+  }
   // ---- client mode against an external daemon ----------------------------
-  if (!connect_path.empty()) {
+  if (!flags.connect_path.empty()) {
     try {
-      if (!send_line.empty()) {
+      if (!flags.send_line.empty()) {
         // --retries > 1 retries typed BUSY / SHUTDOWN / CIRCUIT_OPEN sheds
         // and connect failures (a supervised server mid-restart) with
         // jittered exponential backoff, so callers stop hand-rolling
         // sleep-and-poll loops around this client.
         core::RetryPolicy policy;
-        policy.attempts = retries;
-        policy.backoff_ms = retry_backoff_ms;
-        policy.max_backoff_ms =
-            std::max<std::int64_t>(retry_backoff_ms, 2000);
-        std::cout << core::request_with_retry(connect_path, send_line, policy)
+        policy.attempts = flags.retries;
+        policy.backoff_ms = flags.backoff_ms;
+        policy.max_backoff_ms = std::max<std::int64_t>(flags.backoff_ms, 2000);
+        std::cout << core::request_with_retry(flags.connect_path,
+                                              flags.send_line, policy)
                   << "\n";
         return 0;
       }
-      const PassStats pass = run_load(connect_path, clients, requests);
+      const PassStats pass = run_load(flags.connect_path, flags.clients,
+                                      flags.requests);
       std::cout << strfmt(
           "connect: %zu requests over %d clients in %g s "
           "(%.0f req/s, p50 %.0f us, p99 %.0f us, %zu not ok)\n",
-          pass.requests, clients, pass.seconds,
+          pass.requests, flags.clients, pass.seconds,
           pass.seconds > 0.0 ? pass.requests / pass.seconds : 0.0,
           pass.p50_us, pass.p99_us, pass.not_ok);
       return pass.not_ok == 0 ? 0 : 1;
@@ -227,6 +180,8 @@ int main(int argc, char** argv) {
 
   // ---- in-process benchmark ----------------------------------------------
   const std::string run_tag = std::to_string(static_cast<long>(::getpid()));
+  std::string socket_path = flags.socket_path;
+  std::string cache_root = flags.cache_root;
   if (socket_path.empty()) {
     socket_path =
         (fs::temp_directory_path() / ("fibersim-serve-" + run_tag + ".sock"))
@@ -239,14 +194,7 @@ int main(int argc, char** argv) {
   }
   bool ok = true;
 
-  // Reference payloads: what `fibersim run --json` prints for each target.
-  std::map<std::size_t, std::string> expected;
-  {
-    core::Runner reference;
-    for (std::size_t t = 0; t < kTargets.size(); ++t) {
-      expected[t] = trace::to_json(reference.run(config_of(kTargets[t])).prediction);
-    }
-  }
+  const std::vector<std::string> expected = expected_payloads();
 
   struct Leg {
     int clients;
@@ -268,7 +216,7 @@ int main(int argc, char** argv) {
       opts.trace_cache_dir = dir.string();
       core::Server server(std::move(opts));
       server.start();
-      PassStats pass = run_load(socket_path, n, requests);
+      PassStats pass = run_load(socket_path, n, flags.requests);
       const core::ServeStats stats = server.stats_snapshot();
       server.stop();
       server.wait();
@@ -340,7 +288,7 @@ int main(int argc, char** argv) {
         ok = false;
         break;
       }
-      if (response->find("\"code\":\"BUSY\"") != std::string::npos) {
+      if (has_code(*response, core::kCodeBusy)) {
         ++busy_responses;
       } else if (response->find("\"ok\":true") != std::string::npos) {
         ++busy_ok;
@@ -373,9 +321,8 @@ int main(int argc, char** argv) {
     core::ServeClient client(socket_path);
     const std::string line = predict_line({"ffvc", 2, 2}, "", 31337);
     const std::string first = client.request(line);
-    chaos_failed_typed =
-        first.find("\"code\":\"FAILED\"") != std::string::npos &&
-        first.find("class=injected") != std::string::npos;
+    chaos_failed_typed = has_code(first, core::kCodeFailed) &&
+                         first.find("class=injected") != std::string::npos;
     const std::string second = client.request(line);
     chaos_retry_ok = second.find("\"ok\":true") != std::string::npos;
     server.stop();
@@ -403,7 +350,7 @@ int main(int argc, char** argv) {
   for (const Leg& leg : legs) {
     const fs::path dir =
         fs::path(cache_root) / ("clients" + std::to_string(leg.clients));
-    if (cache_dir_has_tmp_files(dir)) {
+    if (has_staged_files(dir)) {
       std::cerr << "FATAL: trace store " << dir
                 << " holds half-published .tmp files after shutdown\n";
       ok = false;
@@ -433,7 +380,7 @@ int main(int argc, char** argv) {
   section.notes.push_back(
       strfmt("%d requests per client over %zu unique execution keys; "
              "payloads byte-identical to `run --json`: %s",
-             requests, kTargets.size(), ok ? "yes" : "NO"));
+             flags.requests, kTargets.size(), ok ? "yes" : "NO"));
   section.notes.push_back(
       strfmt("admission control: 16-burst at capacity 1 -> %zu BUSY, %zu "
              "served; chaos: typed FAILED %s, retry %s",
@@ -453,7 +400,7 @@ int main(int argc, char** argv) {
   using json::Layout;
   json::Emitter doc;
   doc.object(Layout::kBlock);
-  doc.i64("requests_per_client", requests);
+  doc.i64("requests_per_client", flags.requests);
   doc.u64("unique_execution_keys", kTargets.size());
   doc.boolean("byte_identical", ok);
   doc.array("legs", Layout::kBlock);
@@ -492,12 +439,12 @@ int main(int argc, char** argv) {
     std::error_code ec;
     fs::remove_all(cache_root, ec);
   }
-  std::ofstream out(out_path);
+  std::ofstream out(flags.out_path);
   out << std::move(doc).finish() << '\n';
   if (!out) {
-    std::cerr << "failed to write " << out_path << "\n";
+    std::cerr << "failed to write " << flags.out_path << "\n";
     return 1;
   }
-  std::cout << "wrote " << out_path << "\n";
+  std::cout << "wrote " << flags.out_path << "\n";
   return ok ? 0 : 1;
 }

@@ -1,17 +1,21 @@
 // The predict mix shared by the serve benches (perf_serve, perf_resilience):
 // every client cycles through kTargets. Two apps x two splits = four unique
 // execution keys, so coalescing and both cache tiers are exercised at any
-// client count.
+// client count. Also the checks both benches make on what comes back.
 #pragma once
 
 #include <cstdint>
+#include <filesystem>
 #include <string>
 #include <string_view>
+#include <system_error>
 #include <vector>
 
 #include "common/json.hpp"
 #include "core/config_parse.hpp"
 #include "core/experiment.hpp"
+#include "core/runner.hpp"
+#include "trace/serialize.hpp"
 
 namespace fibersim::bench {
 
@@ -68,6 +72,33 @@ inline std::string payload_of(const std::string& response) {
   }
   return response.substr(pos + marker.size(),
                          response.size() - pos - marker.size() - 1);
+}
+
+/// The baseline every served payload must equal: what `fibersim run --json`
+/// prints for each kTargets entry, from a quiet in-process Runner.
+inline std::vector<std::string> expected_payloads() {
+  core::Runner reference;
+  std::vector<std::string> out;
+  for (const Target& t : kTargets) {
+    out.push_back(trace::to_json(reference.run(config_of(t)).prediction));
+  }
+  return out;
+}
+
+/// Is `response` an ok:false response with the typed `code`?
+inline bool has_code(const std::string& response, std::string_view code) {
+  return response.find("\"code\":\"" + std::string(code) + "\"") !=
+         std::string::npos;
+}
+
+/// Does the trace store `dir` hold a half-published entry? The store stages
+/// each entry as `.tmp-<pid>-<n>` and renames it into place.
+inline bool has_staged_files(const std::filesystem::path& dir) {
+  std::error_code ec;
+  for (const auto& entry : std::filesystem::directory_iterator(dir, ec)) {
+    if (entry.path().filename().string().starts_with(".tmp-")) return true;
+  }
+  return false;
 }
 
 }  // namespace fibersim::bench

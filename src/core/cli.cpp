@@ -1,5 +1,6 @@
 #include "core/cli.hpp"
 
+#include <algorithm>
 #include <fstream>
 #include <ostream>
 #include <sstream>
@@ -24,6 +25,142 @@
 namespace fibersim::core {
 
 namespace {
+
+using enum KeyArity;
+using enum KeyScope;
+
+/// `fibersim run`: its own output flags, then config_keys() onto `config`.
+struct RunFlags {
+  ExperimentConfig config;
+  bool json = false;
+  std::string dump_trace_path;
+  std::string trace_cache_dir;
+};
+
+constexpr KeyRow<RunFlags> kRunKeys[] = {
+    {"config",
+     [](RunFlags& f, Label, Token t, KeySource) {
+       return assign(f.config, load_experiment_config(t));
+     },
+     kValue, kCommandLine, true},
+    {"json", set_bool<&RunFlags::json>, kSwitch},
+    {"dump_trace", set_text<&RunFlags::dump_trace_path>},
+    {"trace_cache", set_text<&RunFlags::trace_cache_dir>},
+};
+
+std::string parse_run(const std::vector<std::string>& args, RunFlags& flags) {
+  return parse_flags(args, "run", KeyTable{kRunKeys, flags},
+                     KeyTable{config_keys(), flags.config});
+}
+
+struct TuneFlags {
+  TunerOptions options;
+  ReportFormat format = ReportFormat::kText;
+  std::string trace_cache_dir;
+};
+
+using TF = TuneFlags;
+using TO = TunerOptions;
+
+constexpr KeyRow<TF> kTuneKeys[] = {
+    {"app", set_text<&TF::options, &TO::app>},
+    {"dataset", set_parsed<parse_dataset, &TF::options, &TO::dataset>},
+    {"iterations", set_int<1, &TF::options, &TO::iterations>},
+    {"seed", set_u64<&TF::options, &TO::seed>},
+    {"jobs", set_int<1, &TF::options, &TO::jobs>},
+    {"processors", [](TF& f, Label, Token t, KeySource) {
+       f.options.processors.clear();
+       for (const std::string& name : split(t, ',')) {
+         f.options.processors.push_back(parse_processor(name));
+       }
+       return std::string();
+     }},
+    {"presets", [](TF& f, Label, Token t, KeySource) {
+       const std::string v = to_lower(trim(t));
+       if (v == "full") return assign(f.options.presets, cg::search_presets());
+       if (v == "ladder") {
+         return assign(f.options.presets, cg::tuning_ladder());
+       }
+       return "unknown --presets value: " + t + " (expected full | ladder)";
+     }},
+    {"combos", [](TF& f, Label, Token t, KeySource) {
+       const std::string v = to_lower(trim(t));
+       if (v == "full") return assign(f.options.full_mpi_omp, true);
+       if (v == "representative") {
+         return assign(f.options.full_mpi_omp, false);
+       }
+       return "unknown --combos value: " + t +
+              " (expected full | representative)";
+     }},
+    {"collapse_ranks", set_bool<&TF::options, &TO::collapse>, kBool},
+    {"format", set_parsed<parse_report_format, &TF::format>},
+    {"trace_cache", set_text<&TF::trace_cache_dir>},
+};
+
+struct ServeFlags {
+  ServeOptions serve;
+  SuperviseOptions supervisor;
+  bool supervise = false;
+};
+
+using SF = ServeFlags;
+using SO = ServeOptions;
+
+constexpr KeyRow<SF> kServeKeys[] = {
+    {"socket", set_text<&SF::serve, &SO::socket_path>},
+    {"workers", set_int<1, &SF::serve, &SO::workers>},
+    {"queue", set_int<1, &SF::serve, &SO::queue_capacity>},
+    {"trace_cache", set_text<&SF::serve, &SO::trace_cache_dir>},
+    {"journal", set_text<&SF::serve, &SO::journal_path>},
+    {"supervise", set_bool<&SF::supervise>, kSwitch},
+    {"breaker_failures", set_int<1, &SF::serve, &SO::circuit,
+                                 &CircuitOptions::failure_threshold>},
+    {"breaker_window",
+     set_int<1, &SF::serve, &SO::circuit, &CircuitOptions::window>},
+    {"breaker_open_ms", [](SF& f, Label l, Token t, KeySource) {
+       int ms = 0;
+       const std::string problem = flag_int(l, t, 1, &ms);
+       f.serve.circuit.open_ms = ms;
+       return problem;
+     }},
+    {"max_restarts",
+     set_int<0, &SF::supervisor, &SuperviseOptions::max_restarts>},
+    {"restart_backoff_ms", [](SF& f, Label l, Token t, KeySource) {
+       int ms = 0;
+       const std::string problem = flag_int(l, t, 1, &ms);
+       f.supervisor.initial_backoff_ms = ms;
+       f.supervisor.max_backoff_ms = std::max(f.supervisor.max_backoff_ms,
+                                              f.supervisor.initial_backoff_ms);
+       return problem;
+     }},
+};
+
+struct CalibrateFlags {
+  machine::CalibrationOptions options;
+  std::string out_path;
+  std::string measurements_out;  ///< --measurements: save the raw results
+  std::string measurements_in;   ///< --from-measurements: refit these
+};
+
+using CF = CalibrateFlags;
+using CO = machine::CalibrationOptions;
+
+constexpr KeyRow<CF> kCalibrateKeys[] = {
+    {"out", set_text<&CF::out_path>},
+    {"name", set_text<&CF::options, &CO::name>},
+    {"seed", set_u64<&CF::options, &CO::seed>},
+    {"trials", set_int<1, &CF::options, &CO::trials>},
+    {"quick", set_bool<&CF::options, &CO::quick>, kSwitch},
+    {"measurements", set_text<&CF::measurements_out>},
+    {"from_measurements", set_text<&CF::measurements_in>},
+};
+
+/// Print a command line's parse problem, if any; true when there was one.
+bool failed(const std::string& problem, std::ostream& err) {
+  if (problem.empty()) return false;
+  err << problem << "\n";
+  return true;
+}
 
 constexpr const char* kUsageHead =
     "usage: fibersim <command> [options]\n"
@@ -52,6 +189,7 @@ constexpr const char* kUsageTail =
     "                            native runs from a persistent trace store,\n"
     "                            also read from env FIBERSIM_TRACE_CACHE)\n"
     "  report <id> [--apps a,b] [--dataset small|large] [--iterations N]\n"
+    "         [--seed N]         workload seed (default 42)\n"
     "         [--ranks N] [--threads N]  override the placement-report\n"
     "                            MPI x OMP split (checked integers)\n"
     "         [--collapse-ranks on|off]  run every sweep point collapsed\n"
@@ -73,6 +211,7 @@ constexpr const char* kUsageTail =
     "                            the processor registry first; a descriptor\n"
     "                            whose name matches a built-in replaces it\n"
     "                            in every comparison table\n"
+    "         [--list]           print the report ids and exit\n"
     "  calibrate [--out FILE]    measure this host (clock, L1/L2/DRAM\n"
     "            [--name N]      bandwidth, FMA peak, NUMA penalty, barrier\n"
     "            [--seed S]      cost) with seeded micro-kernels and fit a\n"
@@ -188,77 +327,48 @@ int cmd_describe(const std::vector<std::string>& args, std::ostream& out,
 
 int cmd_calibrate(const std::vector<std::string>& args, std::ostream& out,
                   std::ostream& err) {
-  machine::CalibrationOptions copt;
-  std::string out_path, meas_out_path, meas_in_path;
-  std::string problem;
-  for (std::size_t i = 0; i < args.size();) {
-    const std::string& key = args[i];
-    if (key == "--quick") {  // the one valueless calibrate flag
-      copt.quick = true;
-      ++i;
-      continue;
-    }
-    if (i + 1 >= args.size()) {
-      err << "missing value for " << key << "\n";
-      return 2;
-    }
-    const std::string& value = args[i + 1];
-    i += 2;
-    if (key == "--out") {
-      out_path = value;
-    } else if (key == "--name") {
-      copt.name = value;
-    } else if (key == "--seed") {
-      problem = flag_u64(key, value, &copt.seed);
-    } else if (key == "--trials") {
-      problem = flag_int(key, value, 1, &copt.trials);
-    } else if (key == "--measurements") {
-      meas_out_path = value;
-    } else if (key == "--from-measurements") {
-      meas_in_path = value;
-    } else {
-      err << "unknown calibrate flag: " << key << "\n";
-      return 2;
-    }
-    if (!problem.empty()) {
-      err << problem << "\n";
-      return 2;
-    }
+  CalibrateFlags flags;
+  if (failed(parse_flags(args, "calibrate", KeyTable{kCalibrateKeys, flags}),
+             err)) {
+    return 2;
   }
   machine::CalibrationMeasurements m;
-  if (!meas_in_path.empty()) {
-    std::ifstream in(meas_in_path, std::ios::binary);
+  if (!flags.measurements_in.empty()) {
+    std::ifstream in(flags.measurements_in, std::ios::binary);
     if (!in.good()) {
-      err << "cannot open measurements file: " << meas_in_path << "\n";
+      err << "cannot open measurements file: " << flags.measurements_in
+          << "\n";
       return 2;
     }
     std::ostringstream buf;
     buf << in.rdbuf();
     m = machine::parse_measurements(buf.str());
   } else {
-    m = machine::measure(copt);
+    m = machine::measure(flags.options);
   }
-  if (!meas_out_path.empty()) {
-    std::ofstream meas_out(meas_out_path, std::ios::binary);
+  if (!flags.measurements_out.empty()) {
+    std::ofstream meas_out(flags.measurements_out, std::ios::binary);
     if (!meas_out.good()) {
-      err << "cannot write measurements file: " << meas_out_path << "\n";
+      err << "cannot write measurements file: " << flags.measurements_out
+          << "\n";
       return 2;
     }
     meas_out << machine::measurements_to_json(m);
   }
-  const machine::ProcessorConfig cfg = machine::fit_descriptor(m, copt);
+  const machine::ProcessorConfig cfg =
+      machine::fit_descriptor(m, flags.options);
   const std::string descriptor = machine::to_descriptor(cfg);
-  if (out_path.empty()) {
+  if (flags.out_path.empty()) {
     out << descriptor;
     return 0;
   }
-  std::ofstream desc_out(out_path, std::ios::binary);
+  std::ofstream desc_out(flags.out_path, std::ios::binary);
   if (!desc_out.good()) {
-    err << "cannot write descriptor file: " << out_path << "\n";
+    err << "cannot write descriptor file: " << flags.out_path << "\n";
     return 2;
   }
   desc_out << descriptor;
-  out << "calibrated '" << cfg.name << "' -> " << out_path << "\n";
+  out << "calibrated '" << cfg.name << "' -> " << flags.out_path << "\n";
   TextTable table({"ceiling", "measured", "fitted"});
   table.add_row({"clock", si_format(m.freq_hz) + "Hz",
                  si_format(cfg.freq_hz) + "Hz"});
@@ -281,49 +391,21 @@ int cmd_calibrate(const std::vector<std::string>& args, std::ostream& out,
 
 int cmd_run(const std::vector<std::string>& args, std::ostream& out,
             std::ostream& err) {
-  ExperimentConfig cfg;
-  bool json = false;
-  std::string dump_trace_path;
-  std::string trace_cache_dir;
-  // Pull out the output-control flags, leave the rest for parse_run_flags.
-  std::vector<std::string> config_args;
-  for (std::size_t i = 0; i < args.size(); ++i) {
-    if (args[i] == "--json") {
-      json = true;
-    } else if (args[i] == "--dump-trace") {
-      if (i + 1 >= args.size()) {
-        err << "missing value for --dump-trace\n";
-        return 2;
-      }
-      dump_trace_path = args[++i];
-    } else if (args[i] == "--trace-cache") {
-      if (i + 1 >= args.size()) {
-        err << "missing value for --trace-cache\n";
-        return 2;
-      }
-      trace_cache_dir = args[++i];
-    } else {
-      config_args.push_back(args[i]);
-    }
-  }
-  const std::string problem = parse_run_flags(config_args, cfg);
-  if (!problem.empty()) {
-    err << problem << "\n";
-    return 2;
-  }
+  RunFlags flags;
+  if (failed(parse_run(args, flags), err)) return 2;
   Runner runner;
-  attach_trace_store(runner, trace_cache_dir);
-  const ExperimentResult res = runner.run(cfg);
+  attach_trace_store(runner, flags.trace_cache_dir);
+  const ExperimentResult res = runner.run(flags.config);
 
-  if (!dump_trace_path.empty()) {
-    std::ofstream trace_out(dump_trace_path);
+  if (!flags.dump_trace_path.empty()) {
+    std::ofstream trace_out(flags.dump_trace_path);
     if (!trace_out.good()) {
-      err << "cannot write trace file: " << dump_trace_path << "\n";
+      err << "cannot write trace file: " << flags.dump_trace_path << "\n";
       return 2;
     }
-    trace_out << trace::to_json(runner.expanded_trace(cfg)) << "\n";
+    trace_out << trace::to_json(runner.expanded_trace(flags.config)) << "\n";
   }
-  if (json) {
+  if (flags.json) {
     out << trace::to_json(res.prediction) << "\n";
     return res.verified ? 0 : 1;
   }
@@ -370,34 +452,20 @@ int cmd_report(const std::vector<std::string>& args, std::ostream& out,
     err << "unknown report id: " << args[0] << "\n";
     return 2;
   }
-  ReportFlags flags;
-  flags.ctx.dataset = apps::Dataset::kLarge;
-  flags.ctx.jobs = SweepPool::default_jobs();
+  ReportFlags flags = report_defaults();
   const std::vector<std::string> rest(args.begin() + 1, args.end());
-  const std::string problem = parse_report_flags(rest, flags);
-  if (!problem.empty()) {
-    err << problem << "\n";
-    return 2;
-  }
+  if (failed(parse_report_flags(rest, flags), err)) return 2;
   if (flags.list) {
     print_experiment_list(out);
     return 0;
   }
-  const auto build_one = [&](const Experiment& entry) {
+  const auto print = [&](const Experiment& entry) {
     Runner runner;  // fresh per report; traces are cheap at suite scale
     attach_trace_store(runner, flags.trace_cache_dir);
-    ReportContext ctx = flags.ctx;
-    ctx.runner = &runner;
-    // The CLI has always pinned T3 to the small dataset (the paper's
-    // compiler study only exists there); the bench shim honours --dataset.
-    if (to_lower(entry.id) == "t3") ctx.dataset = apps::Dataset::kSmall;
-    return registry.build(entry.id, ctx);
+    write_report(entry, flags, runner, out);
   };
-  EmitOptions opts;
-  opts.format = flags.format;
-  opts.framed = false;
   if (!all) {
-    emit_report(build_one(*single), opts, out);
+    print(*single);
     return 0;
   }
   if (flags.format == ReportFormat::kJson) {
@@ -406,14 +474,14 @@ int cmd_report(const std::vector<std::string>& args, std::ostream& out,
     for (const Experiment& entry : registry.experiments()) {
       if (!first) out << ",";
       first = false;
-      emit_report(build_one(entry), opts, out);
+      print(entry);
     }
     out << "]\n";
     return 0;
   }
   for (const Experiment& entry : registry.experiments()) {
     out << "== " << entry.id << " ==\n";
-    emit_report(build_one(entry), opts, out);
+    print(entry);
     out << "\n";
   }
   return 0;
@@ -421,138 +489,29 @@ int cmd_report(const std::vector<std::string>& args, std::ostream& out,
 
 int cmd_tune(const std::vector<std::string>& args, std::ostream& out,
              std::ostream& err) {
-  TunerOptions topts;
-  topts.jobs = SweepPool::default_jobs();
-  ReportFormat format = ReportFormat::kText;
-  std::string trace_cache_dir;
-  std::string problem;
-  for (std::size_t i = 0; i < args.size(); i += 2) {
-    const std::string& key = args[i];
-    if (i + 1 >= args.size()) {
-      err << "missing value for " << key << "\n";
-      return 2;
-    }
-    const std::string& value = args[i + 1];
-    bool flag = false;
-    if (key == "--app") {
-      topts.app = value;
-    } else if (key == "--dataset") {
-      topts.dataset = parse_dataset(value);
-    } else if (key == "--iterations") {
-      problem = flag_int(key, value, 1, &topts.iterations);
-    } else if (key == "--seed") {
-      problem = flag_u64(key, value, &topts.seed);
-    } else if (key == "--jobs") {
-      problem = flag_int(key, value, 1, &topts.jobs);
-    } else if (key == "--processors") {
-      topts.processors.clear();
-      for (const std::string& name : split(value, ',')) {
-        topts.processors.push_back(parse_processor(name));
-      }
-    } else if (key == "--presets") {
-      const std::string t = to_lower(trim(value));
-      if (t == "full") {
-        topts.presets = cg::search_presets();
-      } else if (t == "ladder") {
-        topts.presets = cg::tuning_ladder();
-      } else {
-        err << "unknown --presets value: " << value
-            << " (expected full | ladder)\n";
-        return 2;
-      }
-    } else if (key == "--combos") {
-      const std::string t = to_lower(trim(value));
-      if (t == "full") {
-        topts.full_mpi_omp = true;
-      } else if (t == "representative") {
-        topts.full_mpi_omp = false;
-      } else {
-        err << "unknown --combos value: " << value
-            << " (expected full | representative)\n";
-        return 2;
-      }
-    } else if (key == "--collapse-ranks") {
-      problem = flag_bool(key, value, &flag);
-      topts.collapse = flag;
-    } else if (key == "--format") {
-      format = parse_report_format(value);
-    } else if (key == "--trace-cache") {
-      trace_cache_dir = value;
-    } else {
-      err << "unknown tune flag: " << key << "\n";
-      return 2;
-    }
-    if (!problem.empty()) {
-      err << problem << "\n";
-      return 2;
-    }
+  TuneFlags flags;
+  flags.options.jobs = SweepPool::default_jobs();
+  if (failed(parse_flags(args, "tune", KeyTable{kTuneKeys, flags}), err)) {
+    return 2;
   }
   Runner runner;
-  attach_trace_store(runner, trace_cache_dir);
-  const TuneOutcome outcome = Tuner(runner, topts).run();
+  attach_trace_store(runner, flags.trace_cache_dir);
+  const TuneOutcome outcome = Tuner(runner, flags.options).run();
   EmitOptions opts;
-  opts.format = format;
+  opts.format = flags.format;
   opts.framed = false;
-  emit_report(tune_artifact(outcome, topts), opts, out);
+  emit_report(tune_artifact(outcome, flags.options), opts, out);
   return 0;
 }
 
 int cmd_serve(const std::vector<std::string>& args, std::ostream& out,
               std::ostream& err) {
-  ServeOptions opts;
-  SuperviseOptions sup;
-  bool supervise = false;
-  std::string problem;
-  for (std::size_t i = 0; i < args.size();) {
-    const std::string& key = args[i];
-    if (key == "--supervise") {  // the one valueless serve flag
-      supervise = true;
-      ++i;
-      continue;
-    }
-    if (i + 1 >= args.size()) {
-      err << "missing value for " << key << "\n";
-      return 2;
-    }
-    const std::string& value = args[i + 1];
-    i += 2;
-    int ms = 0;
-    if (key == "--socket") {
-      opts.socket_path = value;
-    } else if (key == "--workers") {
-      problem = flag_int(key, value, 1, &opts.workers);
-    } else if (key == "--queue") {
-      problem = flag_int(key, value, 1, &opts.queue_capacity);
-    } else if (key == "--trace-cache") {
-      opts.trace_cache_dir = value;
-    } else if (key == "--journal") {
-      opts.journal_path = value;
-    } else if (key == "--breaker-failures") {
-      problem = flag_int(key, value, 1, &opts.circuit.failure_threshold);
-    } else if (key == "--breaker-window") {
-      problem = flag_int(key, value, 1, &opts.circuit.window);
-    } else if (key == "--breaker-open-ms") {
-      problem = flag_int(key, value, 1, &ms);
-      opts.circuit.open_ms = ms;
-    } else if (key == "--max-restarts") {
-      problem = flag_int(key, value, 0, &sup.max_restarts);
-    } else if (key == "--restart-backoff-ms") {
-      problem = flag_int(key, value, 1, &ms);
-      sup.initial_backoff_ms = ms;
-      if (sup.max_backoff_ms < sup.initial_backoff_ms) {
-        sup.max_backoff_ms = sup.initial_backoff_ms;
-      }
-    } else {
-      err << "unknown serve flag: " << key << "\n";
-      return 2;
-    }
-    if (!problem.empty()) {
-      err << problem << "\n";
-      return 2;
-    }
+  ServeFlags flags;
+  if (failed(parse_flags(args, "serve", KeyTable{kServeKeys, flags}), err)) {
+    return 2;
   }
   const auto serve_once = [&]() -> int {
-    Server server(opts);
+    Server server(flags.serve);
     server.start();
     server.install_signal_handlers();
     // Readiness line: CI and the load generator wait for it before
@@ -562,7 +521,7 @@ int cmd_serve(const std::vector<std::string>& args, std::ostream& out,
     out << "server stopped\n" << std::flush;
     return 0;
   };
-  if (supervise) {
+  if (flags.supervise) {
     // The child must not inherit the parent's idea of an error path: report
     // its own failures and exit nonzero so the supervisor backs off.
     return run_supervised(
@@ -574,7 +533,7 @@ int cmd_serve(const std::vector<std::string>& args, std::ostream& out,
             return 1;
           }
         },
-        sup, out, err);
+        flags.supervisor, out, err);
   }
   return serve_once();
 }
@@ -583,36 +542,25 @@ int cmd_serve(const std::vector<std::string>& args, std::ostream& out,
 
 std::string parse_run_flags(const std::vector<std::string>& args,
                             ExperimentConfig& cfg) {
-  struct Setting {
-    const ConfigKey* row;
-    std::string flag, value;
+  RunFlags flags;
+  flags.config = cfg;
+  const std::string problem = parse_run(args, flags);
+  cfg = flags.config;
+  return problem;
+}
+
+std::vector<std::string> cli_flags() {
+  std::vector<std::string> flags;
+  const auto add = [&](const auto& rows) {
+    for (const auto& row : rows) flags.push_back(row.flag());
   };
-  std::vector<Setting> settings;
-  std::string config_path;
-  for (std::size_t i = 0; i < args.size();) {
-    const std::string& flag = args[i];
-    // A bare --collapse-ranks (last, or followed by another flag) means on.
-    const bool bare = flag == "--collapse-ranks" &&
-                      (i + 1 == args.size() || args[i + 1].starts_with("--"));
-    if (!bare && i + 1 >= args.size()) return "missing value for " + flag;
-    const std::string value = bare ? "on" : args[i + 1];
-    i += bare ? 1 : 2;
-    if (flag == "--config") {
-      config_path = value;
-      continue;
-    }
-    const ConfigKey* row = find_config_flag(flag);
-    if (row == nullptr) return "unknown flag: " + flag;
-    settings.push_back({row, flag, value});
-  }
-  // The file loads first wherever --config appears, so flags override it.
-  if (!config_path.empty()) cfg = load_experiment_config(config_path);
-  for (const Setting& s : settings) {
-    const std::string problem =
-        s.row->set(cfg, s.flag, s.value, KeySource::kLocal);
-    if (!problem.empty()) return problem;
-  }
-  return "";
+  add(kRunKeys);
+  add(config_keys());
+  add(report_keys());
+  add(kTuneKeys);
+  add(kServeKeys);
+  add(kCalibrateKeys);
+  return flags;
 }
 
 std::vector<std::string> cli_report_ids() {

@@ -25,12 +25,18 @@ namespace fibersim::core {
 int cli_main(const std::vector<std::string>& args, std::ostream& out,
              std::ostream& err);
 
-/// Apply `fibersim run`'s config flags (one --flag per config_keys() row,
-/// plus --config <file>) onto `cfg`. The file loads first wherever --config
-/// appears; the flags then apply in order, later ones winning. A bare
-/// --collapse-ranks means on. Returns "" or a one-line error.
+/// Apply `fibersim run`'s flags (one --flag per config_keys() row, plus
+/// --config <file>) onto `cfg`; the output flags (--json, --dump-trace,
+/// --trace-cache) are accepted and ignored. The file loads first wherever
+/// --config appears; the flags then apply in order, later ones winning. A
+/// bare bool flag (--collapse-ranks) means on. Returns "" or a one-line
+/// error.
 std::string parse_run_flags(const std::vector<std::string>& args,
                             ExperimentConfig& cfg);
+
+/// Every --flag the commands' key tables accept (run, report, tune, serve,
+/// calibrate), in table order; usage() mentions each.
+std::vector<std::string> cli_flags();
 
 /// The report ids `fibersim report` accepts (T1, T2, F1, ..., E1).
 std::vector<std::string> cli_report_ids();

@@ -1,14 +1,11 @@
 #include "core/config_parse.hpp"
 
-#include <algorithm>
 #include <fstream>
 #include <sstream>
-#include <utility>
 
 #include "common/error.hpp"
 #include "common/parse_num.hpp"
 #include "common/string_util.hpp"
-#include "core/report_flags.hpp"
 #include "machine/registry.hpp"
 
 namespace fibersim::core {
@@ -80,103 +77,94 @@ apps::Dataset parse_dataset(std::string_view text) {
               "' (expected small | large)");
 }
 
-namespace {
-
-using Label = const std::string&;
-using Token = const std::string&;
-
-template <typename T>
-std::string assign(T& field, T value) {
-  field = std::move(value);
+std::string flag_int(const std::string& flag, const std::string& value,
+                     int min, int* out) {
+  const std::optional<int> v = parse_i32(value);
+  if (!v) {
+    return flag + ": expected an integer, got '" + value + "'";
+  }
+  if (*v < min) {
+    return flag + " must be >= " + std::to_string(min) + ", got '" + value +
+           "'";
+  }
+  *out = *v;
   return "";
 }
 
+std::string flag_u64(const std::string& flag, const std::string& value,
+                     std::uint64_t* out) {
+  const std::optional<std::uint64_t> v = parse_u64(value);
+  if (!v) {
+    return flag + ": expected a non-negative integer, got '" + value + "'";
+  }
+  *out = *v;
+  return "";
+}
+
+std::string flag_bool(const std::string& flag, const std::string& value,
+                      bool* out) {
+  const std::string t = to_lower(value);
+  if (t == "on" || t == "true" || t == "1" || t == "yes") {
+    *out = true;
+    return "";
+  }
+  if (t == "off" || t == "false" || t == "0" || t == "no") {
+    *out = false;
+    return "";
+  }
+  return flag + ": expected on|off, got '" + value + "'";
+}
+
+std::string flag_f64(const std::string& flag, const std::string& value,
+                     double min, double* out) {
+  const std::optional<double> v = parse_f64(value);
+  if (!v) {
+    return flag + ": expected a number, got '" + value + "'";
+  }
+  if (*v < min) {
+    return flag + " must be >= " + strfmt("%g", min) + ", got '" + value + "'";
+  }
+  *out = *v;
+  return "";
+}
+
+namespace {
+
+using EC = ExperimentConfig;
+using cg::CompileOptions;
+
 constexpr ConfigKey kConfigKeys[] = {
-    {"app", [](ExperimentConfig& c, Label, Token t, KeySource) {
+    {"app", [](EC& c, Label, Token t, KeySource) {
+       if (!apps::is_registered(t)) return "unknown miniapp: " + t;
        return assign(c.app, t);
      }},
-    {"dataset", [](ExperimentConfig& c, Label, Token t, KeySource) {
-       return assign(c.dataset, parse_dataset(t));
-     }},
-    {"ranks", [](ExperimentConfig& c, Label l, Token t, KeySource) {
-       return flag_int(l, t, 1, &c.ranks);
-     }},
-    {"threads", [](ExperimentConfig& c, Label l, Token t, KeySource) {
-       return flag_int(l, t, 1, &c.threads);
-     }},
-    {"nodes", [](ExperimentConfig& c, Label l, Token t, KeySource) {
-       return flag_int(l, t, 1, &c.nodes);
-     }},
-    {"bind", [](ExperimentConfig& c, Label, Token t, KeySource) {
-       return assign(c.bind, parse_bind(t));
-     }},
-    {"alloc", [](ExperimentConfig& c, Label, Token t, KeySource) {
-       return assign(c.alloc, parse_alloc(t));
-     }},
-    {"compile", [](ExperimentConfig& c, Label, Token t, KeySource) {
-       return assign(c.compile, parse_compile(t));
-     }},
-    {"unroll", [](ExperimentConfig& c, Label l, Token t, KeySource) {
-       return flag_int(l, t, 1, &c.compile.unroll);
-     }},
-    {"fission", [](ExperimentConfig& c, Label l, Token t, KeySource) {
-       return flag_bool(l, t, &c.compile.loop_fission);
-     }},
-    {"compiler", [](ExperimentConfig& c, Label, Token t, KeySource) {
-       return assign(c.compile.compiler, parse_compiler_profile(t));
-     }},
-    {"processor", [](ExperimentConfig& c, Label, Token t, KeySource s) {
+    {"dataset", set_parsed<parse_dataset, &EC::dataset>},
+    {"ranks", set_int<1, &EC::ranks>},
+    {"threads", set_int<1, &EC::threads>},
+    {"nodes", set_int<1, &EC::nodes>},
+    {"bind", set_parsed<parse_bind, &EC::bind>},
+    {"alloc", set_parsed<parse_alloc, &EC::alloc>},
+    {"compile", set_parsed<parse_compile, &EC::compile>},
+    {"unroll", set_int<1, &EC::compile, &CompileOptions::unroll>},
+    {"fission", set_bool<&EC::compile, &CompileOptions::loop_fission>,
+     KeyArity::kBool},
+    {"compiler", set_parsed<parse_compiler_profile, &EC::compile,
+                            &CompileOptions::compiler>},
+    {"processor", [](EC& c, Label, Token t, KeySource s) {
        const auto& registry = machine::ProcessorRegistry::instance();
        return assign(c.processor, s == KeySource::kLocal
                                       ? parse_processor(t)
                                       : registry.resolve_name(t));
      }},
-    {"iterations", [](ExperimentConfig& c, Label l, Token t, KeySource) {
-       return flag_int(l, t, 1, &c.iterations);
-     }},
-    {"seed", [](ExperimentConfig& c, Label l, Token t, KeySource) {
-       return flag_u64(l, t, &c.seed);
-     }},
-    {"weak_scale", [](ExperimentConfig& c, Label l, Token t, KeySource) {
-       return flag_int(l, t, 1, &c.weak_scale);
-     }},
-    {"collapse_ranks", [](ExperimentConfig& c, Label l, Token t, KeySource) {
-       return flag_bool(l, t, &c.collapse);
-     }},
+    {"iterations", set_int<1, &EC::iterations>},
+    {"seed", set_u64<&EC::seed>},
+    {"weak_scale", set_int<1, &EC::weak_scale>},
+    {"collapse_ranks", set_bool<&EC::collapse>, KeyArity::kBool},
 };
 
 }  // namespace
 
-std::string ConfigKey::set(ExperimentConfig& cfg, const std::string& label,
-                           const std::string& token, KeySource source) const {
-  try {
-    return parse(cfg, label, token, source);
-  } catch (const Error& e) {
-    return e.what();
-  }
-}
-
-std::string ConfigKey::flag() const {
-  std::string out = std::string("--") + name;
-  std::replace(out.begin(), out.end(), '_', '-');
-  return out;
-}
-
 std::span<const ConfigKey> config_keys() { return kConfigKeys; }
-
-const ConfigKey* find_config_key(std::string_view name) {
-  for (const ConfigKey& row : kConfigKeys) {
-    if (name == row.name) return &row;
-  }
-  return nullptr;
-}
-
-const ConfigKey* find_config_flag(std::string_view flag) {
-  for (const ConfigKey& row : kConfigKeys) {
-    if (flag == row.flag()) return &row;
-  }
-  return nullptr;
-}
 
 ExperimentConfig parse_experiment_config(std::string_view text) {
   ExperimentConfig cfg;
@@ -199,7 +187,7 @@ ExperimentConfig parse_experiment_config(std::string_view text) {
     const std::string value(trim(body.substr(eq + 1)));
     FS_REQUIRE(!value.empty(), "config key '" + key + "' has no value");
 
-    const ConfigKey* row = find_config_key(key);
+    const ConfigKey* row = find_key(config_keys(), key);
     if (row == nullptr) {
       throw Error(strfmt("unknown config key '%s' on line %d", key.c_str(),
                          line_no));

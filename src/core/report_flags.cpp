@@ -3,142 +3,102 @@
 #include <algorithm>
 #include <ostream>
 
-#include "common/parse_num.hpp"
 #include "common/string_util.hpp"
-#include "core/config_parse.hpp"
 #include "core/experiment_registry.hpp"
 #include "core/runner.hpp"
+#include "core/sweep_pool.hpp"
 #include "fault/fault.hpp"
 #include "machine/registry.hpp"
 #include "trace/trace_store.hpp"
 
 namespace fibersim::core {
 
-std::string flag_int(const std::string& flag, const std::string& value,
-                     int min, int* out) {
-  const std::optional<int> v = parse_i32(value);
-  if (!v) {
-    return flag + ": expected an integer, got '" + value + "'";
-  }
-  if (*v < min) {
-    return flag + " must be >= " + std::to_string(min) + ", got '" + value +
-           "'";
-  }
-  *out = *v;
-  return "";
-}
+namespace {
 
-std::string flag_u64(const std::string& flag, const std::string& value,
-                     std::uint64_t* out) {
-  const std::optional<std::uint64_t> v = parse_u64(value);
-  if (!v) {
-    return flag + ": expected a non-negative integer, got '" + value + "'";
-  }
-  *out = *v;
-  return "";
-}
+using enum KeyArity;
+using enum KeyScope;
 
-std::string flag_bool(const std::string& flag, const std::string& value,
-                      bool* out) {
-  const std::string t = to_lower(value);
-  if (t == "on" || t == "true" || t == "1" || t == "yes") {
-    *out = true;
-    return "";
-  }
-  if (t == "off" || t == "false" || t == "0" || t == "no") {
-    *out = false;
-    return "";
-  }
-  return flag + ": expected on|off, got '" + value + "'";
-}
+using RF = ReportFlags;
+using RC = ReportContext;
 
-std::string flag_f64(const std::string& flag, const std::string& value,
-                     double min, double* out) {
-  const std::optional<double> v = parse_f64(value);
-  if (!v) {
-    return flag + ": expected a number, got '" + value + "'";
-  }
-  if (*v < min) {
-    return flag + " must be >= " + strfmt("%g", min) + ", got '" + value + "'";
-  }
-  *out = *v;
-  return "";
+constexpr KeyRow<RF> kReportKeys[] = {
+    {"apps", [](RF& f, Label, Token t, KeySource) {
+       return assign(f.ctx.app_names, split(t, ','));
+     }},
+    {"dataset", set_parsed<parse_dataset, &RF::ctx, &RC::dataset>},
+    {"iterations", set_int<1, &RF::ctx, &RC::iterations>},
+    {"seed", set_u64<&RF::ctx, &RC::seed>},
+    {"jobs", set_int<1, &RF::ctx, &RC::jobs>},
+    {"ranks", set_int<1, &RF::ctx, &RC::override_ranks>, kValue, kCommandLine},
+    {"threads", set_int<1, &RF::ctx, &RC::override_threads>, kValue,
+     kCommandLine},
+    {"collapse_ranks", set_bool<&RF::ctx, &RC::collapse>, kBool},
+    {"format", set_parsed<parse_report_format, &RF::format>},
+    {"csv",
+     [](RF& f, Label, Token, KeySource) {
+       return assign(f.format, ReportFormat::kCsv);
+     },
+     kSwitch, kCommandLine},
+    {"list", set_bool<&RF::list>, kSwitch, kCommandLine},
+    {"fault_plan",
+     [](RF&, Label, Token t, KeySource) {
+       fault::install(fault::Plan::parse(t));
+       return std::string();
+     },
+     kValue, kCommandLine},
+    {"retries", set_int<0, &RF::ctx, &RC::max_retries>, kValue, kCommandLine},
+    {"watchdog",
+     [](RF& f, Label l, Token t, KeySource) {
+       return flag_f64(l, t, 0.0, &f.ctx.watchdog_s);
+     },
+     kValue, kCommandLine},
+    {"journal",
+     [](RF& f, Label, Token t, KeySource) {
+       f.journal = std::make_shared<SweepJournal>(t);
+       return assign(f.ctx.journal, f.journal.get());
+     },
+     kValue, kCommandLine},
+    {"keep_going", set_bool<&RF::ctx, &RC::keep_going>, kSwitch, kCommandLine},
+    {"fail_fast",
+     [](RF& f, Label, Token, KeySource) {
+       return assign(f.ctx.keep_going, false);
+     },
+     kSwitch, kCommandLine},
+    {"trace_cache", set_text<&RF::trace_cache_dir>, kValue, kCommandLine},
+    {"processor_dir",
+     [](RF&, Label, Token t, KeySource) {
+       machine::ProcessorRegistry::instance().load_directory(t);
+       return std::string();
+     },
+     kValue, kCommandLine},
+};
+
+}  // namespace
+
+std::span<const KeyRow<ReportFlags>> report_keys() { return kReportKeys; }
+
+ReportFlags report_defaults() {
+  ReportFlags flags;
+  flags.ctx.dataset = apps::Dataset::kLarge;
+  flags.ctx.jobs = SweepPool::default_jobs();
+  return flags;
 }
 
 std::string parse_report_flags(const std::vector<std::string>& args,
                                ReportFlags& flags) {
-  std::string problem;
-  for (std::size_t i = 0; i < args.size();) {
-    const std::string& key = args[i];
-    // Flags without a value first.
-    if (key == "--keep-going") {
-      flags.ctx.keep_going = true;
-      ++i;
-      continue;
-    }
-    if (key == "--fail-fast") {
-      flags.ctx.keep_going = false;
-      ++i;
-      continue;
-    }
-    if (key == "--csv") {
-      flags.format = ReportFormat::kCsv;
-      ++i;
-      continue;
-    }
-    if (key == "--list") {
-      flags.list = true;
-      ++i;
-      continue;
-    }
-    if (i + 1 >= args.size()) return "missing value for " + key;
-    const std::string& value = args[i + 1];
-    if (key == "--apps") {
-      flags.ctx.app_names = split(value, ',');
-    } else if (key == "--dataset") {
-      flags.ctx.dataset = parse_dataset(value);
-    } else if (key == "--iterations") {
-      problem = flag_int(key, value, 1, &flags.ctx.iterations);
-      if (!problem.empty()) return problem;
-    } else if (key == "--seed") {
-      problem = flag_u64(key, value, &flags.ctx.seed);
-      if (!problem.empty()) return problem;
-    } else if (key == "--jobs") {
-      problem = flag_int(key, value, 1, &flags.ctx.jobs);
-      if (!problem.empty()) return problem;
-    } else if (key == "--ranks") {
-      problem = flag_int(key, value, 1, &flags.ctx.override_ranks);
-      if (!problem.empty()) return problem;
-    } else if (key == "--threads") {
-      problem = flag_int(key, value, 1, &flags.ctx.override_threads);
-      if (!problem.empty()) return problem;
-    } else if (key == "--collapse-ranks") {
-      problem = flag_bool(key, value, &flags.ctx.collapse);
-      if (!problem.empty()) return problem;
-    } else if (key == "--format") {
-      flags.format = parse_report_format(value);
-    } else if (key == "--fault-plan") {
-      fault::install(fault::Plan::parse(value));
-    } else if (key == "--retries") {
-      problem = flag_int(key, value, 0, &flags.ctx.max_retries);
-      if (!problem.empty()) return problem;
-    } else if (key == "--watchdog") {
-      problem = flag_f64(key, value, 0.0, &flags.ctx.watchdog_s);
-      if (!problem.empty()) return problem;
-    } else if (key == "--journal") {
-      flags.journal = std::make_shared<SweepJournal>(value);
-      flags.ctx.journal = flags.journal.get();
-    } else if (key == "--trace-cache") {
-      flags.trace_cache_dir = value;
-    } else if (key == "--processor-dir") {
-      flags.processor_dir = value;
-      machine::ProcessorRegistry::instance().load_directory(value);
-    } else {
-      return "unknown flag: " + key;
-    }
-    i += 2;
-  }
-  return "";
+  return parse_flags(args, "report", KeyTable{report_keys(), flags});
+}
+
+void write_report(const Experiment& entry, const ReportFlags& flags,
+                  Runner& runner, std::ostream& out) {
+  ReportContext ctx = flags.ctx;
+  ctx.runner = &runner;
+  if (to_lower(entry.id) == "t3") ctx.dataset = apps::Dataset::kSmall;
+  EmitOptions opts;
+  opts.format = flags.format;
+  opts.framed = false;
+  emit_report(ExperimentRegistry::instance().build(entry.id, ctx), opts,
+              out);
 }
 
 void attach_trace_store(Runner& runner, const std::string& dir) {

@@ -1,32 +1,25 @@
-// The one flag parser shared by the CLI's `report` command and the bench
-// shims, so sweep/resilience/cache flags can never drift between the two
-// front ends.
-//
-// Flags: --apps a,b  --dataset small|large  --iterations N  --seed N
-//        --jobs N  --ranks N  --threads N  --collapse-ranks on|off
-//        --format text|csv|json  (--csv = --format csv)
-//        --list  --fault-plan spec  --retries N  --watchdog S
-//        --journal path  --keep-going  --fail-fast  --trace-cache dir
-//        --processor-dir dir  (load every descriptors/*.json into the
-//        processor registry before building, replacing same-name machines)
-//
-// Callers set front-end defaults (dataset, jobs, supplements) on
-// ReportFlags::ctx before parsing; parsed flags override them.
+// The report options shared by `fibersim report`, `bench/experiment` and
+// the serve `report` verb: one key table, report_keys(), so sweep,
+// resilience and cache options cannot drift between the three. Callers set
+// front-end defaults (dataset, jobs, supplements) on ReportFlags::ctx
+// before parsing; parsed flags override them.
 #pragma once
 
-#include <cstdint>
 #include <iosfwd>
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
 #include "common/report_emit.hpp"
+#include "core/config_parse.hpp"
 #include "core/journal.hpp"
 #include "core/reports.hpp"
 
 namespace fibersim::core {
 
 class Runner;
+struct Experiment;
 
 struct ReportFlags {
   /// ctx.runner is the caller's business; set it before building artifacts.
@@ -34,35 +27,34 @@ struct ReportFlags {
   ReportFormat format = ReportFormat::kText;
   bool list = false;  ///< --list: print the experiment registry and exit
   std::string trace_cache_dir;
-  /// --processor-dir: loaded into the ProcessorRegistry at parse time, so
-  /// every comparison-set consumer sees the descriptor-defined machines.
-  std::string processor_dir;
   /// Owns the --journal file handle; ctx.journal points at it.
   std::shared_ptr<SweepJournal> journal;
 };
 
-/// Parse `args` onto `flags`. Returns "" on success or a one-line error
-/// message (value parse errors — bad dataset names, fault-plan grammar —
-/// throw fibersim::Error instead, like every other parser here). Numeric
-/// values go through the checked parsers below: "banana", trailing garbage
-/// and out-of-range magnitudes come back as the error string, never as an
-/// uncaught std::invalid_argument.
-/// --fault-plan installs its plan immediately, overriding any env plan.
+/// Every report option. The rows with process-wide effects (--fault-plan
+/// installs a plan, --processor-dir loads descriptors into the registry,
+/// --journal opens a file, --trace-cache picks a store, --watchdog dooms
+/// blocked waits process-wide) and the rest the wire never carried
+/// (--ranks, --threads, --retries and the switches) are command-line only.
+std::span<const KeyRow<ReportFlags>> report_keys();
+
+/// `fibersim report`'s starting point: the large dataset on every core.
+ReportFlags report_defaults();
+
+/// Parse `args` onto `flags` through report_keys(). Returns "" on success
+/// or a one-line error message: numeric values go through the checked
+/// flag_* parsers, so garbage and out-of-range magnitudes come back as the
+/// error string. --fault-plan installs its plan at once, overriding any
+/// env plan.
 std::string parse_report_flags(const std::vector<std::string>& args,
                                ReportFlags& flags);
 
-/// Checked "flag value" parsers shared by the CLI flag parsers and the serve
-/// request codec: write the parsed value to `out` and return "", or return a
-/// one-line error naming `flag` and the offending value. `min` is the
-/// smallest accepted value.
-std::string flag_int(const std::string& flag, const std::string& value,
-                     int min, int* out);
-std::string flag_u64(const std::string& flag, const std::string& value,
-                     std::uint64_t* out);
-std::string flag_bool(const std::string& flag, const std::string& value,
-                      bool* out);
-std::string flag_f64(const std::string& flag, const std::string& value,
-                     double min, double* out);
+/// Print one experiment the way `fibersim report <id>` does: unframed, in
+/// flags.format, built on `runner`, with T3 pinned to the small dataset
+/// (the paper's compiler study only exists there; bench/experiment honours
+/// --dataset). A serve `report` payload is exactly these bytes.
+void write_report(const Experiment& entry, const ReportFlags& flags,
+                  Runner& runner, std::ostream& out);
 
 /// Attach the persistent trace store selected by --trace-cache (`dir`), or
 /// — when empty — by FIBERSIM_TRACE_CACHE, to the runner.

@@ -719,25 +719,10 @@ std::string Server::breaker_key_of(const ServeRequest& req) {
 
 std::string Server::execute_report(const ServeRequest& req,
                                    json::Emitter& reply) {
-  const ExperimentRegistry& registry = ExperimentRegistry::instance();
-  const Experiment& entry = registry.get(req.report_id);
-  ReportContext ctx;
-  ctx.runner = &runner_;
-  ctx.app_names = req.apps;
-  ctx.dataset = req.dataset;
-  ctx.iterations = req.iterations;
-  ctx.seed = req.seed;
-  ctx.jobs = req.jobs > 0 ? req.jobs : SweepPool::default_jobs();
-  ctx.collapse = req.collapse;
-  // Same pin as the CLI front end: T3's compiler study only exists on the
-  // small datasets. Keeps serve output byte-identical to `fibersim report`.
-  if (to_lower(entry.id) == "t3") ctx.dataset = apps::Dataset::kSmall;
-  EmitOptions opts;
-  opts.format = req.format;
-  opts.framed = false;
   std::ostringstream text;
-  emit_report(registry.build(entry.id, ctx), opts, text);
-  reply.str("format", report_format_name(req.format));
+  write_report(ExperimentRegistry::instance().get(req.report_id), req.report,
+               runner_, text);
+  reply.str("format", report_format_name(req.report.format));
   // Payload contract: a JSON string holding exactly the bytes `fibersim
   // report <id>` would print.
   json::Emitter payload;

@@ -4,7 +4,7 @@
 #include "common/json.hpp"
 #include "common/string_util.hpp"
 #include "core/config_parse.hpp"
-#include "core/report_flags.hpp"
+#include "core/experiment_registry.hpp"
 
 namespace fibersim::core {
 
@@ -21,6 +21,21 @@ std::string field_token(const json::Value& v, const std::string& key,
   if (v.is_number()) return v.raw_number();
   *problem = "field '" + key + "' must be a string or number";
   return "";
+}
+
+/// Set one socket field through the verb's key table. "collapse" is the
+/// serve spelling of collapse_ranks; command-line-only rows do not exist
+/// on the wire.
+template <typename T>
+std::string set_field(std::span<const KeyRow<T>> rows, T& target,
+                      std::string_view verb, const std::string& key,
+                      const std::string& token) {
+  const KeyRow<T>* row = find_key(
+      rows, key == "collapse" ? std::string_view("collapse_ranks") : key);
+  if (row == nullptr || row->scope == KeyScope::kCommandLine) {
+    return "unknown " + std::string(verb) + " field: '" + key + "'";
+  }
+  return row->set(target, key, token, KeySource::kRemote);
 }
 
 }  // namespace
@@ -50,61 +65,36 @@ std::string parse_serve_request(std::string_view line, ServeRequest& req) {
   const bool predict = req.verb == ServeRequest::Verb::kPredict;
   const bool report = req.verb == ServeRequest::Verb::kReport;
 
+  if (report) req.report = report_defaults();
+
   std::string problem;
-  // Value parsers (parse_dataset, parse_bind, ...) throw fibersim::Error;
-  // on a server every parse failure is data, so translate to the error
-  // string here, once, instead of in every branch.
-  try {
-    for (const auto& [key, value] : root->members()) {
-      if (key == "verb") continue;
-      if (key == "id") {
-        if (!value.is_string()) return "field 'id' must be a string";
-        if (value.as_string().size() > kMaxIdBytes) {
-          return strfmt("field 'id' exceeds %zu bytes", kMaxIdBytes);
-        }
-        req.id = value.as_string();
-        continue;
+  for (const auto& [key, value] : root->members()) {
+    if (key == "verb") continue;
+    if (key == "id") {
+      if (!value.is_string()) return "field 'id' must be a string";
+      if (value.as_string().size() > kMaxIdBytes) {
+        return strfmt("field 'id' exceeds %zu bytes", kMaxIdBytes);
       }
-      const std::string token = field_token(value, key, &problem);
-      if (!problem.empty()) return problem;
-      if (key == "deadline_ms" && (predict || report)) {
-        problem = flag_int(key, token, 1, &req.deadline_ms);
-        if (!problem.empty()) return problem;
-        continue;
-      }
-      if (predict) {
-        // "collapse" is the serve spelling of collapse_ranks.
-        const ConfigKey* row = find_config_key(
-            key == "collapse" ? std::string_view("collapse_ranks") : key);
-        if (row == nullptr) return "unknown predict field: '" + key + "'";
-        problem = row->set(req.config, key, token, KeySource::kRemote);
-      } else if (report) {
-        if (key == "report") {
-          req.report_id = token;
-        } else if (key == "apps") {
-          req.apps = split(token, ',');
-        } else if (key == "dataset") {
-          req.dataset = parse_dataset(token);
-        } else if (key == "iterations") {
-          problem = flag_int(key, token, 1, &req.iterations);
-        } else if (key == "seed") {
-          problem = flag_u64(key, token, &req.seed);
-        } else if (key == "jobs") {
-          problem = flag_int(key, token, 1, &req.jobs);
-        } else if (key == "format") {
-          req.format = parse_report_format(token);
-        } else if (key == "collapse") {
-          problem = flag_bool(key, token, &req.collapse);
-        } else {
-          return "unknown report field: '" + key + "'";
-        }
-      } else {
-        return "unknown field for verb '" + verb + "': '" + key + "'";
-      }
-      if (!problem.empty()) return problem;
+      req.id = value.as_string();
+      continue;
     }
-  } catch (const Error& e) {
-    return e.what();
+    const std::string token = field_token(value, key, &problem);
+    if (!problem.empty()) return problem;
+    if (key == "deadline_ms" && (predict || report)) {
+      problem = flag_int(key, token, 1, &req.deadline_ms);
+    } else if (key == "report" && report) {
+      if (ExperimentRegistry::instance().find(token) == nullptr) {
+        return "unknown report id: '" + token + "'";
+      }
+      req.report_id = token;
+    } else if (predict) {
+      problem = set_field(config_keys(), req.config, "predict", key, token);
+    } else if (report) {
+      problem = set_field(report_keys(), req.report, "report", key, token);
+    } else {
+      return "unknown field for verb '" + verb + "': '" + key + "'";
+    }
+    if (!problem.empty()) return problem;
   }
   if (report && req.report_id.empty()) {
     return "report requests need a 'report' experiment id";

@@ -15,11 +15,15 @@
 //    "iterations":1,"format":"json"}
 //
 // The predict fields are core::config_keys(), the same table behind the
-// config file and the `fibersim run` flags; "collapse" ("on"/"off") is
-// accepted as the spelling of collapse_ranks: the execution collapses
-// symmetric ranks, the payload stays byte-identical. A predict "processor"
-// must name a registered machine: a descriptor path is rejected, because
-// loading it would read a file and change the registry for every client.
+// config file and the `fibersim run` flags; the report fields are the
+// core::report_keys() rows that are not command-line only, the table
+// behind `fibersim report` and bench/experiment. In both verbs "collapse"
+// ("on"/"off") is accepted as the spelling of collapse_ranks: the execution
+// collapses symmetric ranks, the payload stays byte-identical. A predict
+// "app" and a report "report" must name a registered miniapp / experiment.
+// A predict "processor" must name a registered machine: a descriptor path
+// is rejected, because loading it would read a file and change the
+// registry for every client.
 //
 // All field values pass through the same checked parsers as the CLI flags
 // (core::flag_int / parse_dataset / ...): non-numeric, trailing-garbage and
@@ -40,8 +44,8 @@
 #include <vector>
 
 #include "common/json.hpp"
-#include "common/report_emit.hpp"
 #include "core/experiment.hpp"
+#include "core/report_flags.hpp"
 
 namespace fibersim::core {
 
@@ -72,19 +76,11 @@ struct ServeRequest {
   ExperimentConfig config;
 
   // -- report ---------------------------------------------------------------
-  /// Defaults mirror the CLI's `report` command (dataset large, registry
-  /// default jobs), so a serve response is byte-identical to the CLI output
-  /// for the same parameters.
+  /// A registered experiment id, as the client spelled it.
   std::string report_id;
-  std::vector<std::string> apps;
-  apps::Dataset dataset = apps::Dataset::kLarge;
-  int iterations = 3;
-  std::uint64_t seed = 42;
-  int jobs = 0;  ///< 0 = SweepPool::default_jobs()
-  ReportFormat format = ReportFormat::kText;
-  /// Run the report's sweep points collapsed (see ReportContext::collapse);
-  /// the payload is byte-identical either way.
-  bool collapse = false;
+  /// report_keys() fields over report_defaults(), so a serve response is
+  /// byte-identical to `fibersim report <id>` with the same flags.
+  ReportFlags report;
 };
 
 /// Parse one request line. Returns "" and fills `req` on success, else a

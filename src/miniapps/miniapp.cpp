@@ -45,6 +45,13 @@ std::vector<std::string> registry_names() {
   return names;
 }
 
+bool is_registered(std::string_view name) {
+  for (const auto& [key, factory] : registry()) {
+    if (key == name) return true;
+  }
+  return false;
+}
+
 std::unique_ptr<Miniapp> create_miniapp(const std::string& name) {
   for (const auto& [key, factory] : registry()) {
     if (key == name) return factory();

@@ -16,6 +16,7 @@
 #include <cstdint>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "isa/work_estimate.hpp"
@@ -73,6 +74,9 @@ class Miniapp {
 
 /// Names of all registered miniapps, in the suite's canonical order.
 std::vector<std::string> registry_names();
+
+/// Is `name` a registered miniapp (exact spelling)?
+bool is_registered(std::string_view name);
 
 /// Instantiate by name; throws fibersim::Error for unknown names.
 std::unique_ptr<Miniapp> create_miniapp(const std::string& name);

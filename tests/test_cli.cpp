@@ -1,6 +1,9 @@
 // Tests for the config parser and CLI driver.
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
+#include <cctype>
 #include <cstdio>
 #include <fstream>
 #include <map>
@@ -12,6 +15,7 @@
 #include "core/config_parse.hpp"
 #include "core/journal.hpp"
 #include "core/report_flags.hpp"
+#include "core/serve.hpp"
 #include "core/serve_codec.hpp"
 #include "machine/calibrate.hpp"
 #include "machine/descriptor.hpp"
@@ -356,16 +360,73 @@ TEST(ConfigKeys, FrontEndsAgreeAndTheJournalKeyCoversEveryField) {
   EXPECT_EQ(tokens.size(), config_keys().size());
 }
 
+// The serve `report` verb reads the report table too: a request that sets
+// every field serve accepts must answer exactly the bytes `fibersim report`
+// prints for the same flags, in text and JSON.
+TEST(ConfigKeys, ServeReportAgreesWithTheReportCommand) {
+  const std::map<std::string, std::string> tokens = {
+      {"apps", "ffvc"}, {"dataset", "small"},       {"iterations", "1"},
+      {"seed", "7"},    {"jobs", "2"},              {"collapse_ranks", "on"},
+      {"format", ""},  // set per pass below
+  };
+  std::size_t served = 0;
+  for (const KeyRow<ReportFlags>& row : report_keys()) {
+    if (row.scope == KeyScope::kCommandLine) continue;
+    ++served;
+    EXPECT_TRUE(tokens.contains(row.name)) << "no test token for " << row.name;
+  }
+  EXPECT_EQ(tokens.size(), served);
+
+  ServeOptions opts;
+  opts.socket_path = ::testing::TempDir() + "/fibersim_cli_report_" +
+                     std::to_string(::getpid()) + ".sock";
+  opts.workers = 1;
+  Server server(std::move(opts));
+  server.start();
+  ServeClient client(server.socket_path());
+  for (const char* format : {"text", "json"}) {
+    SCOPED_TRACE(format);
+    std::vector<std::string> args = {"report", "T2"};
+    json::Emitter request;
+    request.object(json::Layout::kCompact);
+    request.str("verb", "report");
+    request.str("report", "T2");
+    for (const auto& [name, token] : tokens) {
+      const std::string value = name == "format" ? format : token;
+      args.push_back(find_key(report_keys(), name)->flag());
+      args.push_back(value);
+      request.str(name, value);
+    }
+    const CliResult cli = run_cli(args);
+    ASSERT_EQ(cli.code, 0) << cli.err;
+    const std::string response = client.request(std::move(request).finish());
+    std::string error;
+    const std::optional<json::Value> decoded = json::parse(response, &error);
+    ASSERT_TRUE(decoded) << error << ": " << response;
+    const json::Value* payload = decoded->find("payload");
+    ASSERT_NE(payload, nullptr) << response;
+    ASSERT_TRUE(payload->is_string()) << response;
+    EXPECT_EQ(payload->as_string(), cli.out);
+  }
+  server.stop();
+  server.wait();
+}
+
+// Every row of every command table is spelled out in the usage text.
 TEST(ConfigKeys, UsageListsEveryRunFlag) {
   const std::string usage = run_cli({"help"}).out;
-  for (const ConfigKey& row : config_keys()) {
-    // Built by append: GCC 12 at -O3 flags `" " + row.flag()` with a
-    // spurious -Wrestrict.
-    std::string flag = " ";
-    flag += row.flag();
-    EXPECT_TRUE(usage.find(flag + " ") != std::string::npos ||
-                usage.find(flag + "\n") != std::string::npos)
-        << row.flag();
+  const auto word_char = [](char c) {
+    return std::isalnum(static_cast<unsigned char>(c)) || c == '-';
+  };
+  for (const std::string& flag : cli_flags()) {
+    bool listed = false;
+    for (std::size_t at = usage.find(flag); at != std::string::npos;
+         at = usage.find(flag, at + 1)) {
+      const std::size_t end = at + flag.size();
+      listed = listed || (at > 0 && !word_char(usage[at - 1]) &&
+                          (end == usage.size() || !word_char(usage[end])));
+    }
+    EXPECT_TRUE(listed) << flag;
   }
 }
 
@@ -416,6 +477,19 @@ TEST(Cli, RunDumpTraceRejectsBadPath) {
                                "--threads", "1", "--iterations", "1",
                                "--dump-trace", "/nonexistent/dir/x.json"});
   EXPECT_EQ(r.code, 2);
+}
+
+// One loop parses every command line, so an unknown flag is named as one
+// on every command, whether or not a value follows it.
+TEST(Cli, UnknownFlagsAreNamedOnEveryCommand) {
+  const CliResult report = run_cli({"report", "T1", "--bogus"});
+  EXPECT_EQ(report.code, 2);
+  EXPECT_NE(report.err.find("unknown report flag: --bogus"), std::string::npos)
+      << report.err;
+  const CliResult tune = run_cli({"tune", "--bogus", "1"});
+  EXPECT_EQ(tune.code, 2);
+  EXPECT_NE(tune.err.find("unknown tune flag: --bogus"), std::string::npos)
+      << tune.err;
 }
 
 TEST(Cli, RunRejectsBadFlags) {

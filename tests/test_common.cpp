@@ -22,6 +22,7 @@
 #include "common/table.hpp"
 #include "common/timer.hpp"
 #include "common/units.hpp"
+#include "core/experiment_registry.hpp"
 
 namespace fibersim {
 namespace {
@@ -33,6 +34,21 @@ TEST(Error, RequireThrowsWithContext) {
   } catch (const Error& e) {
     EXPECT_NE(std::string(e.what()).find("numbers disagree"), std::string::npos);
     EXPECT_NE(std::string(e.what()).find("1 == 2"), std::string::npos);
+  }
+}
+
+// A library FS_REQUIRE names its location from src/ on, never the build
+// host's absolute path: messages (and the serve responses that carry them)
+// read the same from every checkout of one commit.
+TEST(Error, RequireLocationStartsAtSrc) {
+  try {
+    core::ExperimentRegistry::instance().get("ZZ");
+    FAIL() << "expected throw";
+  } catch (const Error& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find(" at src/core/experiment_registry.cpp:"),
+              std::string::npos)
+        << what;
   }
 }
 

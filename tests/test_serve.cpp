@@ -61,11 +61,11 @@ TEST(ServeCodec, ParsesEveryVerb) {
             "");
   EXPECT_EQ(req.verb, ServeRequest::Verb::kReport);
   EXPECT_EQ(req.report_id, "T1");
-  ASSERT_EQ(req.apps.size(), 2u);
-  EXPECT_EQ(req.apps[1], "ffb");
-  EXPECT_EQ(req.iterations, 2);
-  EXPECT_EQ(req.jobs, 3);
-  EXPECT_EQ(req.format, ReportFormat::kJson);
+  ASSERT_EQ(req.report.ctx.app_names.size(), 2u);
+  EXPECT_EQ(req.report.ctx.app_names[1], "ffb");
+  EXPECT_EQ(req.report.ctx.iterations, 2);
+  EXPECT_EQ(req.report.ctx.jobs, 3);
+  EXPECT_EQ(req.report.format, ReportFormat::kJson);
 }
 
 TEST(ServeCodec, NumericFieldsAcceptStringsAndKeepU64Exact) {
@@ -147,7 +147,21 @@ TEST(ServeCodec, CollapseFieldMirrorsTheCliFlag) {
   EXPECT_EQ(parse_serve_request(
                 R"({"verb":"report","report":"T1","collapse":"1"})", req),
             "");
-  EXPECT_TRUE(req.collapse);
+  EXPECT_TRUE(req.report.ctx.collapse);
+}
+
+// A client typo is a bad request, not an execution failure: an unknown app
+// or report id is refused while the line is parsed, so it takes no worker
+// and says nothing to the circuit breaker about the config class.
+TEST(ServeCodec, UnknownAppAndReportIdAreBadRequests) {
+  ServeRequest req;
+  EXPECT_NE(parse_serve_request(R"({"verb":"predict","app":"nope"})", req)
+                .find("unknown miniapp: nope"),
+            std::string::npos);
+  req = ServeRequest{};
+  EXPECT_NE(parse_serve_request(R"({"verb":"report","report":"ZZ"})", req)
+                .find("unknown report id: 'ZZ'"),
+            std::string::npos);
 }
 
 TEST(ServeCodec, ResponseShapes) {
@@ -706,6 +720,31 @@ TEST(Serve, BreakerTripsOverTheWireAndProbesClosed) {
   EXPECT_GE(snap.breaker_half_opens, 1u);
   EXPECT_EQ(snap.breaker_open_now, 0u);
   EXPECT_NE(server.stats_json().find("\"breaker\""), std::string::npos);
+}
+
+TEST(Serve, TyposAnswerBadRequestAndNeverReachTheBreaker) {
+  ServeOptions opts;
+  opts.socket_path = test_socket_path();
+  opts.workers = 1;
+  opts.circuit.failure_threshold = 1;  // one counted failure would trip
+  opts.circuit.window = 1;
+  Server server(std::move(opts));
+  server.start();
+  ServeClient client(server.socket_path());
+  for (const char* line : {R"({"verb":"predict","app":"nope"})",
+                           R"({"verb":"report","report":"ZZ"})"}) {
+    const std::string response = client.request(line);
+    EXPECT_EQ(field_of(response, "code"), kCodeBadRequest) << response;
+  }
+  const ServeStats snap = server.stats_snapshot();
+  EXPECT_EQ(snap.bad_request, 2u);
+  EXPECT_EQ(snap.failed, 0u);
+  EXPECT_EQ(snap.predict, 0u);
+  EXPECT_EQ(snap.report, 0u);
+  EXPECT_EQ(snap.breaker_trips, 0u);
+  EXPECT_EQ(snap.breaker_open_now, 0u);
+  server.stop();
+  server.wait();
 }
 
 std::string test_journal_path() {

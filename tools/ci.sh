@@ -202,6 +202,14 @@ KEYS_PAYLOAD="${KEYS_RESP#*\"payload\":}"; KEYS_PAYLOAD="${KEYS_PAYLOAD%\}}"
 "$FIBERSIM" run --config "$KEYS_CFG" --json > "$CACHE_DIR/all-keys.run.json"
 "$JSON_CHECK" "$CACHE_DIR/all-keys.run.json"
 printf '%s\n' "$KEYS_PAYLOAD" | cmp - "$CACHE_DIR/all-keys.run.json"
+# A typo is a typed BAD_REQUEST, refused while the request is parsed: it
+# takes no worker and never reaches the circuit breaker.
+BAD_RESP="$("$PERF_SERVE" --connect "$SERVE_SOCK" \
+    --send '{"verb":"predict","app":"nope"}')"
+printf '%s\n' "$BAD_RESP" | grep -q '"code":"BAD_REQUEST"' || {
+  echo "unknown app: expected BAD_REQUEST, got: $BAD_RESP" >&2
+  exit 1
+}
 # A short multi-client load pass must come back with zero not-ok responses.
 "$PERF_SERVE" --connect "$SERVE_SOCK" --clients 2 --requests 8
 # Fault chaos: a plan-carrying daemon must answer with a typed FAILED
