@@ -440,24 +440,30 @@ int cmd_run(const std::vector<std::string>& args, std::ostream& out,
 int cmd_report(const std::vector<std::string>& args, std::ostream& out,
                std::ostream& err) {
   const ExperimentRegistry& registry = ExperimentRegistry::instance();
-  if (args.empty()) {
-    err << "report needs an id; one of:";
-    for (const auto& id : registry.ids()) err << ' ' << id;
-    err << "\n";
-    return 2;
-  }
-  const bool all = to_lower(args[0]) == "all" || args[0] == "--all";
-  const Experiment* single = all ? nullptr : registry.find(args[0]);
-  if (!all && single == nullptr) {
+  // The id comes first, unless the arguments are flags only (`--list`).
+  const bool has_id =
+      !args.empty() && (args[0] == "--all" || args[0].rfind("--", 0) != 0);
+  const bool all =
+      has_id && (to_lower(args[0]) == "all" || args[0] == "--all");
+  const Experiment* single =
+      has_id && !all ? registry.find(args[0]) : nullptr;
+  if (has_id && !all && single == nullptr) {
     err << "unknown report id: " << args[0] << "\n";
     return 2;
   }
   ReportFlags flags = report_defaults();
-  const std::vector<std::string> rest(args.begin() + 1, args.end());
+  const std::vector<std::string> rest(args.begin() + (has_id ? 1 : 0),
+                                      args.end());
   if (failed(parse_report_flags(rest, flags), err)) return 2;
   if (flags.list) {
     print_experiment_list(out);
     return 0;
+  }
+  if (!has_id) {
+    err << "report needs an id; one of:";
+    for (const auto& id : registry.ids()) err << ' ' << id;
+    err << "\n";
+    return 2;
   }
   const auto print = [&](const Experiment& entry) {
     Runner runner;  // fresh per report; traces are cheap at suite scale

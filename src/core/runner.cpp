@@ -13,6 +13,58 @@
 
 namespace fibersim::core {
 
+namespace {
+
+/// The body every native rank runs, full or collapsed: the app on a fresh
+/// team and recorder. Each rank stores its phases in its slot of `traces`
+/// and folds its result into `stored` (`verified` is the AND over ranks;
+/// virtual rank 0 supplies the check value).
+struct NativeRanks {
+  NativeRanks(const ExperimentConfig& config_in,
+              const fault::Session* faults_in,
+              trace::StoredExecution& stored_in, std::size_t slots)
+      : config(config_in),
+        faults(faults_in),
+        stored(stored_in),
+        traces(slots) {
+    stored.verified = true;
+  }
+
+  void run(mp::Comm& comm, std::size_t slot) {
+    rt::ThreadTeam team(config.threads);
+    if (faults != nullptr) {
+      team.set_faults(faults, static_cast<std::uint64_t>(comm.rank()));
+    }
+    trace::Recorder recorder(&comm);
+    apps::RunContext ctx;
+    ctx.comm = &comm;
+    ctx.team = &team;
+    ctx.recorder = &recorder;
+    ctx.dataset = config.dataset;
+    ctx.seed = config.seed;
+    ctx.iterations = config.iterations;
+    ctx.weak_scale = config.weak_scale;
+
+    const apps::RunResult result = apps::create_miniapp(config.app)->run(ctx);
+
+    traces[slot] = recorder.phases();
+    std::lock_guard<std::mutex> lock(mutex);
+    stored.verified = stored.verified && result.verified;
+    if (comm.rank() == 0) {
+      stored.check_value = result.check_value;
+      stored.check_description = result.check_description;
+    }
+  }
+
+  const ExperimentConfig& config;
+  const fault::Session* faults;
+  trace::StoredExecution& stored;
+  trace::JobTrace traces;
+  std::mutex mutex;
+};
+
+}  // namespace
+
 trace::StoreKey Runner::execution_key(const ExperimentConfig& config) {
   trace::StoreKey key;
   key.app = config.app;
@@ -45,47 +97,23 @@ Runner::Execution Runner::run_native_collapsed(const ExperimentConfig& config) {
                 << "x" << config.threads << " -> " << classes
                 << " representative rank(s)";
 
-  trace::JobTrace rep_traces(static_cast<std::size_t>(classes));
   Execution exec;
-  exec.stored.verified = true;
-
-  std::mutex result_mutex;
+  NativeRanks ranks(config, nullptr, exec.stored,
+                    static_cast<std::size_t>(classes));
   mp::Job::run_collapsed(symmetry, [&](mp::Comm& comm) {
-    rt::ThreadTeam team(config.threads);
-    trace::Recorder recorder(&comm);
-    apps::RunContext ctx;
-    ctx.comm = &comm;
-    ctx.team = &team;
-    ctx.recorder = &recorder;
-    ctx.dataset = config.dataset;
-    ctx.seed = config.seed;
-    ctx.iterations = config.iterations;
-    ctx.weak_scale = config.weak_scale;
-
-    const auto slot_app = apps::create_miniapp(config.app);
-    const apps::RunResult result = slot_app->run(ctx);
-
     // comm.rank() is the representative's *virtual* rank; its slot is the
     // class id.
-    const std::size_t slot =
-        static_cast<std::size_t>(symmetry.class_of(comm.rank()));
-    rep_traces[slot] = recorder.phases();
-    std::lock_guard<std::mutex> lock(result_mutex);
-    exec.stored.verified = exec.stored.verified && result.verified;
-    if (comm.rank() == 0) {
-      exec.stored.check_value = result.check_value;
-      exec.stored.check_description = result.check_description;
-    }
+    ranks.run(comm, static_cast<std::size_t>(symmetry.class_of(comm.rank())));
   });
 
   // Throws when a send cannot be factored on the grid; the caller falls
   // back to full simulation.
   exec.collapsed =
-      trace::CollapsedTrace::assemble(std::move(symmetry), rep_traces);
+      trace::CollapsedTrace::assemble(std::move(symmetry), ranks.traces);
   exec.is_collapsed = true;
   // Canonical form of the representative slots — what the tier-2 store
   // persists; the virtual job is re-assembled at load (rehydrate_collapsed).
-  exec.stored.canonical = trace::CanonicalTrace::build(rep_traces);
+  exec.stored.canonical = trace::CanonicalTrace::build(ranks.traces);
 
   collapse_classes_.fetch_add(static_cast<std::size_t>(classes),
                               std::memory_order_relaxed);
@@ -159,47 +187,20 @@ Runner::Execution Runner::run_native(const ExperimentConfig& config,
     }
   }
 
-  trace::JobTrace rank_traces(static_cast<std::size_t>(config.ranks));
   Execution exec;
-  exec.stored.verified = true;
-
-  std::mutex result_mutex;
+  NativeRanks ranks(config, faults, exec.stored,
+                    static_cast<std::size_t>(config.ranks));
   mp::Job::run(
       config.ranks,
       [&](mp::Comm& comm) {
-        rt::ThreadTeam team(config.threads);
-        if (faults != nullptr) {
-          team.set_faults(faults,
-                          static_cast<std::uint64_t>(comm.rank()));
-        }
-        trace::Recorder recorder(&comm);
-        apps::RunContext ctx;
-        ctx.comm = &comm;
-        ctx.team = &team;
-        ctx.recorder = &recorder;
-        ctx.dataset = config.dataset;
-        ctx.seed = config.seed;
-        ctx.iterations = config.iterations;
-        ctx.weak_scale = config.weak_scale;
-
-        const auto app = apps::create_miniapp(config.app);
-        const apps::RunResult result = app->run(ctx);
-
-        rank_traces[static_cast<std::size_t>(comm.rank())] =
-            recorder.phases();
-        std::lock_guard<std::mutex> lock(result_mutex);
-        exec.stored.verified = exec.stored.verified && result.verified;
-        if (comm.rank() == 0) {
-          exec.stored.check_value = result.check_value;
-          exec.stored.check_description = result.check_description;
-        }
+        ranks.run(comm, static_cast<std::size_t>(comm.rank()));
       },
       faults);
 
   // Canonicalize at admission: validates the SPMD agreement contract once
   // and compacts rank duplicates, so predictions never re-check or re-scan
   // the raw ranks x phases trace.
-  exec.stored.canonical = trace::CanonicalTrace::build(rank_traces);
+  exec.stored.canonical = trace::CanonicalTrace::build(ranks.traces);
   return exec;
 }
 

@@ -3,13 +3,13 @@
 #include <algorithm>
 #include <chrono>
 #include <cstring>
-#include <thread>
 
 #include "common/error.hpp"
 #include "common/string_util.hpp"
 #include "fault/fault.hpp"
 #include "mp/job.hpp"
 #include "mp/symmetry.hpp"
+#include "rt/fiber.hpp"
 
 namespace fibersim::mp {
 
@@ -41,8 +41,7 @@ void deliver(detail::JobState& state, int dst, Message m) {
       mbox.push(std::move(m));
       return;
     case fault::SendAction::kDelay:
-      std::this_thread::sleep_for(
-          std::chrono::duration<double>(state.faults->delay_s()));
+      rt::sleep_for(std::chrono::duration<double>(state.faults->delay_s()));
       mbox.push(std::move(m));
       return;
     case fault::SendAction::kDeliver:

@@ -1,11 +1,15 @@
-// Job — runs an SPMD function on N ranks, each on its own thread.
+// Job — runs an SPMD function on N ranks.
 //
-// This is the "mpiexec" of the in-process runtime. If any rank throws, every
-// mailbox is poisoned so blocked ranks unwind, and one exception is rethrown
-// to the caller after all ranks have joined. The rethrown error is chosen
-// deterministically — by fault::ErrorClass priority, then by lowest rank —
-// so a job that fails the same way always reports the same root cause, even
-// though the poison-unwind cascade itself races.
+// This is the "mpiexec" of the in-process runtime. Every rank runs as a
+// context on the process-wide fiber pool (rt/fiber.hpp; a caller that is
+// itself a context runs rank 0), so a job starts no OS thread of its own; a
+// rank waiting in a receive parks and its worker runs another rank. If any
+// rank throws, every mailbox is poisoned so blocked ranks unwind, and one
+// exception is rethrown to the caller after all ranks have joined. The
+// rethrown error is chosen deterministically — by fault::ErrorClass
+// priority, then by lowest rank — so a job that fails the same way always
+// reports the same root cause, even though the poison-unwind cascade itself
+// races.
 //
 // A fault::Session may be attached to a run: it drives message
 // drop/delay/duplication on every send path (user p2p and collective
@@ -39,7 +43,7 @@ struct JobState {
   const fault::Session* faults = nullptr;
   /// Per-(src, dst) send sequence numbers (src*ranks + dst), allocated only
   /// when faults are attached. Each slot has a single writer (the sending
-  /// rank's thread), so fault decisions are in program order per pair and
+  /// rank), so fault decisions are in program order per pair and
   /// independent of cross-rank scheduling.
   std::vector<std::uint64_t> send_seq;
   /// Per-rank communication-op counters (single writer: the rank itself).
@@ -71,6 +75,12 @@ class Job {
   /// not supported under collapse (the runner falls back to a full run).
   static std::vector<CommLog> run_collapsed(const RankSymmetry& symmetry,
                                             const RankFn& fn);
+
+ private:
+  /// Run `fn` on every slot of `state` (under its virtual identity when
+  /// collapsed), join, and return each slot's log or rethrow the pick.
+  static std::vector<CommLog> run_slots(detail::JobState& state,
+                                        const RankFn& fn);
 };
 
 }  // namespace fibersim::mp

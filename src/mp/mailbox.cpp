@@ -25,13 +25,11 @@ struct WaitGuard {
 }  // namespace
 
 void Mailbox::push(Message message) {
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    const std::pair<int, int> key{message.source, message.tag};
-    buckets_[key].push_back(Sequenced{next_seq_++, std::move(message)});
-    ++size_;
-  }
-  cv_.notify_all();
+  std::unique_lock<std::mutex> lock(mutex_);
+  const std::pair<int, int> key{message.source, message.tag};
+  buckets_[key].push_back(Sequenced{next_seq_++, std::move(message)});
+  ++size_;
+  waiters_.notify_all(lock);
 }
 
 Mailbox::BucketMap::iterator Mailbox::find_bucket(int source, int tag) {
@@ -76,12 +74,12 @@ Message Mailbox::pop(int source, int tag) {
     }
 
     // Nothing matching yet. The plain path (no watchdog, no fault timeout)
-    // blocks exactly as it always has: one untimed wait per arrival.
+    // parks untimed until the next arrival.
     auto& registry = fault::WaitRegistry::instance();
     const bool watched = registry.watching();
     const double timeout_s = recv_timeout_s_;
     if (!watched && timeout_s <= 0.0) {
-      cv_.wait(lock);
+      waiters_.wait(lock);
       continue;
     }
 
@@ -92,7 +90,7 @@ Message Mailbox::pop(int source, int tag) {
       guard.id = registry.add(job_, rank_, source, tag);
       guard.active = true;
     }
-    cv_.wait_for(lock, kWaitBeat);
+    waiters_.wait_until(lock, rt::Clock::now() + kWaitBeat);
     if (guard.active) {
       std::string reason;
       if (registry.doomed(guard.id, &reason)) {
@@ -123,11 +121,9 @@ bool Mailbox::probe(int source, int tag) const {
 }
 
 void Mailbox::poison() {
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    poisoned_ = true;
-  }
-  cv_.notify_all();
+  std::unique_lock<std::mutex> lock(mutex_);
+  poisoned_ = true;
+  waiters_.notify_all(lock);
 }
 
 std::size_t Mailbox::pending() const {

@@ -2,10 +2,14 @@
 //
 // Senders deposit a refcounted immutable payload (mp::Buffer) into the
 // destination mailbox (buffered, non-blocking send — the MPI "eager"
-// protocol); receivers block until a message matching (source, tag) is
-// present. Delivery never copies payload bytes: the one allocation + memcpy
-// happens at the send site, and fan-out paths share that allocation. MPI ordering semantics hold:
-// messages from the same source with the same tag are received in send order.
+// protocol); receivers wait until a message matching (source, tag) is
+// present. A receiving rank is a context on the fiber pool, so it parks on
+// the mailbox's rt::WaitList and its worker runs another rank meanwhile; a
+// receiver outside the pool (a test body) blocks its OS thread instead.
+// Delivery never copies payload bytes: the one allocation + memcpy happens at
+// the send site, and fan-out paths share that allocation. MPI ordering
+// semantics hold: messages from the same source with the same tag are
+// received in send order.
 // poison() aborts every pending and future receive, which Job uses to unwind
 // all ranks when one rank throws.
 //
@@ -20,10 +24,10 @@
 // (and unwind when the watchdog dooms it), and an optional receive timeout —
 // set by Job when a fault plan can drop messages — turns an otherwise
 // permanent hang into a diagnostic error naming the blocked (rank, source,
-// tag). With no watchdog and no timeout, pop waits exactly as before.
+// tag). Those two re-check on a timed park every beat; with neither, pop
+// parks untimed until the next arrival.
 #pragma once
 
-#include <condition_variable>
 #include <cstddef>
 #include <cstdint>
 #include <deque>
@@ -32,6 +36,7 @@
 #include <utility>
 
 #include "mp/buffer.hpp"
+#include "rt/fiber.hpp"
 
 namespace fibersim::mp {
 
@@ -49,7 +54,7 @@ class Mailbox {
   /// Deposit a message (thread-safe, never blocks).
   void push(Message message);
 
-  /// Block until a message matching (source, tag) arrives and return it.
+  /// Wait until a message matching (source, tag) arrives and return it.
   /// kAnySource / kAnyTag match anything. Throws fibersim::Error if the
   /// mailbox is poisoned while waiting.
   Message pop(int source, int tag);
@@ -86,7 +91,7 @@ class Mailbox {
   BucketMap::iterator find_bucket(int source, int tag);
 
   mutable std::mutex mutex_;
-  std::condition_variable cv_;
+  rt::WaitList waiters_;
   BucketMap buckets_;
   std::uint64_t next_seq_ = 0;
   std::size_t size_ = 0;

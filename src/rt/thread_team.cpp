@@ -21,36 +21,6 @@ const char* schedule_name(Schedule schedule) {
 ThreadTeam::ThreadTeam(int size) : size_(size) {
   FS_REQUIRE(size >= 1, "team size must be >= 1");
   FS_REQUIRE(size <= 4096, "team size unreasonably large");
-  workers_.reserve(static_cast<std::size_t>(size - 1));
-  for (int tid = 1; tid < size; ++tid) {
-    workers_.emplace_back([this, tid] { worker_loop(tid); });
-  }
-}
-
-ThreadTeam::~ThreadTeam() {
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    shutdown_ = true;
-  }
-  start_cv_.notify_all();
-  for (std::thread& w : workers_) w.join();
-}
-
-void ThreadTeam::worker_loop(int tid) {
-  std::uint64_t seen_epoch = 0;
-  while (true) {
-    {
-      std::unique_lock<std::mutex> lock(mutex_);
-      start_cv_.wait(lock, [&] { return shutdown_ || epoch_ != seen_epoch; });
-      if (shutdown_) return;
-      seen_epoch = epoch_;
-    }
-    run_region(tid);
-    {
-      std::lock_guard<std::mutex> lock(mutex_);
-      if (--running_ == 0) done_cv_.notify_all();
-    }
-  }
 }
 
 void ThreadTeam::set_faults(const fault::Session* faults,
@@ -75,10 +45,11 @@ void ThreadTeam::maybe_throw_worker(int tid) {
   }
 }
 
-void ThreadTeam::run_region(int tid) {
+void ThreadTeam::run_region(const std::function<void(int)>& region,
+                            int tid) {
   try {
     maybe_throw_worker(tid);
-    region_(tid);
+    region(tid);
   } catch (...) {
     std::lock_guard<std::mutex> lock(error_mutex_);
     if (!first_error_) first_error_ = std::current_exception();
@@ -88,10 +59,9 @@ void ThreadTeam::run_region(int tid) {
 void ThreadTeam::parallel(const std::function<void(int)>& region) {
   FS_REQUIRE(static_cast<bool>(region), "parallel region must be callable");
   if (in_parallel_.exchange(true, std::memory_order_acq_rel)) {
-    // A region body re-entered parallel() on its own team. Before this
-    // guard that silently clobbered region_/epoch_/running_ and deadlocked;
-    // fail loudly instead (the nested call's exception is captured by
-    // run_region and rethrown on the caller after the join).
+    // A region body re-entered parallel() on its own team: fail loudly (the
+    // nested call's exception is captured by run_region and rethrown on the
+    // caller after the join).
     throw Error("nested parallel region on the same ThreadTeam");
   }
   struct Reset {
@@ -102,22 +72,10 @@ void ThreadTeam::parallel(const std::function<void(int)>& region) {
   regions_.fetch_add(1, std::memory_order_relaxed);
   if (size_ == 1) {
     maybe_throw_worker(0);
-    region(0);  // no protocol needed, run inline
+    region(0);  // no fork-join needed, run inline
     return;
   }
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    region_ = region;
-    running_ = size_ - 1;
-    ++epoch_;
-  }
-  start_cv_.notify_all();
-  run_region(0);  // the caller is thread 0
-  {
-    std::unique_lock<std::mutex> lock(mutex_);
-    done_cv_.wait(lock, [&] { return running_ == 0; });
-    region_ = nullptr;
-  }
+  fork_join(size_, [this, &region](int tid) { run_region(region, tid); });
   std::exception_ptr err;
   {
     std::lock_guard<std::mutex> lock(error_mutex_);
@@ -213,31 +171,15 @@ void ThreadTeam::parallel_for(std::int64_t begin, std::int64_t end,
 
 void ThreadTeam::barrier() {
   if (size_ == 1) return;
-  const int sense = barrier_sense_.load(std::memory_order_acquire);
-  if (barrier_count_.fetch_add(1, std::memory_order_acq_rel) == size_ - 1) {
-    barrier_count_.store(0, std::memory_order_relaxed);
-    {
-      std::lock_guard<std::mutex> lock(barrier_mutex_);
-      barrier_sense_.store(1 - sense, std::memory_order_release);
-    }
-    barrier_cv_.notify_all();
-  } else {
-    // Spin briefly (cheap when the team fits in the host's cores), then
-    // block. Unbounded yield-spinning degrades quadratically once teams are
-    // oversubscribed — exactly the situation parallel sweeps create.
-    static const int kSpins = []() {
-      const unsigned hw = std::thread::hardware_concurrency();
-      return hw > 1 ? 256 : 1;
-    }();
-    for (int spin = 0; spin < kSpins; ++spin) {
-      if (barrier_sense_.load(std::memory_order_acquire) != sense) return;
-      std::this_thread::yield();
-    }
-    std::unique_lock<std::mutex> lock(barrier_mutex_);
-    barrier_cv_.wait(lock, [&] {
-      return barrier_sense_.load(std::memory_order_acquire) != sense;
-    });
+  std::unique_lock<std::mutex> lock(barrier_mutex_);
+  const std::uint64_t generation = barrier_generation_;
+  if (++barrier_count_ == size_) {
+    barrier_count_ = 0;
+    ++barrier_generation_;
+    barrier_waiters_.notify_all(lock);
+    return;
   }
+  while (barrier_generation_ == generation) barrier_waiters_.wait(lock);
 }
 
 }  // namespace fibersim::rt

@@ -1,10 +1,14 @@
 // ThreadTeam — the OpenMP-like execution substrate.
 //
-// A team owns `size` persistent worker threads (worker 0 is the calling
-// thread, so a team of 1 adds no threads at all). `parallel` runs a region on
-// every worker and joins; `parallel_for` distributes an index range with
-// static / dynamic / guided scheduling exactly like `omp for schedule(...)`;
-// `barrier` is usable inside a region. All loop state is reset between
+// `parallel` runs a region on tids 0..size-1 and joins: the caller (a rank,
+// itself a context) runs tid 0 and tids 1..size-1 run as contexts on the
+// process-wide fiber pool (rt/fiber.hpp), spawned for the region and gone
+// when it joins, so a team holds no threads between regions and a team of 1
+// never touches the pool. A caller outside the pool waits while every tid
+// runs as a context.
+// `parallel_for` distributes an index range with static / dynamic / guided
+// scheduling exactly like `omp for schedule(...)`; `barrier` is usable inside
+// a region and parks the waiting tids. All loop state is reset between
 // regions, so a team can be reused for any number of regions.
 //
 // The team executes real work on the host. Thread *placement* is a model
@@ -13,14 +17,14 @@
 #pragma once
 
 #include <atomic>
-#include <condition_variable>
 #include <cstdint>
+#include <exception>
 #include <functional>
 #include <mutex>
-#include <thread>
 #include <vector>
 
 #include "common/error.hpp"
+#include "rt/fiber.hpp"
 
 namespace fibersim::fault {
 class Session;
@@ -38,7 +42,6 @@ class ThreadTeam {
   using ChunkBody = std::function<void(std::int64_t, std::int64_t, int)>;
 
   explicit ThreadTeam(int size);
-  ~ThreadTeam();
 
   ThreadTeam(const ThreadTeam&) = delete;
   ThreadTeam& operator=(const ThreadTeam&) = delete;
@@ -49,8 +52,8 @@ class ThreadTeam {
   /// threads finish. Exceptions thrown inside a region are captured and the
   /// first one is rethrown on the caller after the join. Re-entering
   /// parallel() (or parallel_for / parallel_reduce_sum) from inside a region
-  /// of the same team throws fibersim::Error — nested fork-join on one team
-  /// would corrupt the run protocol and deadlock.
+  /// of the same team throws fibersim::Error — its tids would share one
+  /// barrier with the enclosing region's.
   void parallel(const std::function<void(int)>& region);
 
   /// Work-shared loop over [begin, end). `chunk` <= 0 picks a default
@@ -85,8 +88,8 @@ class ThreadTeam {
     return total;
   }
 
-  /// Barrier usable inside a region (sense-reversing, all team threads must
-  /// call it the same number of times).
+  /// Barrier usable inside a region (all team threads must call it the same
+  /// number of times). Waiting tids park; the last arrival wakes them.
   void barrier();
 
   /// Number of parallel regions executed so far (model input: fork-join
@@ -101,29 +104,18 @@ class ThreadTeam {
   void set_faults(const fault::Session* faults, std::uint64_t stream);
 
  private:
-  void worker_loop(int tid);
-  void run_region(int tid);
+  void run_region(const std::function<void(int)>& region, int tid);
   /// Fault hook at region entry (one null check when no faults attached).
   void maybe_throw_worker(int tid);
 
   int size_;
-  std::vector<std::thread> workers_;
 
-  // Fork-join protocol: epoch-count run signalling.
-  std::mutex mutex_;
-  std::condition_variable start_cv_;
-  std::condition_variable done_cv_;
-  std::uint64_t epoch_ = 0;
-  int running_ = 0;
-  bool shutdown_ = false;
-  std::function<void(int)> region_;
-
-  // In-region barrier (sense reversing; brief spin, then condvar block —
-  // see barrier() for why unbounded spinning is ruinous when oversubscribed).
-  std::atomic<int> barrier_count_{0};
-  std::atomic<int> barrier_sense_{0};
+  // In-region barrier: arrivals in the current generation; the last arrival
+  // starts the next generation and wakes the others.
   std::mutex barrier_mutex_;
-  std::condition_variable barrier_cv_;
+  int barrier_count_ = 0;
+  std::uint64_t barrier_generation_ = 0;
+  WaitList barrier_waiters_;
 
   // Nested-parallel detection (see parallel()).
   std::atomic<bool> in_parallel_{false};

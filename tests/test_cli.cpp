@@ -530,6 +530,18 @@ TEST(Cli, ReportAllRegeneratesEveryId) {
 TEST(Cli, ReportRejectsUnknownId) {
   EXPECT_EQ(run_cli({"report", "Z9"}).code, 2);
   EXPECT_EQ(run_cli({"report"}).code, 2);
+  EXPECT_EQ(run_cli({"report", "--apps", "ffvc"}).code, 2);
+}
+
+TEST(Cli, ReportListNeedsNoId) {
+  // `report --list` prints the registered ids, as `report <id> --list` and
+  // `bench/experiment --list` do.
+  const CliResult r = run_cli({"report", "--list"});
+  EXPECT_EQ(r.code, 0) << r.err;
+  for (const auto& id : cli_report_ids()) {
+    EXPECT_NE(r.out.find("  " + id + " "), std::string::npos) << id;
+  }
+  EXPECT_EQ(r.out, run_cli({"report", "T1", "--list"}).out);
 }
 
 TEST(Cli, ReportFormatJson) {

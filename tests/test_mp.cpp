@@ -5,6 +5,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <cstring>
 #include <mutex>
 #include <numeric>
@@ -12,9 +13,12 @@
 #include <vector>
 
 #include "common/error.hpp"
+#include "fault/fault.hpp"
 #include "mp/cart.hpp"
 #include "mp/job.hpp"
 #include "mp/mailbox.hpp"
+#include "rt/fiber.hpp"
+#include "rt/thread_team.hpp"
 
 namespace fibersim::mp {
 namespace {
@@ -147,6 +151,54 @@ TEST(Job, ExceptionInOneRankUnblocksOthers) {
                           (void)comm.recv_value<int>(0, 0);
                         }),
                Error);
+}
+
+TEST(Job, ThrowingRankUnwindsPeersParkedInRecvWithItsOwnError) {
+  // Every peer parks in recv on the failing rank before it throws; the poison
+  // unwinds them all, and the job reports the root cause, not the poison.
+  std::atomic<int> parked{0};
+  try {
+    Job::run(8, [&](Comm& comm) {
+      if (comm.rank() == 3) {
+        while (parked.load() < 7) rt::sleep_for(std::chrono::milliseconds(1));
+        rt::sleep_for(std::chrono::milliseconds(5));
+        throw Error("rank 3 failed");
+      }
+      parked.fetch_add(1);
+      (void)comm.recv_value<int>(3, 0);
+    });
+    FAIL() << "the job did not rethrow";
+  } catch (const Error& e) {
+    EXPECT_STREQ(e.what(), "rank 3 failed");
+    EXPECT_EQ(fault::classify(e.what()), fault::ErrorClass::kOther);
+  }
+}
+
+TEST(Job, RanksAndTeamsFarBeyondTheWorkerCount) {
+  // 48 ranks x 48 team threads: 2304 logical threads on a pool of
+  // hardware_concurrency() workers, every tid looping through barriers.
+  constexpr int kRanks = 48;
+  constexpr int kThreads = 48;
+  constexpr int kRounds = 20;
+  std::atomic<int> violations{0};
+  Job::run(kRanks, [&](Comm& comm) {
+    rt::ThreadTeam team(kThreads);
+    std::vector<int> stage(kThreads, 0);
+    team.parallel([&](int tid) {
+      for (int round = 1; round <= kRounds; ++round) {
+        stage[static_cast<std::size_t>(tid)] = round;
+        team.barrier();
+        for (int v : stage) {
+          if (v != round) violations.fetch_add(1);
+        }
+        team.barrier();
+      }
+    });
+    const double sum = comm.allreduce_sum(static_cast<double>(comm.rank()));
+    if (sum != kRanks * (kRanks - 1) / 2) violations.fetch_add(1);
+  });
+  EXPECT_EQ(violations.load(), 0);
+  EXPECT_LE(rt::detail::cached_stacks(), rt::detail::kStackCacheLimit);
 }
 
 // ----- collectives, parameterised over communicator size -----
@@ -450,6 +502,25 @@ TEST(Mailbox, PoisonUnblocksWildcardWaiter) {
   box.poison();
   waiter.join();
   EXPECT_THROW((void)box.pop(0, 0), Error);
+}
+
+TEST(Mailbox, PlainThreadReceivesFromAParkedSender) {
+  // A receiver outside the pool blocks its OS thread on the same wait list
+  // the contexts park on; the sender is a context that parks on a timer.
+  Mailbox box;
+  std::thread sender([&box] {
+    rt::fork_join(1, [&box](int) {
+      EXPECT_TRUE(rt::in_context());
+      rt::sleep_for(std::chrono::milliseconds(20));
+      box.push(Message{7, 3, Buffer()});
+    });
+  });
+  EXPECT_FALSE(rt::in_context());
+  const Message m = box.pop(7, 3);
+  EXPECT_EQ(m.source, 7);
+  EXPECT_EQ(m.payload.size(), 0u);
+  sender.join();
+  EXPECT_EQ(box.pending(), 0u);
 }
 
 // ----- comm log -----

@@ -1,15 +1,24 @@
 // Unit and property tests for the thread-team runtime.
 #include <gtest/gtest.h>
+#include <sys/wait.h>
+#include <unistd.h>
 
 #include <algorithm>
 #include <atomic>
 #include <bit>
+#include <chrono>
+#include <cstdint>
+#include <exception>
 #include <limits>
+#include <mutex>
 #include <numeric>
 #include <set>
+#include <string>
+#include <thread>
 #include <vector>
 
 #include "common/error.hpp"
+#include "rt/fiber.hpp"
 #include "rt/thread_team.hpp"
 
 namespace fibersim::rt {
@@ -303,6 +312,221 @@ TEST(ParallelFor, RejectsRangeWiderThanInt64) {
                         Schedule::kStatic, 1,
                         [](std::int64_t, std::int64_t, int) {}),
       Error);
+}
+
+TEST(Team, PlainThreadDrivesATeam) {
+  // A thread outside the pool drives regions of a team: every tid runs as a
+  // context and parks in barrier(); the thread waits for each join.
+  std::atomic<int> violations{0};
+  std::thread plain([&] {
+    EXPECT_FALSE(in_context());
+    ThreadTeam team(6);
+    std::vector<int> stage(6, 0);
+    for (int region = 0; region < 5; ++region) {
+      team.parallel([&](int tid) {
+        for (int round = 1; round <= 10; ++round) {
+          stage[static_cast<std::size_t>(tid)] = region * 100 + round;
+          team.barrier();
+          for (int v : stage) {
+            if (v != region * 100 + round) violations.fetch_add(1);
+          }
+          team.barrier();
+        }
+      });
+    }
+  });
+  plain.join();
+  EXPECT_EQ(violations.load(), 0);
+}
+
+// ----- fibers -------------------------------------------------------------
+
+/// The calling OS thread, read opaquely: pthread_self() is declared const,
+/// so two inline reads around a park could be merged into one.
+[[gnu::noinline]] std::thread::id os_thread() {
+  std::thread::id id = std::this_thread::get_id();
+  asm volatile("" : : : "memory");
+  return id;
+}
+
+TEST(Fiber, ForkJoinRunsEveryIndexOnceAsAContext) {
+  // From outside the pool every index is a context; from a context, index 0
+  // runs on the caller itself.
+  std::vector<std::atomic<int>> hits(64);
+  std::atomic<int> outside{0};
+  std::atomic<int> nested_on_caller{0};
+  fork_join(64, [&](int index) {
+    hits[static_cast<std::size_t>(index)].fetch_add(1);
+    if (!in_context()) outside.fetch_add(1);
+    const std::thread::id caller = os_thread();
+    fork_join(2, [&](int inner) {
+      if (inner == 0 && os_thread() == caller) nested_on_caller.fetch_add(1);
+    });
+  });
+  EXPECT_FALSE(in_context());
+  for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
+  EXPECT_EQ(outside.load(), 0);
+  EXPECT_EQ(nested_on_caller.load(), 64);
+}
+
+TEST(Fiber, ParkingDuringUnwindingKeepsEachContextsExceptionState) {
+  // Contexts park in a destructor while an exception is in flight and inside
+  // a catch block, then rethrow. A context resumed on another worker must
+  // still see its own uncaught count and caught-exception stack. One context
+  // keeps its worker busy meanwhile, so the contexts parked from that worker
+  // are stolen by the others when they wake.
+  constexpr int kContexts = 64;
+  const bool many_workers = std::thread::hardware_concurrency() >= 2;
+  std::atomic<int> wrong{0};
+  std::atomic<int> migrated{0};
+  for (int attempt = 0; attempt < 20 && migrated.load() == 0; ++attempt) {
+    fork_join(kContexts, [&](int index) {
+      if (index == 1 && many_workers) {
+        sleep_for(std::chrono::milliseconds(1));
+        const auto until = Clock::now() + std::chrono::milliseconds(20);
+        while (Clock::now() < until) {
+        }
+        return;
+      }
+      struct ParksWhileUnwinding {
+        std::atomic<int>& wrong;
+        std::atomic<int>& migrated;
+        ~ParksWhileUnwinding() {
+          if (std::uncaught_exceptions() != 1) wrong.fetch_add(1);
+          const std::thread::id before = os_thread();
+          sleep_for(std::chrono::milliseconds(2));
+          if (os_thread() != before) migrated.fetch_add(1);
+          if (std::uncaught_exceptions() != 1) wrong.fetch_add(1);
+        }
+      };
+      try {
+        try {
+          ParksWhileUnwinding parks{wrong, migrated};
+          throw Error("context " + std::to_string(index));
+        } catch (const Error&) {
+          if (std::uncaught_exceptions() != 0) wrong.fetch_add(1);
+          sleep_for(std::chrono::microseconds(200));
+          throw;  // rethrows this context's caught exception
+        }
+      } catch (const Error& e) {
+        if (e.what() != "context " + std::to_string(index)) wrong.fetch_add(1);
+      }
+      if (std::uncaught_exceptions() != 0) wrong.fetch_add(1);
+    });
+    if (!many_workers) break;
+  }
+  EXPECT_EQ(wrong.load(), 0);
+  if (many_workers) {
+    EXPECT_GT(migrated.load(), 0);
+  }
+}
+
+TEST(Fiber, TimedWaitsTimeOutForContextsAndThreads) {
+  std::mutex mutex;
+  WaitList list;
+  std::atomic<int> timed_out{0};
+  fork_join(4, [&](int) {
+    std::unique_lock<std::mutex> lock(mutex);
+    if (!list.wait_until(lock, Clock::now() + std::chrono::milliseconds(20))) {
+      timed_out.fetch_add(1);
+    }
+  });
+  EXPECT_EQ(timed_out.load(), 4);
+}
+
+TEST(Fiber, NotifyWakesContextsAndThreadsOnOneList) {
+  std::mutex mutex;
+  WaitList list;
+  int waiting = 0;
+  bool go = false;
+  std::atomic<int> woken{0};
+  const auto wait_for_go = [&] {
+    std::unique_lock<std::mutex> lock(mutex);
+    ++waiting;
+    const auto deadline = Clock::now() + std::chrono::seconds(30);
+    while (!go) {
+      if (!list.wait_until(lock, deadline)) return;
+    }
+    woken.fetch_add(1);
+  };
+  std::thread plain(wait_for_go);  // an OS-thread waiter beside the contexts
+  fork_join(8, [&](int index) {
+    if (index < 7) {
+      wait_for_go();
+      return;
+    }
+    std::unique_lock<std::mutex> lock(mutex);
+    while (waiting < 8) {
+      lock.unlock();
+      sleep_for(std::chrono::milliseconds(1));
+      lock.lock();
+    }
+    go = true;
+    list.notify_all(lock);
+  });
+  plain.join();
+  EXPECT_EQ(woken.load(), 8);
+}
+
+TEST(Fiber, SleepingContextsLeaveTheirWorkersFree) {
+  // Sleeps park on the timer: 16 contexts per worker sleeping 100 ms each
+  // take about 100 ms, not 16 x 100 ms as they would on blocked workers.
+  const int contexts =
+      16 * static_cast<int>(std::max(1u, std::thread::hardware_concurrency()));
+  const auto start = std::chrono::steady_clock::now();
+  fork_join(contexts, [](int index) {
+    if (index > 0) sleep_for(std::chrono::milliseconds(100));
+  });
+  const double elapsed = std::chrono::duration<double>(
+                             std::chrono::steady_clock::now() - start)
+                             .count();
+  EXPECT_LT(elapsed, 1.0);
+}
+
+TEST(Fiber, FailedStackMappingThrowsError) {
+  EXPECT_THROW(detail::Stack(std::size_t{1} << 60), Error);
+}
+
+volatile std::size_t g_recursion_limit =
+    std::numeric_limits<std::size_t>::max();
+
+[[gnu::noinline]] std::size_t recurse(std::size_t depth) {
+  volatile char pad[1024];
+  pad[0] = static_cast<char>(depth);
+  if (depth >= g_recursion_limit) return pad[0];
+  return recurse(depth + 1) + static_cast<std::size_t>(pad[0]);
+}
+
+TEST(FiberDeathTest, StackOverflowFaultsOnTheGuardPage) {
+  // Re-execute rather than fork: the pool's workers would not survive a fork.
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  EXPECT_DEATH(fork_join(2,
+                         [](int index) {
+                           if (index == 1) (void)recurse(0);
+                         }),
+               "");
+}
+
+TEST(Fiber, ForkedChildFailsLoudlyOnTheParentsPool) {
+  fork_join(2, [](int) {});  // make sure the pool exists
+  const pid_t pid = fork();
+  ASSERT_GE(pid, 0);
+  if (pid == 0) {
+    alarm(10);  // a hang fails the test instead of stalling it
+    int code = 1;
+    try {
+      fork_join(2, [](int) {});
+    } catch (const Error& e) {
+      code = std::string(e.what()).find("forked child") != std::string::npos
+                 ? 42
+                 : 2;
+    }
+    _exit(code);
+  }
+  int status = 0;
+  ASSERT_EQ(waitpid(pid, &status, 0), pid);
+  ASSERT_TRUE(WIFEXITED(status)) << "child died by a signal";
+  EXPECT_EQ(WEXITSTATUS(status), 42);
 }
 
 }  // namespace
