@@ -328,6 +328,21 @@ trace::JobTrace Runner::expanded_trace(const ExperimentConfig& config) {
 
 ExperimentResult Runner::run(const ExperimentConfig& config, int attempt,
                              RunTier* tier) {
+  PresetResults placed =
+      run_presets(config, {&config.compile, 1}, attempt, tier);
+  ExperimentResult result;
+  result.config = config;
+  result.prediction = std::move(placed.predictions.front());
+  result.verified = placed.verified;
+  result.check_value = placed.check_value;
+  result.check_description = std::move(placed.check_description);
+  result.power = placed.power.front();
+  return result;
+}
+
+PresetResults Runner::run_presets(const ExperimentConfig& config,
+                                  std::span<const cg::CompileOptions> presets,
+                                  int attempt, RunTier* tier) {
   config.validate();
   cancel::checkpoint();
 
@@ -351,31 +366,43 @@ ExperimentResult Runner::run(const ExperimentConfig& config, int attempt,
   const topo::Binding binding = topo::Binding::make(
       topology, config.ranks, config.threads, config.alloc, config.bind);
 
-  ExperimentResult result;
-  result.config = config;
+  PresetResults out;
   const trace::PredictMemo memo{&stage1_memo_};
-  result.prediction =
-      exec->is_collapsed
-          ? trace::predict_job(config.processor, config.compile, binding,
-                               exec->collapsed, memo)
-          : trace::predict_job(config.processor, config.compile, binding,
-                               exec->stored.canonical, memo);
-  result.verified = exec->stored.verified;
-  result.check_value = exec->stored.check_value;
-  result.check_description = exec->stored.check_description;
+  const auto predict = [&](const auto& form) {
+    // One preset goes through predict_job, its one-preset call (same
+    // engine, same bits): fsbench's traced build wraps that entry point.
+    if (presets.size() == 1) {
+      out.predictions.push_back(trace::predict_job(
+          config.processor, presets.front(), binding, form, memo));
+    } else {
+      out.predictions = trace::predict_presets(config.processor, presets,
+                                               binding, form, memo);
+    }
+  };
+  if (exec->is_collapsed) {
+    predict(exec->collapsed);
+  } else {
+    predict(exec->stored.canonical);
+  }
+  out.verified = exec->stored.verified;
+  out.check_value = exec->stored.check_value;
+  out.check_description = exec->stored.check_description;
 
-  machine::PhaseTime aggregate;
-  aggregate.total_s = result.prediction.total_s;
-  aggregate.flops = result.prediction.flops;
-  aggregate.dram_bytes = result.prediction.dram_bytes;
   const int active_cores_per_node =
       (config.ranks * config.threads + config.nodes - 1) / config.nodes;
   const double nominal = config.nominal_freq_hz > 0.0
                              ? config.nominal_freq_hz
                              : config.processor.freq_hz;
-  result.power = machine::estimate_power(config.processor, aggregate,
-                                         active_cores_per_node, nominal);
-  return result;
+  out.power.reserve(out.predictions.size());
+  for (const trace::JobPrediction& prediction : out.predictions) {
+    machine::PhaseTime aggregate;
+    aggregate.total_s = prediction.total_s;
+    aggregate.flops = prediction.flops;
+    aggregate.dram_bytes = prediction.dram_bytes;
+    out.power.push_back(machine::estimate_power(
+        config.processor, aggregate, active_cores_per_node, nominal));
+  }
+  return out;
 }
 
 }  // namespace fibersim::core

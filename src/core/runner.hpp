@@ -30,7 +30,9 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <span>
 #include <string>
+#include <vector>
 
 #include "core/experiment.hpp"
 #include "machine/power_model.hpp"
@@ -52,6 +54,17 @@ struct ExperimentResult {
   double gflops() const { return prediction.gflops(); }
 };
 
+/// One placement predicted under several compile presets
+/// (Runner::run_presets): element k of each vector belongs to preset k.
+struct PresetResults {
+  std::vector<trace::JobPrediction> predictions;
+  std::vector<machine::PowerEstimate> power;
+  /// Every rank's verification must have passed.
+  bool verified = false;
+  double check_value = 0.0;
+  std::string check_description;
+};
+
 /// Which cache tier satisfied a run()'s execution: the in-memory tier-1
 /// entry (including coalescing onto another caller's in-flight native run),
 /// the persistent tier-2 store, or a fresh native execution. The serve
@@ -69,6 +82,16 @@ class Runner {
   /// `tier` (optional) receives which cache tier satisfied the execution.
   ExperimentResult run(const ExperimentConfig& config, int attempt = 0,
                        RunTier* tier = nullptr);
+
+  /// `config`'s placement predicted under each of `presets` (config.compile
+  /// itself is not predicted unless it is one of them): one execution
+  /// lookup, one binding and one communication replay per phase for all of
+  /// them, each prediction bit-identical to run() with config.compile set
+  /// to that preset. run() is the one-preset call. A fault plan's
+  /// prediction failure names `config` and fails the whole call.
+  PresetResults run_presets(const ExperimentConfig& config,
+                            std::span<const cg::CompileOptions> presets,
+                            int attempt = 0, RunTier* tier = nullptr);
 
   /// The full per-rank trace of `config`'s execution (cached or run as in
   /// run()), expanded on demand from the one form the cache holds. Costs

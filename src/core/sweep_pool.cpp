@@ -100,6 +100,40 @@ std::string error_text(const std::exception_ptr& error) {
 
 }  // namespace
 
+std::vector<std::exception_ptr> SweepPool::fan_out(
+    std::size_t n, const std::function<void(std::size_t)>& task) const {
+  // Slot i belongs exclusively to the worker that claimed index i; the join
+  // is the synchronisation point.
+  std::vector<std::exception_ptr> errors(n);
+  auto run_task = [&](std::size_t i) {
+    try {
+      task(i);
+    } catch (...) {
+      errors[i] = std::current_exception();
+    }
+  };
+  if (jobs_ == 1 || n <= 1) {
+    for (std::size_t i = 0; i < n; ++i) run_task(i);
+    return errors;
+  }
+  std::atomic<std::size_t> next{0};
+  auto worker = [&] {
+    while (true) {
+      const std::size_t i = next.fetch_add(1, std::memory_order_relaxed);
+      if (i >= n) return;
+      run_task(i);
+    }
+  };
+  const std::size_t workers =
+      std::min<std::size_t>(static_cast<std::size_t>(jobs_), n);
+  std::vector<std::thread> threads;
+  threads.reserve(workers - 1);
+  for (std::size_t w = 1; w < workers; ++w) threads.emplace_back(worker);
+  worker();
+  for (std::thread& t : threads) t.join();
+  return errors;
+}
+
 SweepOutcome SweepPool::run_resilient(
     Runner& runner, const std::vector<ExperimentConfig>& configs,
     const SweepControl& control) const {
@@ -109,14 +143,13 @@ SweepOutcome SweepPool::run_resilient(
 
   SweepOutcome outcome;
   outcome.results.resize(n);
-  // Slot i of `errors`/`attempts` belongs exclusively to the worker that
-  // claimed index i; the join is the synchronisation point.
-  std::vector<std::exception_ptr> errors(n);
+  // Slot i of `attempts` belongs exclusively to the worker that claimed
+  // index i, as in fan_out().
   std::vector<int> attempts(n, 0);
 
   Watchdog watchdog(control.watchdog_s);
 
-  auto run_task = [&](std::size_t i) {
+  const std::vector<std::exception_ptr> errors = fan_out(n, [&](std::size_t i) {
     const ExperimentConfig& config = configs[i];
     if (control.journal != nullptr &&
         control.journal->lookup(config, &outcome.results[i])) {
@@ -131,10 +164,7 @@ SweepOutcome SweepPool::run_resilient(
         }
         return;
       } catch (...) {
-        if (attempt >= control.max_retries) {
-          errors[i] = std::current_exception();
-          return;
-        }
+        if (attempt >= control.max_retries) throw;
         // Exponential backoff: wall-clock courtesy only; the retry
         // *sequence* (and with a fault plan, the fault pattern per attempt)
         // is deterministic regardless of these sleeps.
@@ -144,27 +174,7 @@ SweepOutcome SweepPool::run_resilient(
         }
       }
     }
-  };
-
-  if (jobs_ == 1 || n <= 1) {
-    for (std::size_t i = 0; i < n; ++i) run_task(i);
-  } else {
-    std::atomic<std::size_t> next{0};
-    auto worker = [&] {
-      while (true) {
-        const std::size_t i = next.fetch_add(1, std::memory_order_relaxed);
-        if (i >= n) return;
-        run_task(i);
-      }
-    };
-    const std::size_t workers =
-        std::min<std::size_t>(static_cast<std::size_t>(jobs_), n);
-    std::vector<std::thread> threads;
-    threads.reserve(workers - 1);
-    for (std::size_t w = 1; w < workers; ++w) threads.emplace_back(worker);
-    worker();
-    for (std::thread& t : threads) t.join();
-  }
+  });
 
   for (std::size_t i = 0; i < n; ++i) {
     if (!errors[i]) continue;

@@ -21,6 +21,7 @@
 #pragma once
 
 #include <exception>
+#include <functional>
 #include <string>
 #include <vector>
 
@@ -90,6 +91,15 @@ class SweepPool {
   SweepOutcome run_resilient(Runner& runner,
                              const std::vector<ExperimentConfig>& configs,
                              const SweepControl& control) const;
+
+  /// The pool's one fan-out loop: task(i) for every i in [0, n), inline
+  /// when jobs() == 1 or n <= 1, otherwise on min(jobs(), n) threads that
+  /// each claim the next unclaimed index. A throwing task fails only its own
+  /// index; the result holds each index's exception (null where the task
+  /// completed), so a caller can rethrow the lowest failed index whatever
+  /// order the workers ran in.
+  std::vector<std::exception_ptr> fan_out(
+      std::size_t n, const std::function<void(std::size_t)>& task) const;
 
  private:
   int jobs_;

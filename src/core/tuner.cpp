@@ -1,8 +1,10 @@
 #include "core/tuner.hpp"
 
 #include <algorithm>
+#include <exception>
 #include <limits>
 #include <numeric>
+#include <span>
 
 #include "common/error.hpp"
 #include "common/string_util.hpp"
@@ -28,7 +30,7 @@ Tuner::Tuner(Runner& runner, TunerOptions opts)
   presets_ = opts_.presets.empty() ? cg::search_presets() : opts_.presets;
 }
 
-std::vector<TuneCandidate> Tuner::space() const {
+std::vector<TuneCandidate> Tuner::placements() const {
   std::vector<TuneCandidate> out;
   for (std::size_t p = 0; p < processors_.size(); ++p) {
     const machine::ProcessorConfig& proc = processors_[p];
@@ -40,11 +42,20 @@ std::vector<TuneCandidate> Tuner::space() const {
     for (const auto& [ranks, threads] : combos) {
       for (const topo::ThreadBindPolicy& bind : strides) {
         for (const topo::RankAllocPolicy alloc : allocs) {
-          for (const cg::CompileOptions& compile : presets_) {
-            out.push_back({ranks, threads, alloc, bind, compile, p});
-          }
+          out.push_back({ranks, threads, alloc, bind, presets_.front(), p});
         }
       }
+    }
+  }
+  return out;
+}
+
+std::vector<TuneCandidate> Tuner::space() const {
+  std::vector<TuneCandidate> out;
+  for (TuneCandidate candidate : placements()) {
+    for (const cg::CompileOptions& compile : presets_) {
+      candidate.compile = compile;
+      out.push_back(candidate);
     }
   }
   return out;
@@ -70,9 +81,11 @@ ExperimentConfig Tuner::make_config(const TuneCandidate& candidate,
 }
 
 TuneOutcome Tuner::run() const {
-  const std::vector<TuneCandidate> candidates = space();
-  FS_REQUIRE(!candidates.empty(), "tuner search space is empty");
+  const std::vector<TuneCandidate> groups = placements();
+  FS_REQUIRE(!groups.empty(), "tuner search space is empty");
   const TuneBudget target{opts_.dataset, opts_.iterations};
+  const std::size_t n_presets = presets_.size();
+  const std::size_t space_size = groups.size() * n_presets;
 
   // The baseline the paper starts from: "as-is" compile at one rank per
   // NUMA domain, default placement, on the first processor. It is
@@ -82,56 +95,92 @@ TuneOutcome Tuner::run() const {
   base.ranks = proc.shape.numa_per_node();
   base.threads = proc.cores() / base.ranks;
   base.compile = cg::CompileOptions::as_is();
-  const std::size_t base_slot = static_cast<std::size_t>(
-      std::find(candidates.begin(), candidates.end(), base) -
-      candidates.begin());
+  TuneCandidate base_placement = base;
+  base_placement.compile = presets_.front();
+  const std::size_t base_group = static_cast<std::size_t>(
+      std::find(groups.begin(), groups.end(), base_placement) -
+      groups.begin());
+  const std::size_t base_preset = static_cast<std::size_t>(
+      std::find(presets_.begin(), presets_.end(), base.compile) -
+      presets_.begin());
+  const bool base_in_space =
+      base_group < groups.size() && base_preset < n_presets;
+  const std::size_t base_slot =
+      base_in_space ? base_group * n_presets + base_preset : space_size;
 
-  std::vector<ExperimentConfig> configs;
-  configs.reserve(candidates.size() + 1);
-  for (const TuneCandidate& candidate : candidates) {
-    configs.push_back(make_config(candidate, target));
+  // One task per placement: one execution lookup, one binding and one comm
+  // replay for all of its presets, whose scores land in their enumeration
+  // slots. The out-of-space baseline is a one-preset task, scored last.
+  struct Score {
+    double seconds = 0.0;
+    double gflops = 0.0;
+    double bw_pressure = 0.0;
+  };
+  std::vector<Score> scores(space_size + (base_in_space ? 0 : 1));
+  const auto score = [&](const ExperimentConfig& config,
+                         std::span<const cg::CompileOptions> presets,
+                         std::size_t first_slot) {
+    const PresetResults placed = runner_.run_presets(config, presets);
+    for (std::size_t k = 0; k < presets.size(); ++k) {
+      const trace::JobPrediction& prediction = placed.predictions[k];
+      scores[first_slot + k] = {prediction.total_s, prediction.gflops(),
+                                prediction.bw_pressure()};
+    }
+  };
+  const std::size_t tasks = groups.size() + (base_in_space ? 0 : 1);
+  const std::vector<std::exception_ptr> errors =
+      SweepPool(opts_.jobs).fan_out(tasks, [&](std::size_t t) {
+        if (t < groups.size()) {
+          score(make_config(groups[t], target), presets_, t * n_presets);
+        } else {
+          score(make_config(base, target), {&base.compile, 1}, space_size);
+        }
+      });
+  for (const std::exception_ptr& error : errors) {
+    if (error) std::rethrow_exception(error);
   }
-  if (base_slot == candidates.size()) {
-    configs.push_back(make_config(base, target));
-  }
-  const std::vector<ExperimentResult> results =
-      SweepPool(opts_.jobs).run(runner_, configs);
 
-  // Every evaluation in enumeration order, the out-of-space baseline last.
-  std::vector<TuneEvaluation> evals(results.size());
-  for (std::size_t i = 0; i < results.size(); ++i) {
-    evals[i].candidate = i < candidates.size() ? candidates[i] : base;
-    evals[i].seconds = results[i].seconds();
-    evals[i].gflops = results[i].gflops();
-    evals[i].bw_pressure = results[i].prediction.bw_pressure();
-  }
+  // Slot `slot` of the space is placement slot / n_presets under preset
+  // slot % n_presets.
+  const auto evaluation = [&](std::size_t slot) {
+    TuneEvaluation eval;
+    eval.candidate = base;
+    if (slot < space_size) {
+      eval.candidate = groups[slot / n_presets];
+      eval.candidate.compile = presets_[slot % n_presets];
+    }
+    eval.seconds = scores[slot].seconds;
+    eval.gflops = scores[slot].gflops;
+    eval.bw_pressure = scores[slot].bw_pressure;
+    return eval;
+  };
 
   TuneOutcome outcome;
-  outcome.space_size = candidates.size();
-  outcome.evaluations = evals.size();
-  outcome.deduped = base_slot < candidates.size() ? 1 : 0;
-  outcome.baseline = evals[base_slot];
+  outcome.space_size = space_size;
+  outcome.evaluations = scores.size();
+  outcome.deduped = base_in_space ? 1 : 0;
+  outcome.baseline = evaluation(base_slot);
 
   // Argmin and the Pareto front over (predicted time, memory-BW pressure).
   // The stable sort keeps enumeration order on exact ties, so both are
   // deterministic regardless of jobs.
-  std::vector<std::size_t> by_time(evals.size());
+  std::vector<std::size_t> by_time(scores.size());
   std::iota(by_time.begin(), by_time.end(), std::size_t{0});
   std::stable_sort(by_time.begin(), by_time.end(),
                    [&](std::size_t a, std::size_t b) {
-                     const TuneEvaluation& ea = evals[a];
-                     const TuneEvaluation& eb = evals[b];
-                     if (ea.seconds != eb.seconds) {
-                       return ea.seconds < eb.seconds;
+                     const Score& sa = scores[a];
+                     const Score& sb = scores[b];
+                     if (sa.seconds != sb.seconds) {
+                       return sa.seconds < sb.seconds;
                      }
-                     return ea.bw_pressure < eb.bw_pressure;
+                     return sa.bw_pressure < sb.bw_pressure;
                    });
-  outcome.best = evals[by_time.front()];
+  outcome.best = evaluation(by_time.front());
   double best_bw = std::numeric_limits<double>::infinity();
   for (const std::size_t i : by_time) {
-    if (evals[i].bw_pressure < best_bw) {
-      outcome.pareto.push_back(evals[i]);
-      best_bw = evals[i].bw_pressure;
+    if (scores[i].bw_pressure < best_bw) {
+      outcome.pareto.push_back(evaluation(i));
+      best_bw = scores[i].bw_pressure;
     }
   }
   return outcome;

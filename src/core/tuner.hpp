@@ -1,20 +1,27 @@
 // core::Tuner — memoized exhaustive search over the full configuration
 // cross-product.
 //
-// The search space is (MPI x OMP divisor pairs) x (thread-bind stride) x
-// (rank allocation) x (compile presets: T3 ladder x compiler profile x
-// unroll x fission) x (processor). The tuner predicts every point once at
-// the target budget and takes the argmin; the Runner's cache tiers (tier-1
-// execution memo / TraceStore, the stage-1 memo) make that cheap, because
-// the whole space shares a few dozen native executions and a few thousand
-// stage-1 evaluations. The as-is baseline is answered from the space when
-// it lies inside it and predicted on its own otherwise.
+// The search space is (processor) x (MPI x OMP divisor pairs) x
+// (thread-bind stride) x (rank allocation) x (compile presets: T3 ladder x
+// compiler profile x unroll x fission), enumerated in that order, so the
+// presets of one placement are consecutive. The tuner evaluates the space
+// one placement (processor, ranks x threads, allocation, binding) at a
+// time: Runner::run_presets costs all presets of a placement against one
+// execution lookup, one binding and one communication replay per phase,
+// because compile options change only a class's work, never its traffic.
+// Each candidate's prediction is bit-identical to a Runner::run of it alone.
+// The Runner's cache tiers (tier-1 execution memo / TraceStore, the stage-1
+// memo) keep the rest cheap: the whole space shares a few dozen native
+// executions and a few thousand stage-1 evaluations. The as-is baseline is
+// answered from the space when it lies inside it and predicted on its own
+// otherwise. Per candidate the tuner keeps only the three numbers it ranks.
 //
 // Determinism contract: for fixed TunerOptions the outcome — best config,
 // Pareto front, every tuner-level counter — is byte-identical for any jobs
-// count. Evaluations fan out through core::SweepPool (slot-ordered
-// results), and the argmin and the Pareto front reduce in enumeration
-// order with ties broken by BW pressure, then enumeration index.
+// count. Placement tasks fan out through SweepPool::fan_out (scores land in
+// enumeration slots; the lowest failed task is rethrown), and the argmin
+// and the Pareto front reduce in enumeration order with ties broken by BW
+// pressure, then enumeration index.
 #pragma once
 
 #include <cstdint>
@@ -104,6 +111,10 @@ class Tuner {
   TuneOutcome run() const;
 
  private:
+  /// One candidate per placement, in enumeration order, each carrying the
+  /// first preset: space() is placements() x presets, preset innermost.
+  std::vector<TuneCandidate> placements() const;
+
   Runner& runner_;
   TunerOptions opts_;
   std::vector<machine::ProcessorConfig> processors_;

@@ -278,28 +278,36 @@ void for_each_send(const CollapsedTrace& trace, std::size_t p, int rank,
   }
 }
 
-/// The class-replay engine behind both class-compressed predict_job
-/// overloads. Stage 1 costs each equivalence class once (codegen, thread
-/// share, exec-model work evaluation, collective terms); stage 2 streams
-/// placement and point-to-point costs rank-major in the naive path's order,
-/// so every output bit matches predict_job(JobTrace) on the expanded trace.
+/// The class-replay engine behind every class-compressed predict path: one
+/// placement, one prediction per compile preset. Per phase, the comm half
+/// (collective terms, pass A contention, the point-to-point stream) reads no
+/// compile option and runs once. Then each preset costs every equivalence
+/// class once in stage 1 (codegen, thread share, exec-model work evaluation)
+/// and streams placement rank-major in the naive path's order. The comm and
+/// work sums never mix, so each preset's floating-point sequence — and
+/// therefore every output bit — matches predict_job(JobTrace) on the
+/// expanded trace. Prediction k is written to out[k] (out.size() ==
+/// presets.size(), each default-constructed).
 template <typename Trace>
-JobPrediction replay_classes(const machine::ProcessorConfig& cfg,
-                             const cg::CompileOptions& opts,
-                             const topo::Binding& binding, const Trace& trace,
-                             const PredictMemo& memo) {
+void replay_classes(const machine::ProcessorConfig& cfg,
+                    std::span<const cg::CompileOptions> presets,
+                    const topo::Binding& binding, const Trace& trace,
+                    const PredictMemo& memo, std::span<JobPrediction> out) {
   const machine::ExecModel exec(cfg);
   const machine::CommCostModel comm_model(cfg, binding.topology().nodes());
   const int ranks = binding.ranks();
   const int threads = binding.threads_per_rank();
-  // The stage-1 memo context, registered once per predict; the predict's
-  // lookups (one per class per phase) are counted in one add.
-  std::uint64_t context = 0;
+  // The stage-1 memo context of each preset, registered once per predict;
+  // the predict's lookups (one per class per phase per preset) are counted
+  // in one add.
+  std::vector<std::uint64_t> contexts(presets.size(), 0);
   if (memo.stage1 != nullptr) {
-    context = memo.stage1->context_token(cfg, opts);
+    for (std::size_t k = 0; k < presets.size(); ++k) {
+      contexts[k] = memo.stage1->context_token(cfg, presets[k]);
+    }
     std::size_t lookups = 0;
     for (const auto& ph : trace.phases()) lookups += ph.classes.size();
-    memo.stage1->count_lookups(lookups);
+    memo.stage1->count_lookups(lookups * presets.size());
   }
 
   // Placement: the binding's flat per-rank and per-thread arrays, and the
@@ -320,14 +328,17 @@ JobPrediction replay_classes(const machine::ProcessorConfig& cfg,
   const topo::Distance job_span = binding.job_span();
   const std::size_t t_count = static_cast<std::size_t>(threads);
 
-  JobPrediction out;
-  out.phases.reserve(trace.phase_count());
+  for (JobPrediction& prediction : out) {
+    prediction.phases.reserve(trace.phase_count());
+  }
   machine::ExecModel::PhaseAccumulator phase_acc(
       exec, binding.topology().total_numa_domains());
 
+  // Per class of the current phase: its collective terms, and the current
+  // preset's stage-1 evaluation.
   struct ClassEval {
-    machine::WorkEval eval;
     std::vector<double> coll_terms;
+    machine::WorkEval eval;
   };
   std::vector<ClassEval> class_evals;
   // Pass A's flow index of every remote send, in send order.
@@ -338,16 +349,11 @@ JobPrediction replay_classes(const machine::ProcessorConfig& cfg,
     const auto& ph = trace.phases()[p];
     const bool fan_out = ph.parallel && threads > 1;
 
-    // Stage 1 — per equivalence class, not per rank. Work and collective
-    // logs are identical within a class, so the class record stands for
-    // every member bitwise.
-    // A fanned-out phase evaluates each thread's 1/threads share.
-    const int share = fan_out ? threads : 1;
-    const std::uint64_t phase_context =
-        machine::EvalCache::with_share(context, share);
-    class_evals.clear();
-    class_evals.reserve(ph.classes.size());
-    for (const auto& cls : ph.classes) {
+    // Comm half. Collective logs are identical within a class, so the class
+    // record's terms stand for every member bitwise.
+    class_evals.resize(ph.classes.size());
+    for (std::size_t c = 0; c < ph.classes.size(); ++c) {
+      const auto& cls = ph.classes[c];
       // The stream below indexes the placement arrays by destination rank
       // unchecked; a canonical class lists its members' destinations, and a
       // collapsed member's are grid steps from its representative's.
@@ -355,15 +361,8 @@ JobPrediction replay_classes(const machine::ProcessorConfig& cfg,
         FS_REQUIRE(dst >= 0 && dst < ranks,
                    "send destination outside the job in phase " + ph.name);
       }
-      ClassEval ce;
-      ce.eval = memo.stage1 != nullptr
-                    ? memo.stage1->work_eval(exec, phase_context,
-                                             cls.record.work, cls.work_hash)
-                    : machine::EvalCache::evaluate(exec, opts, share,
-                                                   cls.record.work);
-      ce.coll_terms =
+      class_evals[c].coll_terms =
           collective_terms(comm_model, ranks, job_span, cls.record.comm);
-      class_evals.push_back(std::move(ce));
     }
 
     // Pass A: aggregate the phase's inter-node traffic for contention,
@@ -385,26 +384,13 @@ JobPrediction replay_classes(const machine::ProcessorConfig& cfg,
     }
     contention.seal();
 
-    // Stage 2 — stream placement and sends in the naive rank-major order,
-    // so the accumulation sequence (and therefore every output bit) matches
-    // the naive path exactly. A remote send reads its pair's hops and
+    // Stage 2, comm stream: each rank's sends in the naive order, then its
+    // class's collective terms. A remote send reads its pair's hops and
     // foreign bytes straight from its flow.
     std::size_t next_flow = 0;
     double worst_comm_s = 0.0;
     for (int rank = 0; rank < ranks; ++rank) {
-      const ClassEval& ce =
-          class_evals[static_cast<std::size_t>(class_of(trace, p, rank))];
       const std::size_t r = static_cast<std::size_t>(rank);
-      if (fan_out) {
-        const double barrier_s =
-            team_barrier[static_cast<std::size_t>(span_of[r])];
-        for (std::size_t t = 0; t < t_count; ++t) {
-          phase_acc.add(ce.eval, numa_of[r * t_count + t], home_of[r],
-                        barrier_s);
-        }
-      } else {
-        phase_acc.add(ce.eval, numa_of[r * t_count], home_of[r], 0.0);
-      }
       double comm_s = 0.0;
       for_each_send(
           trace, p, rank,
@@ -421,28 +407,67 @@ JobPrediction replay_classes(const machine::ProcessorConfig& cfg,
                                            home_of[d], messages, bytes);
             }
           });
-      for (const double term : ce.coll_terms) comm_s += term;
+      for (const double term :
+           class_evals[static_cast<std::size_t>(class_of(trace, p, rank))]
+               .coll_terms) {
+        comm_s += term;
+      }
       worst_comm_s = std::max(worst_comm_s, comm_s);
     }
 
-    PhasePrediction phase;
-    phase.name = ph.name;
-    phase.timed = ph.timed;
-    phase.time = phase_acc.finish();
-    // Per-entry team barriers: the accumulator charged one fork-join;
-    // charge the remaining entries.
-    if (fan_out && ph.entries > 1) {
-      const double extra = static_cast<double>(ph.entries - 1) *
-                           exec.barrier_seconds(threads, widest);
-      phase.time.barrier_s += extra;
-      phase.time.total_s += extra;
-    }
-    phase.comm_s = worst_comm_s;
-    phase.total_s = phase.time.total_s + phase.comm_s;
+    // Work half, per preset. A fanned-out phase evaluates each thread's
+    // 1/threads share.
+    const int share = fan_out ? threads : 1;
+    for (std::size_t k = 0; k < presets.size(); ++k) {
+      // Stage 1 — per equivalence class, not per rank: work is identical
+      // within a class, so the class record stands for every member.
+      const std::uint64_t phase_context =
+          machine::EvalCache::with_share(contexts[k], share);
+      for (std::size_t c = 0; c < ph.classes.size(); ++c) {
+        const auto& cls = ph.classes[c];
+        class_evals[c].eval =
+            memo.stage1 != nullptr
+                ? memo.stage1->work_eval(exec, phase_context, cls.record.work,
+                                         cls.work_hash)
+                : machine::EvalCache::evaluate(exec, presets[k], share,
+                                               cls.record.work);
+      }
 
-    accumulate_phase(out, std::move(phase));
+      // Stage 2, work stream: placement in the naive rank-major order.
+      for (int rank = 0; rank < ranks; ++rank) {
+        const machine::WorkEval& eval =
+            class_evals[static_cast<std::size_t>(class_of(trace, p, rank))]
+                .eval;
+        const std::size_t r = static_cast<std::size_t>(rank);
+        if (fan_out) {
+          const double barrier_s =
+              team_barrier[static_cast<std::size_t>(span_of[r])];
+          for (std::size_t t = 0; t < t_count; ++t) {
+            phase_acc.add(eval, numa_of[r * t_count + t], home_of[r],
+                          barrier_s);
+          }
+        } else {
+          phase_acc.add(eval, numa_of[r * t_count], home_of[r], 0.0);
+        }
+      }
+
+      PhasePrediction phase;
+      phase.name = ph.name;
+      phase.timed = ph.timed;
+      phase.time = phase_acc.finish();
+      // Per-entry team barriers: the accumulator charged one fork-join;
+      // charge the remaining entries.
+      if (fan_out && ph.entries > 1) {
+        const double extra = static_cast<double>(ph.entries - 1) *
+                             exec.barrier_seconds(threads, widest);
+        phase.time.barrier_s += extra;
+        phase.time.total_s += extra;
+      }
+      phase.comm_s = worst_comm_s;
+      phase.total_s = phase.time.total_s + phase.comm_s;
+      accumulate_phase(out[k], std::move(phase));
+    }
   }
-  return out;
 }
 
 }  // namespace
@@ -454,7 +479,9 @@ JobPrediction predict_job(const machine::ProcessorConfig& cfg,
                           const PredictMemo& memo) {
   FS_REQUIRE(trace.ranks() == binding.ranks(),
              "trace rank count does not match the binding");
-  return replay_classes(cfg, opts, binding, trace, memo);
+  JobPrediction out;
+  replay_classes(cfg, {&opts, 1}, binding, trace, memo, {&out, 1});
+  return out;
 }
 
 JobPrediction predict_job(const machine::ProcessorConfig& cfg,
@@ -464,7 +491,31 @@ JobPrediction predict_job(const machine::ProcessorConfig& cfg,
                           const PredictMemo& memo) {
   FS_REQUIRE(trace.ranks() == binding.ranks(),
              "collapsed trace rank count does not match the binding");
-  return replay_classes(cfg, opts, binding, trace, memo);
+  JobPrediction out;
+  replay_classes(cfg, {&opts, 1}, binding, trace, memo, {&out, 1});
+  return out;
+}
+
+std::vector<JobPrediction> predict_presets(
+    const machine::ProcessorConfig& cfg,
+    std::span<const cg::CompileOptions> presets, const topo::Binding& binding,
+    const CanonicalTrace& trace, const PredictMemo& memo) {
+  FS_REQUIRE(trace.ranks() == binding.ranks(),
+             "trace rank count does not match the binding");
+  std::vector<JobPrediction> out(presets.size());
+  replay_classes(cfg, presets, binding, trace, memo, out);
+  return out;
+}
+
+std::vector<JobPrediction> predict_presets(
+    const machine::ProcessorConfig& cfg,
+    std::span<const cg::CompileOptions> presets, const topo::Binding& binding,
+    const CollapsedTrace& trace, const PredictMemo& memo) {
+  FS_REQUIRE(trace.ranks() == binding.ranks(),
+             "collapsed trace rank count does not match the binding");
+  std::vector<JobPrediction> out(presets.size());
+  replay_classes(cfg, presets, binding, trace, memo, out);
+  return out;
 }
 
 }  // namespace fibersim::trace

@@ -6,6 +6,7 @@
 // model seconds, never host wall-clock.
 #pragma once
 
+#include <span>
 #include <string>
 #include <vector>
 
@@ -98,5 +99,21 @@ JobPrediction predict_job(const machine::ProcessorConfig& cfg,
                           const topo::Binding& binding,
                           const CollapsedTrace& trace,
                           const PredictMemo& memo = {});
+
+/// Predict one placement under every compile preset of `presets`: element k
+/// is bit-identical to predict_job(cfg, presets[k], binding, trace, memo).
+/// Compile options change only a class's work, never its traffic, so the
+/// communication half of each phase (collective terms, link contention and
+/// the point-to-point stream) runs once for all presets; each preset then
+/// runs its own stage-1 lookups and its own placement accumulation. The two
+/// predict_job overloads above are the one-preset calls of this engine.
+std::vector<JobPrediction> predict_presets(
+    const machine::ProcessorConfig& cfg,
+    std::span<const cg::CompileOptions> presets, const topo::Binding& binding,
+    const CanonicalTrace& trace, const PredictMemo& memo = {});
+std::vector<JobPrediction> predict_presets(
+    const machine::ProcessorConfig& cfg,
+    std::span<const cg::CompileOptions> presets, const topo::Binding& binding,
+    const CollapsedTrace& trace, const PredictMemo& memo = {});
 
 }  // namespace fibersim::trace

@@ -7,12 +7,15 @@
 
 #include <cstdint>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "miniapps/miniapp.hpp"
 #include "mp/job.hpp"
+#include "mp/symmetry.hpp"
 #include "rt/thread_team.hpp"
 #include "trace/canonical.hpp"
+#include "trace/collapsed.hpp"
 #include "trace/recorder.hpp"
 
 namespace fibersim {
@@ -49,6 +52,26 @@ inline NativeRun record_native(const std::string& app, int ranks, int threads,
     out.trace[rank] = rec.phases();
   });
   return out;
+}
+
+/// `app` run rank-collapsed: one representative per class of its declared
+/// rank symmetry, assembled into the virtual `ranks`-rank job.
+inline trace::CollapsedTrace record_collapsed(
+    const std::string& app, int ranks, int threads,
+    apps::Dataset dataset = apps::Dataset::kSmall, int iterations = 1,
+    std::uint64_t seed = 42) {
+  const mp::CollapseSpec spec =
+      apps::create_miniapp(app)->collapse_spec(dataset, /*weak_scale=*/1);
+  EXPECT_TRUE(spec.collapsible()) << app << " declares no collapse spec";
+  mp::RankSymmetry symmetry = mp::RankSymmetry::build(spec, ranks);
+  trace::JobTrace reps(static_cast<std::size_t>(symmetry.classes()));
+  mp::Job::run_collapsed(symmetry, [&](mp::Comm& comm) {
+    trace::Recorder rec(&comm);
+    (void)run_rank(comm, rec, app, threads, dataset, iterations, seed);
+    reps[static_cast<std::size_t>(symmetry.class_of(comm.rank()))] =
+        rec.phases();
+  });
+  return trace::CollapsedTrace::assemble(std::move(symmetry), reps);
 }
 
 /// Bitwise equality of two raw traces, rank by rank and phase by phase.

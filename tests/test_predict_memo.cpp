@@ -10,6 +10,7 @@
 #include <cstdint>
 #include <latch>
 #include <limits>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -21,6 +22,7 @@
 #include "machine/eval_cache.hpp"
 #include "native_trace.hpp"
 #include "trace/canonical.hpp"
+#include "trace/collapsed.hpp"
 #include "trace/predict.hpp"
 
 namespace fibersim {
@@ -55,6 +57,12 @@ void expect_identical(const trace::JobPrediction& a,
     EXPECT_TRUE(
         same_bits(a.phases[p].time.barrier_s, b.phases[p].time.barrier_s));
     EXPECT_TRUE(same_bits(a.phases[p].time.flops, b.phases[p].time.flops));
+    EXPECT_TRUE(
+        same_bits(a.phases[p].time.dram_bytes, b.phases[p].time.dram_bytes));
+    EXPECT_TRUE(same_bits(a.phases[p].time.remote_bytes,
+                          b.phases[p].time.remote_bytes));
+    EXPECT_TRUE(same_bits(a.phases[p].time.chain_s, b.phases[p].time.chain_s));
+    EXPECT_EQ(a.phases[p].time.limiter, b.phases[p].time.limiter);
   }
 }
 
@@ -114,6 +122,62 @@ TEST(PredictMemo, BitIdenticalForEveryMiniappAndDataset) {
       {cg::CompileOptions::as_is(), cg::CompileOptions::simd_enhanced(),
        cg::CompileOptions::simd_sched()},
       core::alloc_policies(), binds);
+}
+
+// The multi-preset engine against one single-preset predict per preset:
+// every app under all 36 search presets, from a canonical and a collapsed
+// trace, on 1, 4 and 16 nodes (remote sends, shared torus links), packed on
+// an A64FX with block ranks and scattered on a dual Skylake with cyclic
+// ranks. The engine runs each phase's comm half once for all presets; each
+// preset's prediction must still be bit-identical to its own predict_job.
+TEST(PredictPresets, EachPresetEqualsItsOwnPredictJob) {
+  constexpr int kRanks = 16;
+  constexpr int kThreads = 2;
+  const std::vector<cg::CompileOptions> presets = cg::search_presets();
+  ASSERT_EQ(presets.size(), 36u);
+  struct Placement {
+    machine::ProcessorConfig cfg;
+    topo::RankAllocPolicy alloc;
+    topo::ThreadBindPolicy bind;
+  };
+  const std::vector<Placement> placements = {
+      {machine::a64fx(), topo::RankAllocPolicy::kBlock,
+       topo::ThreadBindPolicy::compact()},
+      {machine::skylake8168_dual(), topo::RankAllocPolicy::kCyclic,
+       topo::ThreadBindPolicy::scatter()}};
+
+  for (const std::string& app : apps::registry_names()) {
+    const trace::CanonicalTrace canonical = trace::CanonicalTrace::build(
+        record_native(app, kRanks, kThreads).trace);
+    const trace::CollapsedTrace collapsed =
+        record_collapsed(app, kRanks, kThreads);
+    for (const Placement& placement : placements) {
+      for (const int nodes : {1, 4, kRanks}) {
+        const topo::Topology topology(placement.cfg.shape, nodes);
+        const topo::Binding binding =
+            topo::Binding::make(topology, kRanks, kThreads, placement.alloc,
+                                placement.bind);
+        machine::EvalCache stage1;
+        const trace::PredictMemo memo{&stage1};
+        const auto check = [&](const auto& trace, const char* form) {
+          SCOPED_TRACE(app + " " + form + " on " + placement.cfg.name + ", " +
+                       std::to_string(nodes) + " node(s)");
+          const std::vector<trace::JobPrediction> multi =
+              trace::predict_presets(placement.cfg, presets, binding, trace,
+                                     memo);
+          ASSERT_EQ(multi.size(), presets.size());
+          for (std::size_t k = 0; k < presets.size(); ++k) {
+            SCOPED_TRACE(presets[k].name());
+            expect_identical(multi[k],
+                             trace::predict_job(placement.cfg, presets[k],
+                                                binding, trace));
+          }
+        };
+        check(canonical, "canonical");
+        check(collapsed, "collapsed");
+      }
+    }
+  }
 }
 
 TEST(CanonicalTrace, GroupsRanksAndValidatesOnce) {

@@ -1,9 +1,12 @@
 // core::Tuner property tests.
 //
 // The load-bearing contracts:
-//   * for every miniapp the recommended config and the Pareto front equal
-//     the argmin and the non-dominated set of an independent brute-force
-//     sweep over the same space at the target budget;
+//   * for every miniapp the recommended config, the Pareto front and the
+//     baseline equal the argmin, the non-dominated set and the as-is point
+//     of an independent brute-force sweep over the same space at the target
+//     budget — on a trimmed space, and on the default three-processor space
+//     for one app;
+//   * an injected prediction failure surfaces as the first candidate's;
 //   * seeded determinism: the rendered tune report is byte-identical for
 //     --jobs 1 and --jobs 4, per the contract in tuner.hpp;
 //   * the Pareto front is a genuine non-dominated set containing the best;
@@ -21,9 +24,12 @@
 
 #include <gtest/gtest.h>
 
+#include "common/error.hpp"
 #include "common/report_emit.hpp"
+#include "common/string_util.hpp"
 #include "core/sweep_pool.hpp"
 #include "core/tuner.hpp"
+#include "fault/fault.hpp"
 #include "miniapps/miniapp.hpp"
 
 namespace fibersim::core {
@@ -48,74 +54,134 @@ TunerOptions trimmed_options(const std::string& app) {
   return opts;
 }
 
+/// Tunes `opts` and checks the outcome against an independent brute-force
+/// sweep on a fresh runner, one Runner::run per candidate through
+/// SweepPool::run: best, Pareto front and baseline, bit for bit.
+void expect_matches_brute_force(const TunerOptions& opts) {
+  const std::string& app = opts.app;
+  Runner tuner_runner;
+  const TuneOutcome outcome = Tuner(tuner_runner, opts).run();
+
+  // Brute force on a fresh runner: every candidate at the target budget.
+  Runner brute_runner;
+  Tuner enumerator(brute_runner, opts);
+  const std::vector<TuneCandidate> space = enumerator.space();
+  ASSERT_FALSE(space.empty()) << app;
+  EXPECT_EQ(outcome.space_size, space.size()) << app;
+  // The space holds the as-is baseline, so it is never predicted twice.
+  EXPECT_EQ(outcome.evaluations, space.size()) << app;
+  EXPECT_EQ(outcome.deduped, 1u) << app;
+  const TuneBudget target{opts.dataset, opts.iterations};
+  std::vector<ExperimentConfig> configs;
+  configs.reserve(space.size());
+  for (const TuneCandidate& candidate : space) {
+    configs.push_back(enumerator.make_config(candidate, target));
+  }
+  const std::vector<ExperimentResult> results =
+      SweepPool(2).run(brute_runner, configs);
+  ASSERT_EQ(results.size(), space.size()) << app;
+  const auto seconds = [&](std::size_t i) { return results[i].seconds(); };
+  const auto bw = [&](std::size_t i) {
+    return results[i].prediction.bw_pressure();
+  };
+  // Same tie-break as the tuner's argmin: seconds, then BW pressure, then
+  // enumeration order.
+  std::size_t best = 0;
+  for (std::size_t i = 1; i < results.size(); ++i) {
+    if (seconds(i) < seconds(best) ||
+        (seconds(i) == seconds(best) && bw(i) < bw(best))) {
+      best = i;
+    }
+  }
+
+  EXPECT_TRUE(same_bits(outcome.best.seconds, seconds(best)))
+      << app << ": tuner " << outcome.best.seconds << " vs exhaustive "
+      << seconds(best);
+  EXPECT_TRUE(same_bits(outcome.best.gflops, results[best].gflops())) << app;
+  EXPECT_EQ(outcome.best.candidate, space[best]) << app;
+
+  // The baseline: as-is compile at one rank per NUMA domain, default
+  // placement, on the first processor.
+  TuneCandidate base;
+  base.ranks = configs.front().processor.shape.numa_per_node();
+  base.threads = configs.front().processor.cores() / base.ranks;
+  base.compile = cg::CompileOptions::as_is();
+  const std::size_t base_slot = static_cast<std::size_t>(
+      std::find(space.begin(), space.end(), base) - space.begin());
+  ASSERT_LT(base_slot, space.size()) << app;
+  EXPECT_EQ(outcome.baseline.candidate, base) << app;
+  EXPECT_TRUE(same_bits(outcome.baseline.seconds, seconds(base_slot))) << app;
+  EXPECT_TRUE(same_bits(outcome.baseline.gflops, results[base_slot].gflops()))
+      << app;
+  EXPECT_TRUE(same_bits(outcome.baseline.bw_pressure, bw(base_slot))) << app;
+
+  // The non-dominated set over (seconds, BW pressure); of exact
+  // duplicates the first in enumeration order stands for all.
+  std::vector<std::size_t> front;
+  for (std::size_t i = 0; i < results.size(); ++i) {
+    bool dominated = false;
+    for (std::size_t j = 0; j < results.size() && !dominated; ++j) {
+      const bool no_worse = seconds(j) <= seconds(i) && bw(j) <= bw(i);
+      const bool better = seconds(j) < seconds(i) || bw(j) < bw(i);
+      dominated = no_worse && (better || j < i);
+    }
+    if (!dominated) front.push_back(i);
+  }
+  std::sort(front.begin(), front.end(), [&](std::size_t a, std::size_t b) {
+    return seconds(a) < seconds(b);
+  });
+  ASSERT_EQ(outcome.pareto.size(), front.size()) << app;
+  for (std::size_t k = 0; k < front.size(); ++k) {
+    EXPECT_EQ(outcome.pareto[k].candidate, space[front[k]]) << app;
+    EXPECT_TRUE(same_bits(outcome.pareto[k].seconds, seconds(front[k])))
+        << app;
+    EXPECT_TRUE(same_bits(outcome.pareto[k].bw_pressure, bw(front[k])))
+        << app;
+  }
+}
+
 TEST(Tuner, ArgminEqualsBruteForceForEveryApp) {
   for (const std::string& app : apps::registry_names()) {
-    const TunerOptions opts = trimmed_options(app);
+    expect_matches_brute_force(trimmed_options(app));
+  }
+}
 
-    Runner tuner_runner;
-    const TuneOutcome outcome = Tuner(tuner_runner, opts).run();
+// The default space: every comparison processor and every MPI x OMP pair,
+// so placement tasks cross processor boundaries, which the trimmed space
+// never does.
+TEST(Tuner, DefaultFullSpaceEqualsBruteForce) {
+  TunerOptions opts;
+  opts.app = "ffvc";
+  opts.iterations = 2;
+  opts.jobs = 2;
+  ASSERT_GT(machine::comparison_set().size(), 1u);
+  expect_matches_brute_force(opts);
+}
 
-    // Brute force on a fresh runner: every candidate at the target budget.
-    Runner brute_runner;
-    Tuner enumerator(brute_runner, opts);
-    const std::vector<TuneCandidate> space = enumerator.space();
-    ASSERT_FALSE(space.empty()) << app;
-    EXPECT_EQ(outcome.space_size, space.size()) << app;
-    // The trimmed space holds the as-is baseline, so it is never predicted
-    // twice.
-    EXPECT_EQ(outcome.evaluations, space.size()) << app;
-    EXPECT_EQ(outcome.deduped, 1u) << app;
-    const TuneBudget target{opts.dataset, opts.iterations};
-    std::vector<ExperimentConfig> configs;
-    configs.reserve(space.size());
-    for (const TuneCandidate& candidate : space) {
-      configs.push_back(enumerator.make_config(candidate, target));
+// An injected prediction failure fails every task; the tuner reports the
+// lowest: the first candidate of the space, attempt 0.
+TEST(Tuner, PredictionFailureNamesTheFirstCandidate) {
+  const TunerOptions opts = trimmed_options("ffvc");
+  for (const int jobs : {1, 4}) {
+    TunerOptions run_opts = opts;
+    run_opts.jobs = jobs;
+    Runner runner;
+    const Tuner tuner(runner, run_opts);
+    const std::string expected = strfmt(
+        "%s: prediction failure (attempt 0 of %s)", fault::kInjectedMarker,
+        tuner
+            .make_config(tuner.space().front(),
+                         TuneBudget{opts.dataset, opts.iterations})
+            .label()
+            .c_str());
+    fault::ScopedPlan scoped(fault::Plan::parse("predict.fail=1"));
+    try {
+      (void)tuner.run();
+      FAIL() << "expected an injected prediction failure";
+    } catch (const Error& e) {
+      EXPECT_EQ(std::string(e.what()), expected) << "jobs " << jobs;
     }
-    const std::vector<ExperimentResult> results =
-        SweepPool(2).run(brute_runner, configs);
-    ASSERT_EQ(results.size(), space.size()) << app;
-    const auto seconds = [&](std::size_t i) { return results[i].seconds(); };
-    const auto bw = [&](std::size_t i) {
-      return results[i].prediction.bw_pressure();
-    };
-    // Same tie-break as the tuner's argmin: seconds, then BW pressure, then
-    // enumeration order.
-    std::size_t best = 0;
-    for (std::size_t i = 1; i < results.size(); ++i) {
-      if (seconds(i) < seconds(best) ||
-          (seconds(i) == seconds(best) && bw(i) < bw(best))) {
-        best = i;
-      }
-    }
-
-    EXPECT_TRUE(same_bits(outcome.best.seconds, seconds(best)))
-        << app << ": tuner " << outcome.best.seconds << " vs exhaustive "
-        << seconds(best);
-    EXPECT_EQ(outcome.best.candidate, space[best]) << app;
-
-    // The non-dominated set over (seconds, BW pressure); of exact
-    // duplicates the first in enumeration order stands for all.
-    std::vector<std::size_t> front;
-    for (std::size_t i = 0; i < results.size(); ++i) {
-      bool dominated = false;
-      for (std::size_t j = 0; j < results.size() && !dominated; ++j) {
-        const bool no_worse = seconds(j) <= seconds(i) && bw(j) <= bw(i);
-        const bool better = seconds(j) < seconds(i) || bw(j) < bw(i);
-        dominated = no_worse && (better || j < i);
-      }
-      if (!dominated) front.push_back(i);
-    }
-    std::sort(front.begin(), front.end(), [&](std::size_t a, std::size_t b) {
-      return seconds(a) < seconds(b);
-    });
-    ASSERT_EQ(outcome.pareto.size(), front.size()) << app;
-    for (std::size_t k = 0; k < front.size(); ++k) {
-      EXPECT_EQ(outcome.pareto[k].candidate, space[front[k]]) << app;
-      EXPECT_TRUE(same_bits(outcome.pareto[k].seconds, seconds(front[k])))
-          << app;
-      EXPECT_TRUE(same_bits(outcome.pareto[k].bw_pressure, bw(front[k])))
-          << app;
-    }
+    EXPECT_EQ(runner.native_runs(), 0u);
   }
 }
 

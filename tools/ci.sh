@@ -247,6 +247,12 @@ for TUNE_APP in ffvc ntchem mvmc; do
   "$FIBERSIM" $TUNE_ARGS --jobs 4 > "$CACHE_DIR/tune.$TUNE_APP.j4.txt"
   diff "$CACHE_DIR/tune.$TUNE_APP.j1.txt" "$CACHE_DIR/tune.$TUNE_APP.j4.txt"
 done
+# The default space: all three comparison processors and every MPI x OMP
+# split, so placement tasks cross processor boundaries.
+TUNE_ARGS="tune --app ffvc --dataset small --iterations 2 --seed 42"
+"$FIBERSIM" $TUNE_ARGS --jobs 1 > "$CACHE_DIR/tune.full.j1.txt"
+"$FIBERSIM" $TUNE_ARGS --jobs 4 > "$CACHE_DIR/tune.full.j4.txt"
+diff "$CACHE_DIR/tune.full.j1.txt" "$CACHE_DIR/tune.full.j4.txt"
 grep -q 'best beats as-is baseline: yes' "$CACHE_DIR/tune.ffvc.j1.txt" || {
   echo "tune: recommended config does not beat the as-is baseline" >&2
   exit 1
