@@ -46,8 +46,9 @@ Scope::~Scope() {
 
 Token* current() { return g_current; }
 
-void checkpoint() {
-  Token* token = g_current;
+void checkpoint() { checkpoint(g_current); }
+
+void checkpoint(const Token* token) {
   if (token == nullptr || !token->expired()) return;
   std::string reason = token->reason();
   if (reason.empty()) reason = "deadline exceeded";

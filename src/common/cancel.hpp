@@ -89,6 +89,10 @@ Token* current();
 /// Throw fibersim::Error("cancelled: <reason>") iff the current token is
 /// expired; no-op otherwise (and free when no token is installed).
 void checkpoint();
+/// checkpoint() against `token` (null: no-op) instead of the calling
+/// thread's: work handed to another thread or a fiber context checks the
+/// token of the thread that handed it over.
+void checkpoint(const Token* token);
 
 /// True iff `what` came from checkpoint()/a cancelled token (marker prefix).
 bool is_cancelled(std::string_view what);

@@ -1,6 +1,8 @@
 #include "machine/network_model.hpp"
 
 #include <algorithm>
+#include <bit>
+#include <cstdlib>
 #include <functional>
 
 #include "common/error.hpp"
@@ -132,45 +134,153 @@ int LinkContention::find_or_add(int src_node, int dst_node,
   return index;
 }
 
+namespace {
+
+/// One straight run of a dimension-ordered route: `len` consecutive links
+/// along the ring `ring` of dimension `dim`, all in direction `dir`, whose
+/// source nodes sit at ring positions [lo, lo + len) modulo the ring size
+/// `n`. A run never wraps onto itself: len <= n / 2 < n.
+struct RingRun {
+  int dim = 0;
+  int dir = 0;  // +1 or -1
+  int ring = 0;
+  int n = 1;
+  int lo = 0;
+  int len = 0;
+};
+
+/// fn(run) for each of the (at most three) runs of the route a -> b, x
+/// first; returns the route's hop count.
+template <typename Fn>
+int for_each_ring_run(const TorusMap& torus, int a, int b, Fn&& fn) {
+  const std::array<int, 3>& dims = torus.dims();
+  std::array<int, 3> cur = torus.coords_of(a);
+  const std::array<int, 3> dst = torus.coords_of(b);
+  int hops = 0;
+  for (int d = 0; d < 3; ++d) {
+    const std::size_t ud = static_cast<std::size_t>(d);
+    const int step = ring_step(cur[ud], dst[ud], dims[ud]);
+    if (step == 0) continue;
+    // The ring: every node that shares the two other coordinates.
+    const std::size_t o1 = d == 0 ? 1 : 0;
+    const std::size_t o2 = d == 2 ? 1 : 2;
+    RingRun run;
+    run.dim = d;
+    run.dir = step > 0 ? +1 : -1;
+    run.ring = cur[o1] * dims[o2] + cur[o2];
+    run.n = dims[ud];
+    run.len = std::abs(step);
+    // A positive run leaves positions cur, cur+1, ...; a negative one
+    // leaves cur, cur-1, ..., so its links start len-1 steps back.
+    run.lo = step > 0 ? cur[ud] : (cur[ud] - run.len + 1 + run.n) % run.n;
+    fn(run);
+    hops += run.len;
+    cur[ud] = dst[ud];
+  }
+  return hops;
+}
+
+}  // namespace
+
 void LinkContention::seal() {
   FS_REQUIRE(!sealed_, "contention map is sealed");
   sealed_ = true;
   if (flows_.empty()) return;
-  // Every pair's route back to back in one buffer (route_end[i] closes
-  // flows_[i]'s route), reused across phases on this thread. Link loads are
-  // integer sums, so the order flows were added in does not matter. A pair
-  // that carries no byte is routed for its hop count only: it loads no link
-  // and keeps zero foreign bytes.
-  thread_local std::vector<int> links;
-  thread_local std::vector<std::size_t> route_end;
-  thread_local std::vector<std::uint64_t> link_load;
-  links.clear();
-  route_end.clear();
-  link_load.assign(static_cast<std::size_t>(torus_->link_count()), 0);
+  // Link loads live ring by ring: the links of one direction of one
+  // dimension form nodes / n rings of n links each, so the load of the link
+  // leaving ring position i of ring r sits at class base + r * n + i, where
+  // the six (dimension, direction) classes take nodes entries each. Every
+  // run adds its bytes to a contiguous ring interval: a difference-array
+  // update per piece, then one prefix sum per ring. All of it is uint64_t
+  // arithmetic modulo 2^64, so the loads are exactly the per-hop sums, in
+  // any order. A pair that carries no byte is routed for its hop count
+  // only: it loads no link and keeps zero foreign bytes.
+  const std::size_t nodes = static_cast<std::size_t>(torus_->nodes());
+  auto slot = [nodes](const RingRun& run) {
+    const std::size_t cls =
+        static_cast<std::size_t>(run.dim * 2 + (run.dir > 0 ? 0 : 1));
+    return cls * nodes + static_cast<std::size_t>(run.ring) *
+                             static_cast<std::size_t>(run.n);
+  };
+  std::vector<std::uint64_t> load(6 * nodes, 0);
+  int longest = 0;  // longest linear piece of any loaded run
   for (Flow& flow : flows_) {
-    const std::size_t begin = links.size();
-    torus_->route_links(flow.src, flow.dst, &links);
-    flow.hops = static_cast<int>(links.size() - begin);
-    if (flow.bytes > 0) {
-      for (std::size_t k = begin; k < links.size(); ++k) {
-        std::uint64_t& load = link_load[static_cast<std::size_t>(links[k])];
-        load += flow.bytes;
-        max_link_load_ = std::max(max_link_load_, load);
+    flow.hops = for_each_ring_run(*torus_, flow.src, flow.dst,
+                                  [&](const RingRun& run) {
+      if (flow.bytes == 0) return;
+      std::uint64_t* ring = &load[slot(run)];
+      const int end = run.lo + run.len;
+      ring[run.lo] += flow.bytes;
+      if (end < run.n) {
+        ring[end] -= flow.bytes;
+      } else if (end > run.n) {  // wraps: [lo, n) and [0, end - n)
+        ring[0] += flow.bytes;
+        ring[end - run.n] -= flow.bytes;
       }
-    }
-    route_end.push_back(links.size());
+      longest = std::max(longest, std::max(std::min(end, run.n) - run.lo,
+                                           end - run.n));
+    });
   }
-  std::size_t begin = 0;
-  for (std::size_t i = 0; i < flows_.size(); ++i) {
-    Flow& flow = flows_[i];
-    if (flow.bytes > 0) {
-      for (std::size_t k = begin; k < route_end[i]; ++k) {
-        const std::uint64_t load =
-            link_load[static_cast<std::size_t>(links[k])];
-        flow.foreign = std::max(flow.foreign, load - flow.bytes);
+  for (int d = 0; d < 3; ++d) {
+    const std::size_t n =
+        static_cast<std::size_t>(torus_->dims()[static_cast<std::size_t>(d)]);
+    for (std::size_t cls = static_cast<std::size_t>(d) * 2;
+         cls < static_cast<std::size_t>(d) * 2 + 2; ++cls) {
+      for (std::size_t base = cls * nodes; base < (cls + 1) * nodes;
+           base += n) {
+        for (std::size_t i = 1; i < n; ++i) load[base + i] += load[base + i - 1];
       }
     }
-    begin = route_end[i];
+  }
+  for (const std::uint64_t l : load) max_link_load_ = std::max(max_link_load_, l);
+
+  // A pair's busiest route link is a range maximum per run: a sparse table
+  // over each ring, level k holding the max of 2^k links from each
+  // position (level 0 is `load` itself), built only as deep as the longest
+  // piece queried. Every route link carries the pair's own bytes, so its
+  // foreign bytes are that maximum less its bytes.
+  const int levels = longest > 0 ? std::bit_width(
+                                       static_cast<unsigned>(longest))
+                                 : 1;
+  std::vector<std::uint64_t> upper(
+      static_cast<std::size_t>(levels - 1) * 6 * nodes, 0);
+  auto level = [&](int k) {
+    return k == 0 ? load.data()
+                  : upper.data() + static_cast<std::size_t>(k - 1) * 6 * nodes;
+  };
+  for (int k = 1; k < levels; ++k) {
+    const std::uint64_t* below = level(k - 1);
+    std::uint64_t* here = level(k);
+    const std::size_t half = std::size_t{1} << (k - 1);
+    for (int d = 0; d < 3; ++d) {
+      const std::size_t n =
+          static_cast<std::size_t>(torus_->dims()[static_cast<std::size_t>(d)]);
+      if (n < 2 * half) continue;  // no piece this long fits the ring
+      for (std::size_t base = static_cast<std::size_t>(d) * 2 * nodes;
+           base < static_cast<std::size_t>(d + 1) * 2 * nodes; base += n) {
+        for (std::size_t i = 0; i + 2 * half <= n; ++i) {
+          here[base + i] = std::max(below[base + i], below[base + i + half]);
+        }
+      }
+    }
+  }
+  auto range_max = [&](std::size_t base, int lo, int len) {
+    const int k = std::bit_width(static_cast<unsigned>(len)) - 1;
+    const std::uint64_t* t = level(k);
+    return std::max(t[base + static_cast<std::size_t>(lo)],
+                    t[base + static_cast<std::size_t>(lo + len - (1 << k))]);
+  };
+  for (Flow& flow : flows_) {
+    if (flow.bytes == 0) continue;
+    std::uint64_t busiest = 0;
+    for_each_ring_run(*torus_, flow.src, flow.dst, [&](const RingRun& run) {
+      const std::size_t base = slot(run);
+      const int end = run.lo + run.len;
+      busiest = std::max(busiest,
+                         range_max(base, run.lo, std::min(end, run.n) - run.lo));
+      if (end > run.n) busiest = std::max(busiest, range_max(base, 0, end - run.n));
+    });
+    flow.foreign = busiest - flow.bytes;
   }
 }
 

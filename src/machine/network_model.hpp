@@ -13,7 +13,11 @@
 // inter-node flow of the phase, and at seal time routes each distinct node
 // pair once and computes the *foreign* bytes sharing the pair's busiest
 // link — the bottleneck-link approximation — which every send of that pair
-// is charged, and the pair's hop count (its route length). Flows live in a
+// is charged, and the pair's hop count (its route length). A route is at
+// most three straight runs along torus rings, so seal() loads links by ring
+// intervals (a difference array per ring, then a prefix sum) and reads each
+// pair's busiest link as a range maximum per run (a sparse table per ring):
+// O(pairs + links) per phase, whatever the route lengths. Flows live in a
 // flat table chained per source node (a node talks to a handful of others
 // per phase, so a chain is a few entries).
 // Every load is a uint64_t sum, so the order flows arrive in cannot change
@@ -79,8 +83,9 @@ class LinkContention {
   /// zero foreign bytes, exactly as foreign_bytes() answers for a pair it
   /// never saw.
   int add_flow_index(int src_node, int dst_node, std::uint64_t bytes);
-  /// Route every distinct pair once, build per-link loads and store each
-  /// pair's foreign bytes and route length.
+  /// Route every distinct pair once as ring runs, build per-link loads and
+  /// store each pair's foreign bytes and route length. The tables live for
+  /// the call only.
   void seal();
   bool sealed() const { return sealed_; }
 

@@ -14,10 +14,11 @@
 
 #include <algorithm>
 #include <array>
+#include <cstddef>
 #include <cstdint>
+#include <cstring>
 #include <numeric>
 #include <span>
-#include <vector>
 
 #include "common/error.hpp"
 #include "mp/cart.hpp"
@@ -163,26 +164,37 @@ class HaloGrid {
     }
   }
 
-  void pack(std::span<const double> field, int ncomp, int d, int start_d,
-            std::vector<double>& buffer) const {
-    buffer.resize(static_cast<std::size_t>(slab_doubles(d, ncomp)));
-    auto out = buffer.begin();
-    for_each_run(d, start_d, ghost_, [&](std::int64_t first, std::int64_t sites) {
-      const auto run = field.begin() + first * ncomp;
-      out = std::copy(run, run + sites * ncomp, out);
+  /// The slab's runs packed straight into a new message payload.
+  mp::Buffer pack(std::span<const double> field, int ncomp, int d,
+                  int start_d) const {
+    const std::size_t bytes =
+        static_cast<std::size_t>(slab_doubles(d, ncomp)) * sizeof(double);
+    return mp::Buffer::build(bytes, [&](std::byte* out) {
+      std::byte* next = out;
+      for_each_run(d, start_d, ghost_,
+                   [&](std::int64_t first, std::int64_t sites) {
+                     const std::size_t run =
+                         static_cast<std::size_t>(sites * ncomp) *
+                         sizeof(double);
+                     std::memcpy(next, field.data() + first * ncomp, run);
+                     next += run;
+                   });
+      FS_ASSERT(next == out + bytes, "halo pack size mismatch");
     });
-    FS_ASSERT(out == buffer.end(), "halo pack size mismatch");
   }
 
+  /// The received payload's runs copied into the slab.
   void unpack(std::span<double> field, int ncomp, int d, int start_d,
-              std::span<const double> buffer) const {
-    auto in = buffer.begin();
+              const mp::Buffer& payload) const {
+    const std::byte* next = payload.data();
     for_each_run(d, start_d, ghost_, [&](std::int64_t first, std::int64_t sites) {
-      const auto next = in + sites * ncomp;
-      std::copy(in, next, field.begin() + first * ncomp);
-      in = next;
+      const std::size_t run =
+          static_cast<std::size_t>(sites * ncomp) * sizeof(double);
+      std::memcpy(field.data() + first * ncomp, next, run);
+      next += run;
     });
-    FS_ASSERT(in == buffer.end(), "halo unpack size mismatch");
+    FS_ASSERT(next == payload.data() + payload.size(),
+              "halo unpack size mismatch");
   }
 
   void exchange_dim(mp::Comm& comm, std::span<double> field, int ncomp,
@@ -191,27 +203,26 @@ class HaloGrid {
     const int hi_nbr = grid_.neighbor(rank_, d, +1);
     const int tag_lo = 100 + 2 * d;      // travelling toward -d
     const int tag_hi = 100 + 2 * d + 1;  // travelling toward +d
-    std::vector<double> send_lo, send_hi, recv_lo, recv_hi;
+    const std::size_t slab_bytes =
+        static_cast<std::size_t>(slab_doubles(d, ncomp)) * sizeof(double);
 
     // Send my low boundary to the low neighbour, high boundary to the high
     // neighbour; receive their boundaries into my ghost layers.
     if (lo_nbr >= 0) {
-      pack(field, ncomp, d, 0, send_lo);
-      comm.send(lo_nbr, tag_lo, std::span<const double>(send_lo));
+      comm.send_buffer(lo_nbr, tag_lo, pack(field, ncomp, d, 0));
     }
     if (hi_nbr >= 0) {
-      pack(field, ncomp, d, local_[static_cast<std::size_t>(d)] - ghost_, send_hi);
-      comm.send(hi_nbr, tag_hi, std::span<const double>(send_hi));
+      comm.send_buffer(
+          hi_nbr, tag_hi,
+          pack(field, ncomp, d, local_[static_cast<std::size_t>(d)] - ghost_));
     }
     if (hi_nbr >= 0) {
-      recv_hi.resize(static_cast<std::size_t>(slab_doubles(d, ncomp)));
-      comm.recv(hi_nbr, tag_lo, std::span<double>(recv_hi));
-      unpack(field, ncomp, d, local_[static_cast<std::size_t>(d)], recv_hi);
+      unpack(field, ncomp, d, local_[static_cast<std::size_t>(d)],
+             comm.recv_buffer(hi_nbr, tag_lo, slab_bytes));
     }
     if (lo_nbr >= 0) {
-      recv_lo.resize(static_cast<std::size_t>(slab_doubles(d, ncomp)));
-      comm.recv(lo_nbr, tag_hi, std::span<double>(recv_lo));
-      unpack(field, ncomp, d, -ghost_, recv_lo);
+      unpack(field, ncomp, d, -ghost_,
+             comm.recv_buffer(lo_nbr, tag_hi, slab_bytes));
     }
   }
 

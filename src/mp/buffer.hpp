@@ -20,16 +20,26 @@ class Buffer {
   /// Empty payload (size 0, no allocation).
   Buffer() = default;
 
-  /// One allocation + one memcpy; the only place payload bytes are written.
-  static Buffer copy_of(const void* data, std::size_t bytes) {
+  /// One allocation, written once by `fill(std::byte* out)`, which must
+  /// write all `bytes` bytes (it is not called for an empty payload). The
+  /// only place payload bytes are written: a sender can pack straight into
+  /// the payload instead of staging a copy.
+  template <typename Fill>
+  static Buffer build(std::size_t bytes, Fill&& fill) {
     Buffer buf;
     buf.size_ = bytes;
     if (bytes > 0) {
       std::shared_ptr<std::byte[]> block(new std::byte[bytes]);
-      std::memcpy(block.get(), data, bytes);
+      fill(block.get());
       buf.data_ = std::move(block);
     }
     return buf;
+  }
+
+  /// One allocation + one memcpy.
+  static Buffer copy_of(const void* data, std::size_t bytes) {
+    return build(bytes,
+                 [&](std::byte* out) { std::memcpy(out, data, bytes); });
   }
 
   const std::byte* data() const { return data_.get(); }

@@ -73,27 +73,37 @@ void Comm::send_bytes(int dst, int tag, const void* data, std::size_t bytes) {
   FS_REQUIRE(tag >= 0 && tag < kCollectiveTagBase,
              "user tags must be in [0, 2^24)");
   FS_REQUIRE(bytes == 0 || data != nullptr, "null payload with nonzero size");
+  send_buffer(dst, tag, Buffer::copy_of(data, bytes));
+}
+
+void Comm::send_buffer(int dst, int tag, Buffer payload) {
+  FS_REQUIRE(tag >= 0 && tag < kCollectiveTagBase,
+             "user tags must be in [0, 2^24)");
   FS_REQUIRE(dst >= 0 && dst < vsize_, "peer rank out of range");
   fault_op(*state_, rank_);
-  log_.record_send(dst, bytes);
+  log_.record_send(dst, payload.size());
   if (collapsed_) {
     // The true destination only exists virtually; queue the payload for the
     // self-tiling loopback instead. Symmetric exchanges keep every queue at
     // most one deep per outstanding message; the cap only guards against a
     // boundary rank's never-received direction growing without bound.
     std::deque<Buffer>& q = loopback_[tag];
-    q.push_back(Buffer::copy_of(data, bytes));
+    q.push_back(std::move(payload));
     if (q.size() > 8) q.pop_front();
     return;
   }
   Message m;
   m.source = rank_;
   m.tag = tag;
-  m.payload = Buffer::copy_of(data, bytes);
+  m.payload = std::move(payload);
   deliver(*state_, dst, std::move(m));
 }
 
 void Comm::recv_bytes(int src, int tag, void* data, std::size_t bytes) {
+  recv_buffer(src, tag, bytes).copy_to(data);
+}
+
+Buffer Comm::recv_buffer(int src, int tag, std::size_t bytes) {
   FS_REQUIRE(src == kAnySource || (src >= 0 && src < vsize_),
              "source rank out of range");
   fault_op(*state_, rank_);
@@ -101,23 +111,22 @@ void Comm::recv_bytes(int src, int tag, void* data, std::size_t bytes) {
     // Self-tiling: the structurally matching message is the one this rank
     // itself sent under the same tag (its partners are copies of itself).
     // No queued payload means the virtual partner is a non-periodic
-    // boundary ghost: zero-fill, a Dirichlet truncation.
+    // boundary ghost: zeros, a Dirichlet truncation.
     const auto it = loopback_.find(tag);
     if (it == loopback_.end() || it->second.empty()) {
-      std::memset(data, 0, bytes);
-      return;
+      return Buffer::build(bytes,
+                           [&](std::byte* out) { std::memset(out, 0, bytes); });
     }
     Buffer payload = std::move(it->second.front());
     it->second.pop_front();
     FS_REQUIRE(payload.size() == bytes,
                "recv size does not match the sent payload");
-    payload.copy_to(data);
-    return;
+    return payload;
   }
   Message m = mailbox_of(rank_).pop(src, tag);
   FS_REQUIRE(m.payload.size() == bytes,
              "recv size does not match the sent payload");
-  m.payload.copy_to(data);
+  return std::move(m.payload);
 }
 
 void Comm::sendrecv_bytes(int dst, int send_tag, const void* send_data,

@@ -41,6 +41,12 @@ class Comm {
   void send_bytes(int dst, int tag, const void* data, std::size_t bytes);
   /// Blocking receive; `bytes` must equal the sender's payload size.
   void recv_bytes(int src, int tag, void* data, std::size_t bytes);
+  /// send_bytes of a payload the caller already built (Buffer::build packs
+  /// straight into it): the payload is handed over, never copied.
+  void send_buffer(int dst, int tag, Buffer payload);
+  /// recv_bytes that hands back the received payload itself instead of
+  /// copying it out; its size must equal `bytes`.
+  Buffer recv_buffer(int src, int tag, std::size_t bytes);
   /// Combined exchange (send then receive; safe because sends are buffered).
   void sendrecv_bytes(int dst, int send_tag, const void* send_data,
                       std::size_t send_bytes, int src, int recv_tag,

@@ -10,15 +10,19 @@
 
 #include <atomic>
 #include <bit>
+#include <chrono>
 #include <cstdint>
 #include <filesystem>
 #include <map>
+#include <memory>
 #include <optional>
 #include <set>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
+#include "common/cancel.hpp"
 #include "common/error.hpp"
 #include "core/reports.hpp"
 #include "core/runner.hpp"
@@ -403,6 +407,270 @@ TEST(ClassReplay, RejectsASendOutsideTheJob) {
   EXPECT_THROW(trace::predict_job(cfg, opts, binding,
                                   trace::CanonicalTrace::build(full)),
                Error);
+}
+
+/// Every field of two predictions and of each of their phases, bit for bit.
+void expect_identical(const trace::JobPrediction& got,
+                      const trace::JobPrediction& want) {
+  EXPECT_TRUE(same_bits(got.total_s, want.total_s));
+  EXPECT_TRUE(same_bits(got.compute_s, want.compute_s));
+  EXPECT_TRUE(same_bits(got.memory_s, want.memory_s));
+  EXPECT_TRUE(same_bits(got.comm_s, want.comm_s));
+  EXPECT_TRUE(same_bits(got.barrier_s, want.barrier_s));
+  EXPECT_TRUE(same_bits(got.flops, want.flops));
+  EXPECT_TRUE(same_bits(got.dram_bytes, want.dram_bytes));
+  EXPECT_TRUE(same_bits(got.setup_s, want.setup_s));
+  ASSERT_EQ(got.phases.size(), want.phases.size());
+  for (std::size_t p = 0; p < want.phases.size(); ++p) {
+    const trace::PhasePrediction& g = got.phases[p];
+    const trace::PhasePrediction& w = want.phases[p];
+    SCOPED_TRACE("phase " + w.name);
+    EXPECT_EQ(g.name, w.name);
+    EXPECT_EQ(g.timed, w.timed);
+    EXPECT_TRUE(same_bits(g.comm_s, w.comm_s));
+    EXPECT_TRUE(same_bits(g.total_s, w.total_s));
+    EXPECT_TRUE(same_bits(g.time.compute_s, w.time.compute_s));
+    EXPECT_TRUE(same_bits(g.time.memory_s, w.time.memory_s));
+    EXPECT_TRUE(same_bits(g.time.barrier_s, w.time.barrier_s));
+    EXPECT_TRUE(same_bits(g.time.total_s, w.time.total_s));
+    EXPECT_EQ(g.time.limiter, w.time.limiter);
+    EXPECT_TRUE(same_bits(g.time.flops, w.time.flops));
+    EXPECT_TRUE(same_bits(g.time.dram_bytes, w.time.dram_bytes));
+    EXPECT_TRUE(same_bits(g.time.remote_bytes, w.time.remote_bytes));
+    EXPECT_TRUE(same_bits(g.time.chain_s, w.time.chain_s));
+  }
+}
+
+// A phase in which no rank sends point to point (ffvc's init and project,
+// every mvmc and ngsa phase) skips pass A, the seal and the per-rank comm
+// stream: its comm_s is the max over classes of 0.0 plus the class's
+// collective terms, the stream's own fold, so the bits match the naive path.
+TEST(ClassReplay, SendFreePhasesCostLikeTheNaivePath) {
+  const auto cfg = machine::a64fx();
+  const auto opts = cg::CompileOptions::simd_sched();
+  const topo::Topology topo(cfg.shape, 4);
+  const topo::Binding binding = topo::Binding::make(
+      topo, kRanks, kThreads, topo::RankAllocPolicy::kBlock,
+      topo::ThreadBindPolicy::compact());
+  std::size_t send_free_with_comm = 0;
+  for (const std::string app : {"ffvc", "mvmc", "ngsa"}) {
+    SCOPED_TRACE(app);
+    const trace::JobTrace full = run_full(app, apps::Dataset::kSmall);
+    const trace::CanonicalTrace canonical = trace::CanonicalTrace::build(full);
+    const trace::CollapsedTrace collapsed =
+        run_collapsed(app, apps::Dataset::kSmall);
+    const auto naive = trace::predict_job(cfg, opts, binding, full);
+    std::size_t send_free = 0;
+    for (std::size_t p = 0; p < naive.phases.size(); ++p) {
+      bool sends = false;
+      for (const trace::RankTrace& rank : full) {
+        sends |= !rank[p].comm.sends.empty();
+      }
+      if (sends) continue;
+      ++send_free;
+      if (naive.phases[p].comm_s > 0.0) ++send_free_with_comm;
+    }
+    EXPECT_GT(send_free, 0u);
+    for (const auto& replay :
+         {trace::predict_job(cfg, opts, binding, canonical),
+          trace::predict_job(cfg, opts, binding, collapsed)}) {
+      EXPECT_TRUE(same_bits(replay.comm_s, naive.comm_s));
+      EXPECT_TRUE(same_bits(replay.total_s, naive.total_s));
+      ASSERT_EQ(replay.phases.size(), naive.phases.size());
+      for (std::size_t p = 0; p < naive.phases.size(); ++p) {
+        EXPECT_TRUE(
+            same_bits(replay.phases[p].comm_s, naive.phases[p].comm_s))
+            << naive.phases[p].name;
+      }
+    }
+  }
+  EXPECT_GT(send_free_with_comm, 0u)
+      << "no send-free phase pays collectives: the test proves nothing";
+
+  // Classes with several collective terms each, and a different slowest
+  // class per phase: each class folds its terms in order from 0.0, and the
+  // phase takes the max over classes.
+  trace::JobTrace full = run_full("mvmc", apps::Dataset::kSmall);
+  for (int r = 0; r < kRanks; ++r) {
+    for (std::size_t p = 0; p < full.front().size(); ++p) {
+      auto& coll = full[static_cast<std::size_t>(r)][p].comm.collectives;
+      if (r % 2 == 0) {
+        coll[mp::CollectiveKind::kBcast] = {2, 4096u << p};
+        coll[mp::CollectiveKind::kScan] = {3, 24};
+      } else {
+        coll[mp::CollectiveKind::kAlltoall] = {1, 65536u >> p};
+      }
+    }
+  }
+  const auto naive = trace::predict_job(cfg, opts, binding, full);
+  const auto replay = trace::predict_job(cfg, opts, binding,
+                                         trace::CanonicalTrace::build(full));
+  expect_identical(replay, naive);
+}
+
+// ----- class replay above the phase fan-out threshold -----
+
+// The class-replay engine predicts the phases of a job concurrently from
+// 2^14 thread slots (ranks x threads, kPhaseFanOutSlots in
+// src/trace/predict.cpp). 342 ranks, one per A64FX node of a 19x6x3 torus
+// (wrap-around routes, an even ring), with 48 threads each stream 16416
+// slots; 342 ranks x 1 thread stream 342 and stay on the serial loop. The
+// work of a rank does not depend on its team size, so both bindings replay
+// one single-threaded native run of ffvc, whose trace holds point-to-point
+// phases and send-free ones.
+constexpr int kFanOutRanks = 342;
+constexpr int kFanOutThreads = 48;
+static_assert(kFanOutRanks * kFanOutThreads >= (1 << 14));
+static_assert(kFanOutRanks * 1 < (1 << 14));
+
+struct FanOutJob {
+  trace::JobTrace full;
+  trace::CollapsedTrace collapsed;
+};
+
+const FanOutJob& fan_out_job() {
+  static const FanOutJob job{
+      record_native("ffvc", kFanOutRanks, 1).trace,
+      record_collapsed("ffvc", kFanOutRanks, 1)};
+  return job;
+}
+
+topo::Binding fan_out_binding(const topo::Topology& topo, int threads) {
+  return topo::Binding::make(topo, kFanOutRanks, threads,
+                             topo::RankAllocPolicy::kBlock,
+                             topo::ThreadBindPolicy::compact());
+}
+
+TEST(PhaseFanOut, EveryEngineMatchesTheNaivePathBitForBit) {
+  const FanOutJob& job = fan_out_job();
+  const trace::CanonicalTrace canonical =
+      trace::CanonicalTrace::build(job.full);
+  const auto cfg = machine::a64fx();
+  const topo::Topology topo(cfg.shape, kFanOutRanks);
+  const topo::Binding binding = fan_out_binding(topo, kFanOutThreads);
+  ASSERT_EQ(machine::TorusMap(kFanOutRanks).dims(),
+            (std::array<int, 3>{19, 6, 3}));
+  machine::EvalCache stage1;
+  const trace::PredictMemo memo{&stage1};
+
+  const std::vector<cg::CompileOptions> presets = {
+      cg::CompileOptions::as_is(), cg::CompileOptions::simd_enhanced(),
+      cg::CompileOptions::simd_sched()};
+  std::vector<trace::JobPrediction> naive;
+  for (const cg::CompileOptions& opts : presets) {
+    naive.push_back(trace::predict_job(cfg, opts, binding, job.full));
+  }
+  bool send_free = false;
+  bool point_to_point = false;
+  for (std::size_t p = 0; p < job.full.front().size(); ++p) {
+    bool sends = false;
+    for (const trace::RankTrace& rank : job.full) {
+      sends |= !rank[p].comm.sends.empty();
+    }
+    (sends ? point_to_point : send_free) = true;
+  }
+  EXPECT_TRUE(send_free);
+  EXPECT_TRUE(point_to_point);
+  EXPECT_GT(naive.back().comm_s, 0.0);
+
+  for (std::size_t k = 0; k < presets.size(); ++k) {
+    SCOPED_TRACE("preset " + std::to_string(k));
+    expect_identical(
+        trace::predict_job(cfg, presets[k], binding, canonical), naive[k]);
+    expect_identical(
+        trace::predict_job(cfg, presets[k], binding, job.collapsed), naive[k]);
+    expect_identical(
+        trace::predict_job(cfg, presets[k], binding, canonical, memo),
+        naive[k]);
+    expect_identical(
+        trace::predict_job(cfg, presets[k], binding, job.collapsed, memo),
+        naive[k]);
+  }
+  for (const auto& all :
+       {trace::predict_presets(cfg, presets, binding, canonical, memo),
+        trace::predict_presets(cfg, presets, binding, job.collapsed, memo)}) {
+    ASSERT_EQ(all.size(), presets.size());
+    for (std::size_t k = 0; k < presets.size(); ++k) {
+      SCOPED_TRACE("predict_presets " + std::to_string(k));
+      expect_identical(all[k], naive[k]);
+    }
+  }
+}
+
+/// The message a predict throws, or "" when it returns.
+template <typename Fn>
+std::string thrown_by(Fn&& fn) {
+  try {
+    fn();
+  } catch (const Error& e) {
+    return e.what();
+  }
+  return "";
+}
+
+// A failing phase surfaces above the threshold exactly as on the serial
+// loop: the first failing phase's error, not a later one's.
+TEST(PhaseFanOut, TheFirstFailingPhaseThrowsAsOnTheSerialPath) {
+  trace::JobTrace full = fan_out_job().full;
+  const std::size_t phases = full.front().size();
+  ASSERT_GE(phases, 3u);
+  // Sends outside the job in phase 1 and in the last phase.
+  full[3][1].comm.sends[kFanOutRanks] = mp::PeerTraffic{1, 8};
+  full[5][phases - 1].comm.sends[kFanOutRanks + 1] = mp::PeerTraffic{1, 8};
+  const trace::CanonicalTrace canonical = trace::CanonicalTrace::build(full);
+  const auto cfg = machine::a64fx();
+  const auto opts = cg::CompileOptions::simd_sched();
+  const topo::Topology topo(cfg.shape, kFanOutRanks);
+  const topo::Binding serial = fan_out_binding(topo, 1);
+  const topo::Binding fanned = fan_out_binding(topo, kFanOutThreads);
+
+  const std::string expected = thrown_by(
+      [&] { (void)trace::predict_job(cfg, opts, serial, canonical); });
+  EXPECT_NE(expected.find("in phase " + full[0][1].name), std::string::npos)
+      << expected;
+  EXPECT_EQ(thrown_by([&] {
+              (void)trace::predict_job(cfg, opts, fanned, canonical);
+            }),
+            expected);
+  const std::vector<cg::CompileOptions> presets = {opts, opts};
+  EXPECT_EQ(thrown_by([&] {
+              (void)trace::predict_presets(cfg, presets, fanned, canonical);
+            }),
+            expected);
+}
+
+// The cancel token is thread-local to the caller; the phase contexts check
+// the caller's token, so an expired or cancelled one stops a fanned-out
+// predict with checkpoint()'s own message.
+TEST(PhaseFanOut, ACancelledTokenStopsItAsOnTheSerialPath) {
+  const FanOutJob& job = fan_out_job();
+  const auto cfg = machine::a64fx();
+  const auto opts = cg::CompileOptions::simd_sched();
+  const topo::Topology topo(cfg.shape, kFanOutRanks);
+  const topo::Binding serial = fan_out_binding(topo, 1);
+  const topo::Binding fanned = fan_out_binding(topo, kFanOutThreads);
+
+  auto expired = std::make_shared<cancel::Token>();
+  expired->set_deadline(cancel::Token::Clock::now() - std::chrono::seconds(1));
+  auto cancelled = std::make_shared<cancel::Token>();
+  cancelled->cancel("client gone");
+  for (const auto& [token, message] :
+       {std::pair{expired, "cancelled: deadline exceeded"},
+        std::pair{cancelled, "cancelled: client gone"}}) {
+    cancel::Scope scope(token);
+    for (const topo::Binding* binding : {&serial, &fanned}) {
+      EXPECT_EQ(thrown_by([&] {
+                  (void)trace::predict_job(cfg, opts, *binding,
+                                           job.collapsed);
+                }),
+                message);
+    }
+  }
+  // Without the token the same predict runs.
+  EXPECT_EQ(thrown_by([&] {
+              (void)trace::predict_job(cfg, opts, fanned, job.collapsed);
+            }),
+            "");
 }
 
 // ----- rank symmetry -----

@@ -821,6 +821,134 @@ TEST(Contention, ZeroByteSendOnALoadedPairPaysItsForeignBytes) {
   EXPECT_EQ(c.max_link_load(), 1700u);  // the idle pair loads no link
 }
 
+/// The per-hop seal that ring-interval seal() replaced, kept as its oracle:
+/// walk each distinct pair's route link by link (TorusMap::route_links),
+/// add its bytes to every link, then take each pair's busiest route link.
+/// Pairs are keyed as add_flow_index numbers them (first appearance).
+struct RouteWalkSeal {
+  std::map<std::pair<int, int>, std::uint64_t> bytes;
+  std::map<std::pair<int, int>, std::uint64_t> foreign;
+  std::map<std::pair<int, int>, int> hops;
+  std::uint64_t max_link_load = 0;
+
+  RouteWalkSeal(const TorusMap& t, const FlowList& added) {
+    for (const auto& [pair, b] : added) {
+      if (pair.first != pair.second) bytes[pair] += b;
+    }
+    std::vector<std::uint64_t> load(static_cast<std::size_t>(t.link_count()),
+                                    0);
+    for (const auto& [pair, b] : bytes) {
+      std::vector<int> links;
+      t.route_links(pair.first, pair.second, &links);
+      hops[pair] = static_cast<int>(links.size());
+      if (b == 0) continue;
+      for (const int link : links) {
+        std::uint64_t& l = load[static_cast<std::size_t>(link)];
+        l += b;
+        max_link_load = std::max(max_link_load, l);
+      }
+    }
+    for (const auto& [pair, b] : bytes) {
+      std::uint64_t worst = 0;
+      if (b > 0) {
+        std::vector<int> links;
+        t.route_links(pair.first, pair.second, &links);
+        for (const int link : links) {
+          worst = std::max(worst, load[static_cast<std::size_t>(link)] - b);
+        }
+      }
+      foreign[pair] = worst;
+    }
+  }
+};
+
+// seal() treats a route as at most three ring runs: link loads from
+// difference arrays and prefix sums, a pair's busiest link from a sparse
+// table per ring. On random tori — dimensions of 1 and 2, even rings whose
+// half-way routes tie, runs that wrap around a ring — and random flows with
+// repeats, zero-byte pairs and self-flows, every answer equals the per-hop
+// walk's.
+TEST(Contention, RingIntervalSealMatchesThePerHopWalk) {
+  std::mt19937 rng(20261020);
+  std::size_t unit_dims = 0;
+  std::size_t pair_dims = 0;
+  std::size_t ties = 0;
+  std::size_t wraps = 0;
+  std::size_t contended = 0;
+  for (int trial = 0; trial < 60; ++trial) {
+    const int nodes = trial < 6 ? std::array{1, 2, 4, 6, 8, 12}[trial]
+                                : std::uniform_int_distribution<int>(
+                                      2, 400)(rng);
+    const TorusMap t(nodes);
+    for (const int n : t.dims()) {
+      unit_dims += n == 1 ? 1 : 0;
+      pair_dims += n == 2 ? 1 : 0;
+    }
+    std::uniform_int_distribution<int> node(0, nodes - 1);
+    std::uniform_int_distribution<std::uint64_t> size(1, 1u << 20);
+    FlowList added;
+    const int count = std::uniform_int_distribution<int>(1, 4 * nodes)(rng);
+    for (int i = 0; i < count; ++i) {
+      std::pair<int, int> pair{node(rng), node(rng)};
+      if (i % 7 == 6) pair = added[static_cast<std::size_t>(i / 2)].first;
+      const std::uint64_t bytes = i % 9 == 8 ? 0 : size(rng);
+      added.push_back({pair, bytes});
+    }
+    // Route shapes the ring runs must get right, counted from coordinates.
+    for (const auto& [pair, bytes] : added) {
+      const auto a = t.coords_of(pair.first);
+      const auto b = t.coords_of(pair.second);
+      for (std::size_t d = 0; d < 3; ++d) {
+        const int n = t.dims()[d];
+        const int fwd = (b[d] - a[d] + n) % n;
+        if (fwd == 0) continue;
+        if (2 * fwd == n) ++ties;
+        const bool positive = fwd <= n - fwd;
+        if (positive ? a[d] + fwd >= n : a[d] - (n - fwd) < 0) ++wraps;
+      }
+    }
+
+    LinkContention indexed(&t);
+    LinkContention lookup(&t);
+    std::vector<int> flows;
+    for (const auto& [pair, bytes] : added) {
+      lookup.add_flow(pair.first, pair.second, bytes);
+      flows.push_back(pair.first == pair.second
+                          ? -1
+                          : indexed.add_flow_index(pair.first, pair.second,
+                                                   bytes));
+    }
+    indexed.seal();
+    lookup.seal();
+
+    const RouteWalkSeal oracle(t, added);
+    SCOPED_TRACE("nodes " + std::to_string(nodes));
+    EXPECT_EQ(indexed.max_link_load(), oracle.max_link_load);
+    EXPECT_EQ(lookup.max_link_load(), oracle.max_link_load);
+    for (std::size_t i = 0; i < added.size(); ++i) {
+      const auto& [pair, bytes] = added[i];
+      if (pair.first == pair.second) {
+        EXPECT_EQ(lookup.foreign_bytes(pair.first, pair.second), 0u);
+        continue;
+      }
+      const std::uint64_t foreign = oracle.foreign.at(pair);
+      contended += foreign > 0 ? 1 : 0;
+      EXPECT_EQ(indexed.flow_foreign(flows[i]), foreign)
+          << pair.first << " -> " << pair.second;
+      EXPECT_EQ(indexed.flow_hops(flows[i]), oracle.hops.at(pair));
+      EXPECT_EQ(indexed.flow_hops(flows[i]),
+                t.hops(pair.first, pair.second));
+      EXPECT_EQ(indexed.foreign_bytes(pair.first, pair.second), foreign);
+      EXPECT_EQ(lookup.foreign_bytes(pair.first, pair.second), foreign);
+    }
+  }
+  EXPECT_GT(unit_dims, 0u);
+  EXPECT_GT(pair_dims, 0u);
+  EXPECT_GT(ties, 0u);
+  EXPECT_GT(wraps, 0u);
+  EXPECT_GT(contended, 0u);
+}
+
 TEST(CommModel, RemoteLatencyIsExactPerHop) {
   const ProcessorConfig cfg = a64fx();
   const CommCostModel model(cfg, 8);

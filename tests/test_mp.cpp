@@ -60,6 +60,35 @@ TEST(P2p, FifoOrderingPerSourceAndTag) {
   });
 }
 
+// A payload packed with Buffer::build is handed to the receiver itself: the
+// receiver's Buffer is the sender's allocation, and the send is logged like
+// send_bytes of the same size. A size mismatch is refused as on recv_bytes.
+TEST(P2p, SendBufferHandsThePayloadOverWithoutACopy) {
+  std::atomic<const std::byte*> sent{nullptr};
+  auto logs = Job::run_logged(2, [&](Comm& comm) {
+    if (comm.rank() == 0) {
+      Buffer payload = Buffer::build(3 * sizeof(double), [](std::byte* out) {
+        const double values[3] = {1.5, -2.0, 4.25};
+        std::memcpy(out, values, sizeof(values));
+      });
+      sent.store(payload.data());
+      comm.send_buffer(1, 7, std::move(payload));
+      comm.send_buffer(1, 8, Buffer::copy_of("ab", 2));
+    } else {
+      const Buffer got = comm.recv_buffer(0, 7, 3 * sizeof(double));
+      EXPECT_EQ(got.data(), sent.load());
+      double values[3];
+      got.copy_to(values);
+      EXPECT_EQ(values[0], 1.5);
+      EXPECT_EQ(values[1], -2.0);
+      EXPECT_EQ(values[2], 4.25);
+      EXPECT_THROW((void)comm.recv_buffer(0, 8, 3), Error);
+    }
+  });
+  EXPECT_EQ(logs[0].sends.at(1).messages, 2u);
+  EXPECT_EQ(logs[0].sends.at(1).bytes, 3 * sizeof(double) + 2);
+}
+
 TEST(P2p, TagSelectsMessage) {
   Job::run(2, [](Comm& comm) {
     if (comm.rank() == 0) {

@@ -147,6 +147,22 @@ grep -q '"ok": true' "$CACHE_DIR/BENCH_scale.json" || {
   exit 1
 }
 
+echo "== scale reports: E1X/E2X jobs-invariant through the phase fan-out =="
+# E1X and E2X are the only reports whose predicts (16384 and 102400 ranks x
+# 12 threads) stream enough thread slots for the class-replay engine to
+# predict their phases concurrently; their JSON must not move between
+# --jobs 1 and --jobs 4. The jobs-1 pass fills the store the jobs-4 pass
+# replays, so the second pass is all prediction.
+SCALE_CACHE="$CACHE_DIR/scale-cache"
+for id in E1X E2X; do
+  "$FIBERSIM" report "$id" --format json --jobs 1 --trace-cache "$SCALE_CACHE" \
+      > "$CACHE_DIR/$id.j1.json"
+  "$FIBERSIM" report "$id" --format json --jobs 4 --trace-cache "$SCALE_CACHE" \
+      > "$CACHE_DIR/$id.j4.json"
+  diff "$CACHE_DIR/$id.j1.json" "$CACHE_DIR/$id.j4.json"
+  "$JSON_CHECK" "$CACHE_DIR/$id.j1.json" "$CACHE_DIR/$id.j4.json"
+done
+
 echo "== native kernels: large-dataset T2 jobs- and collapse-invariant =="
 # The report diffs above run ffvc on the small dataset only. This sweep runs
 # the large-dataset kernels of ngsa (k-mer checksum), ccs_qcd, ffb and nicam
