@@ -140,7 +140,8 @@ int main() {
     job_trace[static_cast<std::size_t>(comm.rank())] = rec.phases();
   });
 
-  // Predict the same execution on each processor.
+  // Predict the same execution on each processor, from its canonical form.
+  const auto canonical = trace::CanonicalTrace::build(job_trace);
   TextTable table({"processor", "time ms", "GFLOPS", "bw-bound phases"});
   for (const auto& proc : machine::comparison_set()) {
     const topo::Topology topology(proc.shape);
@@ -149,7 +150,7 @@ int main() {
                             topo::RankAllocPolicy::kBlock,
                             topo::ThreadBindPolicy::compact());
     const auto pred = trace::predict_job(
-        proc, cg::CompileOptions::simd_sched(), binding, job_trace);
+        proc, cg::CompileOptions::simd_sched(), binding, canonical);
     int mem_bound = 0;
     for (const auto& phase : pred.phases) {
       if (phase.time.limiter == machine::Limiter::kMemory) ++mem_bound;

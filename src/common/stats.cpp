@@ -52,8 +52,6 @@ double Accumulator::variance() const {
   return m2_ / static_cast<double>(count_ - 1);
 }
 
-double Accumulator::stddev() const { return std::sqrt(variance()); }
-
 double percentile(std::vector<double> values, double q) {
   FS_REQUIRE(!values.empty(), "percentile of empty series");
   FS_REQUIRE(q >= 0.0 && q <= 1.0, "percentile q must be in [0,1]");

@@ -18,7 +18,6 @@ class Accumulator {
   double max() const;
   /// Sample variance (n-1 denominator); 0 for fewer than two samples.
   double variance() const;
-  double stddev() const;
   double sum() const { return count_ ? mean_ * static_cast<double>(count_) : 0.0; }
 
  private:

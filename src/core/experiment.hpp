@@ -37,7 +37,7 @@ struct ExperimentConfig {
   /// representative per symmetry class runs natively, the rest are
   /// replicated analytically (mp::RankSymmetry + trace::CollapsedTrace).
   /// Results are byte-identical to a full run; rank counts beyond the
-  /// native 4096-thread limit become feasible.
+  /// 4096-rank cap of a full native run (mp::Job) become feasible.
   bool collapse = false;
 
   std::string label() const;

@@ -100,38 +100,15 @@ void WorkEstimate::validate() const {
              "dram_traffic_bytes exceeds the total traffic");
 }
 
-namespace {
-
-/// The fields in one fixed order, shared by exactly_equal and work_hash so
-/// the two can never drift apart when a field is added.
-template <typename Fn>
-void for_each_field(const WorkEstimate& w, Fn&& fn) {
-  fn(w.flops);
-  fn(w.load_bytes);
-  fn(w.store_bytes);
-  fn(w.int_ops);
-  fn(w.branches);
-  fn(w.iterations);
-  fn(w.vectorizable_fraction);
-  fn(w.fma_fraction);
-  fn(w.dep_chain_ops);
-  fn(w.gather_fraction);
-  fn(w.branch_miss_rate);
-  fn(w.shared_access_fraction);
-  fn(w.working_set_bytes);
-  fn(w.dram_traffic_bytes);
-  fn(w.inner_trip_count);
-}
-
-}  // namespace
-
 bool exactly_equal(const WorkEstimate& a, const WorkEstimate& b) {
   bool equal = true;
   std::size_t i = 0;
   std::uint64_t bits_a[16];
-  for_each_field(a, [&](double v) { bits_a[i++] = std::bit_cast<std::uint64_t>(v); });
+  for_each_field(a, [&](const char*, double v) {
+    bits_a[i++] = std::bit_cast<std::uint64_t>(v);
+  });
   i = 0;
-  for_each_field(b, [&](double v) {
+  for_each_field(b, [&](const char*, double v) {
     equal = equal && bits_a[i++] == std::bit_cast<std::uint64_t>(v);
   });
   return equal;
@@ -139,7 +116,7 @@ bool exactly_equal(const WorkEstimate& a, const WorkEstimate& b) {
 
 std::uint64_t work_hash(const WorkEstimate& w, std::uint64_t seed) {
   Fnv1a h(seed);
-  for_each_field(w, [&](double v) { h.f64(v); });
+  for_each_field(w, [&](const char*, double v) { h.f64(v); });
   return h.value();
 }
 

@@ -65,6 +65,29 @@ struct WorkEstimate {
   std::string summary() const;
 };
 
+/// Every field of a WorkEstimate in one fixed order: visit(name, member) per
+/// field. exactly_equal, work_hash, the trace JSON writer and the trace
+/// store codec all walk this list, so a new field is one line here. `Work`
+/// is WorkEstimate or const WorkEstimate.
+template <class Work, class Visit>
+void for_each_field(Work& w, Visit&& visit) {
+  visit("flops", w.flops);
+  visit("load_bytes", w.load_bytes);
+  visit("store_bytes", w.store_bytes);
+  visit("int_ops", w.int_ops);
+  visit("branches", w.branches);
+  visit("iterations", w.iterations);
+  visit("vectorizable_fraction", w.vectorizable_fraction);
+  visit("fma_fraction", w.fma_fraction);
+  visit("dep_chain_ops", w.dep_chain_ops);
+  visit("gather_fraction", w.gather_fraction);
+  visit("branch_miss_rate", w.branch_miss_rate);
+  visit("shared_access_fraction", w.shared_access_fraction);
+  visit("working_set_bytes", w.working_set_bytes);
+  visit("dram_traffic_bytes", w.dram_traffic_bytes);
+  visit("inner_trip_count", w.inner_trip_count);
+}
+
 /// Bitwise value equality over every field (the equality the prediction memo
 /// layer caches under: two estimates are interchangeable iff the model sees
 /// the exact same bits). Distinguishes +0.0 from -0.0, consistent with

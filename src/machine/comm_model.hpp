@@ -15,6 +15,8 @@
 // inter-NUMA hop latency once per ring hop (intra_socket_latency_seconds).
 #pragma once
 
+#include <cstdint>
+
 #include "machine/network_model.hpp"
 #include "machine/processor.hpp"
 #include "topo/topology.hpp"
@@ -41,6 +43,28 @@ class CommCostModel {
   /// Latency between two NUMA domains of one socket: ring hops on the
   /// on-chip network (domain ids are node-local, [0, numa_per_node)).
   double intra_socket_latency_seconds(int numa_a, int numa_b) const;
+
+  /// Seconds of one remote send over a route of `hops` whose busiest link
+  /// carries `foreign` bytes of other pairs: torus hop latency + injection
+  /// bandwidth + contended-link share.
+  double remote_send_seconds(int hops, std::uint64_t foreign,
+                             std::uint64_t messages,
+                             std::uint64_t bytes) const {
+    return static_cast<double>(messages) * remote_latency_seconds(hops) +
+           static_cast<double>(bytes) / bandwidth(topo::Distance::kRemoteNode) +
+           static_cast<double>(foreign) / link_bandwidth();
+  }
+  /// Seconds of one send within a node, between ranks whose master cores
+  /// lie in NUMA domains `numa_a` and `numa_b`: CMG-ring hop latency within
+  /// a socket, the flat class latencies otherwise.
+  double local_send_seconds(topo::Distance d, int numa_a, int numa_b,
+                            std::uint64_t messages, std::uint64_t bytes) const {
+    const double latency = d == topo::Distance::kSameSocket
+                               ? intra_socket_latency_seconds(numa_a, numa_b)
+                               : latency_seconds(d);
+    return static_cast<double>(messages) * latency +
+           static_cast<double>(bytes) / bandwidth(d);
+  }
 
   const TorusMap& torus() const { return torus_; }
 

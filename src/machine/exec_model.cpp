@@ -148,25 +148,6 @@ WorkEval ExecModel::evaluate_work(const isa::WorkEstimate& w) const {
   return out;
 }
 
-PhaseTime ExecModel::evaluate_phase(const std::vector<ThreadWork>& threads) const {
-  // The naive path is the reference semantics: evaluate every thread's work
-  // individually, in order, then accumulate. The class-replay prediction
-  // engine streams shared (memoized) WorkEvals into a PhaseAccumulator
-  // instead; because evaluate_work is a pure function and both accumulate
-  // through PhaseAccumulator::add in the same order, both paths produce
-  // bit-identical PhaseTimes.
-  std::vector<WorkEval> evals;
-  evals.reserve(threads.size());
-  std::vector<ThreadRef> refs;
-  refs.reserve(threads.size());
-  for (const ThreadWork& t : threads) {
-    evals.push_back(evaluate_work(t.work));
-    refs.push_back(ThreadRef{&evals.back(), t.numa, t.home_numa,
-                             barrier_seconds(t.team_size, t.team_span)});
-  }
-  return evaluate_phase_refs(refs);
-}
-
 PhaseTime ExecModel::evaluate_phase_refs(
     const std::vector<ThreadRef>& threads) const {
   FS_REQUIRE(!threads.empty(), "phase needs at least one thread");

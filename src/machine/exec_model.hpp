@@ -27,16 +27,6 @@
 
 namespace fibersim::machine {
 
-/// The work of one thread in one phase, with its placement.
-struct ThreadWork {
-  isa::WorkEstimate work;
-  int numa = 0;       ///< global NUMA domain of the thread's core
-  int home_numa = 0;  ///< domain homing the rank's shared data
-  int rank = 0;
-  int team_size = 1;              ///< threads in this thread's rank
-  topo::Distance team_span = topo::Distance::kSameNuma;
-};
-
 /// What limited a phase.
 enum class Limiter { kCompute, kMemory, kChain, kBarrier };
 const char* limiter_name(Limiter limiter);
@@ -65,9 +55,10 @@ struct PhaseTime {
 /// function of (processor, work), computed by ExecModel::evaluate_work and
 /// memoizable across sweep points (machine::EvalCache). Everything a thread
 /// contributes to a phase beyond these numbers is placement bookkeeping
-/// (which NUMA domain each byte is charged to), which evaluate_phase_refs
-/// replays per thread exactly as the naive path does — so a phase assembled
-/// from cached WorkEvals is bit-identical to one evaluated from scratch.
+/// (which NUMA domain each byte is charged to), which PhaseAccumulator
+/// replays per thread exactly as the tests' naive predictor does — so a
+/// phase assembled from cached WorkEvals is bit-identical to one evaluated
+/// from scratch.
 struct WorkEval {
   double flops = 0.0;
   double dram_bytes = 0.0;   ///< total DRAM traffic of the thread
@@ -78,7 +69,12 @@ struct WorkEval {
 };
 
 /// One thread of a phase, referencing its (shared) work evaluation: the
-/// input of evaluate_phase_refs (the naive path builds one per thread).
+/// input of evaluate_phase_refs. The prediction engine streams into a
+/// PhaseAccumulator instead; ThreadRef and evaluate_phase_refs stay because
+/// the traced fsbench build wraps evaluate_phase_refs by its mangled name
+/// and forces it with --undefined, which fails to link once it is undefined.
+/// The tests' naive predictor (tests/oracle_predict.hpp) evaluates its
+/// phases through them.
 struct ThreadRef {
   const WorkEval* eval = nullptr;
   int numa = 0;
@@ -106,13 +102,10 @@ class ExecModel {
   /// splits traffic across the cache hierarchy, bounds in-core time).
   WorkEval evaluate_work(const isa::WorkEstimate& work) const;
 
-  /// Evaluate a whole bulk-synchronous phase across every thread of the job.
-  PhaseTime evaluate_phase(const std::vector<ThreadWork>& threads) const;
-
-  /// The same evaluation from pre-computed work evaluations; `threads` must
-  /// be in the naive order (rank-major, thread-minor) for bit-identical
-  /// accumulation. evaluate_phase() is exactly this after an evaluate_work
-  /// per thread: one PhaseAccumulator fed every entry in order.
+  /// Evaluate a whole bulk-synchronous phase across every thread of the job
+  /// from pre-computed work evaluations; `threads` must be in the naive
+  /// order (rank-major, thread-minor) for bit-identical accumulation: one
+  /// PhaseAccumulator fed every entry in order.
   PhaseTime evaluate_phase_refs(const std::vector<ThreadRef>& threads) const;
 
   /// Streaming phase evaluation: add() every thread of the phase in the

@@ -50,9 +50,6 @@ class Buffer {
     if (size_ > 0) std::memcpy(out, data_.get(), size_);
   }
 
-  /// Holders of the backing allocation (tests assert fan-out sharing).
-  long use_count() const { return data_.use_count(); }
-
  private:
   std::shared_ptr<const std::byte[]> data_;
   std::size_t size_ = 0;

@@ -5,17 +5,6 @@
 
 namespace fibersim::topo {
 
-const char* distance_name(Distance d) {
-  switch (d) {
-    case Distance::kSameCore: return "same-core";
-    case Distance::kSameNuma: return "same-numa";
-    case Distance::kSameSocket: return "same-socket";
-    case Distance::kSameNode: return "same-node";
-    case Distance::kRemoteNode: return "remote-node";
-  }
-  return "?";
-}
-
 Topology::Topology(NodeShape shape, int nodes) : shape_(shape), nodes_(nodes) {
   FS_REQUIRE(shape.sockets >= 1, "topology needs >= 1 socket");
   FS_REQUIRE(shape.numa_per_socket >= 1, "topology needs >= 1 numa/socket");

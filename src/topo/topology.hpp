@@ -42,8 +42,6 @@ enum class Distance {
   kRemoteNode = 4,  ///< crosses the inter-node fabric (Tofu-D class)
 };
 
-const char* distance_name(Distance d);
-
 class Topology {
  public:
   /// A machine of `nodes` identical nodes of the given shape.

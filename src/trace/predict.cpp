@@ -8,89 +8,10 @@
 #include "cg/codegen_model.hpp"
 #include "common/cancel.hpp"
 #include "common/error.hpp"
-#include "machine/comm_model.hpp"
 #include "rt/fiber.hpp"
 
 namespace fibersim::trace {
 
-namespace {
-
-/// Seconds of one remote send over a route of `hops` whose busiest link
-/// carries `foreign` bytes of other pairs: torus hop latency + injection
-/// bandwidth + contended-link share.
-double remote_send_seconds(const machine::CommCostModel& model, int hops,
-                           std::uint64_t foreign, std::uint64_t messages,
-                           std::uint64_t bytes) {
-  return static_cast<double>(messages) * model.remote_latency_seconds(hops) +
-         static_cast<double>(bytes) /
-             model.bandwidth(topo::Distance::kRemoteNode) +
-         static_cast<double>(foreign) / model.link_bandwidth();
-}
-
-/// Seconds of one send within a node, between ranks whose master cores lie
-/// in NUMA domains `numa_a` and `numa_b`: CMG-ring hop latency within a
-/// socket, the flat class latencies otherwise.
-double local_send_seconds(const machine::CommCostModel& model,
-                          topo::Distance d, int numa_a, int numa_b,
-                          std::uint64_t messages, std::uint64_t bytes) {
-  const double latency =
-      d == topo::Distance::kSameSocket
-          ? model.intra_socket_latency_seconds(numa_a, numa_b)
-          : model.latency_seconds(d);
-  return static_cast<double>(messages) * latency +
-         static_cast<double>(bytes) / model.bandwidth(d);
-}
-
-/// Per-phase point-to-point communication model of the naive path. Two
-/// passes: add_rank_flows() aggregates every inter-node flow of the phase
-/// onto the torus (per node-pair; LinkContention routes each pair once and
-/// computes its foreign bytes at seal()), then each send is costed with its
-/// distance class, looking its pair's hops and foreign bytes up per send.
-class PhaseComm {
- public:
-  PhaseComm(const machine::CommCostModel& model, const topo::Binding& binding)
-      : model_(model), binding_(binding), contention_(&model.torus()) {}
-
-  void add_rank_flows(int rank, const mp::CommLog& comm) {
-    for (const auto& [dst, traffic] : comm.sends) {
-      if (binding_.rank_distance(rank, dst) == topo::Distance::kRemoteNode) {
-        contention_.add_flow(binding_.node_of(rank), binding_.node_of(dst),
-                             traffic.bytes);
-      }
-    }
-  }
-  void seal() { contention_.seal(); }
-
-  /// Point-to-point seconds of one rank (map iteration: ascending dst).
-  double rank_p2p_seconds(int rank, const mp::CommLog& comm) const {
-    double seconds = 0.0;
-    for (const auto& [dst, traffic] : comm.sends) {
-      const topo::Distance d = binding_.rank_distance(rank, dst);
-      if (d == topo::Distance::kRemoteNode) {
-        const int src_node = binding_.node_of(rank);
-        const int dst_node = binding_.node_of(dst);
-        seconds += remote_send_seconds(
-            model_, model_.torus().hops(src_node, dst_node),
-            contention_.foreign_bytes(src_node, dst_node), traffic.messages,
-            traffic.bytes);
-      } else {
-        seconds += local_send_seconds(model_, d, binding_.home_numa(rank),
-                                      binding_.home_numa(dst),
-                                      traffic.messages, traffic.bytes);
-      }
-    }
-    return seconds;
-  }
-
- private:
-  const machine::CommCostModel& model_;
-  const topo::Binding& binding_;
-  machine::LinkContention contention_;
-};
-
-/// One cost term per collective kind (per_call x calls, in map order).
-/// Collective cost depends only on the log and the job-wide geometry, so a
-/// whole equivalence class shares one term vector.
 std::vector<double> collective_terms(const machine::CommCostModel& model,
                                      int ranks, topo::Distance span,
                                      const mp::CommLog& comm) {
@@ -111,20 +32,6 @@ std::vector<double> collective_terms(const machine::CommCostModel& model,
   return terms;
 }
 
-/// Communication seconds of one rank in one phase (naive path).
-double rank_comm_seconds(const PhaseComm& phase_comm,
-                         const machine::CommCostModel& model,
-                         const topo::Binding& binding, topo::Distance span,
-                         int rank, const mp::CommLog& comm) {
-  double seconds = phase_comm.rank_p2p_seconds(rank, comm);
-  for (const double term : collective_terms(model, binding.ranks(), span, comm)) {
-    seconds += term;
-  }
-  return seconds;
-}
-
-/// Fold one evaluated phase into the job aggregates (shared by the naive path
-/// and the class-replay engine).
 void accumulate_phase(JobPrediction& out, PhasePrediction&& phase) {
   if (phase.timed) {
     out.compute_s += phase.time.compute_s;
@@ -138,107 +45,6 @@ void accumulate_phase(JobPrediction& out, PhasePrediction&& phase) {
     out.setup_s += phase.total_s;
   }
   out.phases.push_back(std::move(phase));
-}
-
-}  // namespace
-
-JobPrediction predict_job(const machine::ProcessorConfig& cfg,
-                          const cg::CompileOptions& opts,
-                          const topo::Binding& binding, const JobTrace& trace) {
-  FS_REQUIRE(static_cast<int>(trace.size()) == binding.ranks(),
-             "trace rank count does not match the binding");
-  FS_REQUIRE(!trace.empty(), "empty trace");
-  const std::size_t n_phases = trace.front().size();
-  for (const RankTrace& rt : trace) {
-    FS_REQUIRE(rt.size() == n_phases,
-               "ranks recorded different phase sequences");
-  }
-
-  const machine::ExecModel exec(cfg);
-  const machine::CommCostModel comm_model(cfg, binding.topology().nodes());
-  const int threads = binding.threads_per_rank();
-  const topo::Distance job_span = binding.job_span();
-
-  JobPrediction out;
-  out.phases.reserve(n_phases);
-
-  for (std::size_t p = 0; p < n_phases; ++p) {
-    cancel::checkpoint();  // deadline shed between phases, not mid-phase
-    const std::string& phase_name = trace.front()[p].name;
-    const bool parallel = trace.front()[p].parallel;
-
-    // Pass A: aggregate the phase's inter-node traffic for contention.
-    PhaseComm phase_comm(comm_model, binding);
-    for (int rank = 0; rank < binding.ranks(); ++rank) {
-      phase_comm.add_rank_flows(rank,
-                                trace[static_cast<std::size_t>(rank)][p].comm);
-    }
-    phase_comm.seal();
-
-    std::vector<machine::ThreadWork> thread_work;
-    thread_work.reserve(trace.size() * static_cast<std::size_t>(threads));
-    double worst_comm_s = 0.0;
-
-    for (int rank = 0; rank < binding.ranks(); ++rank) {
-      const PhaseRecord& rec = trace[static_cast<std::size_t>(rank)][p];
-      FS_REQUIRE(rec.name == phase_name,
-                 "ranks disagree on phase order: " + rec.name + " vs " +
-                     phase_name);
-      const isa::WorkEstimate generated = cg::apply(opts, rec.work);
-
-      if (parallel && threads > 1) {
-        const isa::WorkEstimate share =
-            generated.scaled(1.0 / static_cast<double>(threads));
-        for (int t = 0; t < threads; ++t) {
-          machine::ThreadWork tw;
-          tw.work = share;
-          tw.rank = rank;
-          tw.numa = binding.thread_numa(rank, t);
-          tw.home_numa = binding.home_numa(rank);
-          tw.team_size = threads;
-          tw.team_span = binding.team_span(rank);
-          thread_work.push_back(std::move(tw));
-        }
-      } else {
-        machine::ThreadWork tw;
-        tw.work = generated;
-        tw.rank = rank;
-        tw.numa = binding.thread_numa(rank, 0);
-        tw.home_numa = binding.home_numa(rank);
-        // Serial phases fork no team: no barrier is charged.
-        tw.team_size = 1;
-        tw.team_span = topo::Distance::kSameNuma;
-        thread_work.push_back(std::move(tw));
-      }
-
-      worst_comm_s = std::max(
-          worst_comm_s, rank_comm_seconds(phase_comm, comm_model, binding,
-                                          job_span, rank, rec.comm));
-    }
-
-    PhasePrediction phase;
-    phase.name = phase_name;
-    phase.timed = trace.front()[p].timed;
-    phase.time = exec.evaluate_phase(thread_work);
-    // Per-entry team barriers: one fork-join per phase entry.
-    const std::uint64_t entries = trace.front()[p].entries;
-    if (parallel && threads > 1 && entries > 1) {
-      // evaluate_phase charged one barrier; charge the remaining entries.
-      topo::Distance widest = topo::Distance::kSameNuma;
-      for (int rank = 0; rank < binding.ranks(); ++rank) {
-        widest = std::max(widest, binding.team_span(rank));
-      }
-      phase.time.barrier_s +=
-          static_cast<double>(entries - 1) * exec.barrier_seconds(threads, widest);
-      phase.time.total_s +=
-          static_cast<double>(entries - 1) * exec.barrier_seconds(threads, widest);
-    }
-    phase.comm_s = worst_comm_s;
-    phase.total_s = phase.time.total_s + phase.comm_s;
-
-    accumulate_phase(out, std::move(phase));
-  }
-  return out;
 }
 
 namespace {
@@ -288,15 +94,15 @@ void for_each_send(const CollapsedTrace& trace, std::size_t p, int rank,
 /// with its one per-predict scratch.
 constexpr std::size_t kPhaseFanOutSlots = std::size_t{1} << 14;
 
-/// The class-replay engine behind every class-compressed predict path: one
+/// The class-replay engine behind every predict path: one
 /// placement, one prediction per compile preset. Per phase, the comm half
 /// (collective terms, pass A contention, the point-to-point stream) reads no
 /// compile option and runs once. Then each preset costs every equivalence
 /// class once in stage 1 (codegen, thread share, exec-model work evaluation)
 /// and streams placement rank-major in the naive path's order. The comm and
 /// work sums never mix, so each preset's floating-point sequence — and
-/// therefore every output bit — matches predict_job(JobTrace) on the
-/// expanded trace.
+/// therefore every output bit — matches the naive predictor of
+/// tests/oracle_predict.hpp on the expanded trace.
 ///
 /// A phase reads only the predict's shared, read-only state and writes only
 /// its own scratch and results, so phases may run in any order or
@@ -546,12 +352,12 @@ class ClassReplay {
             const topo::Distance distance = binding_.master_distance(r, d);
             if (distance == topo::Distance::kRemoteNode) {
               const int flow = s.flow_of_send[next_flow++];
-              comm_s += remote_send_seconds(
-                  comm_model_, contention.flow_hops(flow),
-                  contention.flow_foreign(flow), messages, bytes);
+              comm_s += comm_model_.remote_send_seconds(
+                  contention.flow_hops(flow), contention.flow_foreign(flow),
+                  messages, bytes);
             } else {
-              comm_s += local_send_seconds(comm_model_, distance, home_of[r],
-                                           home_of[d], messages, bytes);
+              comm_s += comm_model_.local_send_seconds(
+                  distance, home_of[r], home_of[d], messages, bytes);
             }
           });
       for (const double term :

@@ -11,6 +11,7 @@
 #include <vector>
 
 #include "cg/compile_options.hpp"
+#include "machine/comm_model.hpp"
 #include "machine/eval_cache.hpp"
 #include "machine/exec_model.hpp"
 #include "machine/processor.hpp"
@@ -50,21 +51,6 @@ struct JobPrediction {
   double bw_pressure() const { return total_s > 0.0 ? memory_s / total_s : 0.0; }
 };
 
-/// Predict the execution time of a recorded job.
-///
-/// Requirements: `trace.size()` ranks must match `binding.ranks()`; every
-/// rank must have recorded the same phase sequence (SPMD programs do). Phase
-/// work is distributed over the rank's threads (evenly for parallel phases,
-/// on the master for serial ones), placed according to `binding`, transformed
-/// by `opts`, and evaluated on `cfg`.
-///
-/// This is the naive reference path: it validates the agreement contract and
-/// evaluates codegen + exec model per rank x thread on every call. Sweeps
-/// should canonicalize once and use the CanonicalTrace overload below.
-JobPrediction predict_job(const machine::ProcessorConfig& cfg,
-                          const cg::CompileOptions& opts,
-                          const topo::Binding& binding, const JobTrace& trace);
-
 /// Optional shared stage-1 memo for the class-replay prediction paths. A
 /// null pointer evaluates every class directly (still only once per
 /// equivalence class per phase). The memo is thread-safe; one is typically
@@ -73,14 +59,20 @@ struct PredictMemo {
   machine::EvalCache* stage1 = nullptr;
 };
 
-/// Predict from a canonicalized trace: bit-identical to the naive overload
-/// on the trace the CanonicalTrace was built from, but the per-phase cost is
-/// O(equivalence classes) stage-1 evaluations (shared further across calls
-/// through `memo`) plus O(ranks x threads) cheap placement
-/// accumulation — the string-compare validation of the naive path happened
-/// once, at CanonicalTrace::build. Shares one class-replay engine with the
-/// CollapsedTrace overload below; only the rank -> class lookup and the
-/// per-rank send listing differ between the two.
+/// Predict the execution time of a recorded job from its canonical form.
+///
+/// Requirements: `trace.ranks()` must match `binding.ranks()`
+/// (CanonicalTrace::build checked that every rank recorded the same phase
+/// sequence). Phase work is distributed over the rank's threads (evenly for
+/// parallel phases, on the master for serial ones), placed according to
+/// `binding`, transformed by `opts`, and evaluated on `cfg`.
+///
+/// The per-phase cost is O(equivalence classes) stage-1 evaluations (shared
+/// further across calls through `memo`) plus O(ranks x threads) cheap
+/// placement accumulation, bit-identical to the naive predictor of
+/// tests/oracle_predict.hpp on the expanded trace. Shares one class-replay
+/// engine with the CollapsedTrace overload below; only the rank -> class
+/// lookup and the per-rank send listing differ between the two.
 JobPrediction predict_job(const machine::ProcessorConfig& cfg,
                           const cg::CompileOptions& opts,
                           const topo::Binding& binding,
@@ -88,7 +80,7 @@ JobPrediction predict_job(const machine::ProcessorConfig& cfg,
                           const PredictMemo& memo = {});
 
 /// Predict from a collapsed trace without materialising the expansion:
-/// bit-identical to the full paths on the JobTrace that CollapsedTrace::
+/// bit-identical to the canonical path on the JobTrace that CollapsedTrace::
 /// expand() would yield, but native execution and stage-1 evaluation cost
 /// O(symmetry classes) while placement replay stays O(ranks x threads) —
 /// the path that makes 10^5-10^6-rank weak-scaling sweeps feasible. Runs the
@@ -115,5 +107,21 @@ std::vector<JobPrediction> predict_presets(
     const machine::ProcessorConfig& cfg,
     std::span<const cg::CompileOptions> presets, const topo::Binding& binding,
     const CollapsedTrace& trace, const PredictMemo& memo = {});
+
+// The two cost steps the engine shares with the reference predictor in
+// tests/oracle_predict.hpp, written once so that the tests check the
+// engine's order of operations rather than a copy of its formulas.
+
+/// One cost term per collective kind of `comm` (per_call x calls, in map
+/// order) in a `ranks`-way job spanning `span`. Collective cost depends only
+/// on the log and the job-wide geometry, so a whole equivalence class shares
+/// one term vector.
+std::vector<double> collective_terms(const machine::CommCostModel& model,
+                                     int ranks, topo::Distance span,
+                                     const mp::CommLog& comm);
+
+/// Fold one evaluated phase into the job aggregates: timed phases into the
+/// headline sums, untimed ones into setup_s.
+void accumulate_phase(JobPrediction& out, PhasePrediction&& phase);
 
 }  // namespace fibersim::trace

@@ -10,21 +10,8 @@ constexpr auto kCompact = json::Layout::kCompact;
 
 void write_work(json::Emitter& w, const isa::WorkEstimate& work) {
   w.object("work", kCompact);
-  w.num("flops", work.flops);
-  w.num("load_bytes", work.load_bytes);
-  w.num("store_bytes", work.store_bytes);
-  w.num("int_ops", work.int_ops);
-  w.num("branches", work.branches);
-  w.num("iterations", work.iterations);
-  w.num("vectorizable_fraction", work.vectorizable_fraction);
-  w.num("fma_fraction", work.fma_fraction);
-  w.num("dep_chain_ops", work.dep_chain_ops);
-  w.num("gather_fraction", work.gather_fraction);
-  w.num("branch_miss_rate", work.branch_miss_rate);
-  w.num("shared_access_fraction", work.shared_access_fraction);
-  w.num("working_set_bytes", work.working_set_bytes);
-  w.num("dram_traffic_bytes", work.dram_traffic_bytes);
-  w.num("inner_trip_count", work.inner_trip_count);
+  isa::for_each_field(work,
+                      [&](const char* name, double v) { w.num(name, v); });
   w.close();
 }
 

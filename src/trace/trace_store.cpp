@@ -143,40 +143,12 @@ class Reader {
 };
 
 void write_work(Writer& w, const isa::WorkEstimate& work) {
-  w.f64(work.flops);
-  w.f64(work.load_bytes);
-  w.f64(work.store_bytes);
-  w.f64(work.int_ops);
-  w.f64(work.branches);
-  w.f64(work.iterations);
-  w.f64(work.vectorizable_fraction);
-  w.f64(work.fma_fraction);
-  w.f64(work.dep_chain_ops);
-  w.f64(work.gather_fraction);
-  w.f64(work.branch_miss_rate);
-  w.f64(work.shared_access_fraction);
-  w.f64(work.working_set_bytes);
-  w.f64(work.dram_traffic_bytes);
-  w.f64(work.inner_trip_count);
+  isa::for_each_field(work, [&](const char*, double v) { w.f64(v); });
 }
 
 isa::WorkEstimate read_work(Reader& r) {
   isa::WorkEstimate work;
-  work.flops = r.f64();
-  work.load_bytes = r.f64();
-  work.store_bytes = r.f64();
-  work.int_ops = r.f64();
-  work.branches = r.f64();
-  work.iterations = r.f64();
-  work.vectorizable_fraction = r.f64();
-  work.fma_fraction = r.f64();
-  work.dep_chain_ops = r.f64();
-  work.gather_fraction = r.f64();
-  work.branch_miss_rate = r.f64();
-  work.shared_access_fraction = r.f64();
-  work.working_set_bytes = r.f64();
-  work.dram_traffic_bytes = r.f64();
-  work.inner_trip_count = r.f64();
+  isa::for_each_field(work, [&](const char*, double& v) { v = r.f64(); });
   return work;
 }
 
@@ -226,28 +198,26 @@ PhaseRecord read_record(Reader& r) {
   return rec;
 }
 
+// One StoreKey field by its type: put() writes it to a Writer or hashes it
+// into an Fnv1a, get() reads it back.
+template <class Sink>
+void put(Sink& sink, const std::string& v) { sink.str(v); }
+template <class Sink>
+void put(Sink& sink, int v) { sink.i32(v); }
+template <class Sink>
+void put(Sink& sink, std::uint64_t v) { sink.u64(v); }
+void get(Reader& r, std::string& v) { v = r.str(); }
+void get(Reader& r, int& v) { v = r.i32(); }
+void get(Reader& r, std::uint64_t& v) { v = r.u64(); }
+
 void write_key(Writer& w, const StoreKey& key) {
-  w.str(key.app);
-  w.i32(key.dataset);
-  w.i32(key.ranks);
-  w.i32(key.threads);
-  w.i32(key.iterations);
-  w.i32(key.weak_scale);
-  w.i32(key.collapse);
-  w.u64(key.seed);
+  StoreKey::for_each_field(key, [&](const auto& v) { put(w, v); });
   w.u64(key.hash());
 }
 
 StoreKey read_key(Reader& r, std::uint64_t* stored_hash) {
   StoreKey key;
-  key.app = r.str();
-  key.dataset = r.i32();
-  key.ranks = r.i32();
-  key.threads = r.i32();
-  key.iterations = r.i32();
-  key.weak_scale = r.i32();
-  key.collapse = r.i32();
-  key.seed = r.u64();
+  StoreKey::for_each_field(key, [&](auto& v) { get(r, v); });
   *stored_hash = r.u64();
   return key;
 }
@@ -255,16 +225,9 @@ StoreKey read_key(Reader& r, std::uint64_t* stored_hash) {
 }  // namespace
 
 std::uint64_t StoreKey::hash() const {
-  return Fnv1a()
-      .str(app)
-      .i32(dataset)
-      .i32(ranks)
-      .i32(threads)
-      .i32(iterations)
-      .i32(weak_scale)
-      .i32(collapse)
-      .u64(seed)
-      .value();
+  Fnv1a h;
+  for_each_field(*this, [&](const auto& v) { put(h, v); });
+  return h.value();
 }
 
 std::string encode_stored(const StoreKey& key, const StoredExecution& exec) {

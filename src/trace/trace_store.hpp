@@ -56,6 +56,21 @@ struct StoreKey {
   auto operator<=>(const StoreKey&) const = default;
   /// FNV-1a over all fields.
   std::uint64_t hash() const;
+
+  /// Every field in one fixed order: visit(member) per field. hash() and
+  /// the store's key writer and reader all walk this list, so a new field
+  /// is one line here. `Key` is StoreKey or const StoreKey.
+  template <class Key, class Visit>
+  static void for_each_field(Key& key, Visit&& visit) {
+    visit(key.app);
+    visit(key.dataset);
+    visit(key.ranks);
+    visit(key.threads);
+    visit(key.iterations);
+    visit(key.weak_scale);
+    visit(key.collapse);
+    visit(key.seed);
+  }
 };
 
 /// Everything the Runner needs to reuse a native execution without

@@ -9,7 +9,6 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <bit>
 #include <chrono>
 #include <cstdint>
 #include <filesystem>
@@ -31,6 +30,7 @@
 #include "mp/job.hpp"
 #include "mp/symmetry.hpp"
 #include "native_trace.hpp"
+#include "oracle_predict.hpp"
 #include "trace/canonical.hpp"
 #include "trace/collapsed.hpp"
 #include "trace/predict.hpp"
@@ -60,9 +60,8 @@ struct TempDir {
   std::string str() const { return path.string(); }
 };
 
-bool same_bits(double a, double b) {
-  return std::bit_cast<std::uint64_t>(a) == std::bit_cast<std::uint64_t>(b);
-}
+using oracle::expect_identical;
+using oracle::same_bits;
 
 // 16 ranks is the smallest count where every app in the suite collapses:
 // the 3-D cart apps (ffvc, ffb) land on a 4x2x2 grid with interior x
@@ -220,7 +219,7 @@ TEST_P(CollapseByteIdentity, PredictionBitsAgreeAcrossAllThreePaths) {
         for (int r = 0; r < kRanks; ++r) ASSERT_EQ(binding.node_of(r), r);
       }
 
-      const auto naive = trace::predict_job(cfg, opts, binding, full);
+      const auto naive = oracle::predict_job(cfg, opts, binding, full);
       const auto canonical_bare =
           trace::predict_job(cfg, opts, binding, canonical);
       const auto collapsed_bare =
@@ -230,25 +229,10 @@ TEST_P(CollapseByteIdentity, PredictionBitsAgreeAcrossAllThreePaths) {
       const auto collapsed_memo =
           trace::predict_job(cfg, opts, binding, collapsed, memo);
 
+      SCOPED_TRACE(c.app);
       for (const auto* pred : {&canonical_bare, &collapsed_bare,
                                &canonical_memo, &collapsed_memo}) {
-        EXPECT_TRUE(same_bits(pred->total_s, naive.total_s));
-        EXPECT_TRUE(same_bits(pred->compute_s, naive.compute_s));
-        EXPECT_TRUE(same_bits(pred->memory_s, naive.memory_s));
-        EXPECT_TRUE(same_bits(pred->comm_s, naive.comm_s));
-        EXPECT_TRUE(same_bits(pred->barrier_s, naive.barrier_s));
-        EXPECT_TRUE(same_bits(pred->setup_s, naive.setup_s));
-        EXPECT_TRUE(same_bits(pred->flops, naive.flops));
-        ASSERT_EQ(pred->phases.size(), naive.phases.size());
-        for (std::size_t p = 0; p < naive.phases.size(); ++p) {
-          EXPECT_EQ(pred->phases[p].name, naive.phases[p].name);
-          EXPECT_TRUE(
-              same_bits(pred->phases[p].comm_s, naive.phases[p].comm_s))
-              << c.app << " phase " << naive.phases[p].name;
-          EXPECT_TRUE(
-              same_bits(pred->phases[p].total_s, naive.phases[p].total_s))
-              << c.app << " phase " << naive.phases[p].name;
-        }
+        expect_identical(*pred, naive);
       }
 
       if (nodes == kRanks) {
@@ -258,7 +242,7 @@ TEST_P(CollapseByteIdentity, PredictionBitsAgreeAcrossAllThreePaths) {
         // every path, by the same bits.
         machine::ProcessorConfig slow = cfg;
         slow.net.link_bw /= 2;
-        const auto slow_naive = trace::predict_job(slow, opts, binding, full);
+        const auto slow_naive = oracle::predict_job(slow, opts, binding, full);
         if (routes_share_a_link(full, binding, machine::TorusMap(nodes))) {
           EXPECT_GT(slow_naive.comm_s, naive.comm_s);
         } else {
@@ -382,14 +366,8 @@ TEST(ClassReplay, ZeroByteRemoteSendCostsLikeTheNaivePath) {
   }
   EXPECT_TRUE(contended);
   const trace::CanonicalTrace canonical = trace::CanonicalTrace::build(full);
-  const auto naive = trace::predict_job(cfg, opts, binding, full);
-  const auto replay = trace::predict_job(cfg, opts, binding, canonical);
-  EXPECT_TRUE(same_bits(replay.comm_s, naive.comm_s));
-  EXPECT_TRUE(same_bits(replay.total_s, naive.total_s));
-  for (std::size_t p = 0; p < naive.phases.size(); ++p) {
-    EXPECT_TRUE(same_bits(replay.phases[p].comm_s, naive.phases[p].comm_s))
-        << naive.phases[p].name;
-  }
+  const auto naive = oracle::predict_job(cfg, opts, binding, full);
+  expect_identical(trace::predict_job(cfg, opts, binding, canonical), naive);
 }
 
 // A destination outside the job (a damaged store entry, say) is rejected
@@ -403,42 +381,10 @@ TEST(ClassReplay, RejectsASendOutsideTheJob) {
   const topo::Binding binding = topo::Binding::make(
       topo, kRanks, kThreads, topo::RankAllocPolicy::kBlock,
       topo::ThreadBindPolicy::compact());
-  EXPECT_THROW(trace::predict_job(cfg, opts, binding, full), Error);
+  EXPECT_THROW(oracle::predict_job(cfg, opts, binding, full), Error);
   EXPECT_THROW(trace::predict_job(cfg, opts, binding,
                                   trace::CanonicalTrace::build(full)),
                Error);
-}
-
-/// Every field of two predictions and of each of their phases, bit for bit.
-void expect_identical(const trace::JobPrediction& got,
-                      const trace::JobPrediction& want) {
-  EXPECT_TRUE(same_bits(got.total_s, want.total_s));
-  EXPECT_TRUE(same_bits(got.compute_s, want.compute_s));
-  EXPECT_TRUE(same_bits(got.memory_s, want.memory_s));
-  EXPECT_TRUE(same_bits(got.comm_s, want.comm_s));
-  EXPECT_TRUE(same_bits(got.barrier_s, want.barrier_s));
-  EXPECT_TRUE(same_bits(got.flops, want.flops));
-  EXPECT_TRUE(same_bits(got.dram_bytes, want.dram_bytes));
-  EXPECT_TRUE(same_bits(got.setup_s, want.setup_s));
-  ASSERT_EQ(got.phases.size(), want.phases.size());
-  for (std::size_t p = 0; p < want.phases.size(); ++p) {
-    const trace::PhasePrediction& g = got.phases[p];
-    const trace::PhasePrediction& w = want.phases[p];
-    SCOPED_TRACE("phase " + w.name);
-    EXPECT_EQ(g.name, w.name);
-    EXPECT_EQ(g.timed, w.timed);
-    EXPECT_TRUE(same_bits(g.comm_s, w.comm_s));
-    EXPECT_TRUE(same_bits(g.total_s, w.total_s));
-    EXPECT_TRUE(same_bits(g.time.compute_s, w.time.compute_s));
-    EXPECT_TRUE(same_bits(g.time.memory_s, w.time.memory_s));
-    EXPECT_TRUE(same_bits(g.time.barrier_s, w.time.barrier_s));
-    EXPECT_TRUE(same_bits(g.time.total_s, w.time.total_s));
-    EXPECT_EQ(g.time.limiter, w.time.limiter);
-    EXPECT_TRUE(same_bits(g.time.flops, w.time.flops));
-    EXPECT_TRUE(same_bits(g.time.dram_bytes, w.time.dram_bytes));
-    EXPECT_TRUE(same_bits(g.time.remote_bytes, w.time.remote_bytes));
-    EXPECT_TRUE(same_bits(g.time.chain_s, w.time.chain_s));
-  }
 }
 
 // A phase in which no rank sends point to point (ffvc's init and project,
@@ -459,7 +405,7 @@ TEST(ClassReplay, SendFreePhasesCostLikeTheNaivePath) {
     const trace::CanonicalTrace canonical = trace::CanonicalTrace::build(full);
     const trace::CollapsedTrace collapsed =
         run_collapsed(app, apps::Dataset::kSmall);
-    const auto naive = trace::predict_job(cfg, opts, binding, full);
+    const auto naive = oracle::predict_job(cfg, opts, binding, full);
     std::size_t send_free = 0;
     for (std::size_t p = 0; p < naive.phases.size(); ++p) {
       bool sends = false;
@@ -474,14 +420,7 @@ TEST(ClassReplay, SendFreePhasesCostLikeTheNaivePath) {
     for (const auto& replay :
          {trace::predict_job(cfg, opts, binding, canonical),
           trace::predict_job(cfg, opts, binding, collapsed)}) {
-      EXPECT_TRUE(same_bits(replay.comm_s, naive.comm_s));
-      EXPECT_TRUE(same_bits(replay.total_s, naive.total_s));
-      ASSERT_EQ(replay.phases.size(), naive.phases.size());
-      for (std::size_t p = 0; p < naive.phases.size(); ++p) {
-        EXPECT_TRUE(
-            same_bits(replay.phases[p].comm_s, naive.phases[p].comm_s))
-            << naive.phases[p].name;
-      }
+      expect_identical(replay, naive);
     }
   }
   EXPECT_GT(send_free_with_comm, 0u)
@@ -502,7 +441,7 @@ TEST(ClassReplay, SendFreePhasesCostLikeTheNaivePath) {
       }
     }
   }
-  const auto naive = trace::predict_job(cfg, opts, binding, full);
+  const auto naive = oracle::predict_job(cfg, opts, binding, full);
   const auto replay = trace::predict_job(cfg, opts, binding,
                                          trace::CanonicalTrace::build(full));
   expect_identical(replay, naive);
@@ -558,7 +497,7 @@ TEST(PhaseFanOut, EveryEngineMatchesTheNaivePathBitForBit) {
       cg::CompileOptions::simd_sched()};
   std::vector<trace::JobPrediction> naive;
   for (const cg::CompileOptions& opts : presets) {
-    naive.push_back(trace::predict_job(cfg, opts, binding, job.full));
+    naive.push_back(oracle::predict_job(cfg, opts, binding, job.full));
   }
   bool send_free = false;
   bool point_to_point = false;

@@ -30,6 +30,7 @@
 #include "machine/processor.hpp"
 #include "machine/registry.hpp"
 #include "machine/roofline.hpp"
+#include "oracle_predict.hpp"
 
 namespace fibersim::machine {
 namespace {
@@ -233,11 +234,11 @@ TEST(ExecModel, BarrierGrowsWithSizeAndSpan) {
   EXPECT_GT(t12x, t12);
 }
 
-std::vector<ThreadWork> uniform_job(int threads_total, int per_numa,
-                                    double dram_bytes_each) {
-  std::vector<ThreadWork> job;
+std::vector<oracle::ThreadWork> uniform_job(int threads_total, int per_numa,
+                                            double dram_bytes_each) {
+  std::vector<oracle::ThreadWork> job;
   for (int t = 0; t < threads_total; ++t) {
-    ThreadWork tw;
+    oracle::ThreadWork tw;
     tw.work.flops = 1e5;
     tw.work.load_bytes = dram_bytes_each;
     tw.work.vectorizable_fraction = 1.0;
@@ -257,8 +258,8 @@ TEST(ExecModel, MemoryChannelContention) {
   // 12 threads streaming 1 MB each from one CMG vs spread over 4 CMGs.
   auto packed = uniform_job(12, 12, 1e6);
   auto spread = uniform_job(12, 3, 1e6);
-  const PhaseTime t_packed = model.evaluate_phase(packed);
-  const PhaseTime t_spread = model.evaluate_phase(spread);
+  const PhaseTime t_packed = oracle::evaluate_phase(model, packed);
+  const PhaseTime t_spread = oracle::evaluate_phase(model, spread);
   EXPECT_GT(t_packed.memory_s, 3.0 * t_spread.memory_s);
   EXPECT_NEAR(t_packed.memory_s, 12e6 / 256e9, 1e-7);
 }
@@ -270,7 +271,7 @@ TEST(ExecModel, RemoteTrafficChargedToHomeAndInterconnect) {
     tw.work.shared_access_fraction = 1.0;
     tw.home_numa = 0;  // all shared data homed in CMG 0
   }
-  const PhaseTime t = model.evaluate_phase(job);
+  const PhaseTime t = oracle::evaluate_phase(model, job);
   EXPECT_GT(t.remote_bytes, 8e6);  // 9 threads off-home
   // All 12 MB now through CMG0's HBM (and the ring for 9 MB).
   EXPECT_GE(t.memory_s, 12e6 / 256e9 * 0.99);
@@ -279,7 +280,7 @@ TEST(ExecModel, RemoteTrafficChargedToHomeAndInterconnect) {
 TEST(ExecModel, PhaseTotalRespectsOverlapBounds) {
   const ExecModel model(a64fx());
   const auto job = uniform_job(4, 1, 5e6);
-  const PhaseTime t = model.evaluate_phase(job);
+  const PhaseTime t = oracle::evaluate_phase(model, job);
   EXPECT_GE(t.total_s, std::max(t.compute_s, t.memory_s));
   EXPECT_LE(t.total_s,
             t.compute_s + t.memory_s + t.barrier_s + 1e-12);
@@ -287,7 +288,7 @@ TEST(ExecModel, PhaseTotalRespectsOverlapBounds) {
 
 TEST(ExecModel, EmptyPhaseRejected) {
   const ExecModel model(a64fx());
-  EXPECT_THROW(model.evaluate_phase({}), Error);
+  EXPECT_THROW(oracle::evaluate_phase(model, {}), Error);
 }
 
 /// Bitwise comparison of every PhaseTime field.
@@ -344,14 +345,14 @@ TEST(ExecModel, PhaseRefsIndependentOfDomainLabels) {
 TEST(ExecModel, FlopsAggregated) {
   const ExecModel model(a64fx());
   const auto job = uniform_job(8, 2, 1e5);
-  EXPECT_DOUBLE_EQ(model.evaluate_phase(job).flops, 8e5);
+  EXPECT_DOUBLE_EQ(oracle::evaluate_phase(model, job).flops, 8e5);
 }
 
 TEST(ExecModel, LimiterClassification) {
   const ExecModel model(a64fx());
   // Memory limited: huge streaming traffic, little compute.
   {
-    std::vector<ThreadWork> job(4);
+    std::vector<oracle::ThreadWork> job(4);
     for (auto& tw : job) {
       tw.work.flops = 1e3;
       tw.work.load_bytes = 1e8;
@@ -359,28 +360,30 @@ TEST(ExecModel, LimiterClassification) {
       tw.work.vectorizable_fraction = 1.0;
       tw.work.iterations = 100.0;
     }
-    EXPECT_EQ(model.evaluate_phase(job).limiter, Limiter::kMemory);
+    EXPECT_EQ(oracle::evaluate_phase(model, job).limiter,
+              Limiter::kMemory);
   }
   // Chain limited: long recurrence, no traffic.
   {
-    std::vector<ThreadWork> job(1);
+    std::vector<oracle::ThreadWork> job(1);
     job[0].work.flops = 1e5;
     job[0].work.iterations = 1e5;
     job[0].work.dep_chain_ops = 8.0;
     job[0].work.vectorizable_fraction = 0.0;
-    const PhaseTime t = model.evaluate_phase(job);
+    const PhaseTime t = oracle::evaluate_phase(model, job);
     EXPECT_EQ(t.limiter, Limiter::kChain);
   }
   // Barrier limited: trivial work, wide cross-CMG team.
   {
-    std::vector<ThreadWork> job(2);
+    std::vector<oracle::ThreadWork> job(2);
     for (auto& tw : job) {
       tw.work.flops = 1.0;
       tw.work.iterations = 1.0;
       tw.team_size = 48;
       tw.team_span = topo::Distance::kSameSocket;
     }
-    EXPECT_EQ(model.evaluate_phase(job).limiter, Limiter::kBarrier);
+    EXPECT_EQ(oracle::evaluate_phase(model, job).limiter,
+              Limiter::kBarrier);
   }
 }
 

@@ -8,6 +8,7 @@
 #include "machine/comm_model.hpp"
 #include "machine/exec_model.hpp"
 #include "machine/roofline.hpp"
+#include "oracle_predict.hpp"
 
 namespace fibersim::machine {
 namespace {
@@ -32,11 +33,12 @@ class PerProcessor : public ::testing::TestWithParam<ProcessorConfig> {
     return w;
   }
 
-  std::vector<ThreadWork> job(const isa::WorkEstimate& w, int threads) const {
+  std::vector<oracle::ThreadWork> job(const isa::WorkEstimate& w,
+                                      int threads) const {
     const ProcessorConfig& cfg = GetParam();
-    std::vector<ThreadWork> out;
+    std::vector<oracle::ThreadWork> out;
     for (int t = 0; t < threads; ++t) {
-      ThreadWork tw;
+      oracle::ThreadWork tw;
       tw.work = w;
       tw.numa = (t * cfg.shape.numa_per_node()) / threads;
       tw.home_numa = tw.numa;
@@ -66,8 +68,8 @@ TEST_P(PerProcessor, PhaseTimeScalesWithWork) {
   const ExecModel model(GetParam());
   const auto small_job = job(mixed_work(), 4);
   const auto big_job = job(mixed_work().scaled(8.0), 4);
-  const double t_small = model.evaluate_phase(small_job).total_s;
-  const double t_big = model.evaluate_phase(big_job).total_s;
+  const double t_small = oracle::evaluate_phase(model, small_job).total_s;
+  const double t_big = oracle::evaluate_phase(model, big_job).total_s;
   EXPECT_NEAR(t_big / t_small, 8.0, 0.01);
 }
 
@@ -77,8 +79,9 @@ TEST_P(PerProcessor, MoreBandwidthNeverSlower) {
   isa::WorkEstimate w = mixed_work();
   w.dram_traffic_bytes = 4e6;  // force substantial DRAM traffic
   const double base =
-      ExecModel(GetParam()).evaluate_phase(job(w, 4)).total_s;
-  const double faster = ExecModel(fast).evaluate_phase(job(w, 4)).total_s;
+      oracle::evaluate_phase(ExecModel(GetParam()), job(w, 4)).total_s;
+  const double faster =
+      oracle::evaluate_phase(ExecModel(fast), job(w, 4)).total_s;
   EXPECT_LE(faster, base + 1e-15);
 }
 
@@ -140,7 +143,7 @@ TEST_P(PerProcessor, RooflineKneeConsistent) {
 TEST_P(PerProcessor, EvaluatePhaseAggregatesFlopsExactly) {
   const ExecModel model(GetParam());
   const auto threads = job(mixed_work(), 6);
-  EXPECT_DOUBLE_EQ(model.evaluate_phase(threads).flops, 6.0 * 5e6);
+  EXPECT_DOUBLE_EQ(oracle::evaluate_phase(model, threads).flops, 6.0 * 5e6);
 }
 
 INSTANTIATE_TEST_SUITE_P(

@@ -5,7 +5,6 @@
 // can change an answer and behave deterministically under concurrency.
 #include <gtest/gtest.h>
 
-#include <bit>
 #include <cmath>
 #include <cstdint>
 #include <latch>
@@ -21,6 +20,7 @@
 #include "core/sweep_pool.hpp"
 #include "machine/eval_cache.hpp"
 #include "native_trace.hpp"
+#include "oracle_predict.hpp"
 #include "trace/canonical.hpp"
 #include "trace/collapsed.hpp"
 #include "trace/predict.hpp"
@@ -28,43 +28,8 @@
 namespace fibersim {
 namespace {
 
-bool same_bits(double a, double b) {
-  return std::bit_cast<std::uint64_t>(a) == std::bit_cast<std::uint64_t>(b);
-}
-
-// Bitwise comparison of two predictions, down to per-phase components.
-void expect_identical(const trace::JobPrediction& a,
-                      const trace::JobPrediction& b) {
-  EXPECT_TRUE(same_bits(a.total_s, b.total_s));
-  EXPECT_TRUE(same_bits(a.compute_s, b.compute_s));
-  EXPECT_TRUE(same_bits(a.memory_s, b.memory_s));
-  EXPECT_TRUE(same_bits(a.comm_s, b.comm_s));
-  EXPECT_TRUE(same_bits(a.barrier_s, b.barrier_s));
-  EXPECT_TRUE(same_bits(a.flops, b.flops));
-  EXPECT_TRUE(same_bits(a.dram_bytes, b.dram_bytes));
-  EXPECT_TRUE(same_bits(a.setup_s, b.setup_s));
-  ASSERT_EQ(a.phases.size(), b.phases.size());
-  for (std::size_t p = 0; p < a.phases.size(); ++p) {
-    EXPECT_EQ(a.phases[p].name, b.phases[p].name);
-    EXPECT_EQ(a.phases[p].timed, b.phases[p].timed);
-    EXPECT_TRUE(same_bits(a.phases[p].comm_s, b.phases[p].comm_s));
-    EXPECT_TRUE(same_bits(a.phases[p].total_s, b.phases[p].total_s));
-    EXPECT_TRUE(same_bits(a.phases[p].time.total_s, b.phases[p].time.total_s));
-    EXPECT_TRUE(
-        same_bits(a.phases[p].time.compute_s, b.phases[p].time.compute_s));
-    EXPECT_TRUE(
-        same_bits(a.phases[p].time.memory_s, b.phases[p].time.memory_s));
-    EXPECT_TRUE(
-        same_bits(a.phases[p].time.barrier_s, b.phases[p].time.barrier_s));
-    EXPECT_TRUE(same_bits(a.phases[p].time.flops, b.phases[p].time.flops));
-    EXPECT_TRUE(
-        same_bits(a.phases[p].time.dram_bytes, b.phases[p].time.dram_bytes));
-    EXPECT_TRUE(same_bits(a.phases[p].time.remote_bytes,
-                          b.phases[p].time.remote_bytes));
-    EXPECT_TRUE(same_bits(a.phases[p].time.chain_s, b.phases[p].time.chain_s));
-    EXPECT_EQ(a.phases[p].time.limiter, b.phases[p].time.limiter);
-  }
-}
+using oracle::expect_identical;
+using oracle::same_bits;
 
 /// Predicts `raw` at every processor x options x alloc x bind point three
 /// ways — naive on the raw trace, canonical through one shared stage-1 memo,
@@ -88,7 +53,7 @@ void expect_memo_matches_naive(
               topo::Binding::make(topology, ranks, threads, alloc, bind);
           // A fresh naive prediction on the raw trace is the reference.
           const trace::JobPrediction naive =
-              trace::predict_job(proc, opts, binding, raw);
+              oracle::predict_job(proc, opts, binding, raw);
           expect_identical(
               naive, trace::predict_job(proc, opts, binding, canonical, memo));
           expect_identical(naive,

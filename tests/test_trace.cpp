@@ -4,6 +4,7 @@
 #include "common/error.hpp"
 #include "common/json.hpp"
 #include "mp/job.hpp"
+#include "trace/canonical.hpp"
 #include "trace/predict.hpp"
 #include "trace/recorder.hpp"
 #include "trace/serialize.hpp"
@@ -114,10 +115,16 @@ topo::Binding binding_for(int ranks, int threads) {
                              topo::ThreadBindPolicy::compact());
 }
 
+/// The path the program runs: canonicalize once, then predict.
+JobPrediction predict(
+    const topo::Binding& binding, const JobTrace& trace,
+    const cg::CompileOptions& opts = cg::CompileOptions::simd_sched()) {
+  return predict_job(machine::a64fx(), opts, binding,
+                     CanonicalTrace::build(trace));
+}
+
 TEST(Predict, BasicShape) {
-  const auto pred =
-      predict_job(machine::a64fx(), cg::CompileOptions::simd_sched(),
-                  binding_for(4, 2), single_phase_trace(4, 1e7));
+  const auto pred = predict(binding_for(4, 2), single_phase_trace(4, 1e7));
   ASSERT_EQ(pred.phases.size(), 1u);
   EXPECT_GT(pred.total_s, 0.0);
   EXPECT_DOUBLE_EQ(pred.flops, 4e7);
@@ -126,27 +133,21 @@ TEST(Predict, BasicShape) {
 
 TEST(Predict, MoreThreadsRunFaster) {
   const auto trace = single_phase_trace(4, 1e8);
-  const auto t1 = predict_job(machine::a64fx(), cg::CompileOptions::simd_sched(),
-                              binding_for(4, 1), trace);
-  const auto t8 = predict_job(machine::a64fx(), cg::CompileOptions::simd_sched(),
-                              binding_for(4, 8), trace);
+  const auto t1 = predict(binding_for(4, 1), trace);
+  const auto t8 = predict(binding_for(4, 8), trace);
   EXPECT_LT(t8.total_s, t1.total_s * 0.3);
 }
 
 TEST(Predict, SerialPhaseIgnoresThreadCount) {
   const auto trace = single_phase_trace(2, 1e8, /*parallel=*/false);
-  const auto t1 = predict_job(machine::a64fx(), cg::CompileOptions::simd_sched(),
-                              binding_for(2, 1), trace);
-  const auto t12 = predict_job(machine::a64fx(), cg::CompileOptions::simd_sched(),
-                               binding_for(2, 12), trace);
+  const auto t1 = predict(binding_for(2, 1), trace);
+  const auto t12 = predict(binding_for(2, 12), trace);
   EXPECT_NEAR(t1.total_s, t12.total_s, 1e-6 * t1.total_s + 1e-12);
 }
 
 TEST(Predict, UntimedPhasesExcludedFromHeadline) {
   JobTrace trace = single_phase_trace(2, 1e8, true, /*timed=*/false);
-  const auto pred = predict_job(machine::a64fx(),
-                                cg::CompileOptions::simd_sched(),
-                                binding_for(2, 2), trace);
+  const auto pred = predict(binding_for(2, 2), trace);
   EXPECT_DOUBLE_EQ(pred.total_s, 0.0);
   EXPECT_GT(pred.setup_s, 0.0);
   ASSERT_EQ(pred.phases.size(), 1u);
@@ -154,41 +155,31 @@ TEST(Predict, UntimedPhasesExcludedFromHeadline) {
 }
 
 TEST(Predict, WorkScalesTimeLinearly) {
-  const auto small = predict_job(machine::a64fx(),
-                                 cg::CompileOptions::simd_sched(),
-                                 binding_for(2, 2), single_phase_trace(2, 1e7));
-  const auto large = predict_job(machine::a64fx(),
-                                 cg::CompileOptions::simd_sched(),
-                                 binding_for(2, 2), single_phase_trace(2, 4e7));
+  const auto small = predict(binding_for(2, 2), single_phase_trace(2, 1e7));
+  const auto large = predict(binding_for(2, 2), single_phase_trace(2, 4e7));
   EXPECT_NEAR(large.total_s / small.total_s, 4.0, 0.5);
 }
 
 TEST(Predict, RejectsMismatchedTraces) {
-  const auto trace = single_phase_trace(3, 1e6);
+  // predict_job checks the rank count against the binding ...
+  const auto three = CanonicalTrace::build(single_phase_trace(3, 1e6));
   EXPECT_THROW(predict_job(machine::a64fx(), cg::CompileOptions::simd_sched(),
-                           binding_for(2, 2), trace),
+                           binding_for(2, 2), three),
                Error);
+  // ... and CanonicalTrace::build rejects ragged and renamed phases.
   JobTrace ragged = single_phase_trace(2, 1e6);
   ragged[1].push_back(ragged[1][0]);
-  EXPECT_THROW(predict_job(machine::a64fx(), cg::CompileOptions::simd_sched(),
-                           binding_for(2, 2), ragged),
-               Error);
+  EXPECT_THROW(CanonicalTrace::build(ragged), Error);
   JobTrace renamed = single_phase_trace(2, 1e6);
   renamed[1][0].name = "other";
-  EXPECT_THROW(predict_job(machine::a64fx(), cg::CompileOptions::simd_sched(),
-                           binding_for(2, 2), renamed),
-               Error);
+  EXPECT_THROW(CanonicalTrace::build(renamed), Error);
 }
 
 TEST(Predict, CommChargedToSlowestRank) {
   JobTrace trace = single_phase_trace(2, 1e6);
   trace[0][0].comm.record_send(1, 1 << 20);
-  const auto quiet = predict_job(machine::a64fx(),
-                                 cg::CompileOptions::simd_sched(),
-                                 binding_for(2, 2), single_phase_trace(2, 1e6));
-  const auto loud = predict_job(machine::a64fx(),
-                                cg::CompileOptions::simd_sched(),
-                                binding_for(2, 2), trace);
+  const auto quiet = predict(binding_for(2, 2), single_phase_trace(2, 1e6));
+  const auto loud = predict(binding_for(2, 2), trace);
   EXPECT_GT(loud.comm_s, quiet.comm_s);
   EXPECT_GT(loud.total_s, quiet.total_s);
 }
@@ -197,9 +188,8 @@ TEST(Predict, RepeatedEntriesChargeBarriers) {
   JobTrace once = single_phase_trace(2, 1e6);
   JobTrace many = single_phase_trace(2, 1e6);
   for (auto& rank_trace : many) rank_trace[0].entries = 100;
-  const auto opts = cg::CompileOptions::simd_sched();
-  const auto t_once = predict_job(machine::a64fx(), opts, binding_for(2, 12), once);
-  const auto t_many = predict_job(machine::a64fx(), opts, binding_for(2, 12), many);
+  const auto t_once = predict(binding_for(2, 12), once);
+  const auto t_many = predict(binding_for(2, 12), many);
   EXPECT_GT(t_many.barrier_s, 50.0 * t_once.barrier_s);
 }
 
@@ -209,11 +199,9 @@ TEST(Predict, CompilerOptionsChangeTime) {
     rank_trace[0].work.vectorizable_fraction = 1.0;
     rank_trace[0].work.branches = rank_trace[0].work.iterations;
   }
-  const auto basic = predict_job(machine::a64fx(), cg::CompileOptions::as_is(),
-                                 binding_for(2, 2), trace);
-  const auto tuned = predict_job(machine::a64fx(),
-                                 cg::CompileOptions::simd_sched(),
-                                 binding_for(2, 2), trace);
+  const auto basic =
+      predict(binding_for(2, 2), trace, cg::CompileOptions::as_is());
+  const auto tuned = predict(binding_for(2, 2), trace);
   EXPECT_LT(tuned.total_s, basic.total_s);
 }
 
@@ -257,9 +245,7 @@ TEST(Serialize, TraceJsonIsWellFormedAndComplete) {
 }
 
 TEST(Serialize, PredictionJsonIsWellFormed) {
-  const auto pred =
-      predict_job(machine::a64fx(), cg::CompileOptions::simd_sched(),
-                  binding_for(2, 2), single_phase_trace(2, 1e7));
+  const auto pred = predict(binding_for(2, 2), single_phase_trace(2, 1e7));
   const std::string text = to_json(pred);
   EXPECT_TRUE(json::well_formed(text)) << text;
   EXPECT_NE(text.find("\"total_s\""), std::string::npos);

@@ -217,6 +217,71 @@ TEST(TraceStoreCodec, WrongFormatVersionIsRejectedEvenWithValidHash) {
   EXPECT_FALSE(trace::decode_stored(key, blob).has_value());
 }
 
+// ----- pinned bytes --------------------------------------------------------
+
+/// A two-rank, one-phase trace whose records differ from each other and in
+/// which every work field, flag, send and collective holds a distinct value,
+/// each set by name: swapping two fields in a writer and its reader together
+/// moves bytes here, where the round-trip tests would still pass.
+trace::JobTrace pinned_trace() {
+  trace::JobTrace trace(2);
+  for (int rank = 0; rank < 2; ++rank) {
+    const double base = 100.0 * rank;
+    trace::PhaseRecord rec;
+    rec.name = "pinned";
+    rec.parallel = false;
+    rec.timed = true;
+    rec.entries = 3;
+    rec.work = {.flops = base + 1.5, .load_bytes = base + 2.5,
+                .store_bytes = base + 3.5, .int_ops = base + 4.5,
+                .branches = base + 5.5, .iterations = base + 6.5,
+                .vectorizable_fraction = base + 0.0625,
+                .fma_fraction = base + 0.125, .dep_chain_ops = base + 7.5,
+                .gather_fraction = base + 0.1875,
+                .branch_miss_rate = base + 0.25,
+                .shared_access_fraction = base + 0.3125,
+                .working_set_bytes = base + 8.5,
+                .dram_traffic_bytes = base + 9.5,
+                .inner_trip_count = base + 10.5};
+    const std::uint64_t r = static_cast<std::uint64_t>(rank);
+    rec.comm.sends[1 - rank] = mp::PeerTraffic{11 + 2 * r, 4096 * (r + 1)};
+    rec.comm.collectives[mp::CollectiveKind::kAllreduce] = {13 + r, 48};
+    rec.comm.collectives[mp::CollectiveKind::kAlltoall] = {17, 640 * (r + 1)};
+    trace[static_cast<std::size_t>(rank)].push_back(rec);
+  }
+  return trace;
+}
+
+std::uint64_t fnv1a_of(std::string_view bytes) {
+  Fnv1a h;
+  for (const char c : bytes) h.byte(static_cast<unsigned char>(c));
+  return h.value();
+}
+
+// The hashes are those of the format as first pinned; a change to either
+// is a format change (kFormatVersion for the store), never a refactor.
+TEST(TraceStoreCodec, EncodedBytesArePinned) {
+  trace::StoredExecution exec;
+  exec.canonical = trace::CanonicalTrace::build(pinned_trace());
+  ASSERT_EQ(exec.canonical.class_count(), 2u);
+  exec.verified = true;
+  exec.check_value = 0.375;
+  exec.check_description = "pinned check";
+  const trace::StoreKey key{.app = "pinned-app", .dataset = 1, .ranks = 2,
+                            .threads = 3, .iterations = 4, .weak_scale = 5,
+                            .collapse = 6, .seed = 7};
+  const std::string blob = trace::encode_stored(key, exec);
+  EXPECT_EQ(blob.size(), 643u);
+  EXPECT_EQ(fnv1a_of(blob), 0xa023f38e0eb73f68ull);
+  ASSERT_TRUE(trace::decode_stored(key, blob).has_value());
+}
+
+TEST(Serialize, TraceJsonBytesArePinned) {
+  const std::string text = trace::to_json(pinned_trace());
+  EXPECT_EQ(text.size(), 1123u);
+  EXPECT_EQ(fnv1a_of(text), 0xa0e65d8cc43fa81aull);
+}
+
 // ----- store-level fallback ------------------------------------------------
 
 TEST(TraceStore, CorruptFilesFallBackToNativeRuns) {

@@ -1,24 +1,34 @@
 #!/usr/bin/env sh
 # CI gate: tier-1 verify (full build with warnings as errors + full test
-# suite), then the concurrency/fault-labelled tests rebuilt under
+# suite), a build of the fsbench benchmark programs, then the
+# concurrency/fault-labelled tests rebuilt under
 # ThreadSanitizer and the failure/fault-injection, collapse and machine
 # suites under AddressSanitizer.
 #
 # Usage: tools/ci.sh            (from the repo root)
-#   BUILD_DIR=...  override the tier-1 build dir   (default: build)
-#   TSAN_DIR=...   override the TSan build dir     (default: build-tsan)
-#   ASAN_DIR=...   override the ASan build dir     (default: build-asan)
+#   BUILD_DIR=...    override the tier-1 build dir    (default: build)
+#   TSAN_DIR=...     override the TSan build dir      (default: build-tsan)
+#   ASAN_DIR=...     override the ASan build dir      (default: build-asan)
+#   FSBENCH_DIR=...  override the benchmark build dir (default: build-fsbench)
 set -eu
 
 cd "$(dirname "$0")/.."
 BUILD_DIR="${BUILD_DIR:-build}"
 TSAN_DIR="${TSAN_DIR:-build-tsan}"
 ASAN_DIR="${ASAN_DIR:-build-asan}"
+FSBENCH_DIR="${FSBENCH_DIR:-build-fsbench}"
 
 echo "== tier-1: build + full test suite =="
 cmake -B "$BUILD_DIR" -S . -DFIBERSIM_WERROR=ON
 cmake --build "$BUILD_DIR" -j
 ctest --test-dir "$BUILD_DIR" --output-on-failure -j
+
+echo "== fsbench: the benchmark programs build (built, not run) =="
+# fsbench_traced wraps each layer's entry points by mangled name and forces
+# them with --undefined, so deleting a wrapped function or changing its
+# signature fails this link here instead of in a benchmark run.
+cmake -B "$FSBENCH_DIR" -S fsbench
+cmake --build "$FSBENCH_DIR" -j --target fsbench fsbench_traced
 
 echo "== trace store: cold -> warm replay must be byte-identical =="
 CACHE_DIR="$(mktemp -d)"
