@@ -63,6 +63,18 @@ struct NativeRanks {
   std::mutex mutex;
 };
 
+/// The rank symmetry of `config`'s app at `config.ranks`; throws when the
+/// app declares none.
+mp::RankSymmetry collapse_symmetry(const ExperimentConfig& config) {
+  const auto app = apps::create_miniapp(config.app);
+  const mp::CollapseSpec spec =
+      app->collapse_spec(config.dataset, config.weak_scale);
+  if (!spec.collapsible()) {
+    throw Error(config.app + ": app declares no rank symmetry");
+  }
+  return mp::RankSymmetry::build(spec, config.ranks);
+}
+
 }  // namespace
 
 trace::StoreKey Runner::execution_key(const ExperimentConfig& config) {
@@ -83,14 +95,16 @@ void Runner::set_trace_store(std::shared_ptr<trace::TraceStore> store) {
   store_ = std::move(store);
 }
 
+void Runner::count_collapsed(const ExperimentConfig& config, int classes) {
+  collapse_classes_.fetch_add(static_cast<std::size_t>(classes),
+                              std::memory_order_relaxed);
+  collapse_replicated_.fetch_add(
+      static_cast<std::size_t>(config.ranks - classes),
+      std::memory_order_relaxed);
+}
+
 Runner::Execution Runner::run_native_collapsed(const ExperimentConfig& config) {
-  const auto app = apps::create_miniapp(config.app);
-  const mp::CollapseSpec spec =
-      app->collapse_spec(config.dataset, config.weak_scale);
-  if (!spec.collapsible()) {
-    throw Error(config.app + ": app declares no rank symmetry");
-  }
-  mp::RankSymmetry symmetry = mp::RankSymmetry::build(spec, config.ranks);
+  mp::RankSymmetry symmetry = collapse_symmetry(config);
   const int classes = symmetry.classes();
   FS_LOG(kInfo) << "collapsed native run: " << config.app << "/"
                 << apps::dataset_name(config.dataset) << " " << config.ranks
@@ -115,36 +129,22 @@ Runner::Execution Runner::run_native_collapsed(const ExperimentConfig& config) {
   // persists; the virtual job is re-assembled at load (rehydrate_collapsed).
   exec.stored.canonical = trace::CanonicalTrace::build(ranks.traces);
 
-  collapse_classes_.fetch_add(static_cast<std::size_t>(classes),
-                              std::memory_order_relaxed);
+  count_collapsed(config, classes);
   collapse_native_ranks_.fetch_add(static_cast<std::size_t>(classes),
                                    std::memory_order_relaxed);
-  collapse_replicated_.fetch_add(
-      static_cast<std::size_t>(config.ranks - classes),
-      std::memory_order_relaxed);
   return exec;
 }
 
 void Runner::rehydrate_collapsed(const ExperimentConfig& config,
                                  Execution& exec) {
-  const auto app = apps::create_miniapp(config.app);
-  const mp::CollapseSpec spec =
-      app->collapse_spec(config.dataset, config.weak_scale);
-  if (!spec.collapsible()) {
-    throw Error(config.app + ": app declares no rank symmetry");
-  }
-  mp::RankSymmetry symmetry = mp::RankSymmetry::build(spec, config.ranks);
+  mp::RankSymmetry symmetry = collapse_symmetry(config);
   const int classes = symmetry.classes();
   FS_REQUIRE(exec.stored.canonical.ranks() == classes,
              "stored collapsed trace does not match the app's rank symmetry");
   exec.collapsed = trace::CollapsedTrace::assemble(
       std::move(symmetry), exec.stored.canonical.expand());
   exec.is_collapsed = true;
-  collapse_classes_.fetch_add(static_cast<std::size_t>(classes),
-                              std::memory_order_relaxed);
-  collapse_replicated_.fetch_add(
-      static_cast<std::size_t>(config.ranks - classes),
-      std::memory_order_relaxed);
+  count_collapsed(config, classes);
 }
 
 Runner::Execution Runner::run_native(const ExperimentConfig& config,

@@ -193,6 +193,9 @@ class Runner {
   /// One native run attempt (no caching); throws on failure.
   Execution run_native(const ExperimentConfig& config, int attempt);
 
+  /// Count one admitted collapsed execution of `classes` classes.
+  void count_collapsed(const ExperimentConfig& config, int classes);
+
   /// Collapsed native run: executes one representative per symmetry class
   /// and assembles the virtual job. Throws fibersim::Error when the app
   /// declares no symmetry or a trace cannot be factored on the grid; the

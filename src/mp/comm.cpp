@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <chrono>
 #include <cstring>
+#include <iterator>
 
 #include "common/error.hpp"
 #include "common/string_util.hpp"
@@ -19,6 +20,26 @@ namespace {
 // of the same kind from cross-matching.
 constexpr int kCollectiveTagBase = 1 << 24;
 constexpr int kCollectiveSeqSlots = 4096;
+
+/// Where each CollectiveKind's tags start above kCollectiveTagBase, and how
+/// many consecutive tags one call owns (indexed by CollectiveKind).
+struct TagRange {
+  int offset;
+  int per_call;
+};
+constexpr TagRange kTagRanges[] = {
+    {800000, 32},   // kBarrier: one tag per dissemination round, up to 32
+    {0, 1},         // kBcast
+    {900000, 1},    // kReduce
+    {300000, 2},    // kAllreduce: reduce, then broadcast
+    {1000000, 1},   // kGather
+    {2000000, 1},   // kAllgather
+    {3000000, 1},   // kAlltoall
+    {4000000, 1},   // kScan
+    {5000000, 2},   // kReduceScatter: reduce, then scatter
+};
+static_assert(std::size(kTagRanges) ==
+              static_cast<std::size_t>(CollectiveKind::kReduceScatter) + 1);
 
 /// The one push point every send path (user p2p and collective internals)
 /// funnels through, so an attached fault plan sees every message exactly
@@ -175,49 +196,52 @@ void raw_recv(detail::JobState& state, int self, int src, int tag, void* data,
               std::size_t bytes) {
   raw_recv_msg(state, self, src, tag, bytes).payload.copy_to(data);
 }
-}  // namespace
 
-void Comm::barrier() {
-  fault_op(*state_, rank_);
-  log_.record_collective(CollectiveKind::kBarrier, 0);
-  // Dissemination barrier: log2(size) rounds.
-  static constexpr int kRoundStride = 32;  // max rounds per barrier
-  const int seq =
-      static_cast<int>(log_.collectives[CollectiveKind::kBarrier].calls %
-                       (kCollectiveSeqSlots / kRoundStride));
-  int round = 0;
-  for (int dist = 1; dist < size_; dist *= 2, ++round) {
-    const int tag = kCollectiveTagBase + 800000 + seq * kRoundStride + round;
-    const int dst = (rank_ + dist) % size_;
-    const int src = (rank_ - dist % size_ + size_) % size_;
-    char token = 0;
-    raw_send(*state_, rank_, dst, tag, &token, 1);
-    raw_recv(*state_, rank_, src, tag, &token, 1);
+/// One elementwise reduction step into `acc`. A sum adds `weight * in[i]`:
+/// a collapsed slot stands for `weight` identical ranks, a full-run rank
+/// for one (and 1.0 * x is exactly x).
+void fold(std::span<double> acc, const double* in, ReduceMode mode,
+          double weight = 1.0) {
+  for (std::size_t i = 0; i < acc.size(); ++i) {
+    switch (mode) {
+      case ReduceMode::kSum: acc[i] += weight * in[i]; break;
+      case ReduceMode::kMax: acc[i] = std::max(acc[i], in[i]); break;
+      case ReduceMode::kMin: acc[i] = std::min(acc[i], in[i]); break;
+    }
   }
 }
 
-void Comm::bcast_bytes(void* data, std::size_t bytes, int root) {
-  FS_REQUIRE(root >= 0 && root < vsize_, "bcast root out of range");
-  FS_REQUIRE(bytes == 0 || data != nullptr, "null payload with nonzero size");
+/// Lay class-ordered blocks out over the virtual ranks: every member of a
+/// class gets its representative's block.
+void expand_classes(const RankSymmetry& sym, const std::byte* blocks,
+                    std::size_t bytes, void* out) {
+  auto* dst = static_cast<std::byte*>(out);
+  for (int v = 0; v < sym.size(); ++v) {
+    std::memcpy(dst + static_cast<std::size_t>(v) * bytes,
+                blocks + static_cast<std::size_t>(sym.class_of(v)) * bytes,
+                bytes);
+  }
+}
+}  // namespace
+
+int Comm::begin_collective(CollectiveKind kind, std::size_t bytes) {
   fault_op(*state_, rank_);
-  log_.record_collective(CollectiveKind::kBcast, bytes);
-  const int seq =
-      static_cast<int>(log_.collectives[CollectiveKind::kBcast].calls %
-                       kCollectiveSeqSlots);
-  const int tag = kCollectiveTagBase + seq;
-  // A collapsed bcast runs the same binomial tree over the physical slots
-  // rooted at the root's class slot: the virtual root's buffer *is* its
-  // representative's, and every member of every class observes the data
-  // its full-run counterpart would (all ranks receive the root's bytes).
-  const int eff_root = collapsed_ ? root_slot(root) : root;
-  const int relrank = (rank_ - eff_root + size_) % size_;
+  log_.record_collective(kind, bytes);
+  const TagRange& range = kTagRanges[static_cast<std::size_t>(kind)];
+  const int seq = static_cast<int>(log_.collectives[kind].calls %
+                                   (kCollectiveSeqSlots / range.per_call));
+  return kCollectiveTagBase + range.offset + seq * range.per_call;
+}
+
+void Comm::tree_bcast(void* data, std::size_t bytes, int root, int tag) {
+  const int relrank = (rank_ - root + size_) % size_;
   // Binomial tree: receive from parent, forward the received Buffer to all
   // children — the whole tree shares the root's single allocation.
   Buffer payload;
   int mask = 1;
   while (mask < size_) {
     if (relrank & mask) {
-      const int src = (relrank - mask + eff_root) % size_;
+      const int src = (relrank - mask + root) % size_;
       Message m = raw_recv_msg(*state_, rank_, src, tag, bytes);
       m.payload.copy_to(data);
       payload = std::move(m.payload);
@@ -229,138 +253,189 @@ void Comm::bcast_bytes(void* data, std::size_t bytes, int root) {
   mask >>= 1;
   while (mask > 0) {
     if (relrank + mask < size_) {
-      const int dst = (relrank + mask + eff_root) % size_;
+      const int dst = (relrank + mask + root) % size_;
       raw_send_buf(*state_, rank_, dst, tag, payload);
     }
     mask >>= 1;
   }
 }
 
-template <typename Op>
-void Comm::allreduce_op(std::span<double> data, Op op, CollectiveKind kind) {
-  fault_op(*state_, rank_);
-  log_.record_collective(kind, data.size_bytes());
-  const int seq = static_cast<int>(log_.collectives[kind].calls %
-                                   (kCollectiveSeqSlots / 2));
-  const int tag = kCollectiveTagBase + static_cast<int>(kind) * 100000 +
-                  seq * 2;
-  // Reduce to rank 0 over a binomial tree...
+void Comm::tree_reduce(std::span<double> data, ReduceMode mode, int root,
+                       int tag) {
+  const int relrank = (rank_ - root + size_) % size_;
   std::vector<double> incoming(data.size());
-  int mask = 1;
-  while (mask < size_) {
-    if ((rank_ & mask) == 0) {
-      const int src = rank_ | mask;
-      if (src < size_) {
-        raw_recv(*state_, rank_, src, tag, incoming.data(),
-                 data.size_bytes());
-        for (std::size_t i = 0; i < data.size(); ++i) {
-          data[i] = op(data[i], incoming[i]);
-        }
-      }
+  for (int mask = 1; mask < size_; mask <<= 1) {
+    if (relrank & mask) {
+      raw_send(*state_, rank_, ((relrank & ~mask) + root) % size_, tag,
+               data.data(), data.size_bytes());
+      return;
+    }
+    const int src_rel = relrank | mask;
+    if (src_rel < size_) {
+      raw_recv(*state_, rank_, (src_rel + root) % size_, tag, incoming.data(),
+               data.size_bytes());
+      fold(data, incoming.data(), mode);
+    }
+  }
+}
+
+void Comm::gather_blocks(const void* mine, std::size_t bytes, void* blocks,
+                         int root, int tag) {
+  if (rank_ != root) {
+    raw_send(*state_, rank_, root, tag, mine, bytes);
+    return;
+  }
+  auto* out = static_cast<std::byte*>(blocks);
+  for (int r = 0; r < size_; ++r) {
+    std::byte* block = out + static_cast<std::size_t>(r) * bytes;
+    if (r == root) {
+      std::memcpy(block, mine, bytes);
     } else {
-      const int dst = rank_ & ~mask;
-      raw_send(*state_, rank_, dst, tag, data.data(), data.size_bytes());
-      break;
+      raw_recv(*state_, rank_, r, tag, block, bytes);
     }
-    mask <<= 1;
   }
-  // ...then broadcast the result (re-using the binomial pattern, tag+1).
-  // The reduced vector is immutable from here on, so the fan-out shares one
-  // Buffer exactly like bcast_bytes does.
-  const int btag = tag + 1;
-  Buffer result;
-  mask = 1;
-  while (mask < size_) {
-    if (rank_ & mask) {
-      const int src = rank_ - mask;
-      Message m = raw_recv_msg(*state_, rank_, src, btag, data.size_bytes());
-      m.payload.copy_to(data.data());
-      result = std::move(m.payload);
-      break;
+}
+
+void Comm::class_blocks(const void* mine, std::size_t bytes, void* blocks,
+                        int tag) {
+  // Gather at slot 0 under `tag`, then broadcast the concatenation under
+  // tag + 1. For a kind with one tag per call, tag + 1 is also the next
+  // call's gather tag, but the two are directionally disjoint: only slot 0
+  // receives gather messages and it never receives broadcast ones.
+  gather_blocks(mine, bytes, blocks, 0, tag);
+  tree_bcast(blocks, static_cast<std::size_t>(size_) * bytes, 0, tag + 1);
+}
+
+void Comm::exchange_addressed(const void* send, std::size_t bytes,
+                              void* blocks, int tag) {
+  // Slot s's rank is its class representative in a collapsed run, so each
+  // slot receives, from every class, the block that class's representative
+  // addresses to this slot's representative.
+  const auto rank_of = [&](int slot) {
+    return collapsed_ ? state_->collapse->representative(slot) : slot;
+  };
+  const auto* in = static_cast<const std::byte*>(send);
+  auto* out = static_cast<std::byte*>(blocks);
+  for (int s = 0; s < size_; ++s) {
+    if (s == rank_) continue;
+    raw_send(*state_, rank_, s, tag,
+             in + static_cast<std::size_t>(rank_of(s)) * bytes, bytes);
+  }
+  for (int s = 0; s < size_; ++s) {
+    std::byte* block = out + static_cast<std::size_t>(s) * bytes;
+    if (s == rank_) {
+      std::memcpy(block, in + static_cast<std::size_t>(vrank_) * bytes, bytes);
+    } else {
+      raw_recv(*state_, rank_, s, tag, block, bytes);
     }
-    mask <<= 1;
   }
-  if (rank_ == 0 && size_ > 1) {
-    result = Buffer::copy_of(data.data(), data.size_bytes());
+}
+
+int Comm::root_slot(int root) const {
+  if (!collapsed_) return root;
+  const RankSymmetry& sym = *state_->collapse;
+  const int cls = sym.class_of(root);
+  FS_REQUIRE(sym.representative(cls) == root,
+             "collapsed collective root must be a class representative");
+  return cls;
+}
+
+// ----- collectives -----
+//
+// Every collective opens with begin_collective, so a collapsed run logs the
+// same CollectiveKind and byte count as a full one and collapsed traces match
+// full traces bit for bit. Only the data movement differs: a collapsed run
+// moves data between its physical slots (one per symmetry class) and weights
+// each slot's contribution by its class population, producing the value the
+// app would compute if every member of the class contributed its
+// representative's bits. Folds run in ascending class order over the same
+// class blocks on every slot, so every slot observes identical bits
+// regardless of scheduling.
+
+void Comm::barrier() {
+  const int tag = begin_collective(CollectiveKind::kBarrier, 0);
+  // Dissemination barrier: log2(size) rounds, one tag each.
+  int round = 0;
+  for (int dist = 1; dist < size_; dist *= 2, ++round) {
+    const int dst = (rank_ + dist) % size_;
+    const int src = (rank_ - dist % size_ + size_) % size_;
+    char token = 0;
+    raw_send(*state_, rank_, dst, tag + round, &token, 1);
+    raw_recv(*state_, rank_, src, tag + round, &token, 1);
   }
-  mask >>= 1;
-  while (mask > 0) {
-    if (rank_ + mask < size_) {
-      raw_send_buf(*state_, rank_, rank_ + mask, btag, result);
-    }
-    mask >>= 1;
-  }
+}
+
+void Comm::bcast_bytes(void* data, std::size_t bytes, int root) {
+  FS_REQUIRE(root >= 0 && root < vsize_, "bcast root out of range");
+  FS_REQUIRE(bytes == 0 || data != nullptr, "null payload with nonzero size");
+  const int tag = begin_collective(CollectiveKind::kBcast, bytes);
+  // A collapsed bcast runs the same tree over the physical slots rooted at
+  // the root's class slot: the virtual root's buffer *is* its
+  // representative's, and every member of every class observes the data
+  // its full-run counterpart would (all ranks receive the root's bytes).
+  tree_bcast(data, bytes, root_slot(root), tag);
 }
 
 void Comm::reduce_sum(std::span<double> data, int root) {
   FS_REQUIRE(root >= 0 && root < vsize_, "reduce root out of range");
-  if (collapsed_) {
-    collapsed_reduce_sum(data, root);
+  const int tag = begin_collective(CollectiveKind::kReduce, data.size_bytes());
+  if (!collapsed_) {
+    tree_reduce(data, ReduceMode::kSum, root, tag);
     return;
   }
-  fault_op(*state_, rank_);
-  log_.record_collective(CollectiveKind::kReduce, data.size_bytes());
-  const int seq =
-      static_cast<int>(log_.collectives[CollectiveKind::kReduce].calls %
-                       kCollectiveSeqSlots);
-  const int tag = kCollectiveTagBase + 900000 + seq;
-  const int relrank = (rank_ - root + size_) % size_;
-  std::vector<double> incoming(data.size());
-  int mask = 1;
-  while (mask < size_) {
-    if ((relrank & mask) == 0) {
-      const int src_rel = relrank | mask;
-      if (src_rel < size_) {
-        raw_recv(*state_, rank_, (src_rel + root) % size_, tag,
-                 incoming.data(), data.size_bytes());
-        for (std::size_t i = 0; i < data.size(); ++i) data[i] += incoming[i];
-      }
-    } else {
-      const int dst_rel = relrank & ~mask;
-      raw_send(*state_, rank_, (dst_rel + root) % size_, tag, data.data(),
-               data.size_bytes());
-      break;
-    }
-    mask <<= 1;
+  const int rslot = root_slot(root);
+  std::vector<double> blocks(data.size() * static_cast<std::size_t>(size_));
+  gather_blocks(data.data(), data.size_bytes(), blocks.data(), rslot, tag);
+  if (rank_ != rslot) return;
+  const RankSymmetry& sym = *state_->collapse;
+  std::fill(data.begin(), data.end(), 0.0);
+  for (int c = 0; c < size_; ++c) {
+    fold(data, blocks.data() + static_cast<std::size_t>(c) * data.size(),
+         ReduceMode::kSum, static_cast<double>(sym.weight(c)));
+  }
+}
+
+void Comm::allreduce(std::span<double> data, ReduceMode mode) {
+  const int tag =
+      begin_collective(CollectiveKind::kAllreduce, data.size_bytes());
+  if (!collapsed_) {
+    // Reduce to rank 0 over a binomial tree, then broadcast the result.
+    tree_reduce(data, mode, 0, tag);
+    tree_bcast(data.data(), data.size_bytes(), 0, tag + 1);
+    return;
+  }
+  const RankSymmetry& sym = *state_->collapse;
+  const std::size_t n = data.size();
+  std::vector<double> blocks(n * static_cast<std::size_t>(size_));
+  class_blocks(data.data(), data.size_bytes(), blocks.data(), tag);
+  // A weighted sum starts from class 0's block times its weight.
+  std::copy_n(blocks.begin(), n, data.begin());
+  if (mode == ReduceMode::kSum) {
+    const double w0 = static_cast<double>(sym.weight(0));
+    for (double& v : data) v *= w0;
+  }
+  for (int c = 1; c < size_; ++c) {
+    fold(data, blocks.data() + static_cast<std::size_t>(c) * n, mode,
+         static_cast<double>(sym.weight(c)));
   }
 }
 
 void Comm::allreduce_sum(std::span<double> data) {
-  if (collapsed_) {
-    collapsed_allreduce(data, ReduceMode::kWeightedSum,
-                        CollectiveKind::kAllreduce);
-    return;
-  }
-  allreduce_op(data, [](double a, double b) { return a + b; },
-               CollectiveKind::kAllreduce);
+  allreduce(data, ReduceMode::kSum);
 }
 
 double Comm::allreduce_sum(double value) {
-  allreduce_sum(std::span<double>(&value, 1));
+  allreduce(std::span<double>(&value, 1), ReduceMode::kSum);
   return value;
 }
 
 double Comm::allreduce_max(double value) {
-  if (collapsed_) {
-    collapsed_allreduce(std::span<double>(&value, 1), ReduceMode::kMax,
-                        CollectiveKind::kAllreduce);
-    return value;
-  }
-  allreduce_op(std::span<double>(&value, 1),
-               [](double a, double b) { return std::max(a, b); },
-               CollectiveKind::kAllreduce);
+  allreduce(std::span<double>(&value, 1), ReduceMode::kMax);
   return value;
 }
 
 double Comm::allreduce_min(double value) {
-  if (collapsed_) {
-    collapsed_allreduce(std::span<double>(&value, 1), ReduceMode::kMin,
-                        CollectiveKind::kAllreduce);
-    return value;
-  }
-  allreduce_op(std::span<double>(&value, 1),
-               [](double a, double b) { return std::min(a, b); },
-               CollectiveKind::kAllreduce);
+  allreduce(std::span<double>(&value, 1), ReduceMode::kMin);
   return value;
 }
 
@@ -374,41 +449,30 @@ std::uint64_t Comm::allreduce_sum_u64(std::uint64_t value) {
 void Comm::gather_bytes(const void* send, std::size_t bytes, void* recv,
                         int root) {
   FS_REQUIRE(root >= 0 && root < vsize_, "gather root out of range");
-  if (collapsed_) {
-    collapsed_gather(send, bytes, recv, root);
+  const int tag = begin_collective(CollectiveKind::kGather, bytes);
+  const int rslot = root_slot(root);
+  FS_REQUIRE(rank_ != rslot || recv != nullptr || bytes == 0,
+             "gather root needs a buffer");
+  if (!collapsed_) {
+    gather_blocks(send, bytes, recv, root, tag);
     return;
   }
-  fault_op(*state_, rank_);
-  log_.record_collective(CollectiveKind::kGather, bytes);
-  const int seq =
-      static_cast<int>(log_.collectives[CollectiveKind::kGather].calls %
-                       kCollectiveSeqSlots);
-  const int tag = kCollectiveTagBase + 1000000 + seq;
-  if (rank_ == root) {
-    FS_REQUIRE(recv != nullptr || bytes == 0, "gather root needs a buffer");
-    auto* out = static_cast<std::byte*>(recv);
-    std::memcpy(out + static_cast<std::size_t>(root) * bytes, send, bytes);
-    for (int r = 0; r < size_; ++r) {
-      if (r == root) continue;
-      raw_recv(*state_, rank_, r, tag, out + static_cast<std::size_t>(r) * bytes,
-               bytes);
-    }
-  } else {
-    raw_send(*state_, rank_, root, tag, send, bytes);
+  // One block per class at the root's slot, expanded over the virtual ranks.
+  std::vector<std::byte> blocks(static_cast<std::size_t>(size_) * bytes);
+  gather_blocks(send, bytes, blocks.data(), rslot, tag);
+  if (rank_ == rslot) {
+    expand_classes(*state_->collapse, blocks.data(), bytes, recv);
   }
 }
 
 void Comm::allgather_bytes(const void* send, std::size_t bytes, void* recv) {
+  const int tag = begin_collective(CollectiveKind::kAllgather, bytes);
   if (collapsed_) {
-    collapsed_allgather(send, bytes, recv);
+    std::vector<std::byte> blocks(static_cast<std::size_t>(size_) * bytes);
+    class_blocks(send, bytes, blocks.data(), tag);
+    expand_classes(*state_->collapse, blocks.data(), bytes, recv);
     return;
   }
-  fault_op(*state_, rank_);
-  log_.record_collective(CollectiveKind::kAllgather, bytes);
-  const int seq =
-      static_cast<int>(log_.collectives[CollectiveKind::kAllgather].calls %
-                       kCollectiveSeqSlots);
-  const int tag = kCollectiveTagBase + 2000000 + seq;
   // Ring allgather: size-1 rounds, each forwarding the block received last.
   // Each block is packed into a Buffer once by its owner; every later hop
   // forwards the received Buffer, so a block crosses the ring with one
@@ -419,8 +483,8 @@ void Comm::allgather_bytes(const void* send, std::size_t bytes, void* recv) {
   const int prev = (rank_ - 1 + size_) % size_;
   Buffer circulating = Buffer::copy_of(send, bytes);
   for (int round = 0; round < size_ - 1; ++round) {
-    raw_send_buf(*state_, rank_, next, tag + 0, std::move(circulating));
-    Message m = raw_recv_msg(*state_, rank_, prev, tag + 0, bytes);
+    raw_send_buf(*state_, rank_, next, tag, std::move(circulating));
+    Message m = raw_recv_msg(*state_, rank_, prev, tag, bytes);
     const int incoming = (rank_ - 1 - round + 2 * size_) % size_;
     m.payload.copy_to(out + static_cast<std::size_t>(incoming) * bytes);
     circulating = std::move(m.payload);
@@ -428,30 +492,14 @@ void Comm::allgather_bytes(const void* send, std::size_t bytes, void* recv) {
 }
 
 void Comm::alltoall_bytes(const void* send, std::size_t bytes, void* recv) {
-  if (collapsed_) {
-    collapsed_alltoall(send, bytes, recv);
+  const int tag = begin_collective(CollectiveKind::kAlltoall, bytes);
+  if (!collapsed_) {
+    exchange_addressed(send, bytes, recv, tag);
     return;
   }
-  fault_op(*state_, rank_);
-  log_.record_collective(CollectiveKind::kAlltoall, bytes);
-  const int seq =
-      static_cast<int>(log_.collectives[CollectiveKind::kAlltoall].calls %
-                       kCollectiveSeqSlots);
-  const int tag = kCollectiveTagBase + 3000000 + seq;
-  const auto* in = static_cast<const std::byte*>(send);
-  auto* out = static_cast<std::byte*>(recv);
-  std::memcpy(out + static_cast<std::size_t>(rank_) * bytes,
-              in + static_cast<std::size_t>(rank_) * bytes, bytes);
-  for (int r = 0; r < size_; ++r) {
-    if (r == rank_) continue;
-    raw_send(*state_, rank_, r, tag, in + static_cast<std::size_t>(r) * bytes,
-             bytes);
-  }
-  for (int r = 0; r < size_; ++r) {
-    if (r == rank_) continue;
-    raw_recv(*state_, rank_, r, tag, out + static_cast<std::size_t>(r) * bytes,
-             bytes);
-  }
+  std::vector<std::byte> blocks(static_cast<std::size_t>(size_) * bytes);
+  exchange_addressed(send, bytes, blocks.data(), tag);
+  expand_classes(*state_->collapse, blocks.data(), bytes, recv);
 }
 
 void Comm::reduce_scatter_sum(std::span<const double> send,
@@ -459,55 +507,53 @@ void Comm::reduce_scatter_sum(std::span<const double> send,
   const std::size_t block = recv.size();
   FS_REQUIRE(send.size() == block * static_cast<std::size_t>(vsize_),
              "reduce_scatter send buffer must hold size() blocks");
+  const int tag =
+      begin_collective(CollectiveKind::kReduceScatter, send.size_bytes());
   if (collapsed_) {
-    collapsed_reduce_scatter(send, recv);
+    // Each class's slice addressed to this slot's representative, folded in
+    // class order with the class weights.
+    const RankSymmetry& sym = *state_->collapse;
+    std::vector<double> slices(block * static_cast<std::size_t>(size_));
+    exchange_addressed(send.data(), recv.size_bytes(), slices.data(), tag);
+    std::fill(recv.begin(), recv.end(), 0.0);
+    for (int c = 0; c < size_; ++c) {
+      fold(recv, slices.data() + static_cast<std::size_t>(c) * block,
+           ReduceMode::kSum, static_cast<double>(sym.weight(c)));
+    }
     return;
   }
-  fault_op(*state_, rank_);
-  log_.record_collective(CollectiveKind::kReduceScatter, send.size_bytes());
-  const int seq = static_cast<int>(
-      log_.collectives[CollectiveKind::kReduceScatter].calls %
-      (kCollectiveSeqSlots / 2));
-  const int tag = kCollectiveTagBase + 5000000 + seq * 2;  // +1 for scatter
   // Reduce the whole vector to rank 0 over a binomial tree, then scatter the
-  // blocks directly (simple and adequate at suite scale).
+  // blocks directly under tag + 1 (simple and adequate at suite scale).
   std::vector<double> acc(send.begin(), send.end());
-  std::vector<double> incoming(send.size());
-  int mask = 1;
-  while (mask < size_) {
-    if ((rank_ & mask) == 0) {
-      const int src = rank_ | mask;
-      if (src < size_) {
-        raw_recv(*state_, rank_, src, tag, incoming.data(),
-                 incoming.size() * sizeof(double));
-        for (std::size_t i = 0; i < acc.size(); ++i) acc[i] += incoming[i];
-      }
-    } else {
-      raw_send(*state_, rank_, rank_ & ~mask, tag, acc.data(),
-               acc.size() * sizeof(double));
-      break;
-    }
-    mask <<= 1;
-  }
+  tree_reduce(acc, ReduceMode::kSum, 0, tag);
   if (rank_ == 0) {
     std::copy_n(acc.data(), block, recv.data());
     for (int r = 1; r < size_; ++r) {
       raw_send(*state_, rank_, r, tag + 1,
                acc.data() + static_cast<std::size_t>(r) * block,
-               block * sizeof(double));
+               recv.size_bytes());
     }
   } else {
-    raw_recv(*state_, rank_, 0, tag + 1, recv.data(), block * sizeof(double));
+    raw_recv(*state_, rank_, 0, tag + 1, recv.data(), recv.size_bytes());
   }
 }
 
 double Comm::scan_sum(double value) {
-  if (collapsed_) return collapsed_scan_sum(value);
-  fault_op(*state_, rank_);
-  log_.record_collective(CollectiveKind::kScan, sizeof(double));
-  const int seq = static_cast<int>(
-      log_.collectives[CollectiveKind::kScan].calls % kCollectiveSeqSlots);
-  const int tag = kCollectiveTagBase + 4000000 + seq;
+  const int tag = begin_collective(CollectiveKind::kScan, sizeof(double));
+  if (collapsed_) {
+    // This slot's representative's inclusive prefix: the members of class c
+    // with rank id at most rank() each contribute class c's value.
+    const RankSymmetry& sym = *state_->collapse;
+    std::vector<double> vals(static_cast<std::size_t>(size_));
+    class_blocks(&value, sizeof(double), vals.data(), tag);
+    double acc = 0.0;
+    for (int c = 0; c < size_; ++c) {
+      acc += vals[static_cast<std::size_t>(c)] *
+             static_cast<double>(sym.members_at_most(c, vrank_));
+    }
+    return acc;
+  }
+  // Linear chain: receive the prefix from rank - 1, pass it on to rank + 1.
   double acc = value;
   if (rank_ > 0) {
     double upstream = 0.0;
@@ -518,287 +564,6 @@ double Comm::scan_sum(double value) {
     raw_send(*state_, rank_, rank_ + 1, tag, &acc, sizeof(double));
   }
   return acc;
-}
-
-// ----- collapsed-mode collective data planes -----
-//
-// Logging above the data plane is identical to the full-run paths (same
-// CollectiveKind, same byte counts), so collapsed traces match full traces
-// bit for bit. The data movement itself runs over the physical slots (one
-// per symmetry class) and weights each slot's contribution by its class
-// population, producing the value the app would compute if every member of
-// the class contributed its representative's bits. The fold always runs at
-// one slot, in ascending class order, and the result is then broadcast —
-// every slot therefore observes identical bits regardless of scheduling.
-
-int Comm::root_slot(int root) const {
-  const RankSymmetry& sym = *state_->collapse;
-  const int cls = sym.class_of(root);
-  FS_REQUIRE(sym.representative(cls) == root,
-             "collapsed collective root must be a class representative");
-  return cls;
-}
-
-void Comm::collapsed_allreduce(std::span<double> data, ReduceMode mode,
-                               CollectiveKind kind) {
-  fault_op(*state_, rank_);
-  log_.record_collective(kind, data.size_bytes());
-  const int seq = static_cast<int>(log_.collectives[kind].calls %
-                                   (kCollectiveSeqSlots / 2));
-  const int tag =
-      kCollectiveTagBase + static_cast<int>(kind) * 100000 + seq * 2;
-  const int btag = tag + 1;
-  const RankSymmetry& sym = *state_->collapse;
-  if (rank_ == 0) {
-    std::vector<double> acc(data.begin(), data.end());
-    if (mode == ReduceMode::kWeightedSum) {
-      const double w0 = static_cast<double>(sym.weight(0));
-      for (double& v : acc) v *= w0;
-    }
-    std::vector<double> incoming(data.size());
-    for (int c = 1; c < size_; ++c) {
-      raw_recv(*state_, rank_, c, tag, incoming.data(), data.size_bytes());
-      switch (mode) {
-        case ReduceMode::kWeightedSum: {
-          const double w = static_cast<double>(sym.weight(c));
-          for (std::size_t i = 0; i < acc.size(); ++i) {
-            acc[i] += w * incoming[i];
-          }
-          break;
-        }
-        case ReduceMode::kMax:
-          for (std::size_t i = 0; i < acc.size(); ++i) {
-            acc[i] = std::max(acc[i], incoming[i]);
-          }
-          break;
-        case ReduceMode::kMin:
-          for (std::size_t i = 0; i < acc.size(); ++i) {
-            acc[i] = std::min(acc[i], incoming[i]);
-          }
-          break;
-      }
-    }
-    std::copy(acc.begin(), acc.end(), data.begin());
-    if (size_ > 1) {
-      Buffer result = Buffer::copy_of(data.data(), data.size_bytes());
-      for (int c = 1; c < size_; ++c) {
-        raw_send_buf(*state_, rank_, c, btag, result);
-      }
-    }
-  } else {
-    raw_send(*state_, rank_, 0, tag, data.data(), data.size_bytes());
-    raw_recv(*state_, rank_, 0, btag, data.data(), data.size_bytes());
-  }
-}
-
-void Comm::collapsed_reduce_sum(std::span<double> data, int root) {
-  fault_op(*state_, rank_);
-  log_.record_collective(CollectiveKind::kReduce, data.size_bytes());
-  const int seq =
-      static_cast<int>(log_.collectives[CollectiveKind::kReduce].calls %
-                       kCollectiveSeqSlots);
-  const int tag = kCollectiveTagBase + 900000 + seq;
-  const RankSymmetry& sym = *state_->collapse;
-  const int rslot = root_slot(root);
-  if (rank_ != rslot) {
-    raw_send(*state_, rank_, rslot, tag, data.data(), data.size_bytes());
-    return;
-  }
-  std::vector<double> acc(data.size(), 0.0);
-  std::vector<double> incoming(data.size());
-  for (int c = 0; c < size_; ++c) {
-    const double* v = data.data();
-    if (c != rslot) {
-      raw_recv(*state_, rank_, c, tag, incoming.data(), data.size_bytes());
-      v = incoming.data();
-    }
-    const double w = static_cast<double>(sym.weight(c));
-    for (std::size_t i = 0; i < acc.size(); ++i) acc[i] += w * v[i];
-  }
-  std::copy(acc.begin(), acc.end(), data.begin());
-}
-
-void Comm::collapsed_gather(const void* send, std::size_t bytes, void* recv,
-                            int root) {
-  fault_op(*state_, rank_);
-  log_.record_collective(CollectiveKind::kGather, bytes);
-  const int seq =
-      static_cast<int>(log_.collectives[CollectiveKind::kGather].calls %
-                       kCollectiveSeqSlots);
-  const int tag = kCollectiveTagBase + 1000000 + seq;
-  const RankSymmetry& sym = *state_->collapse;
-  const int rslot = root_slot(root);
-  if (rank_ != rslot) {
-    raw_send(*state_, rank_, rslot, tag, send, bytes);
-    return;
-  }
-  FS_REQUIRE(recv != nullptr || bytes == 0, "gather root needs a buffer");
-  // Collect one block per class, then expand to all virtual ranks: every
-  // member of a class contributes its representative's block.
-  std::vector<std::byte> blocks(static_cast<std::size_t>(size_) * bytes);
-  for (int c = 0; c < size_; ++c) {
-    std::byte* slot = blocks.data() + static_cast<std::size_t>(c) * bytes;
-    if (c == rslot) {
-      std::memcpy(slot, send, bytes);
-    } else {
-      raw_recv(*state_, rank_, c, tag, slot, bytes);
-    }
-  }
-  auto* out = static_cast<std::byte*>(recv);
-  for (int v = 0; v < vsize_; ++v) {
-    const int c = sym.class_of(v);
-    std::memcpy(out + static_cast<std::size_t>(v) * bytes,
-                blocks.data() + static_cast<std::size_t>(c) * bytes, bytes);
-  }
-}
-
-void Comm::collapsed_allgather(const void* send, std::size_t bytes,
-                               void* recv) {
-  fault_op(*state_, rank_);
-  log_.record_collective(CollectiveKind::kAllgather, bytes);
-  const int seq =
-      static_cast<int>(log_.collectives[CollectiveKind::kAllgather].calls %
-                       kCollectiveSeqSlots);
-  const int tag = kCollectiveTagBase + 2000000 + seq;
-  const int btag = tag + 1;  // directionally disjoint from the next call's tag
-  const RankSymmetry& sym = *state_->collapse;
-  // Gather one block per class at slot 0, broadcast the concatenation, then
-  // every slot expands it over the virtual ranks.
-  std::vector<std::byte> blocks(static_cast<std::size_t>(size_) * bytes);
-  if (rank_ == 0) {
-    for (int c = 0; c < size_; ++c) {
-      std::byte* slot = blocks.data() + static_cast<std::size_t>(c) * bytes;
-      if (c == 0) {
-        std::memcpy(slot, send, bytes);
-      } else {
-        raw_recv(*state_, rank_, c, tag, slot, bytes);
-      }
-    }
-    if (size_ > 1) {
-      Buffer all = Buffer::copy_of(blocks.data(), blocks.size());
-      for (int c = 1; c < size_; ++c) {
-        raw_send_buf(*state_, rank_, c, btag, all);
-      }
-    }
-  } else {
-    raw_send(*state_, rank_, 0, tag, send, bytes);
-    raw_recv(*state_, rank_, 0, btag, blocks.data(), blocks.size());
-  }
-  auto* out = static_cast<std::byte*>(recv);
-  for (int v = 0; v < vsize_; ++v) {
-    const int c = sym.class_of(v);
-    std::memcpy(out + static_cast<std::size_t>(v) * bytes,
-                blocks.data() + static_cast<std::size_t>(c) * bytes, bytes);
-  }
-}
-
-void Comm::collapsed_alltoall(const void* send, std::size_t bytes,
-                              void* recv) {
-  fault_op(*state_, rank_);
-  log_.record_collective(CollectiveKind::kAlltoall, bytes);
-  const int seq =
-      static_cast<int>(log_.collectives[CollectiveKind::kAlltoall].calls %
-                       kCollectiveSeqSlots);
-  const int tag = kCollectiveTagBase + 3000000 + seq;
-  const RankSymmetry& sym = *state_->collapse;
-  const auto* in = static_cast<const std::byte*>(send);
-  // Each slot exchanges with every other slot the block its representative
-  // addresses to that slot's representative, then expands: the block a
-  // virtual rank v would deliver is its class representative's.
-  std::vector<std::byte> blocks(static_cast<std::size_t>(size_) * bytes);
-  for (int c = 0; c < size_; ++c) {
-    if (c == rank_) continue;
-    const std::size_t off =
-        static_cast<std::size_t>(sym.representative(c)) * bytes;
-    raw_send(*state_, rank_, c, tag, in + off, bytes);
-  }
-  for (int c = 0; c < size_; ++c) {
-    std::byte* slot = blocks.data() + static_cast<std::size_t>(c) * bytes;
-    if (c == rank_) {
-      std::memcpy(slot, in + static_cast<std::size_t>(vrank_) * bytes, bytes);
-    } else {
-      raw_recv(*state_, rank_, c, tag, slot, bytes);
-    }
-  }
-  auto* out = static_cast<std::byte*>(recv);
-  for (int v = 0; v < vsize_; ++v) {
-    const int c = sym.class_of(v);
-    std::memcpy(out + static_cast<std::size_t>(v) * bytes,
-                blocks.data() + static_cast<std::size_t>(c) * bytes, bytes);
-  }
-}
-
-double Comm::collapsed_scan_sum(double value) {
-  fault_op(*state_, rank_);
-  log_.record_collective(CollectiveKind::kScan, sizeof(double));
-  const int seq = static_cast<int>(
-      log_.collectives[CollectiveKind::kScan].calls % kCollectiveSeqSlots);
-  const int tag = kCollectiveTagBase + 4000000 + seq;
-  const int btag = tag + 1;  // directionally disjoint from the next call's tag
-  const RankSymmetry& sym = *state_->collapse;
-  // Gather every class's value, broadcast the vector, then each slot forms
-  // its representative's inclusive prefix: members of class c with rank id
-  // at most vrank() each contribute vals[c].
-  std::vector<double> vals(static_cast<std::size_t>(size_));
-  if (rank_ == 0) {
-    vals[0] = value;
-    for (int c = 1; c < size_; ++c) {
-      raw_recv(*state_, rank_, c, tag, &vals[static_cast<std::size_t>(c)],
-               sizeof(double));
-    }
-    if (size_ > 1) {
-      Buffer all = Buffer::copy_of(vals.data(), vals.size() * sizeof(double));
-      for (int c = 1; c < size_; ++c) {
-        raw_send_buf(*state_, rank_, c, btag, all);
-      }
-    }
-  } else {
-    raw_send(*state_, rank_, 0, tag, &value, sizeof(double));
-    raw_recv(*state_, rank_, 0, btag, vals.data(),
-             vals.size() * sizeof(double));
-  }
-  double acc = 0.0;
-  for (int c = 0; c < size_; ++c) {
-    acc += vals[static_cast<std::size_t>(c)] *
-           static_cast<double>(sym.members_at_most(c, vrank_));
-  }
-  return acc;
-}
-
-void Comm::collapsed_reduce_scatter(std::span<const double> send,
-                                    std::span<double> recv) {
-  const std::size_t block = recv.size();
-  fault_op(*state_, rank_);
-  log_.record_collective(CollectiveKind::kReduceScatter, send.size_bytes());
-  const int seq = static_cast<int>(
-      log_.collectives[CollectiveKind::kReduceScatter].calls %
-      (kCollectiveSeqSlots / 2));
-  const int tag = kCollectiveTagBase + 5000000 + seq * 2;
-  const RankSymmetry& sym = *state_->collapse;
-  // Pairwise: every slot needs, from each class, the slice that class's
-  // representative addresses to this slot's representative; the weighted
-  // fold in class order replicates the remaining members' contributions.
-  for (int c = 0; c < size_; ++c) {
-    if (c == rank_) continue;
-    const std::size_t off =
-        static_cast<std::size_t>(sym.representative(c)) * block;
-    raw_send(*state_, rank_, c, tag, send.data() + off,
-             block * sizeof(double));
-  }
-  std::fill(recv.begin(), recv.end(), 0.0);
-  std::vector<double> incoming(block);
-  for (int c = 0; c < size_; ++c) {
-    const double* slice;
-    if (c == rank_) {
-      slice = send.data() + static_cast<std::size_t>(vrank_) * block;
-    } else {
-      raw_recv(*state_, rank_, c, tag, incoming.data(),
-               block * sizeof(double));
-      slice = incoming.data();
-    }
-    const double w = static_cast<double>(sym.weight(c));
-    for (std::size_t i = 0; i < block; ++i) recv[i] += w * slice[i];
-  }
 }
 
 }  // namespace fibersim::mp

@@ -5,9 +5,11 @@
 //     exchange patterns cannot deadlock;
 //   * recv blocks until a matching (source, tag) message arrives and requires
 //     the exact payload size — a size mismatch is a protocol error;
-//   * collectives are implemented over point-to-point with the standard
-//     algorithms (binomial bcast/reduce, recursive allgather, direct
-//     alltoall) and must be entered by every rank of the job.
+//   * collectives are implemented over point-to-point (binomial bcast,
+//     reduce and allreduce, a dissemination barrier, a ring allgather, direct
+//     gather and alltoall, a linear-chain scan, and reduce_scatter as a
+//     binomial reduce to rank 0 followed by a direct scatter) and must be
+//     entered by every rank of the job.
 //
 // Every operation is recorded in the rank's CommLog for the cost model.
 #pragma once
@@ -27,6 +29,9 @@ namespace fibersim::mp {
 namespace detail {
 struct JobState;  // shared between the ranks of one Job
 }
+
+/// The elementwise operation of a reduction collective.
+enum class ReduceMode { kSum, kMax, kMin };
 
 class Comm {
  public:
@@ -128,28 +133,42 @@ class Comm {
         collapsed_(true) {}
 
   Mailbox& mailbox_of(int rank) const;
-  /// Generic elementwise binary-op allreduce over doubles.
-  template <typename Op>
-  void allreduce_op(std::span<double> data, Op op, CollectiveKind kind);
+
+  /// The preamble every collective runs once, after its argument checks:
+  /// the rank-death fault op, the CommLog record, and the call's first tag
+  /// (its kind's range, rolled by the kind's call count).
+  int begin_collective(CollectiveKind kind, std::size_t bytes);
+  /// Elementwise allreduce of both paths (a collapsed sum is weighted by
+  /// class population).
+  void allreduce(std::span<double> data, ReduceMode mode);
+
+  // ----- data movement over the physical slots (unlogged) -----
+  /// Binomial-tree broadcast of `bytes` from slot `root`.
+  void tree_bcast(void* data, std::size_t bytes, int root, int tag);
+  /// Binomial-tree reduction into slot `root`'s `data`.
+  void tree_reduce(std::span<double> data, ReduceMode mode, int root,
+                   int tag);
+  /// Every slot's `bytes`-sized block, in slot order, into `blocks` at slot
+  /// `root` (size() * bytes there; unused elsewhere).
+  void gather_blocks(const void* mine, std::size_t bytes, void* blocks,
+                     int root, int tag);
+  /// Personalised exchange: `blocks` receives, in slot order, the block each
+  /// slot addresses to this slot's rank() in its `send` (size() blocks of
+  /// `bytes`).
+  void exchange_addressed(const void* send, std::size_t bytes, void* blocks,
+                          int tag);
 
   // ----- collapsed-mode data planes -----
-  // Logging is identical to the full-run paths; only the data movement is
-  // replaced: p2p becomes a self-tiling loopback, reductions weight each
-  // physical slot by its class population (see job.hpp).
-  enum class ReduceMode { kWeightedSum, kMax, kMin };
-  /// Map a collective root (virtual rank) to its physical slot; the root
-  /// must be a class representative so root-only side effects execute.
+  // p2p becomes a self-tiling loopback; collectives move one block per class
+  // between the slots and weight each by its class population (see job.hpp).
+  /// The class exchange: every class's block, in class order, into `blocks`
+  /// (size() * bytes) on every slot. Uses `tag` and `tag + 1`.
+  void class_blocks(const void* mine, std::size_t bytes, void* blocks,
+                    int tag);
+  /// Map a collective root (virtual rank) to its physical slot (the identity
+  /// on a full run); under collapse the root must be a class representative
+  /// so root-only side effects execute.
   int root_slot(int root) const;
-  void collapsed_allreduce(std::span<double> data, ReduceMode mode,
-                           CollectiveKind kind);
-  void collapsed_reduce_sum(std::span<double> data, int root);
-  void collapsed_gather(const void* send, std::size_t bytes, void* recv,
-                        int root);
-  void collapsed_allgather(const void* send, std::size_t bytes, void* recv);
-  void collapsed_alltoall(const void* send, std::size_t bytes, void* recv);
-  double collapsed_scan_sum(double value);
-  void collapsed_reduce_scatter(std::span<const double> send,
-                                std::span<double> recv);
 
   detail::JobState* state_;
   int rank_;

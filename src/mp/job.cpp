@@ -122,14 +122,6 @@ std::vector<CommLog> Job::run_collapsed(const RankSymmetry& symmetry,
   return run_slots(state, fn);
 }
 
-std::vector<CommLog> Job::run_logged(int ranks, const RankFn& fn) {
-  return run_logged(ranks, fn, nullptr);
-}
-
-void Job::run(int ranks, const RankFn& fn) {
-  (void)run_logged(ranks, fn, nullptr);
-}
-
 void Job::run(int ranks, const RankFn& fn, const fault::Session* faults) {
   (void)run_logged(ranks, fn, faults);
 }

@@ -59,15 +59,14 @@ class Job {
  public:
   using RankFn = std::function<void(Comm&)>;
 
-  /// Run `fn(comm)` on `ranks` concurrent ranks and join.
-  static void run(int ranks, const RankFn& fn);
-  /// As run(), with fault injection driven by `faults` (may be null).
-  static void run(int ranks, const RankFn& fn, const fault::Session* faults);
+  /// Run `fn(comm)` on `ranks` concurrent ranks and join, with fault
+  /// injection driven by `faults` when it is non-null.
+  static void run(int ranks, const RankFn& fn,
+                  const fault::Session* faults = nullptr);
 
   /// As run(), but returns each rank's communication log (indexed by rank).
-  static std::vector<CommLog> run_logged(int ranks, const RankFn& fn);
-  static std::vector<CommLog> run_logged(int ranks, const RankFn& fn,
-                                         const fault::Session* faults);
+  static std::vector<CommLog> run_logged(
+      int ranks, const RankFn& fn, const fault::Session* faults = nullptr);
 
   /// Collapsed run: executes one physical slot per symmetry class, each with
   /// the virtual identity (representative rank, full size) of its class.

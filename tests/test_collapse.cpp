@@ -8,6 +8,7 @@
 // 10^5-10^6 ranks where the full path cannot.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdint>
@@ -16,6 +17,7 @@
 #include <memory>
 #include <optional>
 #include <set>
+#include <span>
 #include <sstream>
 #include <string>
 #include <utility>
@@ -23,6 +25,7 @@
 
 #include "common/cancel.hpp"
 #include "common/error.hpp"
+#include "common/hash.hpp"
 #include "core/reports.hpp"
 #include "core/runner.hpp"
 #include "machine/network_model.hpp"
@@ -720,6 +723,96 @@ TEST(RankSymmetry, FlatBuildMatchesTheMapOracle) {
       }
     }
   }
+}
+
+// ----- collapsed data plane -----
+
+// Every collective of a collapsed run on a non-periodic 2-D grid of 24 ranks
+// (6x4; 9 classes of 1, 2, 4 or 8 members), each class contributing distinct
+// values, with the rooted collectives at a non-zero representative. The
+// FNV-1a over every output buffer of every slot is the value the collapsed
+// data plane produced when first pinned: a weighted fold run in another
+// order or a block expanded by the wrong class moves it, so a change here is
+// a change of collapsed results, never a refactor.
+TEST(CollapsedDataPlane, EveryCollectiveOutputIsPinned) {
+  mp::CollapseSpec spec;
+  spec.kind = mp::CollapseSpec::Kind::kCart;
+  spec.ndims = 2;
+  spec.periodic = false;
+  spec.global = {17, 19, 0, 0};
+  const mp::RankSymmetry sym = mp::RankSymmetry::build(spec, 24);
+  ASSERT_EQ(sym.classes(), 9);
+  const int root = sym.representative(4);
+  ASSERT_NE(root, 0);
+  ASSERT_EQ(sym.weight(4), 8);
+  const int n = sym.size();
+  const std::size_t un = static_cast<std::size_t>(n);
+
+  std::vector<std::uint64_t> slot_hashes(
+      static_cast<std::size_t>(sym.classes()));
+  mp::Job::run_collapsed(sym, [&](mp::Comm& comm) {
+    const int me = comm.rank();
+    const double x = 1.0 / (3.0 + me) + 0.1 * me;
+    Fnv1a h;
+    const auto out = [&h](std::span<const double> data) {
+      h.u64(data.size());
+      for (const double v : data) h.f64(v);
+    };
+
+    std::vector<double> bcast = {x, 2.0 * x, -x};
+    if (me != root) std::fill(bcast.begin(), bcast.end(), 0.0);
+    comm.bcast(std::span<double>(bcast), root);
+    out(bcast);
+
+    std::vector<double> reduced = {x, x * x, -x};
+    comm.reduce_sum(reduced, root);
+    out(reduced);
+
+    const std::vector<double> block = {x, static_cast<double>(me)};
+    std::vector<double> gathered(me == root ? 2 * un : 0);
+    comm.gather_bytes(block.data(), 2 * sizeof(double), gathered.data(),
+                      root);
+    out(gathered);
+
+    std::vector<double> summed = {x, 1.0 / x, x * x};
+    comm.allreduce_sum(std::span<double>(summed));
+    out(summed);
+    const double signed_x = (me % 2 == 0 ? -3.0 : 3.0) * x;
+    const std::vector<double> scalars = {
+        comm.allreduce_sum(x), comm.allreduce_max(signed_x),
+        comm.allreduce_min(signed_x),
+        static_cast<double>(comm.allreduce_sum_u64(
+            static_cast<std::uint64_t>(1000 * me + 7))),
+        comm.scan_sum(x)};
+    out(scalars);
+
+    std::vector<double> all(2 * un);
+    comm.allgather_bytes(block.data(), 2 * sizeof(double), all.data());
+    out(all);
+
+    std::vector<double> to_each(2 * un);
+    for (std::size_t i = 0; i < un; ++i) {
+      to_each[2 * i] = x + static_cast<double>(i);
+      to_each[2 * i + 1] = x * static_cast<double>(i);
+    }
+    std::vector<double> from_each(2 * un);
+    comm.alltoall_bytes(to_each.data(), 2 * sizeof(double), from_each.data());
+    out(from_each);
+
+    std::vector<double> slices(2 * un);
+    for (std::size_t j = 0; j < slices.size(); ++j) {
+      slices[j] = x * static_cast<double>(j + 1) / 7.0;
+    }
+    std::vector<double> mine(2);
+    comm.reduce_scatter_sum(slices, mine);
+    out(mine);
+
+    comm.barrier();
+    slot_hashes[static_cast<std::size_t>(sym.class_of(me))] = h.value();
+  });
+  Fnv1a all_slots;
+  for (const std::uint64_t v : slot_hashes) all_slots.u64(v);
+  EXPECT_EQ(all_slots.value(), 0x845dad678c7ce76eull);
 }
 
 // ----- runner integration -----

@@ -2,8 +2,8 @@
 # CI gate: tier-1 verify (full build with warnings as errors + full test
 # suite), a build of the fsbench benchmark programs, then the
 # concurrency/fault-labelled tests rebuilt under
-# ThreadSanitizer and the failure/fault-injection, collapse and machine
-# suites under AddressSanitizer.
+# ThreadSanitizer and the failure/fault-injection, collapse, machine and
+# message-layer suites under AddressSanitizer.
 #
 # Usage: tools/ci.sh            (from the repo root)
 #   BUILD_DIR=...    override the tier-1 build dir    (default: build)
@@ -326,8 +326,10 @@ cmake -B "$ASAN_DIR" -S . -DFIBERSIM_SANITIZE=address
 cmake --build "$ASAN_DIR" -j
 ctest --test-dir "$ASAN_DIR" -L fault --output-on-failure
 # The suites that hold indices into the contention flow table and the
-# collapsed send templates: a stale reference there is an intermittent
-# segfault under plain ctest, but a deterministic ASan report here.
-ctest --test-dir "$ASAN_DIR" -R '^test_(collapse|machine)$' --output-on-failure
+# collapsed send templates, and the message layer whose collective block
+# helpers memcpy at computed offsets: a stale reference or an overrun there
+# is an intermittent segfault under plain ctest, but a deterministic ASan
+# report here.
+ctest --test-dir "$ASAN_DIR" -R '^test_(collapse|machine|mp)$' --output-on-failure
 
 echo "== ci: all green =="
