@@ -11,6 +11,12 @@ thread_local Token* g_current = nullptr;
 
 }  // namespace
 
+[[gnu::noinline]] Token** current_slot() {
+  Token** slot = &g_current;
+  asm volatile("" : "+r"(slot));
+  return slot;
+}
+
 void Token::cancel(std::string_view reason) {
   {
     std::lock_guard<std::mutex> lock(reason_mutex_);
@@ -36,19 +42,18 @@ std::string Token::reason() const {
 }
 
 Scope::Scope(std::shared_ptr<Token> token)
-    : token_(std::move(token)), previous_(g_current) {
-  if (token_) g_current = token_.get();
+    : token_(std::move(token)), previous_(current()) {
+  if (token_) *current_slot() = token_.get();
 }
 
 Scope::~Scope() {
-  if (token_) g_current = previous_;
+  if (token_) *current_slot() = previous_;
 }
 
-Token* current() { return g_current; }
+Token* current() { return *current_slot(); }
 
-void checkpoint() { checkpoint(g_current); }
-
-void checkpoint(const Token* token) {
+void checkpoint() {
+  const Token* token = current();
   if (token == nullptr || !token->expired()) return;
   std::string reason = token->reason();
   if (reason.empty()) reason = "deadline exceeded";

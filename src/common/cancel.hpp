@@ -2,13 +2,20 @@
 //
 // A Token is one request's cancellation state: an explicit cancel() (server
 // shutdown, client gone) or an absolute steady-clock deadline. Work honours
-// it cooperatively: the executing thread installs the token with a Scope and
-// long-running code calls checkpoint() at phase boundaries — the Runner
-// before claiming/running a native execution, the predict path between
-// phases. checkpoint() throws fibersim::Error prefixed with kCancelMarker,
-// so unwind paths (the serve worker, the coalescing claim) can tell a
-// cancelled request from a genuine failure and answer with a typed DEADLINE
-// instead of FAILED.
+// it cooperatively: the code that executes a request installs the token
+// with a Scope and long-running code calls checkpoint() at phase boundaries
+// — the Runner before claiming/running a native execution, the predict path
+// between phases. checkpoint() throws fibersim::Error prefixed with
+// kCancelMarker, so unwind paths (the serve worker, the coalescing claim)
+// can tell a cancelled request from a genuine failure and answer with a
+// typed DEADLINE instead of FAILED.
+//
+// The current token follows the execution context, not the OS thread. A
+// context on the rt fiber pool starts with the token of the code that forked
+// it (rt::fork_join), and every context switch saves and restores it, so a
+// sweep task or predict phase checks its request's token wherever it runs,
+// and a Scope opened inside a context is seen by that context alone. Outside
+// the pool the current token is the thread's.
 //
 // Cost when no token is installed: one thread_local load per checkpoint —
 // the sweep/predict hot paths pay nothing measurable.
@@ -68,9 +75,9 @@ class Token {
   std::string reason_;
 };
 
-/// Install `token` as the calling thread's current token for the Scope's
-/// lifetime (nestable; the previous token is restored). A null token is a
-/// no-op scope.
+/// Install `token` as the caller's current token for the Scope's lifetime
+/// (nestable; the previous token is restored). A null token is a no-op
+/// scope.
 class Scope {
  public:
   explicit Scope(std::shared_ptr<Token> token);
@@ -83,16 +90,17 @@ class Scope {
   Token* previous_;
 };
 
-/// The calling thread's current token (null outside any Scope).
+/// The caller's current token (null outside any Scope).
 Token* current();
+
+/// The calling thread's current-token slot, for the fiber pool to save and
+/// restore on a context switch. Not inlined, and opaque to the optimiser: a
+/// context that parks may resume on another thread.
+Token** current_slot();
 
 /// Throw fibersim::Error("cancelled: <reason>") iff the current token is
 /// expired; no-op otherwise (and free when no token is installed).
 void checkpoint();
-/// checkpoint() against `token` (null: no-op) instead of the calling
-/// thread's: work handed to another thread or a fiber context checks the
-/// token of the thread that handed it over.
-void checkpoint(const Token* token);
 
 /// True iff `what` came from checkpoint()/a cancelled token (marker prefix).
 bool is_cancelled(std::string_view what);

@@ -46,22 +46,24 @@ constexpr KeyRow<RF> kReportKeys[] = {
        return std::string();
      },
      kValue, kCommandLine},
-    {"retries", set_int<0, &RF::ctx, &RC::max_retries>, kValue, kCommandLine},
+    {"retries", set_int<0, &RF::ctx, &RC::sweep, &SweepControl::max_retries>,
+     kValue, kCommandLine},
     {"watchdog",
      [](RF& f, Label l, Token t, KeySource) {
-       return flag_f64(l, t, 0.0, &f.ctx.watchdog_s);
+       return flag_f64(l, t, 0.0, &f.ctx.sweep.watchdog_s);
      },
      kValue, kCommandLine},
     {"journal",
      [](RF& f, Label, Token t, KeySource) {
        f.journal = std::make_shared<SweepJournal>(t);
-       return assign(f.ctx.journal, f.journal.get());
+       return assign(f.ctx.sweep.journal, f.journal.get());
      },
      kValue, kCommandLine},
-    {"keep_going", set_bool<&RF::ctx, &RC::keep_going>, kSwitch, kCommandLine},
+    {"keep_going", set_bool<&RF::ctx, &RC::sweep, &SweepControl::keep_going>,
+     kSwitch, kCommandLine},
     {"fail_fast",
      [](RF& f, Label, Token, KeySource) {
-       return assign(f.ctx.keep_going, false);
+       return assign(f.ctx.sweep.keep_going, false);
      },
      kSwitch, kCommandLine},
     {"trace_cache", set_text<&RF::trace_cache_dir>, kValue, kCommandLine},

@@ -27,7 +27,7 @@ struct ReportFlags {
   ReportFormat format = ReportFormat::kText;
   bool list = false;  ///< --list: print the experiment registry and exit
   std::string trace_cache_dir;
-  /// Owns the --journal file handle; ctx.journal points at it.
+  /// Owns the --journal file handle; ctx.sweep.journal points at it.
   std::shared_ptr<SweepJournal> journal;
 };
 

@@ -19,32 +19,20 @@ void ReportContext::validate() const {
   FS_REQUIRE(runner != nullptr, "ReportContext needs a runner");
   FS_REQUIRE(iterations >= 1, "ReportContext needs >= 1 iteration");
   FS_REQUIRE(jobs >= 1, "ReportContext needs >= 1 job");
-  FS_REQUIRE(max_retries >= 0, "ReportContext needs >= 0 retries");
-}
-
-SweepControl ReportContext::sweep_control() const {
-  SweepControl control;
-  control.max_retries = max_retries;
-  control.backoff_s = backoff_s;
-  control.watchdog_s = watchdog_s;
-  control.keep_going = keep_going;
-  control.journal = journal;
-  return control;
+  FS_REQUIRE(sweep.max_retries >= 0, "ReportContext needs >= 0 retries");
 }
 
 SweepOutcome run_experiments_resilient(
     const ReportContext& ctx, const std::vector<ExperimentConfig>& configs) {
   ctx.validate();
   if (!ctx.collapse) {
-    return SweepPool(ctx.jobs).run_resilient(*ctx.runner, configs,
-                                             ctx.sweep_control());
+    return SweepPool(ctx.jobs).run_resilient(*ctx.runner, configs, ctx.sweep);
   }
   // Every report sweep funnels through here, so flipping the flag at this
   // one choke point collapses every registered experiment uniformly.
   std::vector<ExperimentConfig> collapsed = configs;
   for (ExperimentConfig& cfg : collapsed) cfg.collapse = true;
-  return SweepPool(ctx.jobs).run_resilient(*ctx.runner, collapsed,
-                                           ctx.sweep_control());
+  return SweepPool(ctx.jobs).run_resilient(*ctx.runner, collapsed, ctx.sweep);
 }
 
 std::vector<ExperimentResult> run_experiments(

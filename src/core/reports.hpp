@@ -25,8 +25,8 @@ struct ReportContext {
   /// 0 keeps each report's default.
   int override_ranks = 0;
   int override_threads = 0;
-  /// Worker threads for the sweep fan-out (see core::SweepPool). 1 = serial;
-  /// any value produces byte-identical report output.
+  /// Sweep tasks in flight (see core::SweepPool). 1 = one at a time; any
+  /// value produces byte-identical report output.
   int jobs = 1;
   /// Run every sweep point with rank collapse (ExperimentConfig::collapse):
   /// one representative rank per symmetry class executes natively. The
@@ -38,20 +38,15 @@ struct ReportContext {
   /// front end sets this; the CLI renders the primary sections only.
   bool supplements = false;
 
-  // Resilience knobs (see SweepControl). With keep_going, the sweep-grid
-  // reports (T2/F1/F2/F3) render slots whose task failed after retries as
-  // FAILED(<class>) instead of aborting; best-of reports still require
-  // every point and rethrow the first failure.
-  int max_retries = 0;
-  double backoff_s = 0.01;
-  double watchdog_s = 0.0;
-  bool keep_going = false;
-  /// Optional kill+resume journal shared by every sweep of this context.
-  SweepJournal* journal = nullptr;
+  /// Retry, watchdog, keep-going and journal policy of every sweep of this
+  /// context. With keep_going, the sweep-grid reports (T2/F1/F2/F3) render
+  /// slots whose task failed after retries as FAILED(<class>) instead of
+  /// aborting; best-of reports still require every point and rethrow the
+  /// first failure.
+  SweepControl sweep;
 
   std::vector<std::string> apps_or_default() const;
   void validate() const;
-  SweepControl sweep_control() const;
 };
 
 /// Evaluate every config through ctx.runner, fanning out over ctx.jobs
@@ -61,9 +56,9 @@ struct ReportContext {
 std::vector<ExperimentResult> run_experiments(
     const ReportContext& ctx, const std::vector<ExperimentConfig>& configs);
 
-/// As run_experiments, but under ctx.keep_going failed slots are returned in
-/// SweepOutcome::failures instead of thrown, so reports can render partial
-/// sweeps.
+/// As run_experiments, but under ctx.sweep.keep_going failed slots are
+/// returned in SweepOutcome::failures instead of thrown, so reports can
+/// render partial sweeps.
 SweepOutcome run_experiments_resilient(
     const ReportContext& ctx, const std::vector<ExperimentConfig>& configs);
 

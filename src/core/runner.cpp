@@ -231,8 +231,8 @@ std::shared_ptr<const Runner::Execution> Runner::execute(
   const bool use_store = store != nullptr && !fault::enabled();
 
   // Claim-or-wait loop. Exactly one caller runs natively at a time per key;
-  // everyone else blocks. A throwing run releases the claim with the entry
-  // still pending, so the first thread to wake (or arrive) retries — the
+  // everyone else waits. A throwing run releases the claim with the entry
+  // still pending, so the first caller to wake (or arrive) retries — the
   // entry is never wedged by a failure.
   std::unique_lock<std::mutex> lock(entry->mutex);
   while (true) {
@@ -247,7 +247,8 @@ std::shared_ptr<const Runner::Execution> Runner::execute(
       // Bounded wait so a waiter with an expired cancellation token can
       // leave the queue instead of blocking forever behind a slow leader.
       // Throwing here (checkpoint) is safe: this caller holds no claim.
-      entry->cv.wait_for(lock, std::chrono::milliseconds(100));
+      entry->waiters.wait_until(
+          lock, rt::Clock::now() + std::chrono::milliseconds(100));
       cancel::checkpoint();
       continue;
     }
@@ -306,14 +307,12 @@ std::shared_ptr<const Runner::Execution> Runner::execute(
       if (tier != nullptr) {
         *tier = from_disk ? RunTier::kDisk : RunTier::kNative;
       }
-      lock.unlock();
-      entry->cv.notify_all();
+      entry->waiters.notify_all(lock);
       return {entry, &entry->exec};
     } catch (...) {
       lock.lock();
       entry->running = false;
-      lock.unlock();
-      entry->cv.notify_all();
+      entry->waiters.notify_all(lock);
       throw;
     }
   }

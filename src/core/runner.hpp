@@ -15,18 +15,15 @@
 // Runner is thread-safe: run() may be called concurrently (the SweepPool
 // does exactly that). Concurrent calls with the same execution key coalesce
 // onto a single native run via a per-entry state machine; every other caller
-// blocks until that run finishes and then reads the completed entry. A
-// native run that *throws* releases the entry instead of wedging it — the
-// next caller (racing waiters included) claims the slot and retries, and the
+// waits on the entry's rt::WaitList — a context parks, leaving its worker
+// free — until that run finishes, then reads the completed entry. A native
+// run that *throws* releases the entry instead of wedging it — the next
+// caller (racing waiters included) claims the slot and retries, and the
 // per-entry attempt counter feeds the fault-injection salt so each retry
-// draws an independent fault pattern. (The previous std::once_flag design
-// could not express this: a throwing active call leaves waiters' behaviour
-// at the mercy of the libstdc++ once implementation, and there is no way to
-// observe the attempt number.)
+// draws an independent fault pattern.
 #pragma once
 
 #include <atomic>
-#include <condition_variable>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -36,6 +33,7 @@
 
 #include "core/experiment.hpp"
 #include "machine/power_model.hpp"
+#include "rt/fiber.hpp"
 #include "trace/predict.hpp"
 #include "trace/trace_store.hpp"
 
@@ -171,13 +169,13 @@ class Runner {
     bool is_collapsed = false;
   };
   /// Cache slot. One caller at a time runs natively (`running`); waiters
-  /// block on `cv`. Once `done`, the execution is immutable and readable
+  /// park on `waiters`. Once `done`, the execution is immutable and readable
   /// without any lock. A failed run flips `running` back off with `done`
   /// still false, so whoever wakes first retries; `attempts` counts started
   /// native runs (it salts fault injection and is observable in tests).
   struct Entry {
     std::mutex mutex;
-    std::condition_variable cv;
+    rt::WaitList waiters;
     bool running = false;
     bool done = false;
     int attempts = 0;

@@ -32,20 +32,16 @@ namespace {
 
 constexpr std::size_t kMaxLatencySamples = 65536;
 
-/// Self-pipe write end for the signal handlers. One server per process may
-/// install handlers at a time (documented on install_signal_handlers); the
-/// handler itself only write()s, which is async-signal-safe.
-std::atomic<int> g_signal_fd{-1};
+/// The server the signal handlers stop. One server per process may install
+/// handlers at a time (documented on install_signal_handlers); stop() only
+/// flips a lock-free atomic and write()s one byte, both async-signal-safe.
+std::atomic<Server*> g_signal_server{nullptr};
 struct sigaction g_old_sigint;
 struct sigaction g_old_sigterm;
 
 void signal_stop(int) {
-  const int fd = g_signal_fd.load(std::memory_order_relaxed);
-  if (fd >= 0) {
-    const char byte = 's';
-    // The pipe is never full in practice (one byte per signal, drained at
-    // shutdown); a failed write cannot be reported from a handler anyway.
-    [[maybe_unused]] const ssize_t rc = ::write(fd, &byte, 1);
+  if (Server* server = g_signal_server.load(std::memory_order_relaxed)) {
+    server->stop();
   }
 }
 
@@ -189,8 +185,8 @@ Server::Server(ServeOptions options)
       queue_(std::make_unique<Queue>()),
       counters_(std::make_unique<Counters>()) {
   // The self-pipe exists for the Server's whole lifetime so stop() and
-  // signal handlers work even before start() (the byte waits in the pipe
-  // and the accept loop drains it immediately).
+  // signal handlers work even before start() (the accept loop then never
+  // polls: draining_ is already set).
   if (::pipe(stop_pipe_) != 0) {
     throw Error(strfmt("serve: cannot create stop pipe: %s",
                        std::strerror(errno)));
@@ -309,7 +305,7 @@ void Server::stop() {
 }
 
 void Server::install_signal_handlers() {
-  g_signal_fd.store(stop_pipe_[1], std::memory_order_relaxed);
+  g_signal_server.store(this, std::memory_order_relaxed);
   struct sigaction sa;
   std::memset(&sa, 0, sizeof(sa));
   sa.sa_handler = signal_stop;
@@ -372,7 +368,7 @@ void Server::teardown() {
   ::unlink(options_.socket_path.c_str());
 
   if (signals_installed_) {
-    g_signal_fd.store(-1, std::memory_order_relaxed);
+    g_signal_server.store(nullptr, std::memory_order_relaxed);
     ::sigaction(SIGINT, &g_old_sigint, nullptr);
     ::sigaction(SIGTERM, &g_old_sigterm, nullptr);
     signals_installed_ = false;
@@ -395,13 +391,7 @@ void Server::accept_loop() {
       FS_LOG(kWarn) << "serve: poll failed: " << std::strerror(errno);
       break;
     }
-    if ((fds[1].revents & POLLIN) != 0) {
-      char drain[16];
-      [[maybe_unused]] const ssize_t n =
-          ::read(stop_pipe_[0], drain, sizeof(drain));
-      stop();  // a signal delivered the byte directly; align draining_
-      break;
-    }
+    if ((fds[1].revents & POLLIN) != 0) break;  // stop() set draining_
     if ((fds[0].revents & POLLIN) == 0) continue;
     const int fd = ::accept(listen_fd_, nullptr, nullptr);
     if (fd < 0) {
@@ -588,8 +578,9 @@ void Server::execute(Task task) {
     response = serve_error_response(kCodeDeadline, task.req.id,
                                     "deadline expired before execution");
   } else {
-    // Install the request's cancellation token for this worker thread; the
-    // Runner and predict path checkpoint it at phase boundaries.
+    // Install the request's cancellation token; every sweep task and
+    // predict phase the request forks inherits it, and the Runner and
+    // predict path checkpoint it at phase boundaries.
     cancel::Scope scope(task.token);
     try {
       if (predict) {

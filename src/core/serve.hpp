@@ -134,9 +134,9 @@ class Server {
   /// start() + wait() — the CLI's blocking entry point.
   void run();
 
-  /// Route SIGINT/SIGTERM to stop() via the self-pipe (async-signal-safe:
-  /// the handler only write()s one byte). Restored by wait(). One server per
-  /// process may install handlers at a time.
+  /// Route SIGINT/SIGTERM to stop(), which is async-signal-safe: new work is
+  /// refused from the moment the handler returns. Restored by wait(). One
+  /// server per process may install handlers at a time.
   void install_signal_handlers();
 
   bool running() const { return running_.load(std::memory_order_acquire); }

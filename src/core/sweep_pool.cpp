@@ -13,6 +13,7 @@
 #include "common/string_util.hpp"
 #include "core/journal.hpp"
 #include "fault/fault.hpp"
+#include "rt/fiber.hpp"
 
 namespace fibersim::core {
 
@@ -102,35 +103,22 @@ std::string error_text(const std::exception_ptr& error) {
 
 std::vector<std::exception_ptr> SweepPool::fan_out(
     std::size_t n, const std::function<void(std::size_t)>& task) const {
-  // Slot i belongs exclusively to the worker that claimed index i; the join
-  // is the synchronisation point.
+  // Slot i belongs exclusively to the context that claimed index i; the
+  // join is the synchronisation point.
   std::vector<std::exception_ptr> errors(n);
-  auto run_task = [&](std::size_t i) {
-    try {
-      task(i);
-    } catch (...) {
-      errors[i] = std::current_exception();
-    }
-  };
-  if (jobs_ == 1 || n <= 1) {
-    for (std::size_t i = 0; i < n; ++i) run_task(i);
-    return errors;
-  }
+  if (n == 0) return errors;
   std::atomic<std::size_t> next{0};
-  auto worker = [&] {
-    while (true) {
-      const std::size_t i = next.fetch_add(1, std::memory_order_relaxed);
-      if (i >= n) return;
-      run_task(i);
+  const std::size_t tasks = std::min(static_cast<std::size_t>(jobs_), n);
+  rt::fork_join(static_cast<int>(tasks), [&](int) {
+    for (std::size_t i = next.fetch_add(1, std::memory_order_relaxed); i < n;
+         i = next.fetch_add(1, std::memory_order_relaxed)) {
+      try {
+        task(i);
+      } catch (...) {
+        errors[i] = std::current_exception();
+      }
     }
-  };
-  const std::size_t workers =
-      std::min<std::size_t>(static_cast<std::size_t>(jobs_), n);
-  std::vector<std::thread> threads;
-  threads.reserve(workers - 1);
-  for (std::size_t w = 1; w < workers; ++w) threads.emplace_back(worker);
-  worker();
-  for (std::thread& t : threads) t.join();
+  });
   return errors;
 }
 
@@ -143,7 +131,7 @@ SweepOutcome SweepPool::run_resilient(
 
   SweepOutcome outcome;
   outcome.results.resize(n);
-  // Slot i of `attempts` belongs exclusively to the worker that claimed
+  // Slot i of `attempts` belongs exclusively to the task that claimed
   // index i, as in fan_out().
   std::vector<int> attempts(n, 0);
 
@@ -168,10 +156,8 @@ SweepOutcome SweepPool::run_resilient(
         // Exponential backoff: wall-clock courtesy only; the retry
         // *sequence* (and with a fault plan, the fault pattern per attempt)
         // is deterministic regardless of these sleeps.
-        const double delay_s = control.backoff_s * static_cast<double>(1 << std::min(attempt, 20));
-        if (delay_s > 0.0) {
-          std::this_thread::sleep_for(std::chrono::duration<double>(delay_s));
-        }
+        rt::sleep_for(std::chrono::duration<double>(
+            control.backoff_s * static_cast<double>(1 << std::min(attempt, 20))));
       }
     }
   });
@@ -188,7 +174,7 @@ SweepOutcome SweepPool::run_resilient(
   }
 
   // Rethrow deterministically: the failure of the lowest config index wins,
-  // independent of which worker hit it first.
+  // independent of which task hit it first.
   if (!control.keep_going && !outcome.failures.empty()) {
     std::rethrow_exception(outcome.failures.front().error);
   }

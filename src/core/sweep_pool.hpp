@@ -3,10 +3,12 @@
 // The paper's evaluation is sweeps (every MPI x OMP split, stride policy,
 // allocation policy, processor...). Each point is independent, the model is
 // analytic and seeded, and the Runner coalesces duplicate native runs — so a
-// sweep can fan out across host threads without perturbing a single reported
-// number. The pool guarantees deterministic output: results[i] always
-// corresponds to configs[i], whatever order the workers finish in, and a
-// sweep run with N workers is byte-identical to the same sweep run serially.
+// sweep can run its points concurrently without perturbing a single reported
+// number. Its tasks are contexts on the rt fiber pool, the same workers that
+// run every native rank; each starts with the caller's cancel token. The
+// pool guarantees deterministic output: results[i] always corresponds to
+// configs[i], whatever order the tasks finish in, and a sweep run with N
+// tasks in flight is byte-identical to the same sweep run serially.
 //
 // Resilience (run_resilient): each task gets bounded retries with
 // exponential backoff — with an active fault plan the Runner passes the
@@ -70,7 +72,7 @@ struct SweepOutcome {
 class SweepPool {
  public:
   /// A pool that runs up to `jobs` experiments concurrently. `jobs` <= 0
-  /// selects default_jobs(). A pool of 1 runs everything inline.
+  /// selects default_jobs(). A pool of 1 runs one task at a time.
   explicit SweepPool(int jobs);
 
   /// The hardware concurrency of the host (at least 1).
@@ -92,12 +94,12 @@ class SweepPool {
                              const std::vector<ExperimentConfig>& configs,
                              const SweepControl& control) const;
 
-  /// The pool's one fan-out loop: task(i) for every i in [0, n), inline
-  /// when jobs() == 1 or n <= 1, otherwise on min(jobs(), n) threads that
-  /// each claim the next unclaimed index. A throwing task fails only its own
-  /// index; the result holds each index's exception (null where the task
-  /// completed), so a caller can rethrow the lowest failed index whatever
-  /// order the workers ran in.
+  /// The pool's one fan-out loop: task(i) for every i in [0, n), run by
+  /// min(jobs(), n) fiber-pool contexts (rt::fork_join) that each claim the
+  /// next unclaimed index. Starts no thread. A throwing task fails only its
+  /// own index; the result holds each index's exception (null where the
+  /// task completed), so a caller can rethrow the lowest failed index
+  /// whatever order the tasks ran in.
   std::vector<std::exception_ptr> fan_out(
       std::size_t n, const std::function<void(std::size_t)>& task) const;
 

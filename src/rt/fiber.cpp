@@ -18,6 +18,7 @@
 #include <utility>
 #include <vector>
 
+#include "common/cancel.hpp"
 #include "common/error.hpp"
 #include "common/string_util.hpp"
 
@@ -122,6 +123,7 @@ struct EhGlobals {
 struct Context {
   void* sp = nullptr;
   EhGlobals eh;
+  cancel::Token* token = nullptr;
   const void* stack_bottom = nullptr;  // ASan: the stack this context runs on
   std::size_t stack_size = 0;
   void* tsan = nullptr;                // TSan: the fiber this context is
@@ -134,6 +136,9 @@ void switch_context(Context& from, Context& to,
   EhGlobals* globals = eh_globals();
   from.eh = *globals;
   *globals = to.eh;
+  cancel::Token** token = cancel::current_slot();
+  from.token = *token;
+  *token = to.token;
 #ifdef FIBERSIM_ASAN
   void* fake_stack = nullptr;
   __sanitizer_start_switch_fiber(finished ? nullptr : &fake_stack,
@@ -228,7 +233,8 @@ class Pool {
   static Pool& get();
 
   /// `count` contexts running entry(arg, first..first+count-1), linked
-  /// through Fiber::next and not yet queued. All or nothing: throws
+  /// through Fiber::next and not yet queued, each starting with the
+  /// caller's cancel token. All or nothing: throws
   /// fibersim::Error, with none created, if a stack cannot be mapped.
   Fiber* create(int count, void (*entry)(void*, int), void* arg, int first);
   void schedule(Fiber* fiber);
@@ -506,6 +512,7 @@ Fiber* Pool::create(int count, void (*entry)(void*, int), void* arg,
       fiber->entry = entry;
       fiber->arg = arg;
       fiber->index = first + i;
+      fiber->ctx.token = cancel::current();  // the forker's
       fiber->ctx.stack_bottom = fiber->stack.base();
       fiber->ctx.stack_size =
           block - reinterpret_cast<std::uintptr_t>(fiber->stack.base());

@@ -1,16 +1,18 @@
 // Fibers — user-level contexts on one process-wide pool of workers.
 //
-// Every rank of an mp::Job and every non-zero tid of a ThreadTeam region runs
-// as a context on one pool of hardware_concurrency() worker threads, created
-// on first use and kept for the life of the process. A context that has to
-// wait (a Mailbox receive, a team barrier, a join, a fault-plan send delay)
-// parks: its worker saves the context's registers and runs another one
-// instead of sleeping in the kernel. Each worker keeps its own run queue; a
-// woken context goes back to the worker that last ran it, and an idle worker
+// Every rank of an mp::Job, every non-zero tid of a ThreadTeam region, every
+// sweep or tune task (core::SweepPool) and every phase of a large predict
+// runs as a context on one pool of hardware_concurrency() worker threads,
+// created on first use and kept for the life of the process. A context that
+// has to wait (a Mailbox receive, a team barrier, a join, a coalescing
+// Runner entry, a retry backoff or a fault-plan send delay) parks: its
+// worker saves the context's registers and runs another one instead of
+// sleeping in the kernel. Each worker keeps its own run queue; a woken
+// context goes back to the worker that last ran it, and an idle worker
 // steals from the others.
 //
 // WaitList is the one blocking primitive. Its waiters are parked contexts or,
-// for callers outside the pool (sweep threads, main, test bodies), OS threads
+// for callers outside the pool (main, serve workers, test bodies), OS threads
 // blocked on a condition variable of their own — both through the same list.
 //
 // Invariants every park keeps:
@@ -21,9 +23,11 @@
 //     worker may resume, finish and free it;
 //   * scheduler thread-locals are read through a non-inlined accessor after
 //     every switch, because a context may resume on another worker;
-//   * the C++ exception globals (caught-exception stack, uncaught count) are
-//     saved and restored on every switch, so a context may park in a catch
-//     block or in a destructor during unwinding.
+//   * the C++ exception globals (caught-exception stack, uncaught count) and
+//     the current cancel token (common/cancel) are saved and restored on
+//     every switch, so a context may park in a catch block or in a
+//     destructor during unwinding, and its token follows it to whichever
+//     worker resumes it.
 #pragma once
 
 #include <chrono>
@@ -38,7 +42,8 @@ using Clock = std::chrono::steady_clock;
 /// Run body(0..n-1) and return once all n calls have returned. A context
 /// caller runs body(0) itself and body(1..n-1) run as new contexts; a caller
 /// outside the pool runs every call as a context and waits for the join, so
-/// nothing the calls wait on blocks an OS thread. `body` must not throw
+/// nothing the calls wait on blocks an OS thread. Every call starts with the
+/// caller's cancel token (cancel::current()). `body` must not throw
 /// (callers capture their own errors; an escaping exception terminates).
 /// Throws fibersim::Error before anything runs if a context stack cannot be
 /// mapped, or if the pool was started by the parent of a forked child.

@@ -164,17 +164,15 @@ class ClassReplay {
       return;
     }
     // One context per phase, each with scratch of its own, freed when the
-    // phase ends. The cancel token is thread-local to the caller, so each
-    // context checks the caller's token. An error stays in its context and
-    // the lowest failing phase's is rethrown: what the serial loop, which
-    // stops at the first, would have thrown.
-    const cancel::Token* token = cancel::current();
+    // phase ends, and each checking the caller's cancel token. An error
+    // stays in its context and the lowest failing phase's is rethrown: what
+    // the serial loop, which stops at the first, would have thrown.
     std::vector<std::vector<PhasePrediction>> results(phases);
     std::vector<std::exception_ptr> errors(phases);
     rt::fork_join(static_cast<int>(phases), [&](int index) {
       const std::size_t p = static_cast<std::size_t>(index);
       try {
-        cancel::checkpoint(token);
+        cancel::checkpoint();
         Scratch scratch(exec_, domains());
         results[p].resize(presets_.size());
         phase(p, scratch, results[p]);

@@ -694,7 +694,7 @@ TEST(Cli, BenchFlagParserRejectsMalformedValues) {
                     .empty());
     EXPECT_EQ(flags.ctx.seed, 18446744073709551615ull);
     EXPECT_TRUE(parse_report_flags({"--retries", "0"}, flags).empty());
-    EXPECT_EQ(flags.ctx.max_retries, 0);
+    EXPECT_EQ(flags.ctx.sweep.max_retries, 0);
   }
 }
 

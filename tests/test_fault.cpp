@@ -374,8 +374,8 @@ std::string render_t2(int jobs, int retries) {
   ctx.dataset = apps::Dataset::kSmall;
   ctx.iterations = 1;
   ctx.jobs = jobs;
-  ctx.max_retries = retries;
-  ctx.backoff_s = 0.0;
+  ctx.sweep.max_retries = retries;
+  ctx.sweep.backoff_s = 0.0;
   std::ostringstream os;
   core::mpi_omp_table(ctx).print(os);
   return os.str();
@@ -438,9 +438,9 @@ TEST(DegradedReports, PermanentFaultsRenderFailedCells) {
   ctx.dataset = apps::Dataset::kSmall;
   ctx.iterations = 1;
   ctx.jobs = 2;
-  ctx.max_retries = 1;
-  ctx.backoff_s = 0.0;
-  ctx.keep_going = true;
+  ctx.sweep.max_retries = 1;
+  ctx.sweep.backoff_s = 0.0;
+  ctx.sweep.keep_going = true;
   std::ostringstream os;
   core::mpi_omp_table(ctx).print(os);
   EXPECT_NE(os.str().find("FAILED(injected)"), std::string::npos);
@@ -461,7 +461,7 @@ TEST(DegradedReports, KeepGoingStillThrowsForBestOfReports) {
   ctx.dataset = apps::Dataset::kSmall;
   ctx.iterations = 1;
   ctx.jobs = 1;
-  ctx.keep_going = true;
+  ctx.sweep.keep_going = true;
   EXPECT_THROW(core::phase_breakdown_table(ctx), Error);
 }
 
@@ -743,7 +743,7 @@ TEST(Journal, ReportBytesSurviveKillAndResume) {
     ctx.dataset = apps::Dataset::kSmall;
     ctx.iterations = 1;
     ctx.jobs = 2;
-    ctx.journal = journal;
+    ctx.sweep.journal = journal;
     std::ostringstream os;
     core::mpi_omp_table(ctx).print(os);
     return os.str();

@@ -6,6 +6,7 @@
 #include <chrono>
 #include <cstdio>
 #include <fstream>
+#include <mutex>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -19,6 +20,7 @@
 #include "core/journal.hpp"
 #include "core/runner.hpp"
 #include "core/serve.hpp"
+#include "rt/fiber.hpp"
 
 namespace {
 
@@ -106,6 +108,40 @@ TEST(Cancel, TokenIsThreadLocalToItsScope) {
   cancel::Token* seen = token.get();
   std::thread([&] { seen = cancel::current(); }).join();
   EXPECT_EQ(seen, nullptr);  // other threads never see our token
+}
+
+TEST(Cancel, ScopeInsideAContextIsInvisibleToItsSiblings) {
+  // Context 0 opens a Scope and parks holding it until every sibling has
+  // read its own token. The siblings start round-robin over the workers, so
+  // some run on the worker context 0 parked on: they must still see the
+  // forker's token (none), not context 0's.
+  constexpr int kContexts = 64;
+  auto token = std::make_shared<cancel::Token>();
+  std::mutex mutex;
+  rt::WaitList changed;
+  bool scoped = false;  // guarded by mutex
+  int recorded = 0;     // guarded by mutex
+  std::vector<cancel::Token*> seen(kContexts, nullptr);
+  rt::fork_join(kContexts, [&](int index) {
+    std::unique_lock<std::mutex> lock(mutex);
+    if (index == 0) {
+      cancel::Scope scope(token);
+      scoped = true;
+      changed.notify_all(lock);
+      lock.lock();
+      while (recorded < kContexts - 1) changed.wait(lock);
+      seen[0] = cancel::current();
+      return;
+    }
+    while (!scoped) changed.wait(lock);
+    seen[static_cast<std::size_t>(index)] = cancel::current();
+    if (++recorded == kContexts - 1) changed.notify_all(lock);
+  });
+  EXPECT_EQ(seen[0], token.get());
+  for (int i = 1; i < kContexts; ++i) {
+    EXPECT_EQ(seen[static_cast<std::size_t>(i)], nullptr) << "context " << i;
+  }
+  EXPECT_EQ(cancel::current(), nullptr);
 }
 
 TEST(Cancel, IsCancelledMatchesOnlyTheMarker) {

@@ -23,6 +23,7 @@
 #include "core/runner.hpp"
 #include "core/serve.hpp"
 #include "core/serve_codec.hpp"
+#include "core/sweep_pool.hpp"
 #include "fault/fault.hpp"
 #include "machine/descriptor.hpp"
 #include "machine/registry.hpp"
@@ -679,6 +680,28 @@ TEST(Serve, CancelledRequestDoesNotPoisonCoalescingWaiters) {
   EXPECT_EQ(payload_of(retry), payload_of(plain_response));
 }
 
+TEST(Serve, ReportDeadlineReachesEverySweepTask) {
+  ServeOptions opts;
+  opts.socket_path = test_socket_path();
+  opts.workers = 1;
+  Server server(std::move(opts));
+  server.start();
+
+  // A report sweeps at SweepPool::default_jobs(). Every message send of a
+  // native run is delayed 5 ms while the plan is installed, so each F2 run
+  // (4 ranks per app) outlasts the 4 ms deadline: a task can start at most
+  // one native run before expiry, and none after it if every task checks
+  // the request's token.
+  fault::ScopedPlan stall(fault::Plan::parse("mp.delay=1;mp.delay_ms=5"));
+  ServeClient client(server.socket_path());
+  const std::string response = client.request(
+      R"({"verb":"report","report":"F2","dataset":"small","iterations":1,)"
+      R"("deadline_ms":4})");
+  EXPECT_EQ(field_of(response, "code"), kCodeDeadline) << response;
+  EXPECT_LE(server.runner().native_runs(),
+            static_cast<std::size_t>(SweepPool::default_jobs()));
+}
+
 TEST(Serve, BreakerTripsOverTheWireAndProbesClosed) {
   ServeOptions opts;
   opts.socket_path = test_socket_path();
@@ -834,14 +857,16 @@ TEST(Serve, SigtermMidRunStillAnswersAndStatsServeDuringDrain) {
       R"({"verb":"predict","app":"ffb","dataset":"small","ranks":4,)"
       R"("threads":1,"iterations":1,"seed":31337,"id":"mid-run"})");
   // Wait until the worker owns the cold native run, then deliver a real
-  // SIGTERM through the installed handler (self-pipe -> stop()).
+  // SIGTERM through the installed handler, which calls stop(). raise()
+  // returns only after the handler has run, so the server is draining
+  // before the test sends anything else.
   const auto deadline =
       std::chrono::steady_clock::now() + std::chrono::seconds(30);
   while (server.stats_snapshot().predict == 0) {
     ASSERT_LT(std::chrono::steady_clock::now(), deadline);
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
   }
-  ASSERT_EQ(::kill(::getpid(), SIGTERM), 0);
+  ASSERT_EQ(::raise(SIGTERM), 0);
   // The in-flight cold run must complete and answer ok — SIGTERM drains, it
   // never abandons acknowledged-admitted work.
   const auto response = client.read_line();

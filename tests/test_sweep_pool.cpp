@@ -1,17 +1,22 @@
 // Tests for the parallel sweep engine: deterministic ordering, byte-identical
-// reports for any job count, and the thread-safe Runner's once-per-key native
-// execution contract under contention.
+// reports for any job count, the caller's cancel token reaching every task,
+// and the thread-safe Runner's once-per-key native execution contract under
+// contention.
 #include <gtest/gtest.h>
 
+#include <chrono>
+#include <memory>
 #include <sstream>
 #include <thread>
 #include <vector>
 
+#include "common/cancel.hpp"
 #include "common/error.hpp"
 #include "core/reports.hpp"
 #include "core/runner.hpp"
 #include "core/sweep.hpp"
 #include "core/sweep_pool.hpp"
+#include "rt/fiber.hpp"
 
 namespace fibersim::core {
 namespace {
@@ -102,6 +107,51 @@ TEST(SweepPool, FirstConfigErrorWinsDeterministically) {
   } catch (const Error& e) {
     EXPECT_NE(std::string(e.what()).find("no-such-app"), std::string::npos);
   }
+}
+
+TEST(SweepPool, EveryTaskSeesTheCallersCancelToken) {
+  auto token = std::make_shared<cancel::Token>();
+  cancel::Scope scope(token);
+  std::vector<cancel::Token*> seen(16, nullptr);
+  const auto errors = SweepPool(4).fan_out(seen.size(), [&](std::size_t i) {
+    // Parks in a context: the token must survive the park and follow the
+    // task to whichever worker resumes it.
+    rt::sleep_for(std::chrono::milliseconds(1));
+    seen[i] = cancel::current();
+  });
+  for (std::size_t i = 0; i < seen.size(); ++i) {
+    EXPECT_FALSE(errors[i]) << "task " << i;
+    EXPECT_EQ(seen[i], token.get()) << "task " << i;
+  }
+}
+
+TEST(SweepPool, ExpiredTokenStartsNoNativeRun) {
+  std::vector<ExperimentConfig> configs;
+  for (std::uint64_t seed = 1; seed <= 16; ++seed) {
+    ExperimentConfig cfg = small_ffvc(2, 1);
+    cfg.seed = seed;  // 16 distinct execution keys: nothing coalesces
+    configs.push_back(cfg);
+  }
+  auto token = std::make_shared<cancel::Token>();
+  token->set_deadline(cancel::Token::Clock::now() -
+                      std::chrono::milliseconds(1));
+  cancel::Scope scope(token);
+  Runner runner;
+  SweepControl control;
+  control.keep_going = true;
+  // A cancelled attempt is retried once after a 10 ms backoff, so the tasks
+  // interleave rather than one of them failing every slot in turn.
+  control.max_retries = 1;
+  control.backoff_s = 0.01;
+  const SweepOutcome outcome =
+      SweepPool(4).run_resilient(runner, configs, control);
+  ASSERT_EQ(outcome.failures.size(), configs.size());
+  for (const TaskFailure& failure : outcome.failures) {
+    EXPECT_TRUE(cancel::is_cancelled(failure.message))
+        << "slot " << failure.index << ": " << failure.message;
+    EXPECT_EQ(failure.attempts, 2) << "slot " << failure.index;
+  }
+  EXPECT_EQ(runner.native_runs(), 0u);
 }
 
 TEST(Runner, ConcurrentSameConfigPerformsExactlyOneNativeRun) {
