@@ -327,8 +327,9 @@ trace::JobTrace Runner::expanded_trace(const ExperimentConfig& config) {
 
 ExperimentResult Runner::run(const ExperimentConfig& config, int attempt,
                              RunTier* tier) {
-  PresetResults placed =
-      run_presets(config, {&config.compile, 1}, attempt, tier);
+  const Placement placement{config.alloc, config.bind};
+  PresetResults placed = run_presets(config, {&placement, 1},
+                                     {&config.compile, 1}, attempt, tier);
   ExperimentResult result;
   result.config = config;
   result.prediction = std::move(placed.predictions.front());
@@ -340,9 +341,11 @@ ExperimentResult Runner::run(const ExperimentConfig& config, int attempt,
 }
 
 PresetResults Runner::run_presets(const ExperimentConfig& config,
+                                  std::span<const Placement> placements,
                                   std::span<const cg::CompileOptions> presets,
                                   int attempt, RunTier* tier) {
   config.validate();
+  FS_REQUIRE(!placements.empty(), "run_presets needs a placement");
   cancel::checkpoint();
 
   // Deterministic prediction-failure injection: fires for the first
@@ -362,20 +365,26 @@ PresetResults Runner::run_presets(const ExperimentConfig& config,
   const std::shared_ptr<const Execution> exec = execute(config, tier);
 
   const topo::Topology topology(config.processor.shape, config.nodes);
-  const topo::Binding binding = topo::Binding::make(
-      topology, config.ranks, config.threads, config.alloc, config.bind);
+  std::vector<topo::Binding> bindings;
+  bindings.reserve(placements.size());
+  for (const Placement& placement : placements) {
+    bindings.push_back(topo::Binding::make(topology, config.ranks,
+                                           config.threads, placement.alloc,
+                                           placement.bind));
+  }
 
   PresetResults out;
   const trace::PredictMemo memo{&stage1_memo_};
   const auto predict = [&](const auto& form) {
-    // One preset goes through predict_job, its one-preset call (same
-    // engine, same bits): fsbench's traced build wraps that entry point.
-    if (presets.size() == 1) {
+    // One placement under one preset goes through predict_job, the
+    // one-preset, one-binding call of the same engine (same bits):
+    // fsbench's traced build wraps that entry point.
+    if (bindings.size() == 1 && presets.size() == 1) {
       out.predictions.push_back(trace::predict_job(
-          config.processor, presets.front(), binding, form, memo));
+          config.processor, presets.front(), bindings.front(), form, memo));
     } else {
       out.predictions = trace::predict_presets(config.processor, presets,
-                                               binding, form, memo);
+                                               bindings, form, memo);
     }
   };
   if (exec->is_collapsed) {

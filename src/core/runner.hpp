@@ -52,8 +52,16 @@ struct ExperimentResult {
   double gflops() const { return prediction.gflops(); }
 };
 
-/// One placement predicted under several compile presets
-/// (Runner::run_presets): element k of each vector belongs to preset k.
+/// One (rank allocation, thread binding) placement of a config's ranks x
+/// threads (Runner::run_presets).
+struct Placement {
+  topo::RankAllocPolicy alloc = topo::RankAllocPolicy::kBlock;
+  topo::ThreadBindPolicy bind = topo::ThreadBindPolicy::compact();
+};
+
+/// Several placements of one execution predicted under several compile
+/// presets (Runner::run_presets): element i * presets + k of each vector
+/// belongs to placement i under preset k.
 struct PresetResults {
   std::vector<trace::JobPrediction> predictions;
   std::vector<machine::PowerEstimate> power;
@@ -81,13 +89,17 @@ class Runner {
   ExperimentResult run(const ExperimentConfig& config, int attempt = 0,
                        RunTier* tier = nullptr);
 
-  /// `config`'s placement predicted under each of `presets` (config.compile
-  /// itself is not predicted unless it is one of them): one execution
-  /// lookup, one binding and one communication replay per phase for all of
-  /// them, each prediction bit-identical to run() with config.compile set
-  /// to that preset. run() is the one-preset call. A fault plan's
-  /// prediction failure names `config` and fails the whole call.
+  /// An execution group — `config` at each of `placements` — predicted
+  /// under each of `presets` (config.alloc, config.bind and config.compile
+  /// are not predicted unless they are among them). One execution lookup
+  /// for all of them, and per phase one stage-1 evaluation of each class
+  /// under each preset for every placement, then one binding and one
+  /// communication replay per placement for all presets. Each prediction is
+  /// bit-identical to run() of `config` with that placement and preset;
+  /// run() is the one-placement, one-preset call. A fault plan's prediction
+  /// failure names `config` and fails the whole call.
   PresetResults run_presets(const ExperimentConfig& config,
+                            std::span<const Placement> placements,
                             std::span<const cg::CompileOptions> presets,
                             int attempt = 0, RunTier* tier = nullptr);
 

@@ -8,6 +8,7 @@
 #include <mutex>
 #include <thread>
 
+#include "common/cancel.hpp"
 #include "common/error.hpp"
 #include "common/log.hpp"
 #include "common/string_util.hpp"
@@ -152,7 +153,12 @@ SweepOutcome SweepPool::run_resilient(
         }
         return;
       } catch (...) {
-        if (attempt >= control.max_retries) throw;
+        // A cancelled attempt is not retried: the retry would fail at the
+        // same checkpoint.
+        if (attempt >= control.max_retries ||
+            cancel::is_cancelled(error_text(std::current_exception()))) {
+          throw;
+        }
         // Exponential backoff: wall-clock courtesy only; the retry
         // *sequence* (and with a fault plan, the fault pattern per attempt)
         // is deterministic regardless of these sleeps.

@@ -13,13 +13,15 @@
 // Resilience (run_resilient): each task gets bounded retries with
 // exponential backoff — with an active fault plan the Runner passes the
 // attempt number into the deterministic fault salt, so transient-only plans
-// converge to the fault-free result. An optional wall-clock watchdog dooms
-// mailbox waits that stop making progress, dumping which ranks were blocked
-// on which (source, tag) instead of hanging the sweep. keep_going collects
-// failures per slot and returns the partial sweep; otherwise the failure of
-// the lowest config index is rethrown after every task has finished. An
-// optional SweepJournal short-circuits already-completed configs and records
-// fresh completions for kill+resume.
+// converge to the fault-free result. A cancelled attempt
+// (cancel::is_cancelled) is never retried: it fails at once. An optional
+// wall-clock watchdog dooms mailbox waits that stop making progress,
+// dumping which ranks were blocked on which (source, tag) instead of
+// hanging the sweep. keep_going collects failures per slot and returns the
+// partial sweep; otherwise the failure of the lowest config index is
+// rethrown after every task has finished. An optional SweepJournal
+// short-circuits already-completed configs and records fresh completions
+// for kill+resume.
 #pragma once
 
 #include <exception>
@@ -35,7 +37,8 @@ class SweepJournal;
 
 /// Retry / watchdog / failure policy of one resilient sweep.
 struct SweepControl {
-  /// Retries per task beyond the first attempt (0 = single attempt).
+  /// Retries per task beyond the first attempt (0 = single attempt); a
+  /// cancelled attempt is never retried.
   int max_retries = 0;
   /// First retry delay; doubles per retry. Wall-clock only — results never
   /// depend on it.
@@ -51,7 +54,7 @@ struct SweepControl {
 /// One failed sweep slot (after retries were exhausted).
 struct TaskFailure {
   std::size_t index = 0;     ///< config index in the sweep
-  int attempts = 0;          ///< attempts consumed (1 + retries)
+  int attempts = 0;          ///< attempts consumed (1 + retries run)
   std::string reason;        ///< fault::error_class_name of the final error
   std::string message;       ///< final attempt's error text
   std::exception_ptr error;  ///< final attempt's exception

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <exception>
 #include <limits>
-#include <numeric>
 #include <span>
 
 #include "common/error.hpp"
@@ -81,11 +80,11 @@ ExperimentConfig Tuner::make_config(const TuneCandidate& candidate,
 }
 
 TuneOutcome Tuner::run() const {
-  const std::vector<TuneCandidate> groups = placements();
-  FS_REQUIRE(!groups.empty(), "tuner search space is empty");
+  const std::vector<TuneCandidate> places = placements();
+  FS_REQUIRE(!places.empty(), "tuner search space is empty");
   const TuneBudget target{opts_.dataset, opts_.iterations};
   const std::size_t n_presets = presets_.size();
-  const std::size_t space_size = groups.size() * n_presets;
+  const std::size_t space_size = places.size() * n_presets;
 
   // The baseline the paper starts from: "as-is" compile at one rank per
   // NUMA domain, default placement, on the first processor. It is
@@ -97,44 +96,100 @@ TuneOutcome Tuner::run() const {
   base.compile = cg::CompileOptions::as_is();
   TuneCandidate base_placement = base;
   base_placement.compile = presets_.front();
-  const std::size_t base_group = static_cast<std::size_t>(
-      std::find(groups.begin(), groups.end(), base_placement) -
-      groups.begin());
+  const std::size_t base_place = static_cast<std::size_t>(
+      std::find(places.begin(), places.end(), base_placement) -
+      places.begin());
   const std::size_t base_preset = static_cast<std::size_t>(
       std::find(presets_.begin(), presets_.end(), base.compile) -
       presets_.begin());
   const bool base_in_space =
-      base_group < groups.size() && base_preset < n_presets;
+      base_place < places.size() && base_preset < n_presets;
   const std::size_t base_slot =
-      base_in_space ? base_group * n_presets + base_preset : space_size;
+      base_in_space ? base_place * n_presets + base_preset : space_size;
 
-  // One task per placement: one execution lookup, one binding and one comm
-  // replay for all of its presets, whose scores land in their enumeration
-  // slots. The out-of-space baseline is a one-preset task, scored last.
+  // Task t scores placements [first[t], first[t + 1]): one execution group
+  // — a run of consecutive placements sharing (processor, ranks, threads)
+  // — or, last, the out-of-space baseline as a one-preset task.
+  std::vector<std::size_t> first;
+  for (std::size_t i = 0; i < places.size(); ++i) {
+    if (i == 0 || places[i].processor != places[i - 1].processor ||
+        places[i].ranks != places[i - 1].ranks ||
+        places[i].threads != places[i - 1].threads) {
+      first.push_back(i);
+    }
+  }
+  const std::size_t groups = first.size();
+  first.push_back(places.size());
+  const std::size_t tasks = groups + (base_in_space ? 0 : 1);
+
   struct Score {
     double seconds = 0.0;
     double gflops = 0.0;
     double bw_pressure = 0.0;
   };
   std::vector<Score> scores(space_size + (base_in_space ? 0 : 1));
-  const auto score = [&](const ExperimentConfig& config,
+  // The argmin and the Pareto front over (predicted time, memory-BW
+  // pressure) of a set of slots, both in the order (seconds, BW pressure,
+  // slot): exact ties keep enumeration order, so both are deterministic
+  // regardless of jobs.
+  struct Reduced {
+    std::size_t best = 0;
+    std::vector<std::size_t> front;
+  };
+  const auto reduce = [&](std::vector<std::size_t> slots) {
+    std::sort(slots.begin(), slots.end(), [&](std::size_t a, std::size_t b) {
+      const Score& sa = scores[a];
+      const Score& sb = scores[b];
+      if (sa.seconds != sb.seconds) return sa.seconds < sb.seconds;
+      if (sa.bw_pressure != sb.bw_pressure) {
+        return sa.bw_pressure < sb.bw_pressure;
+      }
+      return a < b;
+    });
+    Reduced out;
+    out.best = slots.front();
+    double best_bw = std::numeric_limits<double>::infinity();
+    for (const std::size_t slot : slots) {
+      if (scores[slot].bw_pressure < best_bw) {
+        out.front.push_back(slot);
+        best_bw = scores[slot].bw_pressure;
+      }
+    }
+    return out;
+  };
+
+  // Each task scores its slots and reduces them: the pool, not the caller,
+  // does the sorting.
+  std::vector<Reduced> reduced(tasks);
+  const auto score = [&](std::size_t t, const ExperimentConfig& config,
+                         std::span<const Placement> group,
                          std::span<const cg::CompileOptions> presets,
                          std::size_t first_slot) {
-    const PresetResults placed = runner_.run_presets(config, presets);
-    for (std::size_t k = 0; k < presets.size(); ++k) {
-      const trace::JobPrediction& prediction = placed.predictions[k];
-      scores[first_slot + k] = {prediction.total_s, prediction.gflops(),
-                                prediction.bw_pressure()};
+    const PresetResults placed =
+        runner_.run_presets(config, group, presets);
+    std::vector<std::size_t> slots(placed.predictions.size());
+    for (std::size_t i = 0; i < slots.size(); ++i) {
+      const trace::JobPrediction& prediction = placed.predictions[i];
+      slots[i] = first_slot + i;
+      scores[slots[i]] = {prediction.total_s, prediction.gflops(),
+                          prediction.bw_pressure()};
     }
+    reduced[t] = reduce(std::move(slots));
   };
-  const std::size_t tasks = groups.size() + (base_in_space ? 0 : 1);
   const std::vector<std::exception_ptr> errors =
       SweepPool(opts_.jobs).fan_out(tasks, [&](std::size_t t) {
-        if (t < groups.size()) {
-          score(make_config(groups[t], target), presets_, t * n_presets);
-        } else {
-          score(make_config(base, target), {&base.compile, 1}, space_size);
+        if (t == groups) {
+          const Placement placement{base.alloc, base.bind};
+          score(t, make_config(base, target), {&placement, 1},
+                {&base.compile, 1}, space_size);
+          return;
         }
+        std::vector<Placement> group;
+        for (std::size_t i = first[t]; i < first[t + 1]; ++i) {
+          group.push_back({places[i].alloc, places[i].bind});
+        }
+        score(t, make_config(places[first[t]], target), group, presets_,
+              first[t] * n_presets);
       });
   for (const std::exception_ptr& error : errors) {
     if (error) std::rethrow_exception(error);
@@ -146,7 +201,7 @@ TuneOutcome Tuner::run() const {
     TuneEvaluation eval;
     eval.candidate = base;
     if (slot < space_size) {
-      eval.candidate = groups[slot / n_presets];
+      eval.candidate = places[slot / n_presets];
       eval.candidate.compile = presets_[slot % n_presets];
     }
     eval.seconds = scores[slot].seconds;
@@ -161,27 +216,19 @@ TuneOutcome Tuner::run() const {
   outcome.deduped = base_in_space ? 1 : 0;
   outcome.baseline = evaluation(base_slot);
 
-  // Argmin and the Pareto front over (predicted time, memory-BW pressure).
-  // The stable sort keeps enumeration order on exact ties, so both are
-  // deterministic regardless of jobs.
-  std::vector<std::size_t> by_time(scores.size());
-  std::iota(by_time.begin(), by_time.end(), std::size_t{0});
-  std::stable_sort(by_time.begin(), by_time.end(),
-                   [&](std::size_t a, std::size_t b) {
-                     const Score& sa = scores[a];
-                     const Score& sb = scores[b];
-                     if (sa.seconds != sb.seconds) {
-                       return sa.seconds < sb.seconds;
-                     }
-                     return sa.bw_pressure < sb.bw_pressure;
-                   });
-  outcome.best = evaluation(by_time.front());
-  double best_bw = std::numeric_limits<double>::infinity();
-  for (const std::size_t i : by_time) {
-    if (scores[i].bw_pressure < best_bw) {
-      outcome.pareto.push_back(evaluation(i));
-      best_bw = scores[i].bw_pressure;
-    }
+  // Merge the tasks' reductions in slot order. The global argmin is some
+  // task's argmin, and the global front is the front of the union of the
+  // task fronts: a point a task drops is dominated within its task, so it
+  // is dominated globally, and every global front point survives its task.
+  std::vector<std::size_t> merged;
+  for (const Reduced& task : reduced) {
+    merged.push_back(task.best);
+    merged.insert(merged.end(), task.front.begin(), task.front.end());
+  }
+  const Reduced global = reduce(std::move(merged));
+  outcome.best = evaluation(global.best);
+  for (const std::size_t slot : global.front) {
+    outcome.pareto.push_back(evaluation(slot));
   }
   return outcome;
 }

@@ -4,24 +4,29 @@
 // The search space is (processor) x (MPI x OMP divisor pairs) x
 // (thread-bind stride) x (rank allocation) x (compile presets: T3 ladder x
 // compiler profile x unroll x fission), enumerated in that order, so the
-// presets of one placement are consecutive. The tuner evaluates the space
-// one placement (processor, ranks x threads, allocation, binding) at a
-// time: Runner::run_presets costs all presets of a placement against one
-// execution lookup, one binding and one communication replay per phase,
-// because compile options change only a class's work, never its traffic.
-// Each candidate's prediction is bit-identical to a Runner::run of it alone.
-// The Runner's cache tiers (tier-1 execution memo / TraceStore, the stage-1
-// memo) keep the rest cheap: the whole space shares a few dozen native
-// executions and a few thousand stage-1 evaluations. The as-is baseline is
-// answered from the space when it lies inside it and predicted on its own
-// otherwise. Per candidate the tuner keeps only the three numbers it ranks.
+// placements of one (processor, ranks x threads) — an execution group — are
+// consecutive, and so are the presets of one placement. The tuner evaluates
+// the space one execution group at a time: Runner::run_presets costs all
+// placements and presets of a group against one execution lookup and, per
+// phase, one stage-1 evaluation of each class under each preset, because
+// neither the thread binding nor the rank allocation changes a class's
+// work; each placement then runs one binding and one communication replay
+// per phase for all presets, because compile options change only a class's
+// work, never its traffic. Each candidate's prediction is bit-identical to
+// a Runner::run of it alone. The Runner's cache tiers (tier-1 execution
+// memo / TraceStore, the stage-1 memo) keep the rest cheap: the whole space
+// shares a few dozen native executions and a few thousand stage-1
+// evaluations. The as-is baseline is answered from the space when it lies
+// inside it and predicted on its own otherwise. Per candidate the tuner
+// keeps only the three numbers it ranks.
 //
 // Determinism contract: for fixed TunerOptions the outcome — best config,
 // Pareto front, every tuner-level counter — is byte-identical for any jobs
-// count. Placement tasks fan out through SweepPool::fan_out (scores land in
-// enumeration slots; the lowest failed task is rethrown), and the argmin
-// and the Pareto front reduce in enumeration order with ties broken by BW
-// pressure, then enumeration index.
+// count. Group tasks fan out through SweepPool::fan_out (scores land in
+// enumeration slots; the lowest failed task is rethrown). Each task reduces
+// its own slots to their argmin and Pareto front, ordered by seconds, then
+// BW pressure, then enumeration index; the caller merges those in the same
+// order, which gives the argmin and front of the whole space.
 #pragma once
 
 #include <cstdint>
@@ -113,6 +118,8 @@ class Tuner {
  private:
   /// One candidate per placement, in enumeration order, each carrying the
   /// first preset: space() is placements() x presets, preset innermost.
+  /// Consecutive placements of one (processor, ranks, threads) form an
+  /// execution group, the unit of run()'s tasks.
   std::vector<TuneCandidate> placements() const;
 
   Runner& runner_;

@@ -15,8 +15,10 @@
 // immutable nodes (release store, acquire load), so a hit takes no lock. A
 // miss rescans and computes under the bucket's stripe lock, so evals()
 // equals the number of distinct inputs whatever the interleaving. Callers
-// count lookups in bulk (count_lookups(), one add per predict) before
-// issuing them, so hits() = lookups() - evals() never underflows.
+// count lookups in bulk (count_lookups(), one add per predict call, which
+// looks each class up once per phase and preset for all the bindings of
+// its execution group) before issuing them, so hits() = lookups() - evals()
+// never underflows.
 #pragma once
 
 #include <array>
@@ -51,7 +53,8 @@ class EvalCache {
                            const isa::WorkEstimate& work);
 
   /// Registers the exact (cfg, opts) pair and returns its token (share 1).
-  /// Validates `opts` (through its fingerprint). Call once per predict.
+  /// Validates `opts` (through its fingerprint). Call once per predict
+  /// call, not once per binding.
   std::uint64_t context_token(const ProcessorConfig& cfg,
                               const cg::CompileOptions& opts);
   /// The token of the same context with the work split over `share` threads.

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <array>
 #include <exception>
+#include <type_traits>
 #include <utility>
 
 #include "cg/codegen_model.hpp"
@@ -94,15 +95,18 @@ void for_each_send(const CollapsedTrace& trace, std::size_t p, int rank,
 /// with its one per-predict scratch.
 constexpr std::size_t kPhaseFanOutSlots = std::size_t{1} << 14;
 
-/// The class-replay engine behind every predict path: one
-/// placement, one prediction per compile preset. Per phase, the comm half
+/// The class-replay engine behind every predict path: the placements of one
+/// ranks x threads shape on one topology, one prediction per (placement,
+/// compile preset). Per phase, stage 1 (codegen, thread share, exec-model
+/// work evaluation) reads no placement, so each equivalence class is costed
+/// once per preset for every binding. Then, per binding, the comm half
 /// (collective terms, pass A contention, the point-to-point stream) reads no
-/// compile option and runs once. Then each preset costs every equivalence
-/// class once in stage 1 (codegen, thread share, exec-model work evaluation)
-/// and streams placement rank-major in the naive path's order. The comm and
-/// work sums never mix, so each preset's floating-point sequence — and
-/// therefore every output bit — matches the naive predictor of
-/// tests/oracle_predict.hpp on the expanded trace.
+/// compile option and runs once, and each preset streams placement
+/// rank-major in the naive path's order. The comm and work sums never mix,
+/// and a stage-1 value is the memo's (or evaluate()'s) bits whoever asks,
+/// so each prediction's floating-point sequence — and therefore every
+/// output bit — matches the naive predictor of tests/oracle_predict.hpp on
+/// the expanded trace.
 ///
 /// A phase reads only the predict's shared, read-only state and writes only
 /// its own scratch and results, so phases may run in any order or
@@ -112,20 +116,27 @@ class ClassReplay {
  public:
   ClassReplay(const machine::ProcessorConfig& cfg,
               std::span<const cg::CompileOptions> presets,
-              const topo::Binding& binding, const Trace& trace,
+              std::span<const topo::Binding> bindings, const Trace& trace,
               const PredictMemo& memo)
       : exec_(cfg),
-        comm_model_(cfg, binding.topology().nodes()),
+        comm_model_(cfg, bindings.front().topology().nodes()),
         presets_(presets),
-        binding_(binding),
+        bindings_(bindings),
         trace_(trace),
         memo_(memo),
-        ranks_(binding.ranks()),
-        threads_(binding.threads_per_rank()),
-        job_span_(binding.job_span()) {
+        ranks_(bindings.front().ranks()),
+        threads_(bindings.front().threads_per_rank()) {
+    const topo::Topology& topology = bindings.front().topology();
+    for (const topo::Binding& binding : bindings) {
+      FS_REQUIRE(binding.ranks() == ranks_ &&
+                     binding.threads_per_rank() == threads_ &&
+                     binding.topology().nodes() == topology.nodes() &&
+                     binding.topology().shape() == topology.shape(),
+                 "bindings of one predict differ in shape or topology");
+    }
     // The stage-1 memo context of each preset, registered once per
-    // predict; the predict's lookups (one per class per phase per preset)
-    // are counted in one add.
+    // predict; the predict's lookups (one per class per phase per preset,
+    // whatever the number of bindings) are counted in one add.
     contexts_.assign(presets.size(), 0);
     if (memo.stage1 != nullptr) {
       for (std::size_t k = 0; k < presets.size(); ++k) {
@@ -141,13 +152,17 @@ class ClassReplay {
       team_barrier_[d] =
           exec_.barrier_seconds(threads_, static_cast<topo::Distance>(d));
     }
-    for (const topo::Distance span : binding.team_spans()) {
-      widest_ = std::max(widest_, span);
+    widest_.assign(bindings.size(), topo::Distance::kSameNuma);
+    for (std::size_t b = 0; b < bindings.size(); ++b) {
+      for (const topo::Distance span : bindings[b].team_spans()) {
+        widest_[b] = std::max(widest_[b], span);
+      }
     }
   }
 
-  /// Prediction k is written to out[k] (out.size() == presets.size(), each
-  /// default-constructed).
+  /// The prediction of binding b under preset k is written to
+  /// out[b * presets.size() + k] (out.size() == bindings.size() *
+  /// presets.size(), each default-constructed).
   void run(std::span<JobPrediction> out) const {
     const std::size_t phases = trace_.phase_count();
     for (JobPrediction& prediction : out) prediction.phases.reserve(phases);
@@ -155,7 +170,7 @@ class ClassReplay {
                               static_cast<std::size_t>(threads_);
     if (phases < 2 || slots < kPhaseFanOutSlots) {
       Scratch scratch(exec_, domains());
-      std::vector<PhasePrediction> results(presets_.size());
+      std::vector<PhasePrediction> results(out.size());
       for (std::size_t p = 0; p < phases; ++p) {
         cancel::checkpoint();  // deadline shed between phases, not mid-phase
         phase(p, scratch, results);
@@ -174,7 +189,7 @@ class ClassReplay {
       try {
         cancel::checkpoint();
         Scratch scratch(exec_, domains());
-        results[p].resize(presets_.size());
+        results[p].resize(out.size());
         phase(p, scratch, results[p]);
       } catch (...) {
         errors[p] = std::current_exception();
@@ -189,16 +204,14 @@ class ClassReplay {
   }
 
  private:
-  /// Per class of the current phase: its collective terms, and the current
-  /// preset's stage-1 evaluation.
-  struct ClassEval {
-    std::vector<double> coll_terms;
-    machine::WorkEval eval;
-  };
   /// What one phase writes besides its results.
   struct Scratch {
     Scratch(const machine::ExecModel& exec, int domains) : acc(exec, domains) {}
-    std::vector<ClassEval> class_evals;
+    /// Stage 1 of the current phase: class c under preset k at
+    /// [k * classes + c].
+    std::vector<machine::WorkEval> evals;
+    /// The current binding's collective terms, per class of the phase.
+    std::vector<std::vector<double>> coll_terms;
     /// Pass A's flow index of every remote send, in send order.
     std::vector<int> flow_of_send;
     /// Backing store of a collapsed member's remapped sends.
@@ -206,115 +219,130 @@ class ClassReplay {
     machine::ExecModel::PhaseAccumulator acc;
   };
 
-  int domains() const { return binding_.topology().total_numa_domains(); }
+  int domains() const {
+    return bindings_.front().topology().total_numa_domains();
+  }
 
   static void fold(std::span<JobPrediction> out,
                    std::span<PhasePrediction> results) {
-    for (std::size_t k = 0; k < out.size(); ++k) {
-      accumulate_phase(out[k], std::move(results[k]));
+    for (std::size_t i = 0; i < out.size(); ++i) {
+      accumulate_phase(out[i], std::move(results[i]));
     }
   }
 
-  /// Phase `p` under every preset: results[k] for presets_[k].
+  /// Phase `p` under every binding and preset: results[b * presets + k]
+  /// for bindings_[b] under presets_[k].
   void phase(std::size_t p, Scratch& s,
              std::span<PhasePrediction> results) const {
     const auto& ph = trace_.phases()[p];
     const bool fan_out = ph.parallel && threads_ > 1;
+    const std::size_t classes = ph.classes.size();
 
-    // Comm half. Collective logs are identical within a class, so the class
-    // record's terms stand for every member bitwise.
-    s.class_evals.resize(ph.classes.size());
+    // The stream indexes the placement arrays by destination rank
+    // unchecked; a canonical class lists its members' destinations, and a
+    // collapsed member's are grid steps from its representative's.
     bool point_to_point = false;
-    for (std::size_t c = 0; c < ph.classes.size(); ++c) {
-      const auto& cls = ph.classes[c];
-      // The stream indexes the placement arrays by destination rank
-      // unchecked; a canonical class lists its members' destinations, and a
-      // collapsed member's are grid steps from its representative's.
+    for (const auto& cls : ph.classes) {
       for (const auto& [dst, traffic] : cls.record.comm.sends) {
         FS_REQUIRE(dst >= 0 && dst < ranks_,
                    "send destination outside the job in phase " + ph.name);
       }
       point_to_point |= !cls.record.comm.sends.empty();
-      s.class_evals[c].coll_terms =
-          collective_terms(comm_model_, ranks_, job_span_, cls.record.comm);
-    }
-    double worst_comm_s = 0.0;
-    if (point_to_point) {
-      worst_comm_s = comm_stream(p, s);
-    } else {
-      // No member of any class sends point to point: a rank's comm is 0.0
-      // plus its class's terms, the stream's own fold, and every class has
-      // a member, so the max over classes is the max over ranks.
-      for (const ClassEval& ce : s.class_evals) {
-        double comm_s = 0.0;
-        for (const double term : ce.coll_terms) comm_s += term;
-        worst_comm_s = std::max(worst_comm_s, comm_s);
-      }
     }
 
-    // Work half, per preset. A fanned-out phase evaluates each thread's
-    // 1/threads share.
+    // Stage 1 — per equivalence class, not per rank: work is identical
+    // within a class, so the class record stands for every member. A
+    // fanned-out phase evaluates each thread's 1/threads share.
     const int share = fan_out ? threads_ : 1;
-    const std::vector<int>& home_of = binding_.home_numas();
-    const std::vector<int>& numa_of = binding_.thread_numas();
-    const std::vector<topo::Distance>& span_of = binding_.team_spans();
-    const std::size_t t_count = static_cast<std::size_t>(threads_);
+    s.evals.resize(presets_.size() * classes);
     for (std::size_t k = 0; k < presets_.size(); ++k) {
-      // Stage 1 — per equivalence class, not per rank: work is identical
-      // within a class, so the class record stands for every member.
       const std::uint64_t phase_context =
           machine::EvalCache::with_share(contexts_[k], share);
-      for (std::size_t c = 0; c < ph.classes.size(); ++c) {
+      for (std::size_t c = 0; c < classes; ++c) {
         const auto& cls = ph.classes[c];
-        s.class_evals[c].eval =
+        s.evals[k * classes + c] =
             memo_.stage1 != nullptr
                 ? memo_.stage1->work_eval(exec_, phase_context,
                                           cls.record.work, cls.work_hash)
                 : machine::EvalCache::evaluate(exec_, presets_[k], share,
                                                cls.record.work);
       }
+    }
 
-      // Stage 2, work stream: placement in the naive rank-major order.
-      for (int rank = 0; rank < ranks_; ++rank) {
-        const machine::WorkEval& eval =
-            s.class_evals[static_cast<std::size_t>(class_of(trace_, p, rank))]
-                .eval;
-        const std::size_t r = static_cast<std::size_t>(rank);
-        if (fan_out) {
-          const double barrier_s =
-              team_barrier_[static_cast<std::size_t>(span_of[r])];
-          for (std::size_t t = 0; t < t_count; ++t) {
-            s.acc.add(eval, numa_of[r * t_count + t], home_of[r], barrier_s);
-          }
-        } else {
-          s.acc.add(eval, numa_of[r * t_count], home_of[r], 0.0);
+    s.coll_terms.resize(classes);
+    const std::size_t t_count = static_cast<std::size_t>(threads_);
+    for (std::size_t b = 0; b < bindings_.size(); ++b) {
+      const topo::Binding& binding = bindings_[b];
+
+      // Comm half. Collective logs are identical within a class, so the
+      // class record's terms stand for every member bitwise.
+      for (std::size_t c = 0; c < classes; ++c) {
+        s.coll_terms[c] = collective_terms(comm_model_, ranks_,
+                                           binding.job_span(),
+                                           ph.classes[c].record.comm);
+      }
+      double worst_comm_s = 0.0;
+      if (point_to_point) {
+        worst_comm_s = comm_stream(p, binding, s);
+      } else {
+        // No member of any class sends point to point: a rank's comm is 0.0
+        // plus its class's terms, the stream's own fold, and every class
+        // has a member, so the max over classes is the max over ranks.
+        for (const std::vector<double>& terms : s.coll_terms) {
+          double comm_s = 0.0;
+          for (const double term : terms) comm_s += term;
+          worst_comm_s = std::max(worst_comm_s, comm_s);
         }
       }
 
-      PhasePrediction phase;
-      phase.name = ph.name;
-      phase.timed = ph.timed;
-      phase.time = s.acc.finish();
-      // Per-entry team barriers: the accumulator charged one fork-join;
-      // charge the remaining entries.
-      if (fan_out && ph.entries > 1) {
-        const double extra = static_cast<double>(ph.entries - 1) *
-                             exec_.barrier_seconds(threads_, widest_);
-        phase.time.barrier_s += extra;
-        phase.time.total_s += extra;
+      // Stage 2, work stream per preset: placement in the naive rank-major
+      // order.
+      const std::vector<int>& home_of = binding.home_numas();
+      const std::vector<int>& numa_of = binding.thread_numas();
+      const std::vector<topo::Distance>& span_of = binding.team_spans();
+      for (std::size_t k = 0; k < presets_.size(); ++k) {
+        const machine::WorkEval* evals = &s.evals[k * classes];
+        for (int rank = 0; rank < ranks_; ++rank) {
+          const machine::WorkEval& eval =
+              evals[static_cast<std::size_t>(class_of(trace_, p, rank))];
+          const std::size_t r = static_cast<std::size_t>(rank);
+          if (fan_out) {
+            const double barrier_s =
+                team_barrier_[static_cast<std::size_t>(span_of[r])];
+            for (std::size_t t = 0; t < t_count; ++t) {
+              s.acc.add(eval, numa_of[r * t_count + t], home_of[r], barrier_s);
+            }
+          } else {
+            s.acc.add(eval, numa_of[r * t_count], home_of[r], 0.0);
+          }
+        }
+
+        PhasePrediction phase;
+        phase.name = ph.name;
+        phase.timed = ph.timed;
+        phase.time = s.acc.finish();
+        // Per-entry team barriers: the accumulator charged one fork-join;
+        // charge the remaining entries.
+        if (fan_out && ph.entries > 1) {
+          const double extra = static_cast<double>(ph.entries - 1) *
+                               exec_.barrier_seconds(threads_, widest_[b]);
+          phase.time.barrier_s += extra;
+          phase.time.total_s += extra;
+        }
+        phase.comm_s = worst_comm_s;
+        phase.total_s = phase.time.total_s + phase.comm_s;
+        results[b * presets_.size() + k] = std::move(phase);
       }
-      phase.comm_s = worst_comm_s;
-      phase.total_s = phase.time.total_s + phase.comm_s;
-      results[k] = std::move(phase);
     }
   }
 
-  /// The slowest rank's communication seconds in phase `p`: pass A loads
-  /// the torus, then each rank's sends are costed in the naive order and
-  /// its class's collective terms added.
-  double comm_stream(std::size_t p, Scratch& s) const {
-    const std::vector<int>& node_of = binding_.rank_nodes();
-    const std::vector<int>& home_of = binding_.home_numas();
+  /// The slowest rank's communication seconds in phase `p` under
+  /// `binding`: pass A loads the torus, then each rank's sends are costed in
+  /// the naive order and its class's collective terms added.
+  double comm_stream(std::size_t p, const topo::Binding& binding,
+                     Scratch& s) const {
+    const std::vector<int>& node_of = binding.rank_nodes();
+    const std::vector<int>& home_of = binding.home_numas();
 
     // Pass A: aggregate the phase's inter-node traffic for contention,
     // rank-major like the naive path (integer sums, so the order only
@@ -347,7 +375,7 @@ class ClassReplay {
           trace_, p, rank, &s.sends,
           [&](int dst, std::uint64_t messages, std::uint64_t bytes) {
             const std::size_t d = static_cast<std::size_t>(dst);
-            const topo::Distance distance = binding_.master_distance(r, d);
+            const topo::Distance distance = binding.master_distance(r, d);
             if (distance == topo::Distance::kRemoteNode) {
               const int flow = s.flow_of_send[next_flow++];
               comm_s += comm_model_.remote_send_seconds(
@@ -359,8 +387,7 @@ class ClassReplay {
             }
           });
       for (const double term :
-           s.class_evals[static_cast<std::size_t>(class_of(trace_, p, rank))]
-               .coll_terms) {
+           s.coll_terms[static_cast<std::size_t>(class_of(trace_, p, rank))]) {
         comm_s += term;
       }
       worst_comm_s = std::max(worst_comm_s, comm_s);
@@ -371,17 +398,43 @@ class ClassReplay {
   const machine::ExecModel exec_;
   const machine::CommCostModel comm_model_;
   std::span<const cg::CompileOptions> presets_;
-  const topo::Binding& binding_;
+  std::span<const topo::Binding> bindings_;
   const Trace& trace_;
   const PredictMemo& memo_;
   const int ranks_;
   const int threads_;
-  const topo::Distance job_span_;
   std::vector<std::uint64_t> contexts_;
   std::array<double, static_cast<std::size_t>(topo::Distance::kRemoteNode) + 1>
       team_barrier_{};
-  topo::Distance widest_ = topo::Distance::kSameNuma;
+  /// The widest team span of each binding.
+  std::vector<topo::Distance> widest_;
 };
+
+/// Runs the engine into `out` with the checks every entry point makes.
+template <typename Trace>
+void replay(const machine::ProcessorConfig& cfg,
+            std::span<const cg::CompileOptions> presets,
+            std::span<const topo::Binding> bindings, const Trace& trace,
+            const PredictMemo& memo, std::span<JobPrediction> out) {
+  FS_REQUIRE(!bindings.empty(), "predict needs at least one binding");
+  FS_REQUIRE(trace.ranks() == bindings.front().ranks(),
+             (std::is_same_v<Trace, CollapsedTrace>
+                  ? "collapsed trace rank count does not match the binding"
+                  : "trace rank count does not match the binding"));
+  ClassReplay(cfg, presets, bindings, trace, memo).run(out);
+}
+
+/// The predictions of every binding under every preset, binding-major.
+template <typename Trace>
+std::vector<JobPrediction> replay_all(
+    const machine::ProcessorConfig& cfg,
+    std::span<const cg::CompileOptions> presets,
+    std::span<const topo::Binding> bindings, const Trace& trace,
+    const PredictMemo& memo) {
+  std::vector<JobPrediction> out(bindings.size() * presets.size());
+  replay(cfg, presets, bindings, trace, memo, out);
+  return out;
+}
 
 }  // namespace
 
@@ -390,10 +443,8 @@ JobPrediction predict_job(const machine::ProcessorConfig& cfg,
                           const topo::Binding& binding,
                           const CanonicalTrace& trace,
                           const PredictMemo& memo) {
-  FS_REQUIRE(trace.ranks() == binding.ranks(),
-             "trace rank count does not match the binding");
   JobPrediction out;
-  ClassReplay(cfg, {&opts, 1}, binding, trace, memo).run({&out, 1});
+  replay(cfg, {&opts, 1}, {&binding, 1}, trace, memo, {&out, 1});
   return out;
 }
 
@@ -402,10 +453,8 @@ JobPrediction predict_job(const machine::ProcessorConfig& cfg,
                           const topo::Binding& binding,
                           const CollapsedTrace& trace,
                           const PredictMemo& memo) {
-  FS_REQUIRE(trace.ranks() == binding.ranks(),
-             "collapsed trace rank count does not match the binding");
   JobPrediction out;
-  ClassReplay(cfg, {&opts, 1}, binding, trace, memo).run({&out, 1});
+  replay(cfg, {&opts, 1}, {&binding, 1}, trace, memo, {&out, 1});
   return out;
 }
 
@@ -413,22 +462,30 @@ std::vector<JobPrediction> predict_presets(
     const machine::ProcessorConfig& cfg,
     std::span<const cg::CompileOptions> presets, const topo::Binding& binding,
     const CanonicalTrace& trace, const PredictMemo& memo) {
-  FS_REQUIRE(trace.ranks() == binding.ranks(),
-             "trace rank count does not match the binding");
-  std::vector<JobPrediction> out(presets.size());
-  ClassReplay(cfg, presets, binding, trace, memo).run(out);
-  return out;
+  return replay_all(cfg, presets, {&binding, 1}, trace, memo);
 }
 
 std::vector<JobPrediction> predict_presets(
     const machine::ProcessorConfig& cfg,
     std::span<const cg::CompileOptions> presets, const topo::Binding& binding,
     const CollapsedTrace& trace, const PredictMemo& memo) {
-  FS_REQUIRE(trace.ranks() == binding.ranks(),
-             "collapsed trace rank count does not match the binding");
-  std::vector<JobPrediction> out(presets.size());
-  ClassReplay(cfg, presets, binding, trace, memo).run(out);
-  return out;
+  return replay_all(cfg, presets, {&binding, 1}, trace, memo);
+}
+
+std::vector<JobPrediction> predict_presets(
+    const machine::ProcessorConfig& cfg,
+    std::span<const cg::CompileOptions> presets,
+    std::span<const topo::Binding> bindings, const CanonicalTrace& trace,
+    const PredictMemo& memo) {
+  return replay_all(cfg, presets, bindings, trace, memo);
+}
+
+std::vector<JobPrediction> predict_presets(
+    const machine::ProcessorConfig& cfg,
+    std::span<const cg::CompileOptions> presets,
+    std::span<const topo::Binding> bindings, const CollapsedTrace& trace,
+    const PredictMemo& memo) {
+  return replay_all(cfg, presets, bindings, trace, memo);
 }
 
 }  // namespace fibersim::trace

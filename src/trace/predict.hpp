@@ -97,8 +97,9 @@ JobPrediction predict_job(const machine::ProcessorConfig& cfg,
 /// Compile options change only a class's work, never its traffic, so the
 /// communication half of each phase (collective terms, link contention and
 /// the point-to-point stream) runs once for all presets; each preset then
-/// runs its own stage-1 lookups and its own placement accumulation. The two
-/// predict_job overloads above are the one-preset calls of this engine.
+/// runs its own placement accumulation. The two predict_job overloads above
+/// are the one-preset calls of this engine, and these two its one-binding
+/// calls.
 std::vector<JobPrediction> predict_presets(
     const machine::ProcessorConfig& cfg,
     std::span<const cg::CompileOptions> presets, const topo::Binding& binding,
@@ -107,6 +108,26 @@ std::vector<JobPrediction> predict_presets(
     const machine::ProcessorConfig& cfg,
     std::span<const cg::CompileOptions> presets, const topo::Binding& binding,
     const CollapsedTrace& trace, const PredictMemo& memo = {});
+
+/// Predict several placements of one execution group — bindings of one
+/// ranks x threads shape on one topology — under every preset: element
+/// b * presets.size() + k is bit-identical to predict_presets(cfg, presets,
+/// bindings[b], trace, memo)[k]. Stage 1 (codegen, thread share, exec-model
+/// work evaluation) reads neither the thread binding nor the rank
+/// allocation, so each phase costs every class under every preset once for
+/// all bindings; each binding then runs its comm half and its per-preset
+/// placement streams. The memo's context registration and lookup count
+/// happen once per call.
+std::vector<JobPrediction> predict_presets(
+    const machine::ProcessorConfig& cfg,
+    std::span<const cg::CompileOptions> presets,
+    std::span<const topo::Binding> bindings, const CanonicalTrace& trace,
+    const PredictMemo& memo = {});
+std::vector<JobPrediction> predict_presets(
+    const machine::ProcessorConfig& cfg,
+    std::span<const cg::CompileOptions> presets,
+    std::span<const topo::Binding> bindings, const CollapsedTrace& trace,
+    const PredictMemo& memo = {});
 
 // The two cost steps the engine shares with the reference predictor in
 // tests/oracle_predict.hpp, written once so that the tests check the

@@ -145,6 +145,60 @@ TEST(PredictPresets, EachPresetEqualsItsOwnPredictJob) {
   }
 }
 
+// The multi-binding engine against one predict_presets call per binding:
+// every app under all 36 search presets, from a canonical and a collapsed
+// trace, on 1, 4 and 16 nodes, at every rank allocation x thread stride of
+// one 16 x 2 shape on an A64FX. The engine costs each class once per preset
+// for every binding; each binding's predictions must still be bit-identical
+// to its own call, and the memo sees one lookup per class per phase per
+// preset, whatever the number of bindings.
+TEST(PredictPresets, EachBindingEqualsItsOwnPredictPresets) {
+  constexpr int kRanks = 16;
+  constexpr int kThreads = 2;
+  const std::vector<cg::CompileOptions> presets = cg::search_presets();
+  const machine::ProcessorConfig proc = machine::a64fx();
+
+  for (const std::string& app : apps::registry_names()) {
+    const trace::CanonicalTrace canonical = trace::CanonicalTrace::build(
+        record_native(app, kRanks, kThreads).trace);
+    const trace::CollapsedTrace collapsed =
+        record_collapsed(app, kRanks, kThreads);
+    for (const int nodes : {1, 4, kRanks}) {
+      const topo::Topology topology(proc.shape, nodes);
+      std::vector<topo::Binding> bindings;
+      for (const topo::RankAllocPolicy alloc : core::alloc_policies()) {
+        for (const topo::ThreadBindPolicy& bind :
+             core::stride_policies(proc.shape)) {
+          bindings.push_back(
+              topo::Binding::make(topology, kRanks, kThreads, alloc, bind));
+        }
+      }
+      const auto check = [&](const auto& trace, const char* form) {
+        SCOPED_TRACE(app + " " + form + " on " + std::to_string(nodes) +
+                     " node(s)");
+        machine::EvalCache stage1;
+        const std::vector<trace::JobPrediction> multi = trace::predict_presets(
+            proc, presets, bindings, trace, trace::PredictMemo{&stage1});
+        std::size_t classes = 0;
+        for (const auto& ph : trace.phases()) classes += ph.classes.size();
+        EXPECT_EQ(stage1.lookups(), classes * presets.size());
+        ASSERT_EQ(multi.size(), bindings.size() * presets.size());
+        for (std::size_t b = 0; b < bindings.size(); ++b) {
+          SCOPED_TRACE("binding " + std::to_string(b));
+          const std::vector<trace::JobPrediction> single =
+              trace::predict_presets(proc, presets, bindings[b], trace);
+          for (std::size_t k = 0; k < presets.size(); ++k) {
+            SCOPED_TRACE(presets[k].name());
+            expect_identical(multi[b * presets.size() + k], single[k]);
+          }
+        }
+      };
+      check(canonical, "canonical");
+      check(collapsed, "collapsed");
+    }
+  }
+}
+
 TEST(CanonicalTrace, GroupsRanksAndValidatesOnce) {
   const trace::JobTrace raw = record_native("ffvc", 4, 2).trace;
   const trace::CanonicalTrace canonical = trace::CanonicalTrace::build(raw);

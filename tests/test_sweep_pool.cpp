@@ -7,6 +7,7 @@
 #include <chrono>
 #include <memory>
 #include <sstream>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -16,6 +17,7 @@
 #include "core/runner.hpp"
 #include "core/sweep.hpp"
 #include "core/sweep_pool.hpp"
+#include "fault/fault.hpp"
 #include "rt/fiber.hpp"
 
 namespace fibersim::core {
@@ -139,8 +141,8 @@ TEST(SweepPool, ExpiredTokenStartsNoNativeRun) {
   Runner runner;
   SweepControl control;
   control.keep_going = true;
-  // A cancelled attempt is retried once after a 10 ms backoff, so the tasks
-  // interleave rather than one of them failing every slot in turn.
+  // A retry is allowed, but a cancelled attempt would fail at the same
+  // checkpoint again, so it is not retried.
   control.max_retries = 1;
   control.backoff_s = 0.01;
   const SweepOutcome outcome =
@@ -149,9 +151,38 @@ TEST(SweepPool, ExpiredTokenStartsNoNativeRun) {
   for (const TaskFailure& failure : outcome.failures) {
     EXPECT_TRUE(cancel::is_cancelled(failure.message))
         << "slot " << failure.index << ": " << failure.message;
-    EXPECT_EQ(failure.attempts, 2) << "slot " << failure.index;
+    EXPECT_EQ(failure.attempts, 1) << "slot " << failure.index;
   }
   EXPECT_EQ(runner.native_runs(), 0u);
+}
+
+// Under the same control, a failure that is not a cancellation is still
+// retried: predict.fail=1 fails every task's attempt 0, and attempt 1
+// succeeds.
+TEST(SweepPool, NonCancelFailureIsRetriedOnce) {
+  std::vector<ExperimentConfig> configs;
+  for (std::uint64_t seed = 1; seed <= 16; ++seed) {
+    ExperimentConfig cfg = small_ffvc(2, 1);
+    cfg.seed = seed;
+    configs.push_back(cfg);
+  }
+  fault::ScopedPlan scoped(fault::Plan::parse("predict.fail=1"));
+  fault::Log::reset();
+  Runner runner;
+  SweepControl control;
+  control.keep_going = true;
+  control.max_retries = 1;
+  control.backoff_s = 0.01;
+  const SweepOutcome outcome =
+      SweepPool(4).run_resilient(runner, configs, control);
+  EXPECT_TRUE(outcome.ok());
+  // One injected failure per task, each at attempt 0.
+  const std::vector<std::string> lines = fault::Log::lines();
+  ASSERT_EQ(lines.size(), configs.size());
+  for (const std::string& line : lines) {
+    EXPECT_NE(line.find("attempt=0"), std::string::npos) << line;
+  }
+  EXPECT_EQ(runner.native_runs(), configs.size());
 }
 
 TEST(Runner, ConcurrentSameConfigPerformsExactlyOneNativeRun) {

@@ -13,7 +13,10 @@
 //   * the as-is baseline is answered from the space when it lies there and
 //     predicted once more only when it does not;
 //   * the cache tiers make the full 14580-point space cheap: at least 50x
-//     fewer native runs and stage-1 evaluations than naive enumeration.
+//     fewer native runs and stage-1 evaluations than naive enumeration;
+//   * stage 1 is looked up once per execution group (processor, ranks,
+//     threads), not once per placement, and evaluates what one run per
+//     candidate would.
 #include <algorithm>
 #include <bit>
 #include <cstdint>
@@ -290,6 +293,41 @@ TEST(Tuner, FullSpaceCutsNativeRunsAndStageOneEvalsFiftyfold) {
   EXPECT_LE(native_runs * 50, outcome.space_size) << native_runs;
   EXPECT_LE(stage1_evals * 50, naive_codegen)
       << stage1_evals << " vs naive " << naive_codegen;
+}
+
+// Stage 1 reads neither the binding nor the allocation, so the tuner looks
+// each class up once per preset for a whole execution group: the lookups
+// are, summed over groups, the classes of every phase times the presets.
+// The memo still evaluates exactly what one Runner::run per candidate does.
+TEST(Tuner, StageOneLookupsOncePerExecutionGroup) {
+  const TunerOptions opts = trimmed_options("ffvc");
+  Runner runner;
+  Tuner tuner(runner, opts);
+  const TuneOutcome outcome = tuner.run();
+  ASSERT_EQ(outcome.deduped, 1u);  // no separate baseline predict
+  const std::size_t lookups = runner.exec_lookups();
+  const std::size_t evals = runner.exec_evals();
+
+  const TuneBudget target{opts.dataset, opts.iterations};
+  const std::vector<TuneCandidate> space = tuner.space();
+  std::size_t expected = 0;
+  std::vector<ExperimentConfig> configs;
+  for (std::size_t i = 0; i < space.size(); ++i) {
+    configs.push_back(tuner.make_config(space[i], target));
+    const bool new_group = i == 0 ||
+                           space[i].processor != space[i - 1].processor ||
+                           space[i].ranks != space[i - 1].ranks ||
+                           space[i].threads != space[i - 1].threads;
+    if (!new_group) continue;
+    const trace::CanonicalTrace canonical =
+        trace::CanonicalTrace::build(runner.expanded_trace(configs.back()));
+    expected += canonical.class_count() * opts.presets.size();
+  }
+  EXPECT_EQ(lookups, expected);
+
+  Runner brute_runner;
+  (void)SweepPool(2).run(brute_runner, configs);
+  EXPECT_EQ(evals, brute_runner.exec_evals());
 }
 
 }  // namespace

@@ -264,22 +264,28 @@ echo "== tune: seeded determinism across jobs + beats the as-is baseline =="
 # The autotuner's contract: byte-identical reports for any --jobs N at a
 # fixed seed, and a recommendation that beats the paper's as-is baseline.
 # Three apps, so the concurrent stage-1 memo is checked byte for byte
-# through the CLI on differently shaped traces. The argmin, Pareto and
+# through the CLI on differently shaped traces. The text shows 6 decimals,
+# the JSON metrics 17 digits, so both are diffed. The argmin, Pareto and
 # full-space cost gates live in test_tuner.
+tune_jobs_diff() {  # tune_jobs_diff <name> <tune flags...>
+  local name=$1
+  shift
+  for FORMAT in text json; do
+    "$FIBERSIM" "$@" --format "$FORMAT" --jobs 1 \
+        > "$CACHE_DIR/tune.$name.j1.$FORMAT"
+    "$FIBERSIM" "$@" --format "$FORMAT" --jobs 4 \
+        > "$CACHE_DIR/tune.$name.j4.$FORMAT"
+    diff "$CACHE_DIR/tune.$name.j1.$FORMAT" "$CACHE_DIR/tune.$name.j4.$FORMAT"
+  done
+}
 for TUNE_APP in ffvc ntchem mvmc; do
-  TUNE_ARGS="tune --app $TUNE_APP --dataset small --iterations 2 --seed 42 \
-      --processors a64fx --combos representative"
-  "$FIBERSIM" $TUNE_ARGS --jobs 1 > "$CACHE_DIR/tune.$TUNE_APP.j1.txt"
-  "$FIBERSIM" $TUNE_ARGS --jobs 4 > "$CACHE_DIR/tune.$TUNE_APP.j4.txt"
-  diff "$CACHE_DIR/tune.$TUNE_APP.j1.txt" "$CACHE_DIR/tune.$TUNE_APP.j4.txt"
+  tune_jobs_diff "$TUNE_APP" tune --app "$TUNE_APP" --dataset small \
+      --iterations 2 --seed 42 --processors a64fx --combos representative
 done
 # The default space: all three comparison processors and every MPI x OMP
-# split, so placement tasks cross processor boundaries.
-TUNE_ARGS="tune --app ffvc --dataset small --iterations 2 --seed 42"
-"$FIBERSIM" $TUNE_ARGS --jobs 1 > "$CACHE_DIR/tune.full.j1.txt"
-"$FIBERSIM" $TUNE_ARGS --jobs 4 > "$CACHE_DIR/tune.full.j4.txt"
-diff "$CACHE_DIR/tune.full.j1.txt" "$CACHE_DIR/tune.full.j4.txt"
-grep -q 'best beats as-is baseline: yes' "$CACHE_DIR/tune.ffvc.j1.txt" || {
+# split, so execution-group tasks cross processor boundaries.
+tune_jobs_diff full tune --app ffvc --dataset small --iterations 2 --seed 42
+grep -q 'best beats as-is baseline: yes' "$CACHE_DIR/tune.ffvc.j1.text" || {
   echo "tune: recommended config does not beat the as-is baseline" >&2
   exit 1
 }
