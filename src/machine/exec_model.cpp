@@ -159,7 +159,7 @@ PhaseTime ExecModel::evaluate_phase_refs(
   }
   PhaseAccumulator acc(*this, domains);
   for (const ThreadRef& t : threads) {
-    acc.add(*t.eval, t.numa, t.home_numa, t.barrier_s);
+    acc.add_team(*t.eval, {&t.numa, 1}, t.home_numa, t.barrier_s);
   }
   return acc.finish();
 }
@@ -173,15 +173,19 @@ ExecModel::PhaseAccumulator::PhaseAccumulator(const ExecModel& model,
 PhaseTime ExecModel::PhaseAccumulator::finish() {
   PhaseTime out = out_;
 
-  // Memory time: the most loaded channel paces the phase.
-  double memory_s = 0.0;
-  for (const double bytes : dram_by_domain_) {
-    memory_s = std::max(memory_s, bytes / cfg_->numa_mem_bw);
-  }
+  // Memory time: the most loaded channel paces the phase. Every sum is at
+  // least +0.0 and both bandwidths are positive, so division is monotone
+  // under round-to-nearest: the largest byte count of a channel class,
+  // divided once, is the largest quotient bit for bit.
+  const auto most_loaded = [](const std::vector<double>& by_domain) {
+    double bytes = 0.0;
+    for (const double b : by_domain) bytes = std::max(bytes, b);
+    return bytes;
+  };
+  double memory_s = most_loaded(dram_by_domain_) / cfg_->numa_mem_bw;
   if (cfg_->inter_numa_bw > 0.0) {
-    for (const double bytes : remote_in_by_domain_) {
-      memory_s = std::max(memory_s, bytes / cfg_->inter_numa_bw);
-    }
+    memory_s = std::max(
+        memory_s, most_loaded(remote_in_by_domain_) / cfg_->inter_numa_bw);
   }
 
   out.compute_s = worst_compute_s_;

@@ -19,6 +19,7 @@
 #pragma once
 
 #include <algorithm>
+#include <span>
 #include <vector>
 
 #include "isa/work_estimate.hpp"
@@ -56,9 +57,8 @@ struct PhaseTime {
 /// memoizable across sweep points (machine::EvalCache). Everything a thread
 /// contributes to a phase beyond these numbers is placement bookkeeping
 /// (which NUMA domain each byte is charged to), which PhaseAccumulator
-/// replays per thread exactly as the tests' naive predictor does — so a
-/// phase assembled from cached WorkEvals is bit-identical to one evaluated
-/// from scratch.
+/// replays in the naive per-thread order — so a phase assembled from cached
+/// WorkEvals is bit-identical to one evaluated from scratch.
 struct WorkEval {
   double flops = 0.0;
   double dram_bytes = 0.0;   ///< total DRAM traffic of the thread
@@ -69,12 +69,14 @@ struct WorkEval {
 };
 
 /// One thread of a phase, referencing its (shared) work evaluation: the
-/// input of evaluate_phase_refs. The prediction engine streams into a
-/// PhaseAccumulator instead; ThreadRef and evaluate_phase_refs stay because
-/// the traced fsbench build wraps evaluate_phase_refs by its mangled name
-/// and forces it with --undefined, which fails to link once it is undefined.
-/// The tests' naive predictor (tests/oracle_predict.hpp) evaluates its
-/// phases through them.
+/// input of evaluate_phase_refs, which feeds a PhaseAccumulator one thread
+/// per team. The prediction engine streams whole teams into a
+/// PhaseAccumulator instead and never builds a ThreadRef; ThreadRef and
+/// evaluate_phase_refs stay because the traced fsbench build wraps
+/// evaluate_phase_refs by its mangled name and forces it with --undefined,
+/// which fails to link once it is undefined. The tests' naive predictor
+/// (tests/oracle_predict.hpp) evaluates its phases through them, so it
+/// checks the engine's team grouping against the per-thread sequence.
 struct ThreadRef {
   const WorkEval* eval = nullptr;
   int numa = 0;
@@ -108,30 +110,59 @@ class ExecModel {
   /// PhaseAccumulator fed every entry in order.
   PhaseTime evaluate_phase_refs(const std::vector<ThreadRef>& threads) const;
 
-  /// Streaming phase evaluation: add() every thread of the phase in the
-  /// naive order (rank-major, thread-minor), then finish(). The sequence of
-  /// floating-point operations is evaluate_phase_refs' own, so a phase
-  /// streamed here is bit-identical to one evaluated from a ThreadRef list,
-  /// with no per-thread record in between. DRAM and remote-in bytes are
-  /// summed into flat per-domain arrays indexed by NUMA id: each domain
-  /// gets its += in thread order, an untouched domain stays 0.0, and the
-  /// closing max over domains does not depend on order.
+  /// Streaming phase evaluation: add_team() every team of the phase in
+  /// the naive order (rank-major), then finish(). A team is one rank's
+  /// threads in thread order; they share the rank's WorkEval, home domain
+  /// and barrier. The sequence of floating-point operations is the
+  /// per-thread sequence of evaluate_phase_refs, which feeds one-thread
+  /// teams: each sum gets its += in thread order, so a phase streamed by
+  /// teams is bit-identical to one evaluated from a ThreadRef list. DRAM and
+  /// remote-in bytes are summed into flat per-domain arrays indexed by NUMA
+  /// id: an untouched domain stays 0.0, and the closing max over domains
+  /// does not depend on order.
   class PhaseAccumulator {
    public:
-    /// Domain ids passed to add() must lie in [0, domains). Reads `model`'s
-    /// processor at finish(), so it must not outlive `model`.
+    /// Domain ids passed to add_team() must lie in [0, domains). Reads
+    /// `model`'s processor at finish(), so it must not outlive `model`.
     PhaseAccumulator(const ExecModel& model, int domains);
 
-    void add(const WorkEval& e, int numa, int home_numa, double barrier_s) {
-      out_.flops += e.flops;
-      dram_by_domain_[static_cast<std::size_t>(numa)] += e.local_bytes;
-      dram_by_domain_[static_cast<std::size_t>(home_numa)] += e.home_bytes;
-      if (home_numa != numa) {
-        remote_in_by_domain_[static_cast<std::size_t>(home_numa)] +=
-            e.home_bytes;
-        out_.remote_bytes += e.home_bytes;
+    /// One team: `numas` holds each thread's domain, in thread order (at
+    /// least one). The running sums of the phase and of the home domain
+    /// stay in locals for the length of the team and are written back once;
+    /// a thread outside the home domain adds its local bytes to its own
+    /// domain in memory, which never aliases the home domain's. The maxima
+    /// are taken once, since max is idempotent.
+    void add_team(const WorkEval& e, std::span<const int> numas,
+                  int home_numa, double barrier_s) {
+      const double flops = e.flops;
+      const double dram_bytes = e.dram_bytes;
+      const double local_bytes = e.local_bytes;
+      const double home_bytes = e.home_bytes;
+      double* const dram_by_domain = dram_by_domain_.data();
+      const std::size_t home = static_cast<std::size_t>(home_numa);
+      double sum_flops = out_.flops;
+      double sum_dram = out_.dram_bytes;
+      double sum_remote = out_.remote_bytes;
+      double home_dram = dram_by_domain[home];
+      double home_remote_in = remote_in_by_domain_[home];
+      for (const int numa : numas) {
+        sum_flops += flops;
+        if (numa == home_numa) {
+          home_dram += local_bytes;
+          home_dram += home_bytes;
+        } else {
+          dram_by_domain[static_cast<std::size_t>(numa)] += local_bytes;
+          home_dram += home_bytes;
+          home_remote_in += home_bytes;
+          sum_remote += home_bytes;
+        }
+        sum_dram += dram_bytes;
       }
-      out_.dram_bytes += e.dram_bytes;
+      out_.flops = sum_flops;
+      out_.dram_bytes = sum_dram;
+      out_.remote_bytes = sum_remote;
+      dram_by_domain[home] = home_dram;
+      remote_in_by_domain_[home] = home_remote_in;
       worst_compute_s_ = std::max(worst_compute_s_, e.compute_s);
       worst_chain_s_ = std::max(worst_chain_s_, e.chain_s);
       worst_barrier_s_ = std::max(worst_barrier_s_, barrier_s);

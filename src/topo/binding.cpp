@@ -100,11 +100,6 @@ Binding Binding::make(const Topology& topology, int ranks, int threads_per_rank,
   // and stamped onto each node. Node 0 hosts the larger count, so it is
   // the first node that can fail to fit.
   const std::size_t threads = static_cast<std::size_t>(threads_per_rank);
-  struct NodeLayout {
-    std::vector<int> cores;        // [local rank * threads + thread]
-    std::vector<int> numa;         // node-local domain of each core
-    std::vector<Distance> spans;   // team span of each local rank
-  };
   auto layout_of = [&](int local_ranks) {
     FS_REQUIRE(local_ranks * threads_per_rank <= cores_per_node,
                strfmt("node 0 cannot host %d ranks x %d threads",
@@ -133,14 +128,17 @@ Binding Binding::make(const Topology& topology, int ranks, int threads_per_rank,
     }
     return layout;
   };
-  const NodeLayout wide = layout_of(base + (extra > 0 ? 1 : 0));
-  const NodeLayout narrow = extra > 0 ? layout_of(base) : NodeLayout{};
+  Binding binding(topology, ranks, threads_per_rank);
+  binding.base_ = base;
+  binding.extra_ = extra;
+  binding.wide_ = layout_of(base + (extra > 0 ? 1 : 0));
+  if (extra > 0) binding.narrow_ = layout_of(base);
+  const NodeLayout& wide = binding.wide_;
+  const NodeLayout& narrow = binding.narrow_;
 
   // Flat per-rank and per-thread placement: every query the prediction
   // engine makes per rank or per thread becomes one array read.
-  Binding binding(topology, ranks, threads_per_rank);
   const std::size_t r_count = static_cast<std::size_t>(ranks);
-  binding.cores_.resize(r_count * threads);
   binding.thread_numa_.resize(r_count * threads);
   binding.rank_nodes_.resize(r_count);
   binding.master_core_.resize(r_count);
@@ -152,10 +150,8 @@ Binding Binding::make(const Topology& topology, int ranks, int threads_per_rank,
     const NodeLayout& layout = node < extra || extra == 0 ? wide : narrow;
     for (std::size_t lr = 0; lr < layout.spans.size(); ++lr, ++r) {
       for (std::size_t t = 0; t < threads; ++t) {
-        const std::size_t k = lr * threads + t;
-        binding.cores_[r * threads + t] = CoreId{node, layout.cores[k]};
         binding.thread_numa_[r * threads + t] =
-            node * numa_per_node + layout.numa[k];
+            node * numa_per_node + layout.numa[lr * threads + t];
       }
       binding.rank_nodes_[r] = node;
       binding.master_core_[r] = layout.cores[lr * threads];
@@ -164,7 +160,10 @@ Binding Binding::make(const Topology& topology, int ranks, int threads_per_rank,
     }
   }
   FS_ASSERT(r == r_count, "rank distribution mismatch");
-  for (std::size_t other = 1; other < r_count; ++other) {
+  // kRemoteNode is the widest distance: no later rank can widen the span.
+  for (std::size_t other = 1;
+       other < r_count && binding.job_span_ != Distance::kRemoteNode;
+       ++other) {
     binding.job_span_ =
         std::max(binding.job_span_, binding.master_distance(0, other));
   }
@@ -179,7 +178,14 @@ std::size_t Binding::index(int rank, int thread) const {
 }
 
 CoreId Binding::core_of(int rank, int thread) const {
-  return cores_[index(rank, thread)];
+  (void)index(rank, thread);  // range-checks both
+  const int node = rank_nodes_[static_cast<std::size_t>(rank)];
+  // Every node before `node` holds base_ ranks, and the first extra_ of
+  // them one more.
+  const int local = rank - (node * base_ + std::min(node, extra_));
+  const NodeLayout& layout = node < extra_ || extra_ == 0 ? wide_ : narrow_;
+  return CoreId{node, layout.cores[static_cast<std::size_t>(
+                          local * threads_per_rank_ + thread)]};
 }
 
 std::size_t Binding::checked(int rank) const {

@@ -108,10 +108,23 @@ class Binding {
   /// `rank` as an index into the per-rank arrays, range-checked.
   std::size_t checked(int rank) const;
 
+  /// The placement of one node's ranks: every node hosting the same number
+  /// of ranks gets the same layout.
+  struct NodeLayout {
+    std::vector<int> cores;       // [local rank * threads + thread]
+    std::vector<int> numa;        // node-local domain of each core
+    std::vector<Distance> spans;  // team span of each local rank
+  };
+
   Topology topology_;
   int ranks_;
   int threads_per_rank_;
-  std::vector<CoreId> cores_;  // [rank * threads_per_rank + thread]
+  // Nodes [0, extra_) host base_ + 1 ranks with wide_'s layout, the rest
+  // base_ ranks with narrow_'s; with extra_ == 0 every node uses wide_.
+  int base_ = 0;
+  int extra_ = 0;
+  NodeLayout wide_;
+  NodeLayout narrow_;
   std::vector<int> rank_nodes_;
   std::vector<int> master_core_;  // core of each rank's master, in its node
   std::vector<int> home_numa_;

@@ -147,7 +147,8 @@ class ClassReplay {
       memo.stage1->count_lookups(lookups * presets.size());
     }
     // The barrier of a fanned-out team per team span: a pure function of
-    // the two, so one value per distance class stands for every rank.
+    // the two, so one value per distance class stands for every rank and
+    // for every extra entry of a phase.
     for (std::size_t d = 0; d < team_barrier_.size(); ++d) {
       team_barrier_[d] =
           exec_.barrier_seconds(threads_, static_cast<topo::Distance>(d));
@@ -296,25 +297,21 @@ class ClassReplay {
       }
 
       // Stage 2, work stream per preset: placement in the naive rank-major
-      // order.
+      // order, one rank's team at a time. A phase that is not fanned out
+      // runs on the master thread alone.
       const std::vector<int>& home_of = binding.home_numas();
       const std::vector<int>& numa_of = binding.thread_numas();
       const std::vector<topo::Distance>& span_of = binding.team_spans();
+      const std::size_t team = fan_out ? t_count : 1;
       for (std::size_t k = 0; k < presets_.size(); ++k) {
         const machine::WorkEval* evals = &s.evals[k * classes];
         for (int rank = 0; rank < ranks_; ++rank) {
-          const machine::WorkEval& eval =
-              evals[static_cast<std::size_t>(class_of(trace_, p, rank))];
           const std::size_t r = static_cast<std::size_t>(rank);
-          if (fan_out) {
-            const double barrier_s =
-                team_barrier_[static_cast<std::size_t>(span_of[r])];
-            for (std::size_t t = 0; t < t_count; ++t) {
-              s.acc.add(eval, numa_of[r * t_count + t], home_of[r], barrier_s);
-            }
-          } else {
-            s.acc.add(eval, numa_of[r * t_count], home_of[r], 0.0);
-          }
+          s.acc.add_team(
+              evals[static_cast<std::size_t>(class_of(trace_, p, rank))],
+              {&numa_of[r * t_count], team}, home_of[r],
+              fan_out ? team_barrier_[static_cast<std::size_t>(span_of[r])]
+                      : 0.0);
         }
 
         PhasePrediction phase;
@@ -324,8 +321,9 @@ class ClassReplay {
         // Per-entry team barriers: the accumulator charged one fork-join;
         // charge the remaining entries.
         if (fan_out && ph.entries > 1) {
-          const double extra = static_cast<double>(ph.entries - 1) *
-                               exec_.barrier_seconds(threads_, widest_[b]);
+          const double extra =
+              static_cast<double>(ph.entries - 1) *
+              team_barrier_[static_cast<std::size_t>(widest_[b])];
           phase.time.barrier_s += extra;
           phase.time.total_s += extra;
         }

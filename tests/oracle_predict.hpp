@@ -6,7 +6,10 @@
 // in src/ (CommCostModel's send costs, trace::collective_terms and
 // trace::accumulate_phase, the PhaseAccumulator behind evaluate_phase_refs),
 // so the tests check the engine's order of operations, not a copy of its
-// formulas. expect_identical() is the bit-for-bit comparison they apply.
+// formulas. evaluate_phase_refs feeds the accumulator one thread per team,
+// and the engine one rank's team at a time, so the comparison also checks
+// that the team grouping keeps the per-thread sequence of sums.
+// expect_identical() is the bit-for-bit comparison they apply.
 #pragma once
 
 #include <gtest/gtest.h>

@@ -38,6 +38,7 @@
 #include "trace/collapsed.hpp"
 #include "trace/predict.hpp"
 #include "trace/recorder.hpp"
+#include "trace/serialize.hpp"
 #include "trace/trace_store.hpp"
 
 namespace fibersim {
@@ -898,6 +899,27 @@ TEST(RunnerCollapse, CollapsedAndFullStoreEntriesAreDistinct) {
   // The collapse flag is part of the store key: two writes, no false hit.
   EXPECT_EQ(runner.disk_writes(), 2u);
   EXPECT_EQ(runner.disk_hits(), 0u);
+}
+
+// The 10^5-rank point, as `run --app ffvc --dataset large --ranks 102400
+// --threads 12 --nodes 25600 --weak-scale 25600 --collapse-ranks --json`
+// prints it. Reports print it in milliseconds to three decimals, so only
+// this pin holds every bit of the peak prediction: the FNV-1a of its JSON,
+// which prints every double to 17 significant digits. A change here is a
+// change of the predicted numbers, never a refactor.
+TEST(RunnerCollapse, PeakPredictionIsPinnedToTheLastBit) {
+  core::ExperimentConfig cfg;
+  cfg.app = "ffvc";
+  cfg.dataset = apps::Dataset::kLarge;
+  cfg.ranks = 102400;
+  cfg.threads = 12;
+  cfg.nodes = 25600;
+  cfg.weak_scale = 25600;
+  cfg.collapse = true;
+  core::Runner runner;
+  const core::ExperimentResult result = runner.run(cfg);
+  EXPECT_EQ(Fnv1a().str(trace::to_json(result.prediction)).value(),
+            0x652d6b6e85087493ull);
 }
 
 // ----- report byte-identity -----

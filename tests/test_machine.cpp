@@ -8,6 +8,7 @@
 #include <cstdint>
 #include <cstdlib>
 #include <fstream>
+#include <limits>
 #include <map>
 #include <random>
 #include <set>
@@ -340,6 +341,147 @@ TEST(ExecModel, PhaseRefsIndependentOfDomainLabels) {
   EXPECT_THROW(model.evaluate_phase_refs(bad_numa), Error);
   const std::vector<ThreadRef> bad_home = {{&at_home, 0, -2, 0.0}};
   EXPECT_THROW(model.evaluate_phase_refs(bad_home), Error);
+}
+
+/// The accumulation PhaseAccumulator::add_team replaced, kept here as an
+/// independent oracle: every thread's += straight into the per-domain
+/// arrays, its maxima taken per thread, and a division per domain and
+/// channel at the close.
+class PerThreadAccumulator {
+ public:
+  PerThreadAccumulator(const ProcessorConfig& cfg, int domains)
+      : cfg_(cfg),
+        dram_by_domain_(static_cast<std::size_t>(domains), 0.0),
+        remote_in_by_domain_(static_cast<std::size_t>(domains), 0.0) {}
+
+  void add(const WorkEval& e, int numa, int home_numa, double barrier_s) {
+    out_.flops += e.flops;
+    dram_by_domain_[static_cast<std::size_t>(numa)] += e.local_bytes;
+    dram_by_domain_[static_cast<std::size_t>(home_numa)] += e.home_bytes;
+    if (home_numa != numa) {
+      remote_in_by_domain_[static_cast<std::size_t>(home_numa)] +=
+          e.home_bytes;
+      out_.remote_bytes += e.home_bytes;
+    }
+    out_.dram_bytes += e.dram_bytes;
+    worst_compute_s_ = std::max(worst_compute_s_, e.compute_s);
+    worst_chain_s_ = std::max(worst_chain_s_, e.chain_s);
+    worst_barrier_s_ = std::max(worst_barrier_s_, barrier_s);
+  }
+
+  PhaseTime finish() const {
+    PhaseTime out = out_;
+    double memory_s = 0.0;
+    for (const double bytes : dram_by_domain_) {
+      memory_s = std::max(memory_s, bytes / cfg_.numa_mem_bw);
+    }
+    if (cfg_.inter_numa_bw > 0.0) {
+      for (const double bytes : remote_in_by_domain_) {
+        memory_s = std::max(memory_s, bytes / cfg_.inter_numa_bw);
+      }
+    }
+    out.compute_s = worst_compute_s_;
+    out.memory_s = memory_s;
+    out.chain_s = worst_chain_s_;
+    out.barrier_s = worst_barrier_s_;
+    const double hi = std::max(worst_compute_s_, memory_s);
+    const double lo = std::min(worst_compute_s_, memory_s);
+    out.total_s = hi + (1.0 - cfg_.mem_overlap) * lo + worst_barrier_s_;
+    if (worst_barrier_s_ > 0.5 * out.total_s) {
+      out.limiter = Limiter::kBarrier;
+    } else if (memory_s > worst_compute_s_) {
+      out.limiter = Limiter::kMemory;
+    } else if (worst_chain_s_ >= 0.95 * worst_compute_s_ &&
+               worst_chain_s_ > 0.0) {
+      out.limiter = Limiter::kChain;
+    } else {
+      out.limiter = Limiter::kCompute;
+    }
+    return out;
+  }
+
+ private:
+  const ProcessorConfig& cfg_;
+  std::vector<double> dram_by_domain_;
+  std::vector<double> remote_in_by_domain_;
+  PhaseTime out_;
+  double worst_compute_s_ = 0.0;
+  double worst_chain_s_ = 0.0;
+  double worst_barrier_s_ = 0.0;
+};
+
+// Seeded phases of whole teams, streamed through one reused accumulator and
+// fed thread by thread to the oracle. The values mix zeros, subnormals,
+// ordinary magnitudes and magnitudes near 1e16, so a reordered sum rounds
+// differently; the teams are all at home, all away, mixed, or share the
+// previous team's home domain.
+TEST(PhaseAccumulator, TeamAddIsThePerThreadSequenceBitForBit) {
+  std::mt19937_64 rng(20211021);
+  const auto uniform = [&rng](double lo, double hi) {
+    return std::uniform_real_distribution<double>(lo, hi)(rng);
+  };
+  const auto pick = [&rng](int lo, int hi) {
+    return std::uniform_int_distribution<int>(lo, hi)(rng);
+  };
+  // A non-negative value of the given scale, or one of the edge cases.
+  const auto value = [&](double scale) {
+    switch (pick(0, 5)) {
+      case 0: return 0.0;
+      case 1:
+        return std::numeric_limits<double>::denorm_min() *
+               static_cast<double>(pick(1, 1 << 20));
+      case 2: return 1e16 * uniform(0.5, 2.0);
+      default: return scale * uniform(0.0, 1.0);
+    }
+  };
+  const auto draw_eval = [&] {
+    WorkEval e;
+    e.flops = value(1e9);
+    e.dram_bytes = value(1e8);
+    e.local_bytes = value(1e8);
+    e.home_bytes = value(1e8);
+    e.compute_s = value(1e-3);
+    e.chain_s = value(1e-3);
+    return e;
+  };
+
+  std::map<Limiter, int> limiters;
+  for (const ProcessorConfig& cfg : comparison_set()) {
+    const ExecModel model(cfg);
+    const int domains = pick(2, 16);
+    ExecModel::PhaseAccumulator acc(model, domains);
+    for (int phase = 0; phase < 60; ++phase) {
+      std::vector<WorkEval> evals(static_cast<std::size_t>(pick(1, 4)));
+      for (WorkEval& e : evals) e = draw_eval();
+      PerThreadAccumulator oracle(cfg, domains);
+      const int teams = pick(1, 24);
+      int home = pick(0, domains - 1);
+      for (int team = 0; team < teams; ++team) {
+        const int pattern = pick(0, 3);
+        if (pattern != 3) home = pick(0, domains - 1);  // 3: shares home
+        std::vector<int> numas(static_cast<std::size_t>(pick(1, 48)));
+        for (int& numa : numas) {
+          switch (pattern) {
+            case 0: numa = home; break;                        // all home
+            case 1: numa = (home + pick(1, domains - 1)) % domains; break;
+            default: numa = pick(0, domains - 1); break;       // mixed
+          }
+        }
+        const WorkEval& e =
+            evals[static_cast<std::size_t>(pick(0, static_cast<int>(
+                                                       evals.size()) - 1))];
+        const double barrier_s = pick(0, 2) == 0 ? 0.0 : value(1e-5);
+        acc.add_team(e, numas, home, barrier_s);
+        for (const int numa : numas) oracle.add(e, numa, home, barrier_s);
+      }
+      const PhaseTime want = oracle.finish();
+      SCOPED_TRACE(cfg.name + " phase " + std::to_string(phase));
+      expect_same_bits(acc.finish(), want);
+      ++limiters[want.limiter];
+    }
+  }
+  // The draws reach every limiter, so the comparison covers each branch.
+  EXPECT_EQ(limiters.size(), 4u);
 }
 
 TEST(ExecModel, FlopsAggregated) {

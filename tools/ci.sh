@@ -336,8 +336,12 @@ ctest --test-dir "$ASAN_DIR" -L fault --output-on-failure
 # helpers memcpy at computed offsets: a stale reference or an overrun there
 # is an intermittent segfault under plain ctest, but a deterministic ASan
 # report here. The sweep, tune and serve suites run their tasks on 256 KiB
-# guard-paged context stacks, which ASan's larger frames press hardest.
-ctest --test-dir "$ASAN_DIR" -R '^test_(collapse|machine|mp|sweep_pool|tuner|serve)$' \
+# guard-paged context stacks, which ASan's larger frames press hardest. The
+# phase accumulator indexes its per-domain arrays through a raw pointer and
+# Binding::core_of indexes its node layouts: test_predict_memo and test_topo
+# drive both.
+ctest --test-dir "$ASAN_DIR" \
+  -R '^test_(collapse|machine|mp|predict_memo|sweep_pool|topo|tuner|serve)$' \
   --output-on-failure
 
 echo "== ci: all green =="
